@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RegimeBoundaryError
 from .quad import _adaptive_gk, _tanh_sinh
 
 __all__ = [
@@ -353,11 +354,12 @@ def landen_check(k, tol=1e-13):
     the radicands change sign inside the intervals; only the regions where
     they are nonnegative contribute (real-part convention), and the
     substitutions map those regions onto each other.  Every piece is
-    integrated with its singular endpoint factors removed analytically."""
+    integrated with its singular endpoint factors removed analytically.
+    At k = 3 the identity degenerates and RegimeBoundaryError is raised."""
     if k <= 0:
         raise ValueError("k must be positive")
     if abs(k - 3.0) < 1e-12:
-        raise ValueError("identity degenerates at k = 3")
+        raise RegimeBoundaryError("identity degenerates at k = 3")
     s = math.sqrt(k * k + 16.0)
     A = k * k - 24.0 + k * s
     B = 24.0 - k * k + k * s

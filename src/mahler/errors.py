@@ -20,7 +20,8 @@ class QuadratureError(RuntimeError):
 
 
 class RegimeBoundaryError(ValueError):
-    """Derivative formulas are undefined exactly at a regime boundary."""
+    """A formula is undefined at a regime boundary of k (or, where the
+    function says so, in a stated band around it)."""
 
 
 class DegenerateFiberError(ValueError):

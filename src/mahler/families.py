@@ -67,6 +67,10 @@ __all__ = [
 R_THRESHOLD = 16.0 / (3.0 * math.sqrt(3.0))   # 3.0792...
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 BOUNDARY_GUARD = 1e-12
+# Near k = 3 the roots -12 and -k(k + sqrt(k^2+16))/2 of the dq/dk radicand
+# merge, and the cubic root finder behind period_integral stops resolving
+# them (it fails for |k - 3| up to ~1.5e-6); q_derivative refuses this band.
+Q_MERGE_GUARD = 1e-5
 
 _TEMPLATES = {
     "P": "(x^2+x+1)*y^2+k*x*(x+1)*y+x*(x^2+x+1)",
@@ -381,10 +385,10 @@ def r_measure(k, tol=1e-12):
 # derivatives in k
 # ---------------------------------------------------------------------------
 
-def _guard(k, boundary, what):
-    if abs(k - boundary) <= BOUNDARY_GUARD:
+def _guard(k, boundary, what, width=BOUNDARY_GUARD):
+    if abs(k - boundary) <= width:
         raise RegimeBoundaryError(
-            f"{what} is undefined at the regime boundary k = {boundary}")
+            f"{what} is undefined within {width:g} of the regime boundary k = {boundary}")
 
 
 def p_derivative(k):
@@ -404,11 +408,12 @@ def q_derivative(k):
     """dq(k+2)/dk, piecewise: a complete period from -infinity minus an
     incomplete piece ending at the ordinary point k(1-k) below k=4, the pure
     complete period at and above 4 (where k(1-k) reaches -12 and the
-    incomplete piece vanishes)."""
+    incomplete piece vanishes).  Raises RegimeBoundaryError within
+    Q_MERGE_GUARD of k = 3."""
     k = float(k)
     if k <= 0:
         raise ValueError("k must be positive")
-    _guard(k, 3.0, "dq/dk")
+    _guard(k, 3.0, "dq/dk", Q_MERGE_GUARD)
     r_low, _, _ = cubic_roots_pq(k)
     coeffs = pq_radicand_coeffs(k)
     if k >= 4.0:

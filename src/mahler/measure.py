@@ -9,9 +9,15 @@ using conjugation symmetry in t; the leading-coefficient term is a
 one-variable measure obtained exactly from its roots.  The t-integrand is
 piecewise analytic: it has kinks where a root magnitude crosses 1 and
 logarithmic spikes where a_d vanishes on the circle.  Both kinds of points
-are located up front (crossings by bisecting the outside-the-circle root
-count, spikes from the unit-circle roots of a_d) and the integral is summed
-piece by piece with the double-exponential rule.
+are located up front and the integral is summed piece by piece with the
+double-exponential rule.  Spikes come from the unit-circle roots of a_d.
+Crossings come from the number of roots outside the circle: the fiber
+coefficients are evaluated at all angles of a uniform scan grid at once (in
+blocks of angles, so memory does not grow with the x-degree times the grid
+size), the fibers of the whole grid are solved in one ``batch_roots`` call,
+and every cell where the count changes is bisected, all cells together with
+one batched solve per halving, down to a width of 1e-12.  A crossing pair
+inside one scan cell leaves the count unchanged at both ends and is missed.
 
 The direct two-dimensional torus average is kept as an independent,
 lower-accuracy oracle.
@@ -27,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateFiberError
 from .quad import SingularityHint, integrate, integrate_torus2
-from .rootfind import poly_roots
+from .rootfind import batch_roots, poly_roots
 
 __all__ = [
     "FiberRoots",
@@ -73,10 +79,41 @@ def _coeffs_at(cx, x):
     return [sum(c * x ** i for i, c in cm.items()) if cm else 0j for cm in cx]
 
 
+_BLOCK_ENTRIES = 4096   # angles times x-exponents per block of _coeffs_grid
+
+
+def _coeff_table(cx):
+    """The x-exponents present in ``cx`` and the matrix of their
+    coefficients, one column per power of y."""
+    exps = sorted({i for cm in cx for i in cm})
+    row = {e: r for r, e in enumerate(exps)}
+    table = np.zeros((len(exps), len(cx)), dtype=complex)
+    for j, cm in enumerate(cx):
+        for i, c in cm.items():
+            table[row[i], j] = complex(c)
+    return np.array(exps, dtype=float), table
+
+
+def _coeffs_grid(coeff_table, thetas):
+    """Fiber coefficients at x = e^{i theta} for an array of angles: row n
+    is ``_coeffs_at(cx, e^{i thetas[n]})``.  The angles go in blocks, so that
+    no temporary exceeds _BLOCK_ENTRIES entries whatever the x-degree; the
+    product uses einsum, not BLAS, whose buffers would add to peak memory."""
+    exps, table = coeff_table
+    out = np.empty((len(thetas), table.shape[1]), dtype=complex)
+    block = max(1, _BLOCK_ENTRIES // len(exps))
+    for s in range(0, len(thetas), block):
+        powers = np.exp(1j * np.outer(thetas[s:s + block], exps))
+        out[s:s + block] = np.einsum("ij,jk->ik", powers, table)
+    return out
+
+
 def roots_in_y(P, x):
     """Solve P(x, y) = 0 in y at a fixed point x on the unit circle.
 
-    Degree <= 2 uses closed forms, higher degrees the Aberth-Ehrlich finder.
+    Solves with ``rootfind.poly_roots``: closed forms through degree 2, the
+    Aberth-Ehrlich finder beyond.  (The Jensen engine itself solves fibers
+    of degree >= 3 with the companion kernel ``rootfind.batch_roots``.)
     A vanishing leading coefficient is reported via ``dropped`` and the
     lower-degree root set is returned; an identically-zero fiber raises.
     """
@@ -129,6 +166,15 @@ def mahler_1var(coeffs):
 # the Jensen engine
 # ---------------------------------------------------------------------------
 
+def _fiber_roots(coeffs):
+    """Roots of one fiber: closed forms through degree 2, the companion
+    kernel as a batch of one beyond (a zero leading coefficient, which only
+    the reversed polynomial can have, goes to ``poly_roots``, which trims it)."""
+    if len(coeffs) > 3 and coeffs[-1] != 0:
+        return batch_roots([coeffs])[0].tolist()
+    return poly_roots(coeffs)
+
+
 def _fiber_logplus(cx, theta):
     """sum_i log+ |y_i| at x = e^{i theta}, robust near degenerate fibers.
 
@@ -165,7 +211,7 @@ def _fiber_logplus(cx, theta):
             return total
 
     if abs(coeffs[-1]) >= 1e-8 * scale:
-        roots = poly_roots(coeffs)
+        roots = _fiber_roots(coeffs)
         total = 0.0
         for r in roots:
             ar = abs(r)
@@ -175,7 +221,7 @@ def _fiber_logplus(cx, theta):
 
     # near-degenerate: reciprocal roots of the reversed polynomial
     rev = list(reversed(coeffs))
-    roots = poly_roots(rev)
+    roots = _fiber_roots(rev)
     total = 0.0
     for z in roots:
         az = abs(z)
@@ -192,18 +238,22 @@ _BAND = 1e-9   # families have whole arcs with |y| = 1 exactly; counting
                # to within ~_BAND of the true angle
 
 
-def _count_outside(cx, theta):
-    x = cmath.exp(1j * theta)
-    coeffs = _coeffs_at(cx, x)
-    scale = max(abs(c) for c in coeffs)
-    if scale == 0.0:
-        return 0
-    if abs(coeffs[-1]) < 1e-8 * scale:
-        rev = list(reversed(coeffs))
-        roots = [1.0 / z for z in poly_roots(rev) if abs(z) > 1e-300]
-    else:
-        roots = poly_roots(coeffs)
-    return sum(1 for r in roots if abs(r) > 1.0 + _BAND)
+def _count_outside(coeff_table, thetas):
+    """Number of fiber roots with |y| > 1 + _BAND at each angle, all angles
+    in one ``batch_roots`` call.  Where the leading coefficient nearly
+    vanishes the reversed polynomial is solved and its roots inverted, as
+    in ``_fiber_logplus``."""
+    coeffs = _coeffs_grid(coeff_table, thetas)
+    scale = np.abs(coeffs).max(axis=1)
+    flip = np.abs(coeffs[:, -1]) < 1e-8 * scale
+    solve = np.where(flip[:, None], coeffs[:, ::-1], coeffs)
+    solve[scale == 0.0, -1] = 1.0     # a vanishing fiber: all roots 0, none outside
+    roots = batch_roots(solve)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mags = np.where(flip[:, None],
+                        np.where(np.abs(roots) > 1e-300, np.abs(1.0 / roots), 0.0),
+                        np.abs(roots))
+    return np.count_nonzero(mags > 1.0 + _BAND, axis=1)
 
 
 def _unit_circle_angles(coeff_poly):
@@ -234,27 +284,25 @@ def _unit_circle_angles(coeff_poly):
 
 
 def _crossing_angles(cx, n_scan):
-    """Bisection on the outside-circle root count over a uniform scan grid."""
+    """Bisection on the outside-circle root count over a uniform scan grid;
+    all brackets are halved together until narrower than 1e-12."""
+    coeff_table = _coeff_table(cx)
     lo = 1e-9
     hi = math.pi - 1e-9
-    grid = [lo + (hi - lo) * m / n_scan for m in range(n_scan + 1)]
-    counts = [_count_outside(cx, t) for t in grid]
-    found = []
-    for m in range(n_scan):
-        if counts[m] == counts[m + 1]:
-            continue
-        a, b = grid[m], grid[m + 1]
-        na = counts[m]
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if _count_outside(cx, mid) == na:
-                a = mid
-            else:
-                b = mid
-            if b - a < 1e-12:
-                break
-        found.append(0.5 * (a + b))
-    return found
+    grid = lo + (hi - lo) * np.arange(n_scan + 1) / n_scan
+    counts = _count_outside(coeff_table, grid)
+    cells = np.flatnonzero(counts[:-1] != counts[1:])
+    a, b, na = grid[cells], grid[cells + 1], counts[cells]
+    live = np.arange(len(cells))
+    for _ in range(60):
+        if not len(live):
+            break
+        mid = 0.5 * (a[live] + b[live])
+        same = _count_outside(coeff_table, mid) == na[live]
+        a[live[same]] = mid[same]
+        b[live[~same]] = mid[~same]
+        live = live[b[live] - a[live] >= 1e-12]
+    return (0.5 * (a + b)).tolist()
 
 
 def mahler_jensen(P, tol=1e-10, n_scan=1024):

@@ -1,8 +1,16 @@
-"""Polynomial root finding: simultaneous Aberth-Ehrlich iteration.
+"""Polynomial root finding.
 
 Coefficients are ascending (c[0] + c[1] z + ... + c[d] z^d), complex allowed.
-Degrees in this package are tiny (<= 8), so robustness beats speed; if the
-iteration ever stalls the companion-matrix eigenvalues take over.
+Two entry points:
+
+* ``poly_roots`` solves one polynomial: closed forms through degree 2, the
+  simultaneous Aberth-Ehrlich iteration beyond (if the iteration ever stalls
+  the companion-matrix eigenvalues take over).  Degrees in this package are
+  tiny (<= 8), so robustness beats speed.
+* ``batch_roots`` solves many polynomials of one degree at once: the same
+  closed forms applied to whole arrays through degree 2, and the eigenvalues
+  of the stacked companion matrices in one LAPACK call beyond.  The Jensen
+  engine's crossing scan and its fibers of degree >= 3 go through it.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import math
 
 import numpy as np
 
-__all__ = ["aberth_roots", "poly_roots", "residual_scale"]
+__all__ = ["aberth_roots", "batch_roots", "poly_roots", "residual_scale"]
 
 
 def _horner2(coeffs, z):
@@ -135,3 +143,41 @@ def poly_roots(coeffs):
     if d == 2:
         return _quadratic_roots(coeffs[0], coeffs[1], coeffs[2])
     return aberth_roots(coeffs)
+
+
+def _quadratic_batch(c0, c1, c2):
+    """``_quadratic_roots`` over arrays of coefficients (c2 != 0 throughout)."""
+    sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    q = -0.5 * np.where((np.conj(c1) * sq).real > 0.0, c1 + sq, c1 - sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.stack([q / c2, c0 / q], axis=1)
+    at_zero = c0 == 0      # q == 0 only happens here
+    roots[at_zero, 0] = 0.0
+    roots[at_zero, 1] = -c1[at_zero] / c2[at_zero]
+    return roots
+
+
+def batch_roots(coeffs):
+    """Roots of n polynomials of one degree m >= 1, solved together.
+
+    ``coeffs`` holds n rows of m + 1 ascending coefficients, each row with a
+    nonzero leading coefficient; the result is the (n, m) complex array of
+    their roots, in no particular order within a row.  Degrees 1 and 2 use
+    the closed forms of ``poly_roots``; degree 3 and up take the eigenvalues
+    of the stacked companion matrices in one ``np.linalg.eigvals`` call,
+    which is backward stable (Edelman & Murakami, "Polynomial roots from
+    companion matrix eigenvalues", Math. Comp. 64, 1995).
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    n, m = c.shape[0], c.shape[1] - 1
+    lead = c[:, -1]
+    if not lead.all():
+        raise ValueError("leading coefficient is zero")
+    if m == 1:
+        return (-c[:, 0] / lead)[:, None]
+    if m == 2:
+        return _quadratic_batch(c[:, 0], c[:, 1], lead)
+    companion = np.zeros((n, m, m), dtype=complex)
+    companion.reshape(n, m * m)[:, m::m + 1] = 1.0      # the subdiagonal
+    companion[:, :, -1] = -c[:, :m] / c[:, m:]
+    return np.linalg.eigvals(companion)

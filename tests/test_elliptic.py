@@ -15,6 +15,7 @@ from mahler.elliptic import (
     period_quadrature,
     pq_radicand_coeffs,
 )
+from mahler.errors import RegimeBoundaryError
 from mahler.quad import SingularityHint, integrate
 
 
@@ -144,7 +145,7 @@ def test_landen_near_degenerate():
 
 
 def test_landen_rejects_k3():
-    with pytest.raises(ValueError):
+    with pytest.raises(RegimeBoundaryError):
         landen_check(3.0)
     with pytest.raises(ValueError):
         landen_check(-1.0)

@@ -232,6 +232,14 @@ def test_derivative_boundaries_rejected():
         q_derivative(-2.0)
 
 
+@pytest.mark.parametrize("k", [3.0 + 1e-6, 3.0 - 1e-7, 3.0 + 1e-9])
+def test_q_derivative_next_to_k3_raises_typed_error(k):
+    # the radicand's roots -12 and -k(k+sqrt(k^2+16))/2 merge at k = 3; the
+    # period evaluation used to fail here with an untyped ValueError
+    with pytest.raises(RegimeBoundaryError):
+        q_derivative(k)
+
+
 # ---------------------------------------------------------------------------
 # root branches and the magnitude lemmas
 # ---------------------------------------------------------------------------

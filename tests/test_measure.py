@@ -4,19 +4,45 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mahler.lpoly import LaurentPoly2, monomial_transform, parse_poly
 from mahler.errors import DegenerateFiberError
 from mahler.measure import (
+    _BAND,
+    _coeff_table,
+    _coeffs_at,
+    _coeffs_grid,
+    _count_outside,
+    _y_coeff_polys,
     mahler_1var,
     mahler_jensen,
     mahler_torus2,
     roots_in_y,
 )
 from mahler.families import family_poly, wt_family_poly
+from mahler.rootfind import poly_roots
 
 SMYTH = 0.3230659472194505     # m(x+y-1) = L'(chi_-3, -1)
+
+# generated integer polynomials (x-degree 2) with cubic and quartic fibers
+CUBIC_QUARTIC_FIBERS = [
+    "-2*y^2+1*x*y-2*x*y^2+2*x*y^3-1*x^2-2*x^2*y",
+    "2+1*x+2*x*y-2*x^2*y+3*x^2*y^2+2*x^2*y^3",
+    "-3+1*y+1*y^2-2*x*y-3*x*y^3+1*x^2+1*x^2*y+3*x^2*y^2+3*x^2*y^3",
+    "3+3*y-3*y^2-3*x*y^3+1*x^2*y^3",
+    "2+1*y+1*y^4-3*x+1*x*y+2*x*y^3-1*x*y^4-3*x^2-2*x^2*y+2*x^2*y^4",
+    "-1+1*y-3*x-2*x*y-3*x*y^2+2*x*y^3+3*x*y^4-3*x^2",
+    "-1+3*y+3*y^2-2*y^3-2*y^4-2*x-3*x*y^2+2*x^2+2*x^2*y^3",
+    "-2*y^2-3*y^3+2*x*y+3*x*y^2-1*x*y^3+1*x*y^4+1*x^2+1*x^2*y-2*x^2*y^2",
+]
+A_POLY = "x^2-x*y+y^2+x+y"
+
+
+def _scan_grid(n_scan=1024):
+    lo, hi = 1e-9, math.pi - 1e-9
+    return lo + (hi - lo) * np.arange(n_scan + 1) / n_scan
 
 
 def test_roots_single_linear():
@@ -185,3 +211,56 @@ def test_torus2_agrees_with_jensen(fam, k):
     res2d = mahler_torus2(poly, tol=1e-5, n_max=2048)
     res1d = mahler_jensen(poly, tol=1e-11)
     assert abs(res2d.value - res1d.value) <= res2d.err_est + res1d.err_est
+
+
+@pytest.mark.parametrize("expr", CUBIC_QUARTIC_FIBERS)
+def test_measure_invariant_under_swap_cubic_quartic_fibers(expr):
+    # the swapped polynomial has fibers of degree <= 2 (closed forms), the
+    # original runs the companion kernel: two independent paths
+    p = parse_poly(expr)
+    swapped = monomial_transform(p, ((0, 1), (1, 0)))
+    assert abs(mahler_jensen(p).value - mahler_jensen(swapped).value) < 1e-12
+
+
+def _scalar_count_outside(cx, theta):
+    """Per-point reference for the batched count: one poly_roots solve."""
+    coeffs = _coeffs_at(cx, cmath.exp(1j * theta))
+    scale = max(abs(c) for c in coeffs)
+    if scale == 0.0:
+        return 0
+    if abs(coeffs[-1]) < 1e-8 * scale:
+        roots = [1.0 / z for z in poly_roots(coeffs[::-1]) if abs(z) > 1e-300]
+    else:
+        roots = poly_roots(coeffs)
+    return sum(1 for r in roots if abs(r) > 1.0 + _BAND)
+
+
+@pytest.mark.parametrize("poly", [family_poly("P", 3), family_poly("R", 3),
+                                  family_poly("R", 5), parse_poly(A_POLY)]
+                         + [parse_poly(e) for e in CUBIC_QUARTIC_FIBERS])
+def test_batched_outside_count_matches_scalar(poly):
+    cx = _y_coeff_polys(poly)
+    grid = _scan_grid()
+    batched = _count_outside(_coeff_table(cx), grid)
+    assert batched.tolist() == [_scalar_count_outside(cx, t) for t in grid]
+
+
+def test_blocked_coefficients_match_pointwise_on_narrow_arc():
+    # y - 1.0001 ((1+x^3)/2)^200: 201 x-exponents, more than one block
+    terms = {(0, 1): 1.0}
+    for j in range(201):
+        terms[(3 * j, 0)] = -1.0001 * math.comb(200, j) / 2.0 ** 200
+    cx = _y_coeff_polys(LaurentPoly2(terms))
+    grid = _scan_grid()
+    blocked = _coeffs_grid(_coeff_table(cx), grid)
+    pointwise = np.array([_coeffs_at(cx, cmath.exp(1j * t)) for t in grid])
+    assert np.abs(blocked - pointwise).max() < 1e-13
+
+
+def test_near_degenerate_quartic_fiber_within_err_est():
+    # the leading coefficient 3 - 3x vanishes at x = 1; the reversed-
+    # polynomial fibers near t = 0 once left an error of 1.6e-11 against
+    # an err_est of 8.7e-12 (reference: mpmath, 25 digits)
+    p = parse_poly("1+3*y+1*y^3+3*y^4-1*x+2*x*y-3*x*y^4-1*x^2*y+3*x^2*y^2-1*x^2*y^3")
+    res = mahler_jensen(p)
+    assert abs(res.value - 1.719225772673731618113995) <= res.err_est

@@ -4,7 +4,9 @@ import random
 
 import numpy as np
 
-from mahler.rootfind import aberth_roots, poly_roots, residual_scale
+import pytest
+
+from mahler.rootfind import aberth_roots, batch_roots, poly_roots, residual_scale
 
 
 def _match(mine, theirs, tol):
@@ -68,3 +70,30 @@ def test_cyclotomic_roots_on_circle():
     assert len(roots) == 6
     for r in roots:
         assert abs(abs(r) - 1.0) < 1e-12
+
+
+def test_batch_roots_match_poly_roots():
+    rng = random.Random(4321)
+    for d in range(1, 7):
+        rows = []
+        for _ in range(12):
+            row = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(d + 1)]
+            if abs(row[-1]) < 0.3:
+                row[-1] += 1.0
+            rows.append(row)
+        rows.append([0.0] + [1.0] * d)          # a zero root
+        batch = batch_roots(rows)
+        assert batch.shape == (len(rows), d)
+        for row, roots in zip(rows, batch):
+            _match(list(roots), poly_roots(row), 1e-9)
+
+
+def test_batch_quadratic_cancellation_and_zero_root():
+    roots = batch_roots([[1.0, -1e8, 1.0], [0.0, -2.0, 1.0]])
+    assert abs(min(roots[0], key=abs) - 1e-8) < 1e-16
+    assert sorted(abs(r) for r in roots[1]) == [0.0, 2.0]
+
+
+def test_batch_roots_rejects_zero_leading_coefficient():
+    with pytest.raises(ValueError):
+        batch_roots([[1.0, 2.0, 3.0, 0.0]])
