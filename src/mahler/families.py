@@ -71,6 +71,11 @@ BOUNDARY_GUARD = 1e-12
 # merge, and the cubic root finder behind period_integral stops resolving
 # them (it fails for |k - 3| up to ~1.5e-6); q_derivative refuses this band.
 Q_MERGE_GUARD = 1e-5
+# At k = 2 sqrt 2 the endpoint t2^2 = 1/2 of dr/dk's right piece falls on the
+# root c = 1/2 of 64c^2 - 48c + k^2, and the piece loses accuracy without
+# saying so (2.5e-9 at the boundary, 8.6e-12 at 1e-5 from it, below 4e-13
+# from 3e-5 on); r_derivative refuses this band.
+R_TOUCH_GUARD = 3e-5
 
 _TEMPLATES = {
     "P": "(x^2+x+1)*y^2+k*x*(x+1)*y+x*(x^2+x+1)",
@@ -432,11 +437,13 @@ def r_derivative(k, tol=1e-13):
     """dr/dk as the period of c(1-c)(64c^2-48c+k^2): complete over (0,1)
     above the threshold 16/(3 sqrt 3), the two incomplete pieces
     (0, t1^2) and (t2^2, 1) below it.  The singular endpoint factors c and
-    1-c are absorbed into the substitution analytically."""
+    1-c are absorbed into the substitution analytically.  Raises
+    RegimeBoundaryError within R_TOUCH_GUARD of k = 2 sqrt 2."""
     k = abs(float(k))
     if k == 0:
         raise ValueError("k must be nonzero")
     _guard(k, R_THRESHOLD, "dr/dk")
+    _guard(k, TWO_SQRT2, "dr/dk", R_TOUCH_GUARD)
     k2 = k * k
 
     def quartic(c):

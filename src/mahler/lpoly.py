@@ -247,7 +247,10 @@ class LaurentPoly2:
         return total
 
     def eval_grid(self, tx, ty):
-        """Vectorised evaluation at x = exp(i*tx), y = exp(i*ty) (numpy arrays)."""
+        """Vectorised evaluation at x = exp(i*tx), y = exp(i*ty) (numpy arrays),
+        one full-size exponential per monomial.  The reference evaluator:
+        ``mahler_torus2`` computes the same values as a product of fiber
+        coefficients with powers of y, and the tests compare it with this."""
         total = np.zeros(np.broadcast(tx, ty).shape, dtype=complex)
         for (i, j), c in self.terms.items():
             total += _c_value(c) * np.exp(1j * (i * tx + j * ty))

@@ -20,7 +20,10 @@ one batched solve per halving, down to a width of 1e-12.  A crossing pair
 inside one scan cell leaves the count unchanged at both ends and is missed.
 
 The direct two-dimensional torus average is kept as an independent,
-lower-accuracy oracle.
+lower-accuracy oracle.  It does not use Jensen's formula, but it reuses the
+scan's coefficient table: log|P| on each row block of the trapezoid grid is
+the product of the fiber coefficients at the block's x-angles with the
+powers of y at all y-angles.
 """
 
 from __future__ import annotations
@@ -341,16 +344,34 @@ def mahler_jensen(P, tol=1e-10, n_scan=1024):
     return MeasureResult(value, err / math.pi + 1e-13, "jensen_1d")
 
 
+def _torus_log_abs(P):
+    """log|P(e^{i tx}, e^{i ty})| on the grid of a column of angles tx
+    against a row of angles ty, as the product of the fiber coefficients
+    c_j(e^{i tx}) (rows of ``_coeffs_grid``) with the powers e^{i j ty}.
+    Clearing the lowest y-power in ``_y_coeff_polys`` leaves |P| unchanged
+    on the torus."""
+    coeff_table = _coeff_table(_y_coeff_polys(P))
+    ypowers = np.arange(coeff_table[1].shape[1])
+
+    def g(tx, ty):
+        vals = np.abs(_coeffs_grid(coeff_table, np.ravel(tx))
+                      @ np.exp(1j * np.outer(ypowers, np.ravel(ty))))
+        return np.log(np.maximum(vals, 1e-300))
+
+    return g
+
+
 def mahler_torus2(P, tol=1e-5, n_max=4096):
-    """Direct torus-average definition; cross-validation oracle only."""
+    """Direct torus-average definition; cross-validation oracle only.
+
+    The trapezoid grid goes through ``integrate_torus2`` in row blocks; each
+    block of log|P| is one small product of the fiber-coefficient table that
+    the crossing scan uses (``_coeffs_grid``) with the powers of y, so no
+    full-grid exponential is formed per monomial.  Raises ValueError when
+    n_max is below the starting grid size 16."""
     if P.is_zero():
         raise ValueError("measure of the zero polynomial")
     if P.has_symbolic_k():
         raise ValueError("substitute a numeric k first")
-
-    def g(tx, ty):
-        vals = np.abs(P.eval_grid(tx, ty))
-        return np.log(np.maximum(vals, 1e-300))
-
-    r = integrate_torus2(g, tol=tol, n_max=n_max)
+    r = integrate_torus2(_torus_log_abs(P), tol=tol, n_max=n_max)
     return MeasureResult(r.value, r.err_est, "torus_2d")

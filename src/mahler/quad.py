@@ -292,17 +292,26 @@ def integrate(f, a, b, hint=SingularityHint.none(), tol=1e-12):
 # 2D periodic trapezoid oracle
 # ---------------------------------------------------------------------------
 
+_TORUS_BLOCK = 1 << 18   # grid points per call of g in integrate_torus2
+
+
 def integrate_torus2(g, tol=1e-6, n_start=16, n_max=4096):
     """Average of g(theta_x, theta_y) over the periodic square [0, 2pi)^2.
 
     Uses the tensor trapezoid rule (spectrally accurate for smooth periodic
     integrands) on a doubling sequence of shifted grids, with one Richardson
     extrapolation step whose order is estimated from the last three sums.
-    g must accept numpy arrays elementwise.  The grid carries a fixed
-    irrational-ish offset so that lattice points dodge symmetric zero sets.
+    g must accept numpy arrays elementwise.  It is called on row blocks of
+    the n x n grid, a column of theta_x values against the row of all n
+    theta_y values, about _TORUS_BLOCK points at a time, so the whole grid
+    is never held; the block sums are added with ``math.fsum``.  The grid
+    carries a fixed irrational-ish offset so that lattice points dodge
+    symmetric zero sets.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if n_max < n_start:
+        raise ValueError(f"n_max ({n_max}) must be at least n_start ({n_start})")
     offset = 0.5857864376269049  # 2 - sqrt(2), fixed for determinism
     sums = []
     evals = 0
@@ -312,10 +321,14 @@ def integrate_torus2(g, tol=1e-6, n_start=16, n_max=4096):
     while n <= n_max:
         h = 2.0 * math.pi / n
         t = (np.arange(n) + offset) * h
-        tx, ty = np.meshgrid(t, t, indexing="ij", sparse=True)
-        vals = g(tx, ty)
+        rows = max(1, _TORUS_BLOCK // n)
+        block_sums = []
+        for r in range(0, n, rows):
+            tx = t[r:r + rows, None]
+            vals = np.broadcast_to(g(tx, t[None, :]), (len(tx), n))
+            block_sums.append(float(vals.sum()))
         evals += n * n
-        s = float(np.mean(vals))
+        s = math.fsum(block_sums) / (n * n)
         sums.append(s)
         if len(sums) >= 3:
             d1 = sums[-2] - sums[-3]

@@ -2,16 +2,25 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import mahler
 from mahler.cli import main
 
 RUN = [sys.executable, "-m", "mahler.cli"]
+# the subprocess imports the same package as this process, also when pytest
+# put src/ on sys.path itself (pyproject's pythonpath) rather than PYTHONPATH
+_PKG_ROOT = str(Path(mahler.__file__).resolve().parent.parent)
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (_PKG_ROOT, os.environ.get("PYTHONPATH")) if p)}
 
 
 def run_cli(*args):
-    return subprocess.run(RUN + list(args), capture_output=True, text=True)
+    return subprocess.run(RUN + list(args), capture_output=True, text=True,
+                          env=ENV)
 
 
 def test_measure_constant(tmp_path):

@@ -11,6 +11,7 @@ from mahler.families import (
     CriticalRoots,
     FamilyPoint,
     R_THRESHOLD,
+    R_TOUCH_GUARD,
     TWO_SQRT2,
     branch_roots,
     critical_roots,
@@ -238,6 +239,21 @@ def test_q_derivative_next_to_k3_raises_typed_error(k):
     # period evaluation used to fail here with an untyped ValueError
     with pytest.raises(RegimeBoundaryError):
         q_derivative(k)
+
+
+@pytest.mark.parametrize("k", [TWO_SQRT2, TWO_SQRT2 - 1e-6, TWO_SQRT2 + 1e-6])
+def test_r_derivative_next_to_two_sqrt2_raises(k):
+    # the endpoint t2^2 = 1/2 meets the root c = 1/2 of 64c^2 - 48c + k^2
+    with pytest.raises(RegimeBoundaryError):
+        r_derivative(k)
+
+
+# dr/dk at 2 sqrt 2 -+ 1e-4 from bench/refmath.r_theta(k, derivative=True)
+@pytest.mark.parametrize("dk,ref", [(-1e-4, 0.36194178371514896),
+                                    (1e-4, 0.3620017941412544)])
+def test_r_derivative_outside_two_sqrt2_band(dk, ref):
+    assert abs(dk) > R_TOUCH_GUARD
+    assert abs(r_derivative(TWO_SQRT2 + dk) - ref) < 1e-12
 
 
 # ---------------------------------------------------------------------------

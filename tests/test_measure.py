@@ -15,6 +15,7 @@ from mahler.measure import (
     _coeffs_at,
     _coeffs_grid,
     _count_outside,
+    _torus_log_abs,
     _y_coeff_polys,
     mahler_1var,
     mahler_jensen,
@@ -22,6 +23,7 @@ from mahler.measure import (
     roots_in_y,
 )
 from mahler.families import family_poly, wt_family_poly
+from mahler.quad import integrate_torus2
 from mahler.rootfind import poly_roots
 
 SMYTH = 0.3230659472194505     # m(x+y-1) = L'(chi_-3, -1)
@@ -211,6 +213,42 @@ def test_torus2_agrees_with_jensen(fam, k):
     res2d = mahler_torus2(poly, tol=1e-5, n_max=2048)
     res1d = mahler_jensen(poly, tol=1e-11)
     assert abs(res2d.value - res1d.value) <= res2d.err_est + res1d.err_est
+
+
+def _eval_grid_log_abs(P):
+    """The torus integrand through the per-monomial reference evaluator."""
+    def g(tx, ty):
+        return np.log(np.maximum(np.abs(P.eval_grid(tx, ty)), 1e-300))
+    return g
+
+
+TORUS_INTEGRAND_POLYS = [family_poly("P", 3), family_poly("R", 3),
+                         parse_poly(A_POLY), parse_poly("x^-2*y^-1+3*x*y^2-y+2")]
+
+
+@pytest.mark.parametrize("poly", TORUS_INTEGRAND_POLYS, ids=str)
+def test_torus_integrand_matches_eval_grid(poly):
+    t = (np.arange(64) + 0.5857864376269049) * (2.0 * math.pi / 64)
+    tx, ty = t[:, None], t[None, :]
+    new = _torus_log_abs(poly)(tx, ty)
+    ref = _eval_grid_log_abs(poly)(tx, ty)
+    assert new.shape == (64, 64)
+    assert np.max(np.abs(new - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("poly", [family_poly("P", 3), parse_poly(A_POLY)], ids=str)
+def test_torus2_matches_eval_grid_integrand(poly):
+    # tol is out of reach, so both run every grid up to n = 1024, whose
+    # 2^20 points go through integrate_torus2 in several row blocks
+    res = mahler_torus2(poly, tol=1e-15, n_max=1024)
+    ref = integrate_torus2(_eval_grid_log_abs(poly), tol=1e-15, n_max=1024)
+    assert abs(res.value - ref.value) < 1e-13
+    assert abs(res.err_est - ref.err_est) < 1e-13
+
+
+def test_torus2_rejects_n_max_below_start():
+    with pytest.raises(ValueError):
+        mahler_torus2(parse_poly("1+x+y"), n_max=8)
 
 
 @pytest.mark.parametrize("expr", CUBIC_QUARTIC_FIBERS)

@@ -151,8 +151,20 @@ def test_torus2_smooth_product():
     assert abs(r.value - 1.0) < 1e-11
 
 
+def test_torus2_integrand_constant_in_one_variable():
+    # g may return its broadcastable shape: here one column per row block
+    r = integrate_torus2(lambda tx, ty: np.cos(tx) ** 2, tol=1e-12)
+    assert abs(r.value - 0.5) < 1e-12
+
+
 def test_torus2_budget_exhaustion_reports_err():
     r = integrate_torus2(lambda tx, ty: np.log(np.abs(np.exp(1j * tx)
                                                       + np.exp(1j * ty) - 1.0)),
                          tol=1e-14, n_max=64)
     assert r.err_est > 1e-14       # could not converge, says so
+
+
+def test_torus2_rejects_n_max_below_start():
+    with pytest.raises(ValueError):
+        integrate_torus2(lambda tx, ty: np.zeros(np.broadcast(tx, ty).shape),
+                         n_max=8)
