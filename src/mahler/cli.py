@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: measure | family | derivative | verify | sweep | lvalue.
-Common flags: --tol, --out, --format {text,json,csv}, --jobs.
+Common flags: --tol, --out, --format {text,json,csv}; sweep also takes
+--jobs N (worker processes, N >= 1).
 Exit codes: 0 all checks pass, 1 a declared check failed, 2 usage error,
 3 numerical failure.  All numeric output is deterministic for fixed inputs;
 sweep rows are computed independently (optionally in parallel) and always
@@ -322,6 +323,8 @@ def _sweep_row(job):
 def _cmd_sweep(args):
     if args.steps < 1:
         raise argparse.ArgumentTypeError("steps must be >= 1")
+    if args.jobs < 1:
+        raise argparse.ArgumentTypeError("jobs must be >= 1")
     if args.k_from <= 0 or args.k_to <= 0:
         raise argparse.ArgumentTypeError("sweep range must be positive")
     report = RunReport("sweep", {
@@ -374,8 +377,10 @@ def _cmd_lvalue(args):
         data = eclf.resolve_bad_data(curve)
         report.add_output("root_number", data.root_number)
         report.add_output("bad_ap", json.dumps(data.bad_ap))
-        report.add_output("Lambda(2)", eclf.lambda_completed(data, 2.0))
-        report.add_output("L'(E, 0)", eclf.l_deriv_at_0(data))
+        lam2 = eclf.lambda_completed(data, 2.0)
+        report.add_output("Lambda(2)", lam2)
+        # L'(E, 0) = eps Lambda(2), as in eclf.l_deriv_at_0
+        report.add_output("L'(E, 0)", data.root_number * lam2)
     else:
         raise argparse.ArgumentTypeError("target must be chi:<d> or curve:<N>")
     return report
@@ -396,7 +401,6 @@ def _build_parser():
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("measure", help="Mahler measure of an expression")
     p.add_argument("poly")
@@ -428,6 +432,8 @@ def _build_parser():
     p.add_argument("--from", dest="k_from", type=float, required=True)
     p.add_argument("--to", dest="k_to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the rows")
     common(p)
     p.set_defaults(fn=_cmd_sweep)
 

@@ -15,6 +15,9 @@ smoothed series reads
 
 for every theta > 0.  Gamma(2, x) = (1+x) e^{-x} and Gamma(0, x) = E_1(x) are
 special-cased; other orders use the standard series / continued-fraction pair.
+The series is linear in a_n and its incomplete-gamma weights depend only on
+(N, s, theta, M), so they are built once per (s, theta): a candidate
+assignment in the search then costs one a_n list and a few dot products.
 
 The derivative at 0 needs no extra machinery: Lambda is entire and Gamma has
 a simple pole at 0, so L(E, 0) = 0 and L'(E, 0) = Lambda(0) = eps Lambda(2) =
@@ -319,22 +322,29 @@ def _truncation_m(N, tol):
                              * math.log(1.0 / tol)))
 
 
-def _lambda_theta(N, an, eps, s, theta, M):
+def _smoothing_weights(N, s, theta, M):
+    """Weights (A, B) over n = 1..M of the smoothed series at (s, theta):
+    Lambda_theta(s) = A . a + eps B . a.  They depend on neither the root
+    number nor the a_n, so one build serves every candidate assignment."""
     rtn = math.sqrt(N)
     two_pi = 2.0 * math.pi
     fac1 = N ** (0.5 * s) * two_pi ** (-s)
     fac2 = N ** (0.5 * (2.0 - s)) * two_pi ** (s - 2.0)
-    total = 0.0
+    A = np.empty(M)
+    B = np.empty(M)
     for n in range(1, M + 1):
-        an_n = an[n]
-        if an_n == 0.0:
-            continue
-        x1 = two_pi * n * theta / rtn
-        x2 = two_pi * n / (theta * rtn)
-        t1 = n ** (-s) * fac1 * upper_gamma(s, x1)
-        t2 = n ** (s - 2.0) * fac2 * upper_gamma(2.0 - s, x2)
-        total += an_n * (t1 + eps * t2)
-    return total
+        A[n - 1] = n ** (-s) * fac1 * upper_gamma(s, two_pi * n * theta / rtn)
+        B[n - 1] = (n ** (s - 2.0) * fac2
+                    * upper_gamma(2.0 - s, two_pi * n / (theta * rtn)))
+    return A, B
+
+
+def _lambda_theta(N, an, eps, s, theta, M):
+    """The smoothed series for Lambda(s) at cutoff theta over a_1..a_M: the
+    weights of ``_smoothing_weights`` dotted with the coefficients."""
+    A, B = _smoothing_weights(N, s, theta, M)
+    a = np.asarray(an[1:M + 1], dtype=float)
+    return float(A @ a + eps * (B @ a))
 
 
 def lambda_with_error(data, s, theta=1.0, tol=1e-11):
@@ -358,7 +368,11 @@ def resolve_bad_data(curve, N=None, p_max=1000, threshold=1e-8):
     """Fix the root number and the bad-prime coefficients by searching the
     finite set {eps = +-1} x {a_q in {-1,0,1}} for the assignment that makes
     the smoothed Lambda(s) independent of the cutoff theta (probed at
-    s in {0.8, 1.3} with theta 1 and 5/4); accepts below ``threshold``."""
+    s in {0.8, 1.3} with theta 1 and 5/4); accepts below ``threshold``.
+
+    The weight differences between the two thetas are built once per probe;
+    each of the 2 * 3^b candidates then costs one a_n list and four dot
+    products."""
     if N is None:
         N = curve.conductor
     if N is None:
@@ -368,17 +382,18 @@ def resolve_bad_data(curve, N=None, p_max=1000, threshold=1e-8):
     if M > p_max:
         raise ResolutionError("P_max too small for the truncation length")
 
-    probes = (0.8, 1.3)
-    thetas = (1.0, 1.25)
+    # Lambda_1(s) - Lambda_{5/4}(s) = dA . a + eps dB . a at each probe s
+    diffs = []
+    for s in (0.8, 1.3):
+        (A1, B1), (A2, B2) = (_smoothing_weights(N, s, th, M)
+                              for th in (1.0, 1.25))
+        diffs.append((A1 - A2, B1 - B2))
     best = None
     for eps in (1, -1):
         for combo in product((-1, 0, 1), repeat=len(bad_primes)):
             bad_ap = dict(zip(bad_primes, combo))
-            an = _an_list(good_ap, bad_ap, M)
-            resid = 0.0
-            for s in probes:
-                vals = [_lambda_theta(N, an, eps, s, th, M) for th in thetas]
-                resid += abs(vals[0] - vals[1])
+            a = np.asarray(_an_list(good_ap, bad_ap, M)[1:], dtype=float)
+            resid = sum(abs(float(dA @ a + eps * (dB @ a))) for dA, dB in diffs)
             if best is None or resid < best[0]:
                 best = (resid, eps, bad_ap)
     resid, eps, bad_ap = best

@@ -132,6 +132,14 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_jobs_only_on_sweep_and_at_least_one():
+    # both are refused while parsing or checking the arguments, before any
+    # row is computed or worker started
+    assert main(["lvalue", "chi:-3", "--jobs", "2"]) == 2
+    assert main(["sweep", "P", "--from", "3", "--to", "4", "--steps", "2",
+                 "--jobs", "0"]) == 2
+
+
 def test_sweep_monotone_towards_log(tmp_path):
     f = tmp_path / "p.csv"
     assert main(["sweep", "P", "--from", "3.2", "--to", "10", "--steps", "8",

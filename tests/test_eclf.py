@@ -1,8 +1,10 @@
 """Point counts, coefficient tables, and the completed L-function."""
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mahler.eclf import (
@@ -22,6 +24,7 @@ from mahler.eclf import (
     upper_gamma,
     _an_list,
     _lambda_theta,
+    _smoothing_weights,
     _truncation_m,
 )
 from mahler.errors import ResolutionError
@@ -117,6 +120,65 @@ def test_resolution_224_is_unique():
                         - _lambda_theta(224, an, eps, s, 1.25, M))
                     for s in (0.8, 1.3))
                 assert resid > 1e-4
+
+
+@pytest.mark.parametrize("curve", [CURVE_210, CURVE_15], ids=["210", "15"])
+def test_resolution_is_unique(curve):
+    # as test_resolution_224_is_unique, with the theta-differences of the
+    # weights built once: the 161 other assignments of 210 would cost ~0.5 s
+    # through _lambda_theta.  Second-best residuals: 9.3e-4 (210), 2.4e-4 (15).
+    data = resolve_bad_data(curve)
+    N = curve.conductor
+    M = _truncation_m(N, 1e-11)
+    diffs = []
+    for s in (0.8, 1.3):
+        (A1, B1), (A2, B2) = (_smoothing_weights(N, s, th, M)
+                              for th in (1.0, 1.25))
+        diffs.append((A1 - A2, B1 - B2))
+    bad_primes = sorted(data.bad_ap)
+    resolved = (data.root_number, tuple(data.bad_ap[q] for q in bad_primes))
+    others = 0
+    for eps in (1, -1):
+        for combo in itertools.product((-1, 0, 1), repeat=len(bad_primes)):
+            if (eps, combo) == resolved:
+                continue
+            an = _an_list(data.ap, dict(zip(bad_primes, combo)), M)
+            a = np.asarray(an[1:], dtype=float)
+            resid = sum(abs(dA @ a + eps * (dB @ a)) for dA, dB in diffs)
+            assert resid > 1e-4, (eps, combo, resid)
+            others += 1
+    assert others == 2 * 3 ** len(bad_primes) - 1
+
+
+def _lambda_theta_loop(N, an, eps, s, theta, M):
+    """The smoothed series term by term through the scalar upper_gamma."""
+    rtn = math.sqrt(N)
+    two_pi = 2.0 * math.pi
+    fac1 = N ** (0.5 * s) * two_pi ** (-s)
+    fac2 = N ** (0.5 * (2.0 - s)) * two_pi ** (s - 2.0)
+    total = 0.0
+    for n in range(1, M + 1):
+        if an[n] == 0.0:
+            continue
+        t1 = n ** (-s) * fac1 * upper_gamma(s, two_pi * n * theta / rtn)
+        t2 = (n ** (s - 2.0) * fac2
+              * upper_gamma(2.0 - s, two_pi * n / (theta * rtn)))
+        total += an[n] * (t1 + eps * t2)
+    return total
+
+
+@pytest.mark.parametrize("curve", [CURVE_224, CURVE_210], ids=["224", "210"])
+def test_lambda_theta_matches_term_by_term_series(curve):
+    data = resolve_bad_data(curve)
+    N = curve.conductor
+    M = _truncation_m(N, 1e-11)
+    an = _an_list(data.ap, data.bad_ap, M)
+    for s in (0.8, 1.3, 2.0):
+        for theta in (1.0, 1.25):
+            for eps in (1, -1):
+                ref = _lambda_theta_loop(N, an, eps, s, theta, M)
+                val = _lambda_theta(N, an, eps, s, theta, M)
+                assert abs(val - ref) <= 1e-13 * abs(ref), (s, theta, eps)
 
 
 def test_resolution_210():
