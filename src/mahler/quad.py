@@ -15,12 +15,32 @@ Two rules back :func:`integrate`:
 Both report a conservative absolute error estimate.  An err_est larger than
 the requested tolerance means the budget ran out and the value should be
 treated as unreliable.
+
+The tanh-sinh rule (Takahasi & Mori, "Double exponential formulas for
+numerical integration", Publ. RIMS 9, 1974) has two entry points that share
+the node tables of ``_level_nodes``, built once per level, and nothing else:
+
+* ``_tanh_sinh`` integrates one interval with a scalar integrand, one call
+  per node.  ``integrate``, the family integrands and the elliptic periods
+  use it.  They converge within 3-5 levels, where per-level numpy work costs
+  as much as the scalar loop: a prototype that moved them onto the array
+  rule took ``p_measure(2.5)`` from 0.45-0.73 to 0.80-0.88 ms and
+  ``landen_check(2.5)`` from 0.89-1.16 to 1.44-1.53 ms (one BLAS thread,
+  2-core x86 machine).
+* ``_tanh_sinh_pieces`` integrates all pieces of a cut interval at once
+  with an integrand over arrays of abscissae, one call per level for all
+  unconverged pieces.  The Jensen engine uses it, because each of its
+  integrand values costs a polynomial root solve, and a batch of them costs
+  little more than one.  Given the same integrand values it returns the
+  same results as ``_tanh_sinh`` piece by piece.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +104,34 @@ def _de_weight(t):
     return dist, w
 
 
-def _tanh_sinh(f, a, b, tol, max_level=12):
+_T_MAX = 6.11      # beyond this the node distance underflows anyway
+_MAX_LEVEL = 12
+
+
+@functools.lru_cache(maxsize=None)
+def _level_nodes(level):
+    """Nodes of one tanh-sinh level as sequences (t, distance, weight).
+
+    Level 0 has step 1 and the nodes t = 0, 1, ..., 6; level L >= 1 has
+    step 2^-L and only its new nodes, the odd multiples of the step up to
+    _T_MAX.  The tables are built with ``_de_weight`` once per level and
+    shared by both tanh-sinh rules.  They are ``array('d')``, filled node by
+    node: all 13 levels take 0.6 MB, against 2.5 MB as lists of floats, and
+    the scalar rule still reads Python floats from them.
+    """
+    h = 0.5 ** level
+    j, step = (0, 1) if level == 0 else (1, 2)
+    ts, dists, ws = array("d"), array("d"), array("d")
+    while j * h <= _T_MAX:
+        dist, w = _de_weight(j * h)
+        ts.append(j * h)
+        dists.append(dist)
+        ws.append(w)
+        j += step
+    return ts, dists, ws
+
+
+def _tanh_sinh(f, a, b, tol, max_level=_MAX_LEVEL):
     """Tanh-sinh quadrature of f over the finite interval (a, b).
 
     f is never evaluated exactly at a or b; nodes whose distance from an
@@ -102,15 +149,13 @@ def _tanh_sinh(f, a, b, tol, max_level=12):
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    t_max = 6.11       # beyond this the node distance underflows anyway
     evals = 0
     pass_distance = getattr(f, "needs_endpoint_distance", False)
     deepest = [(math.inf, 0.0), (math.inf, 0.0)]   # per side: (d, |f|) at min d
 
-    def node_pair(t):
+    def node_pair(t, dist, w):
         """Contribution of the node pair at +-t (single node at t=0)."""
         nonlocal evals
-        dist, w = _de_weight(t)
         d = dist * half
         out = 0.0
         if t == 0.0:
@@ -135,23 +180,15 @@ def _tanh_sinh(f, a, b, tol, max_level=12):
             out += w * v
         return out
 
-    h = 1.0
-    # level 0
-    total = node_pair(0.0)
-    j = 1
-    while j * h <= t_max:
-        total += node_pair(j * h)
-        j += 1
-    value = total * h * half
-    err = abs(value) + 1.0
-
-    for _ in range(1, max_level + 1):
-        h *= 0.5
+    for level in range(max_level + 1):
+        h = 0.5 ** level
         add = 0.0
-        j = 1
-        while j * h <= t_max:
-            add += node_pair(j * h)
-            j += 2          # only the new (odd) nodes of this level
+        for node in zip(*_level_nodes(level)):
+            add += node_pair(*node)
+        if level == 0:
+            value = add * h * half
+            err = abs(value) + 1.0
+            continue
         new_value = 0.5 * value + add * h * half
         err = abs(new_value - value)
         value = new_value
@@ -166,6 +203,84 @@ def _tanh_sinh(f, a, b, tol, max_level=12):
             if any(math.isfinite(d) for d, _ in deepest) else 0.0
         err = max(err, 1e-7 * sing_coeff)
     return QuadResult(value, max(err, np.finfo(float).eps * abs(value)), evals)
+
+
+def _tanh_sinh_pieces(F, edges, tol):
+    """``_tanh_sinh`` over every piece (edges[i], edges[i+1]) at once, for a
+    black-box integrand F that maps an array of abscissae to an array of
+    values.
+
+    Each level calls F once, on the new nodes of all pieces that have not
+    converged yet.  Per piece the nodes, the order in which node pairs are
+    added, the stopping test, the endpoint rules, the deepest-node cap on
+    the error and the evaluation count are those of ``_tanh_sinh``, so the
+    same values of F give the same results.  Returns one QuadResult per
+    piece.
+    """
+    a = np.asarray(edges[:-1], dtype=float)
+    b = np.asarray(edges[1:], dtype=float)
+    half = 0.5 * (b - a)
+    value = np.zeros(len(a))
+    err = np.zeros(len(a))
+    evals = np.zeros(len(a), dtype=int)
+    deep_d = np.full((len(a), 2), math.inf)   # per piece and side: min d used
+    deep_f = np.zeros((len(a), 2))            # and |f| there
+    live = np.arange(len(a))
+    for level in range(_MAX_LEVEL + 1):
+        if not len(live):
+            break
+        _, dists, ws = _level_nodes(level)
+        if level == 0:      # t = 0 is the single center node
+            w0, dists, ws = ws[0], dists[1:], ws[1:]
+        hl = half[live]
+        d = np.outer(hl, dists)[:, :, None]
+        ends = np.stack([a[live], b[live]], axis=1)[:, None, :]
+        x = ends + np.concatenate([d, -d], axis=2)     # (pieces, nodes, side)
+        take = x != ends    # black-box cannot be evaluated closer than one ulp
+        center = 0.5 * (a[live] + b[live]) if level == 0 else np.zeros(0)
+        vals = F(np.concatenate([center, x[take]]))
+        evals[live] += take.sum(axis=(1, 2)) + (level == 0)
+        fc = vals[:len(center)]
+        if not np.isfinite(fc).all():
+            raise QuadratureError("integrand is not finite",
+                                  float(center[np.argmin(np.isfinite(fc))]))
+        v = np.zeros(x.shape)
+        v[take] = vals[len(center):]
+        bad = take & ~np.isfinite(v)
+        if bad.any():
+            interior = bad & (d > 1e-9 * np.abs(hl)[:, None, None])
+            if interior.any():
+                raise QuadratureError("integrand is not finite",
+                                      float(x[tuple(np.argwhere(interior)[0])]))
+            v[bad] = 0.0       # integrable endpoint blow-up, weight negligible
+        used = take & ~bad
+        # the deepest node used on each side
+        dd = np.where(used, d, math.inf)
+        j = dd.argmin(axis=1)[:, None, :]
+        d_min = np.take_along_axis(dd, j, axis=1)[:, 0, :]
+        deeper = d_min < deep_d[live]
+        deep_d[live] = np.where(deeper, d_min, deep_d[live])
+        deep_f[live] = np.where(deeper, np.abs(np.take_along_axis(v, j, axis=1)[:, 0, :]),
+                                deep_f[live])
+        terms = np.where(used, np.asarray(ws)[None, :, None] * v, 0.0)
+        pairs = terms[:, :, 0] + terms[:, :, 1]
+        if level == 0:
+            pairs = np.concatenate([(w0 * fc)[:, None], pairs], axis=1)
+        # the node pairs are added left to right, as in _tanh_sinh
+        add = np.cumsum(pairs, axis=1)[:, -1]
+        h = 0.5 ** level
+        if level == 0:
+            value[live] = add * h * hl
+            continue
+        new_value = 0.5 * value[live] + add * h * hl
+        err[live] = np.abs(new_value - value[live])
+        value[live] = new_value
+        limit = np.maximum(tol, 4.0 * np.finfo(float).eps * np.abs(new_value)) * 0.5
+        live = live[~(err[live] <= limit)]
+    sing = (deep_f * np.sqrt(np.where(np.isfinite(deep_d), deep_d, 0.0))).max(axis=1)
+    err = np.maximum(err, 1e-7 * sing)
+    return [QuadResult(float(v), max(float(e), np.finfo(float).eps * abs(float(v))), int(k))
+            for v, e, k in zip(value, err, evals)]
 
 
 # ---------------------------------------------------------------------------

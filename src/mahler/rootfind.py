@@ -10,7 +10,7 @@ Two entry points:
 * ``batch_roots`` solves many polynomials of one degree at once: the same
   closed forms applied to whole arrays through degree 2, and the eigenvalues
   of the stacked companion matrices in one LAPACK call beyond.  The Jensen
-  engine's crossing scan and its fibers of degree >= 3 go through it.
+  engine's crossing scan and all its fiber solves go through it.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from mahler import measure
 from mahler.lpoly import LaurentPoly2, monomial_transform, parse_poly
 from mahler.errors import DegenerateFiberError
 from mahler.measure import (
@@ -15,7 +16,11 @@ from mahler.measure import (
     _coeffs_at,
     _coeffs_grid,
     _count_outside,
+    _crossing_angles,
+    _fiber_logplus,
+    _root_magnitudes,
     _torus_log_abs,
+    _unit_circle_angles,
     _y_coeff_polys,
     mahler_1var,
     mahler_jensen,
@@ -23,8 +28,8 @@ from mahler.measure import (
     roots_in_y,
 )
 from mahler.families import family_poly, wt_family_poly
-from mahler.quad import integrate_torus2
-from mahler.rootfind import poly_roots
+from mahler.quad import _level_nodes, integrate_torus2
+from mahler.rootfind import batch_roots, poly_roots
 
 SMYTH = 0.3230659472194505     # m(x+y-1) = L'(chi_-3, -1)
 
@@ -283,12 +288,16 @@ def test_batched_outside_count_matches_scalar(poly):
     assert batched.tolist() == [_scalar_count_outside(cx, t) for t in grid]
 
 
-def test_blocked_coefficients_match_pointwise_on_narrow_arc():
+def _narrow_arc_poly():
     # y - 1.0001 ((1+x^3)/2)^200: 201 x-exponents, more than one block
     terms = {(0, 1): 1.0}
     for j in range(201):
         terms[(3 * j, 0)] = -1.0001 * math.comb(200, j) / 2.0 ** 200
-    cx = _y_coeff_polys(LaurentPoly2(terms))
+    return LaurentPoly2(terms)
+
+
+def test_blocked_coefficients_match_pointwise_on_narrow_arc():
+    cx = _y_coeff_polys(_narrow_arc_poly())
     grid = _scan_grid()
     blocked = _coeffs_grid(_coeff_table(cx), grid)
     pointwise = np.array([_coeffs_at(cx, cmath.exp(1j * t)) for t in grid])
@@ -302,3 +311,157 @@ def test_near_degenerate_quartic_fiber_within_err_est():
     p = parse_poly("1+3*y+1*y^3+3*y^4-1*x+2*x*y-3*x*y^4-1*x^2*y+3*x^2*y^2-1*x^2*y^3")
     res = mahler_jensen(p)
     assert abs(res.value - 1.719225772673731618113995) <= res.err_est
+
+
+def _scalar_fiber_roots(coeffs):
+    if len(coeffs) > 3 and coeffs[-1] != 0:
+        return batch_roots([coeffs])[0].tolist()
+    return poly_roots(coeffs)
+
+
+def _scalar_fiber_logplus(coeffs):
+    """The per-node fiber integrand the Jensen engine used before its array
+    kernel, as reference; it takes the coefficient row instead of
+    evaluating it, so that both sides see the same fiber."""
+    scale = max(abs(c) for c in coeffs)
+    if scale == 0.0:
+        return 0.0
+
+    if len(coeffs) == 3 and max(abs(c.imag) for c in coeffs) <= 1e-13 * scale:
+        c0, c1, c2 = coeffs[0].real, coeffs[1].real, coeffs[2].real
+        if abs(c2) > 1e-12 * scale:
+            disc = c1 * c1 - 4.0 * c2 * c0
+            if disc < 0.0:
+                ratio = abs(c0 / c2)
+                return math.log(ratio) if ratio > 1.0 else 0.0
+            sq = math.sqrt(disc)
+            q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0 else 0.5 * sq
+            roots = []
+            if q != 0.0:
+                roots = [q / c2, c0 / q]
+            total = 0.0
+            for r in roots:
+                ar = abs(r)
+                if ar > 1.0:
+                    total += math.log(ar)
+            return total
+
+    if abs(coeffs[-1]) >= 1e-8 * scale:
+        roots = _scalar_fiber_roots(coeffs)
+        total = 0.0
+        for r in roots:
+            ar = abs(r)
+            if ar > 1.0:
+                total += math.log(ar)
+        return total
+
+    rev = list(reversed(coeffs))
+    roots = _scalar_fiber_roots(rev)
+    total = 0.0
+    for z in roots:
+        az = abs(z)
+        if az < 1e-300:
+            continue
+        if az < 1.0:
+            total += -math.log(az)
+    return total
+
+
+def _jensen_edges(cx):
+    table = _coeff_table(cx)
+    cuts = sorted(set(_unit_circle_angles(cx[-1])[0])
+                  | set(_crossing_angles(table, 1024)))
+    return [0.0] + [t for t in cuts if 1e-12 < t < math.pi - 1e-12] + [math.pi]
+
+
+def _nodes_next_to_cuts(edges, levels=4):
+    """Abscissae of the tanh-sinh nodes of the first levels of every piece;
+    they run from the middle of a piece down to its ends."""
+    xs = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        for level in range(levels):
+            for dist in _level_nodes(level)[1]:
+                xs += [x for x in (lo + dist * half, hi - dist * half) if lo < x < hi]
+    return np.array(xs)
+
+
+# wt P_3 has real quadratic fibers (the negative-discriminant shortcut);
+# the fourth has the lead (1-x)^2, whose fibers near t = 0 take the
+# reversed-polynomial branch; the last has quartic fibers
+KERNEL_POLYS = {
+    "wtP3": wt_family_poly("P", 3),
+    "R3": family_poly("R", 3),
+    "A": parse_poly(A_POLY),
+    "reversed": parse_poly("-1+y-2*x*y+2*x^2+x^2*y"),
+    "quartic": parse_poly(CUBIC_QUARTIC_FIBERS[4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_POLYS))
+def test_fiber_kernel_matches_scalar_reference(name):
+    cx = _y_coeff_polys(KERNEL_POLYS[name])
+    table = _coeff_table(cx)
+    xs = _nodes_next_to_cuts(_jensen_edges(cx))
+    rows = _coeffs_grid(table, xs)
+    ref = np.array([_scalar_fiber_logplus(list(r)) for r in rows])
+    assert np.abs(_fiber_logplus(table, xs) - ref).max() < 1e-13
+    scale = np.abs(rows).max(axis=1)
+    if name == "reversed":
+        assert (np.abs(rows[:, -1]) < 1e-8 * scale).any()
+    if name == "wtP3":
+        c0, c1, c2 = rows.real.T
+        assert (c1 * c1 - 4.0 * c2 * c0 < 0.0).any()
+
+
+def _one_halving_per_call(cx, n_scan=1024):
+    """Crossing bisection with one _count_outside call per halving, as
+    reference for the three-halving trees."""
+    table = _coeff_table(cx)
+    grid = _scan_grid(n_scan)
+    counts = _count_outside(table, grid)
+    cells = np.flatnonzero(counts[:-1] != counts[1:])
+    a, b, na = grid[cells], grid[cells + 1], counts[cells]
+    live = np.arange(len(cells))
+    for _ in range(60):
+        if not len(live):
+            break
+        mid = 0.5 * (a[live] + b[live])
+        same = _count_outside(table, mid) == na[live]
+        a[live[same]] = mid[same]
+        b[live[~same]] = mid[~same]
+        live = live[b[live] - a[live] >= 1e-12]
+    return (0.5 * (a + b)).tolist()
+
+
+@pytest.mark.parametrize("poly", [family_poly("P", 3), family_poly("R", 3),
+                                  parse_poly(A_POLY), _narrow_arc_poly()]
+                         + [parse_poly(e) for e in CUBIC_QUARTIC_FIBERS], ids=str)
+def test_crossing_trees_give_exact_cuts(poly):
+    cx = _y_coeff_polys(poly)
+    cuts = _crossing_angles(_coeff_table(cx), 1024)
+    assert cuts == _one_halving_per_call(cx)
+
+
+def test_jensen_batch_call_count(monkeypatch):
+    # scan grid + bisection trees + one call per tanh-sinh level
+    calls = []
+
+    def counting(coeffs):
+        calls.append(len(coeffs))
+        return batch_roots(coeffs)
+
+    monkeypatch.setattr(measure, "batch_roots", counting)
+    mahler_jensen(family_poly("R", 3))
+    assert len(calls) <= 20
+
+
+def test_root_magnitudes_trim_flip_and_vanishing_rows():
+    rows = np.array([[2.0, -3.0, 1.0],      # (y - 1)(y - 2)
+                     [0.0, 1.0, 1e-10],     # flipped; reversed lead is 0
+                     [0.0, 0.0, 0.0]],      # vanishing fiber
+                    dtype=complex)
+    mags = np.sort(_root_magnitudes(rows), axis=1)
+    assert np.allclose(mags[0], [1.0, 2.0], rtol=1e-15)
+    assert mags[1, 0] == 0.0 and abs(mags[1, 1] / 1e10 - 1.0) < 1e-15
+    assert mags[2].tolist() == [0.0, 0.0]

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mahler.errors import QuadratureError
-from mahler.quad import SingularityHint, integrate, integrate_torus2
+from mahler.quad import (SingularityHint, _de_weight, _level_nodes, _tanh_sinh,
+                         _tanh_sinh_pieces, integrate, integrate_torus2)
 
 
 def test_constant():
@@ -168,3 +169,67 @@ def test_torus2_rejects_n_max_below_start():
     with pytest.raises(ValueError):
         integrate_torus2(lambda tx, ty: np.zeros(np.broadcast(tx, ty).shape),
                          n_max=8)
+
+
+def test_level_nodes_match_de_weight():
+    for level in range(13):
+        ts, dists, ws = _level_nodes(level)
+        h = 0.5 ** level
+        first, step = (0, 1) if level == 0 else (1, 2)
+        assert list(ts) == [j * h for j in range(first, int(6.11 / h) + 1, step)]
+        for t, dist, w in zip(ts, dists, ws):
+            assert (dist, w) == _de_weight(t)
+
+
+def _log_spike(x):
+    # -inf within 1e-12 of the kink at 1/2: inside 1e-9 * half of that
+    # endpoint, so both rules must skip it
+    return -math.inf if abs(x - 0.5) < 1e-12 else math.log(abs(x - 0.5))
+
+
+# (scalar integrand, edges): several pieces per call, converging at
+# different levels
+PIECE_CASES = {
+    "smooth": (lambda x: math.exp(-x * x) * math.cos(3.0 * x),
+               [-1.0, 0.0, 0.1, 2.5, 9.0]),
+    "inverse_sqrt": (lambda x: 1.0 / math.sqrt(x * (1.0 - x)),
+                     [0.0, 1e-3, 0.5, 1.0]),
+    "log_spike": (_log_spike, [0.0, 0.5, 1.0, 4.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIECE_CASES))
+def test_pieces_rule_matches_scalar_rule(name):
+    f, edges = PIECE_CASES[name]
+    calls = []
+
+    def F(xs):
+        calls.append(len(xs))
+        return np.array([f(x) for x in xs])
+
+    pieces = _tanh_sinh_pieces(F, edges, 1e-11)
+    assert len(pieces) == len(edges) - 1
+    for r, lo, hi in zip(pieces, edges[:-1], edges[1:]):
+        ref = _tanh_sinh(f, lo, hi, 1e-11)
+        assert abs(r.value - ref.value) <= 1e-15 * abs(ref.value)
+        assert abs(r.err_est - ref.err_est) <= 1e-15
+        assert r.evals == ref.evals
+    assert len({r.evals for r in pieces}) > 1        # different levels reached
+    assert sum(calls) == sum(r.evals for r in pieces)
+    assert len(calls) <= 13                          # one call per level
+    if name == "inverse_sqrt":
+        assert max(r.err_est for r in pieces) > 1e-8     # deepest-node cap
+
+
+@pytest.mark.parametrize("edges", [[0.0, 1.0], [0.0, 0.45, 1.0]])
+def test_pieces_rule_interior_nan_raises_with_abscissa(edges):
+    def f(x):
+        return math.nan if 0.4 < x < 0.6 else 1.0
+
+    with pytest.raises(QuadratureError) as exc:
+        _tanh_sinh_pieces(lambda xs: np.array([f(x) for x in xs]), edges, 1e-10)
+    assert 0.4 < exc.value.abscissa < 0.6
+    if len(edges) == 2:
+        with pytest.raises(QuadratureError) as ref:
+            _tanh_sinh(f, edges[0], edges[1], 1e-10)
+        assert exc.value.abscissa == ref.value.abscissa
