@@ -13,9 +13,13 @@ are located up front.  Spikes come from the unit-circle roots of a_d.
 Crossings come from the number of roots outside the circle: the fiber
 coefficients are evaluated at all angles of a uniform scan grid at once (in
 blocks of angles, so memory does not grow with the x-degree times the grid
-size), the fibers of the whole grid are solved in one ``batch_roots`` call,
-and every cell where the count changes is bisected, all cells together,
-down to a width of 1e-12.  Each bisection call counts the midpoints of the
+size), the roots outside are counted for the whole grid in one call, and
+every cell where the count changes is bisected, all cells together, down to
+a width of 1e-12.  Fibers of degree 1 and 2 are counted from their roots,
+solved in one ``batch_roots`` call; cubic and quartic fibers (degree 3 and
+up) are counted without solving, by the Schur-Cohn recursion
+``rootfind.count_outside``, and only the rows it leaves undecided are
+solved.  Each bisection call counts the midpoints of the
 next three halvings of every cell and then replays the halvings, so the
 cuts are those of one halving per call.  A crossing pair inside one scan
 cell leaves the count unchanged at both ends and is missed.
@@ -43,7 +47,7 @@ import numpy as np
 
 from .errors import DegenerateFiberError
 from .quad import _tanh_sinh_pieces, integrate_torus2
-from .rootfind import batch_roots, poly_roots
+from .rootfind import batch_roots, count_outside, poly_roots
 
 __all__ = [
     "FiberRoots",
@@ -56,6 +60,7 @@ __all__ = [
 
 _DROP_REL = 1e-12          # relative size below which a leading coeff counts as 0
 _UNIT_CLAMP = 1e-12        # |root| this close to 1 contributes log+ = 0 exactly
+_FLIP_REL = 1e-8           # relative lead below which the reversed fiber is solved
 
 
 @dataclass(frozen=True)
@@ -202,7 +207,7 @@ def _root_magnitudes(coeffs):
     coeffs = np.asfortranarray(coeffs)
     n, m = coeffs.shape[0], coeffs.shape[1] - 1
     scale = np.abs(coeffs).max(axis=1)
-    flip = np.abs(coeffs[:, -1]) < 1e-8 * scale
+    flip = np.abs(coeffs[:, -1]) < _FLIP_REL * scale
     solve = np.where(flip[:, None], coeffs[:, ::-1], coeffs)
     groups = {m: slice(None)}
     if not solve[:, -1].all():
@@ -247,10 +252,23 @@ def _fiber_logplus(coeff_table, thetas):
 
 
 def _count_outside(coeff_table, thetas):
-    """Number of fiber roots with |y| > 1 + _BAND at each angle, all angles
-    solved together by ``_root_magnitudes``."""
-    mags = _root_magnitudes(_coeffs_grid(coeff_table, thetas))
-    return np.count_nonzero(mags > 1.0 + _BAND, axis=1)
+    """Number of fiber roots with |y| > 1 + _BAND at each angle.
+
+    Fibers of degree 3 and up are counted without a root solve by
+    ``count_outside``; the rows it leaves undecided, and those whose lead
+    is below the flip threshold, are solved together by
+    ``_root_magnitudes``, as are all fibers of degree 1 and 2, whose closed
+    forms cost no more than the count.
+    """
+    coeffs = np.asfortranarray(_coeffs_grid(coeff_table, thetas))   # see _root_magnitudes
+    if coeffs.shape[1] <= 3:
+        return np.count_nonzero(_root_magnitudes(coeffs) > 1.0 + _BAND, axis=1)
+    counts, solve = count_outside(coeffs, 1.0 + _BAND)
+    solve |= np.abs(coeffs[:, -1]) < _FLIP_REL * np.abs(coeffs).max(axis=1)
+    if solve.any():
+        counts[solve] = np.count_nonzero(
+            _root_magnitudes(coeffs[solve]) > 1.0 + _BAND, axis=1)
+    return counts
 
 
 def _unit_circle_angles(coeff_poly):

@@ -1,7 +1,7 @@
 """Polynomial root finding.
 
 Coefficients are ascending (c[0] + c[1] z + ... + c[d] z^d), complex allowed.
-Two entry points:
+Three entry points:
 
 * ``poly_roots`` solves one polynomial: closed forms through degree 2, the
   simultaneous Aberth-Ehrlich iteration beyond (if the iteration ever stalls
@@ -10,7 +10,12 @@ Two entry points:
 * ``batch_roots`` solves many polynomials of one degree at once: the same
   closed forms applied to whole arrays through degree 2, and the eigenvalues
   of the stacked companion matrices in one LAPACK call beyond.  The Jensen
-  engine's crossing scan and all its fiber solves go through it.
+  engine's fiber solves go through it.
+* ``count_outside`` counts, without solving, how many roots of each of many
+  polynomials of one degree lie outside a circle, by the Schur-Cohn
+  recursion; rows it cannot decide in floating point are flagged for a
+  root solve.  The Jensen engine's crossing scan counts its cubic and
+  quartic fibers with it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 
 import numpy as np
 
-__all__ = ["aberth_roots", "batch_roots", "poly_roots", "residual_scale"]
+__all__ = ["aberth_roots", "batch_roots", "count_outside", "poly_roots", "residual_scale"]
 
 
 def _horner2(coeffs, z):
@@ -181,3 +186,47 @@ def batch_roots(coeffs):
     companion.reshape(n, m * m)[:, m::m + 1] = 1.0      # the subdiagonal
     companion[:, :, -1] = -c[:, :m] / c[:, m:]
     return np.linalg.eigvals(companion)
+
+
+_SCHUR_FLAG = 1e-8   # relative pivot gap at or below which a row is undecided
+
+
+def count_outside(coeffs, radius):
+    """Number of roots with |z| > radius of n polynomials of one degree m,
+    and a mask of the rows the count is not trusted for.
+
+    ``coeffs`` holds n rows of m + 1 ascending coefficients; the result is
+    ``(counts, undecided)``, two arrays of length n.  No root is computed:
+    row j is scaled by radius**j, so the question is about the unit circle,
+    and the Schur transform T p = conj(a_0) p - a_k p*, where p* is p with
+    reversed conjugated coefficients, lowers the degree k by one.  By
+    Rouche's theorem on |z| = 1, T p has as many roots inside as p when
+    d = |a_0|^2 - |a_k|^2 > 0, and k minus that many when d < 0 (Henrici,
+    "Applied and Computational Complex Analysis" vol. 1, 1974, section
+    6.8).  A formal degree whose top coefficients vanish counts its missing
+    roots as outside.
+
+    Each step first divides every row by its largest modulus, so no square
+    overflows.  A row is undecided when some step has |d| at or below
+    1e-8 (|a_0|^2 + |a_k|^2): a root on or near the circle, a root pair
+    y, 1/conj(y) (a later transform is then self-inversive), a vanishing
+    row or a non-finite coefficient.  Its count is then meaningless.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    m = c.shape[1] - 1
+    a = np.asfortranarray(c * float(radius) ** np.arange(m + 1))
+    undecided = np.zeros(len(a), dtype=bool)
+    inside = np.zeros(len(a), dtype=int)   # inside(p) = inside + sign * inside(T p)
+    sign = np.ones(len(a), dtype=int)
+    for k in range(m, 0, -1):
+        scale = np.abs(a).max(axis=1)
+        a *= (1.0 / np.where(scale > 0.0, scale, 1.0))[:, None]
+        a0, ak = a[:, 0], a[:, k]
+        p0, pk = a0.real ** 2 + a0.imag ** 2, ak.real ** 2 + ak.imag ** 2
+        d = p0 - pk
+        undecided |= ~(np.abs(d) > _SCHUR_FLAG * (p0 + pk))     # NaN is undecided
+        flip = d < 0.0
+        inside += np.where(flip, sign * k, 0)
+        sign = np.where(flip, -sign, sign)
+        a = np.conj(a0)[:, None] * a[:, :k] - ak[:, None] * np.conj(a[:, :0:-1])
+    return m - inside, undecided

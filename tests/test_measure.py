@@ -29,7 +29,7 @@ from mahler.measure import (
 )
 from mahler.families import family_poly, wt_family_poly
 from mahler.quad import _level_nodes, integrate_torus2
-from mahler.rootfind import batch_roots, poly_roots
+from mahler.rootfind import batch_roots, count_outside, poly_roots
 
 SMYTH = 0.3230659472194505     # m(x+y-1) = L'(chi_-3, -1)
 
@@ -45,6 +45,9 @@ CUBIC_QUARTIC_FIBERS = [
     "-2*y^2-3*y^3+2*x*y+3*x*y^2-1*x*y^3+1*x*y^4+1*x^2+1*x^2*y-2*x^2*y^2",
 ]
 A_POLY = "x^2-x*y+y^2+x+y"
+# |a_0| = |a_m| on the whole circle: after the _BAND scaling the first Schur
+# pivot gap is about 2m * 1e-9, so the outside count flags every row
+ALL_FLAGGED = "3-3*y^2+3*x+1*x*y^2-3*x*y^3-2*x^2*y-3*x^2*y^3"
 
 
 def _scan_grid(n_scan=1024):
@@ -443,6 +446,51 @@ def test_crossing_trees_give_exact_cuts(poly):
     assert cuts == _one_halving_per_call(cx)
 
 
+def _eigvals_count(table, thetas):
+    """The outside count from root moduli alone, as reference for the
+    Schur-Cohn count."""
+    mags = _root_magnitudes(_coeffs_grid(table, thetas))
+    return np.count_nonzero(mags > 1.0 + _BAND, axis=1)
+
+
+SCHUR_POLYS = ([family_poly("P", 3)] + [family_poly("R", k) for k in (1, 3, 5)]
+               + [parse_poly(A_POLY), _narrow_arc_poly()]
+               + [parse_poly(e) for e in CUBIC_QUARTIC_FIBERS + [ALL_FLAGGED]])
+
+
+@pytest.mark.parametrize("poly", SCHUR_POLYS, ids=str)
+def test_schur_count_agrees_with_eigvals_where_decided(poly, monkeypatch):
+    table = _coeff_table(_y_coeff_polys(poly))
+    angles = []
+
+    def recording(table, thetas):
+        angles.append(np.array(thetas))
+        return _eigvals_count(table, thetas)
+
+    monkeypatch.setattr(measure, "_count_outside", recording)
+    cuts = _crossing_angles(table, 1024)
+    monkeypatch.undo()
+    assert _crossing_angles(table, 1024) == cuts
+    thetas = np.concatenate(angles)        # the scan grid, then the trees
+    counts, undecided = count_outside(_coeffs_grid(table, thetas), 1.0 + _BAND)
+    decided = ~undecided
+    assert (counts[decided] == _eigvals_count(table, thetas)[decided]).all()
+
+
+def test_all_flagged_polynomial_takes_the_eigvals_fallback():
+    table = _coeff_table(_y_coeff_polys(parse_poly(ALL_FLAGGED)))
+    grid = _scan_grid()
+    assert count_outside(_coeffs_grid(table, grid), 1.0 + _BAND)[1].all()
+    assert (_count_outside(table, grid) == _eigvals_count(table, grid)).all()
+
+
+def test_exactly_vanishing_lead_is_counted_at_the_lower_degree():
+    # at x = 1 the fiber is y^2 + 2y + 3, both roots of modulus sqrt 3; the
+    # Schur-Cohn count would put the missing third root at infinity
+    table = _coeff_table(_y_coeff_polys(parse_poly("(1-x)*y^3+y^2+2*y+3")))
+    assert _count_outside(table, np.array([0.0])).tolist() == [2]
+
+
 def test_jensen_batch_call_count(monkeypatch):
     # scan grid + bisection trees + one call per tanh-sinh level
     calls = []
@@ -454,6 +502,21 @@ def test_jensen_batch_call_count(monkeypatch):
     monkeypatch.setattr(measure, "batch_roots", counting)
     mahler_jensen(family_poly("R", 3))
     assert len(calls) <= 20
+
+
+def test_jensen_solves_few_cubic_rows(monkeypatch):
+    # the Schur-Cohn count leaves only its undecided rows, and the
+    # quadrature's nodes, to the eigenvalue solver
+    rows = []
+
+    def counting(coeffs):
+        if np.shape(coeffs)[1] > 3:
+            rows.append(len(coeffs))
+        return batch_roots(coeffs)
+
+    monkeypatch.setattr(measure, "batch_roots", counting)
+    mahler_jensen(family_poly("R", 3))
+    assert sum(rows) <= 400
 
 
 def test_root_magnitudes_trim_flip_and_vanishing_rows():
