@@ -6,12 +6,14 @@ Common flags: --tol, --out, --format {text,json,csv}; sweep also takes
 Exit codes: 0 all checks pass, 1 a declared check failed, 2 usage error,
 3 numerical failure.  All numeric output is deterministic for fixed inputs;
 sweep rows are computed independently (optionally in parallel) and always
-emitted in parameter order with 15 significant digits.
+emitted in parameter order with 15 significant digits.  The argument parser
+is built once per process and shared by every ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -390,7 +392,10 @@ def _cmd_lvalue(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: ``parse_args`` does not
+    change it, so consecutive ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="mahler",
         description="Mahler measures of bivariate Laurent polynomials")

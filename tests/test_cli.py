@@ -178,3 +178,31 @@ def test_report_roundtrip(tmp_path):
     assert set(report) == {"command", "inputs", "outputs", "checks",
                            "wall_time_s"}
     assert report["checks"][0]["passed"] is True
+
+
+def test_consecutive_main_calls_match_fresh_processes(tmp_path):
+    # the parser is built once per process and shared by every main() call;
+    # a usage error in between must leave the next call's report unchanged
+    from mahler.cli import _build_parser
+    assert _build_parser() is _build_parser()
+
+    def strip(report):
+        report.pop("wall_time_s")
+        return report
+
+    runs = [["verify", "landen"], ["lvalue", "chi:-3"], None,
+            ["verify", "landen"]]
+    in_process = []
+    for i, argv in enumerate(runs):
+        if argv is None:
+            assert main(["verify", "landen", "--k"]) == 2
+            continue
+        out = tmp_path / f"r{i}.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        in_process.append(strip(json.loads(out.read_text())))
+    fresh = {}
+    for argv in runs[:2]:
+        r = run_cli(*argv, "--format", "json")
+        assert r.returncode == 0
+        fresh[tuple(argv)] = strip(json.loads(r.stdout))
+    assert in_process == [fresh[tuple(a)] for a in runs if a is not None]

@@ -64,6 +64,8 @@ def test_ap_count_rejects_bad_input():
         ap_count(CURVE_224, 7)      # bad reduction
     with pytest.raises(ValueError):
         ap_count(CURVE_224, 9)      # not prime
+    with pytest.raises(ValueError):
+        ap_count(CURVE_224, 1048583)  # the first prime above 2^20: int64 bound
 
 
 def test_hasse_bound():
@@ -122,32 +124,55 @@ def test_resolution_224_is_unique():
                 assert resid > 1e-4
 
 
-@pytest.mark.parametrize("curve", [CURVE_210, CURVE_15], ids=["210", "15"])
-def test_resolution_is_unique(curve):
-    # as test_resolution_224_is_unique, with the theta-differences of the
-    # weights built once: the 161 other assignments of 210 would cost ~0.5 s
-    # through _lambda_theta.  Second-best residuals: 9.3e-4 (210), 2.4e-4 (15).
-    data = resolve_bad_data(curve)
-    N = curve.conductor
+def _other_residuals(data, probes):
+    """Theta-consistency residuals at ``probes`` of every assignment other
+    than the resolved one, with the theta-differences of the weights built
+    once: the 161 other assignments of 210 would cost ~0.5 s through
+    _lambda_theta."""
+    N = data.conductor
     M = _truncation_m(N, 1e-11)
     diffs = []
-    for s in (0.8, 1.3):
+    for s in probes:
         (A1, B1), (A2, B2) = (_smoothing_weights(N, s, th, M)
                               for th in (1.0, 1.25))
         diffs.append((A1 - A2, B1 - B2))
     bad_primes = sorted(data.bad_ap)
     resolved = (data.root_number, tuple(data.bad_ap[q] for q in bad_primes))
-    others = 0
+    others = {}
     for eps in (1, -1):
         for combo in itertools.product((-1, 0, 1), repeat=len(bad_primes)):
             if (eps, combo) == resolved:
                 continue
             an = _an_list(data.ap, dict(zip(bad_primes, combo)), M)
             a = np.asarray(an[1:], dtype=float)
-            resid = sum(abs(dA @ a + eps * (dB @ a)) for dA, dB in diffs)
-            assert resid > 1e-4, (eps, combo, resid)
-            others += 1
-    assert others == 2 * 3 ** len(bad_primes) - 1
+            others[eps, combo] = sum(abs(dA @ a + eps * (dB @ a))
+                                     for dA, dB in diffs)
+    assert len(others) == 2 * 3 ** len(bad_primes) - 1
+    return others
+
+
+@pytest.mark.parametrize("curve", [CURVE_210, CURVE_15], ids=["210", "15"])
+def test_resolution_is_unique(curve):
+    # as test_resolution_224_is_unique, at the probes s in {0.8, 1.3} that
+    # resolve_bad_data no longer uses: an independent check that the data
+    # it pins are the only consistent ones.  Second-best residuals: 9.3e-4
+    # (210), 2.4e-4 (15).
+    others = _other_residuals(resolve_bad_data(curve), (0.8, 1.3))
+    for key, resid in others.items():
+        assert resid > 1e-4, (key, resid)
+
+
+@pytest.mark.parametrize("curve", [CURVE_224, CURVE_210, CURVE_15],
+                         ids=["224", "210", "15"])
+def test_resolution_is_unique_at_closed_form_probes(curve):
+    # the probes resolve_bad_data uses, s in {1, 2}: every other assignment
+    # is far above the 1e-8 threshold.  Second-best residuals: 2.7e-2 (224),
+    # 1.0e-3 (210), 2.6e-4 (15).
+    data = resolve_bad_data(curve)
+    assert data.residual < 1e-13
+    others = _other_residuals(data, (1.0, 2.0))
+    for key, resid in others.items():
+        assert resid > 1e-4, (key, resid)
 
 
 def _lambda_theta_loop(N, an, eps, s, theta, M):
@@ -173,12 +198,129 @@ def test_lambda_theta_matches_term_by_term_series(curve):
     N = curve.conductor
     M = _truncation_m(N, 1e-11)
     an = _an_list(data.ap, data.bad_ap, M)
-    for s in (0.8, 1.3, 2.0):
+    for s in (0.8, 1.0, 1.3, 2.0):
         for theta in (1.0, 1.25):
             for eps in (1, -1):
                 ref = _lambda_theta_loop(N, an, eps, s, theta, M)
                 val = _lambda_theta(N, an, eps, s, theta, M)
-                assert abs(val - ref) <= 1e-13 * abs(ref), (s, theta, eps)
+                if s == 1.0 and eps == data.root_number == -1:
+                    # Lambda(1) = -Lambda(1) = 0 at every theta: both sums
+                    # are rounding noise of terms of order 1
+                    assert max(abs(val), abs(ref)) < 1e-14, (theta, val, ref)
+                else:
+                    assert abs(val - ref) <= 1e-13 * abs(ref), (s, theta, eps)
+
+
+@pytest.mark.parametrize("N", [224, 210, 15])
+def test_closed_form_weights_match_scalar_upper_gamma(N):
+    # s = 1 and s = 2 take numpy closed forms and exp_e1 instead of the
+    # scalar upper_gamma; each weight agrees with it to 1e-15 relative
+    rtn = math.sqrt(N)
+    two_pi = 2.0 * math.pi
+    M = _truncation_m(N, 1e-11)
+    for s in (1.0, 2.0):
+        fac1 = N ** (0.5 * s) * two_pi ** (-s)
+        fac2 = N ** (0.5 * (2.0 - s)) * two_pi ** (s - 2.0)
+        for theta in (1.0, 1.25):
+            A, B = _smoothing_weights(N, s, theta, M)
+            for n in range(1, M + 1):
+                a = n ** (-s) * fac1 * upper_gamma(s, two_pi * n * theta / rtn)
+                b = (n ** (s - 2.0) * fac2
+                     * upper_gamma(2.0 - s, two_pi * n / (theta * rtn)))
+                assert abs(A[n - 1] - a) <= 1e-15 * abs(a), (s, theta, n)
+                assert abs(B[n - 1] - b) <= 1e-15 * abs(b), (s, theta, n)
+
+
+def _ap_legendre_reference(curve, p):
+    """a_p as minus the Legendre-symbol sum, each step reduced mod p."""
+    b2, b4, b6, _ = curve.b_invariants()
+    x = np.arange(p, dtype=np.int64)
+    g = (((4 * x + b2) % p * x + (2 * b4) % p) % p * x + b6 % p) % p
+    is_sq = np.zeros(p, dtype=bool)
+    is_sq[(x * x) % p] = True
+    chi = np.where(g == 0, 0, np.where(is_sq[g], 1, -1))
+    return -int(chi.sum())
+
+
+@pytest.mark.parametrize("curve", [CURVE_224, CURVE_210, CURVE_15,
+                                   curve_ek(4)],
+                         ids=["224", "210", "15", "E_4"])
+def test_ap_count_matches_legendre_sum(curve):
+    disc = abs(curve.discriminant())
+    checked = 0
+    for p in range(3, 1001):
+        if not all(p % q for q in range(2, int(p ** 0.5) + 1)) or disc % p == 0:
+            continue
+        assert ap_count(curve, p) == _ap_legendre_reference(curve, p), p
+        checked += 1
+    assert checked >= 160
+
+
+def _an_list_reference(good_ap, bad_ap, M):
+    """a_1..a_M built in one pass: sieve, prime powers, then products."""
+    a = [0.0] * (M + 1)
+    a[1] = 1.0
+    spf = list(range(M + 1))
+    for p in range(2, int(M ** 0.5) + 1):
+        if spf[p] == p:
+            for m in range(p * p, M + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    for p in range(2, M + 1):
+        if spf[p] != p:
+            continue
+        if p in bad_ap:
+            pe = p
+            while pe <= M:
+                a[pe] = float(bad_ap[p]) ** round(math.log(pe, p))
+                pe *= p
+        else:
+            ap = good_ap[p]
+            prev2, prev1 = 1.0, float(ap)
+            a[p] = prev1
+            pe = p * p
+            while pe <= M:
+                cur = ap * prev1 - p * prev2
+                a[pe] = cur
+                prev2, prev1 = prev1, cur
+                pe *= p
+    for n in range(2, M + 1):
+        p = spf[n]
+        if p == n:
+            continue
+        pe = p
+        while n % (pe * p) == 0:
+            pe *= p
+        if pe != n:
+            a[n] = a[pe] * a[n // pe]
+    return a
+
+
+@pytest.mark.parametrize("curve", [CURVE_224, CURVE_210, CURVE_15],
+                         ids=["224", "210", "15"])
+def test_an_list_matches_one_pass_reference(curve):
+    data = resolve_bad_data(curve)
+    bad_primes = sorted(data.bad_ap)
+    for M in (_truncation_m(curve.conductor, 1e-11), 500):
+        for combo in itertools.product((-1, 0, 1), repeat=len(bad_primes)):
+            bad_ap = dict(zip(bad_primes, combo))
+            assert (_an_list(data.ap, bad_ap, M)
+                    == _an_list_reference(data.ap, bad_ap, M)), (M, combo)
+
+
+def test_an_list_rejects_bad_prime_value_outside_range():
+    data = resolve_bad_data(CURVE_15)
+    with pytest.raises(ValueError):
+        _an_list(data.ap, {3: 2, 5: 1}, 50)
+
+
+def test_bad_prime_above_200_is_wrong_conductor():
+    # |disc| = 1435968 = 2^6 3^4 277: the bad prime 277 lies inside the
+    # point-count range but does not divide N = 6
+    curve = WeierstrassCurve(0, 0, 0, -30, -26)
+    assert abs(curve.discriminant()) == 2 ** 6 * 3 ** 4 * 277
+    with pytest.raises(ResolutionError, match="277"):
+        resolve_bad_data(curve, N=6)
 
 
 def test_resolution_210():
