@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: measure | family | derivative | verify | sweep | lvalue.
-Common flags: --tol, --out, --format {text,json,csv}; sweep also takes
---jobs N (worker processes, N >= 1).
+Common flags: --tol (a finite number > 0), --out, --format {text,json,csv};
+sweep also takes --jobs N (worker processes, N >= 1).
 Exit codes: 0 all checks pass, 1 a declared check failed, 2 usage error,
 3 numerical failure.  All numeric output is deterministic for fixed inputs;
 sweep rows are computed independently (optionally in parallel) and always
@@ -392,6 +392,18 @@ def _cmd_lvalue(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _positive_tol(text):
+    """Type of ``--tol``: a finite float above 0, else a usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (tol > 0 and math.isfinite(tol)):
+        raise argparse.ArgumentTypeError(
+            f"tol must be a positive finite number, got {text!r}")
+    return tol
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process: ``parse_args`` does not
@@ -402,7 +414,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=_positive_tol, default=1e-10)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")

@@ -34,7 +34,8 @@ The direct two-dimensional torus average is kept as an independent,
 lower-accuracy oracle.  It does not use Jensen's formula, but it reuses the
 scan's coefficient table: log|P| on each row block of the trapezoid grid is
 the product of the fiber coefficients at the block's x-angles with the
-powers of y at all y-angles.
+powers of y at all y-angles, which are built once per grid; the product is
+taken in row slices that stay in cache.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFiberError
+from .errors import DegenerateFiberError, QuadratureError
 from .quad import _tanh_sinh_pieces, integrate_torus2
 from .rootfind import batch_roots, count_outside, poly_roots
 
@@ -83,7 +84,12 @@ class FiberRoots:
 
 def _y_coeff_polys(P):
     """Coefficient Laurent polynomials (dicts {i: c}) of y^0..y^d after
-    clearing the lowest power of y."""
+    clearing the lowest power of y.
+
+    Every engine takes the coefficients from here, so this is where a NaN
+    or infinite coefficient is refused, with ``QuadratureError``."""
+    if not all(cmath.isfinite(c) for c in P.terms.values()):
+        raise QuadratureError("integrand is not finite")
     ycof = P.y_coefficients()
     jmin = min(ycof)
     jmax = max(ycof)
@@ -351,11 +357,16 @@ def _crossing_angles(coeff_table, n_scan):
 
 
 def mahler_jensen(P, tol=1e-10, n_scan=1024):
-    """Logarithmic Mahler measure of a real-coefficient Laurent polynomial."""
+    """Logarithmic Mahler measure of a real-coefficient Laurent polynomial.
+
+    Raises ValueError when tol is not positive (NaN included), and
+    QuadratureError for a NaN or infinite coefficient."""
     if P.is_zero():
         raise ValueError("measure of the zero polynomial")
     if P.has_symbolic_k():
         raise ValueError("substitute a numeric k first")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     cx = _y_coeff_polys(P)
     d = len(cx) - 1
     if d == 0:
@@ -381,19 +392,48 @@ def mahler_jensen(P, tol=1e-10, n_scan=1024):
     return MeasureResult(value, err / math.pi + 1e-13, "jensen_1d")
 
 
+_TORUS_SLICE = 1 << 15   # grid points per row slice of a _torus_log_abs block
+
+
 def _torus_log_abs(P):
     """log|P(e^{i tx}, e^{i ty})| on the grid of a column of angles tx
     against a row of angles ty, as the product of the fiber coefficients
     c_j(e^{i tx}) (rows of ``_coeffs_grid``) with the powers e^{i j ty}.
     Clearing the lowest y-power in ``_y_coeff_polys`` leaves |P| unchanged
-    on the torus."""
+    on the torus.
+
+    The returned integrand keeps the y-power matrix of the last row of
+    angles it was given and builds it again only when a row differs in
+    value, so ``integrate_torus2``, which passes the same row with every
+    block of a grid, pays one ``exp`` per grid.  Each block is filled in
+    slices of about _TORUS_SLICE points (whole rows, at least two unless
+    the block has one) of one float array: the product of a slice, its
+    modulus, the 1e-300 guard and the log all stay in cache, and no other
+    grid-sized temporary is made.  Every point is computed as one
+    whole-block product would compute it."""
     coeff_table = _coeff_table(_y_coeff_polys(P))
     ypowers = np.arange(coeff_table[1].shape[1])
+    last_ty = None
+    ypow = None
 
     def g(tx, ty):
-        vals = np.abs(_coeffs_grid(coeff_table, np.ravel(tx))
-                      @ np.exp(1j * np.outer(ypowers, np.ravel(ty))))
-        return np.log(np.maximum(vals, 1e-300))
+        nonlocal last_ty, ypow
+        ty = np.ravel(ty)
+        if last_ty is None or not np.array_equal(ty, last_ty):
+            last_ty = ty.copy()
+            ypow = np.exp(1j * np.outer(ypowers, ty))
+        coeffs = _coeffs_grid(coeff_table, np.ravel(tx))
+        out = np.empty((len(coeffs), len(ty)))
+        # no one-row slice unless the block has one row: numpy hands a
+        # one-row product to BLAS gemv, which rounds otherwise than gemm
+        rows = max(2, _TORUS_SLICE // len(ty))
+        for start in range(0, max(len(coeffs) - 1, 1), rows):
+            stop = start + rows if start + rows < len(coeffs) - 1 else len(coeffs)
+            part = out[start:stop]
+            np.abs(coeffs[start:stop] @ ypow, out=part)
+            np.maximum(part, 1e-300, out=part)
+            np.log(part, out=part)
+        return out
 
     return g
 
@@ -402,10 +442,13 @@ def mahler_torus2(P, tol=1e-5, n_max=4096):
     """Direct torus-average definition; cross-validation oracle only.
 
     The trapezoid grid goes through ``integrate_torus2`` in row blocks; each
-    block of log|P| is one small product of the fiber-coefficient table that
-    the crossing scan uses (``_coeffs_grid``) with the powers of y, so no
-    full-grid exponential is formed per monomial.  Raises ValueError when
-    n_max is below the starting grid size 16."""
+    block of log|P| is filled in row slices, each one small product of the
+    fiber-coefficient table that the crossing scan uses (``_coeffs_grid``)
+    with the powers of y, which are built once per grid, so no full-grid
+    exponential is formed per monomial (see ``_torus_log_abs``).  Raises
+    ValueError when n_max is below the starting grid size 16 or tol is not
+    positive (NaN included), and QuadratureError for a NaN or infinite
+    coefficient."""
     if P.is_zero():
         raise ValueError("measure of the zero polynomial")
     if P.has_symbolic_k():

@@ -354,7 +354,7 @@ def integrate(f, a, b, hint=SingularityHint.none(), tol=1e-12):
         hint = SingularityHint.none()
     if not (a < b):
         raise ValueError("need a < b")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
 
     inf_a = math.isinf(a)
@@ -421,9 +421,13 @@ def integrate_torus2(g, tol=1e-6, n_start=16, n_max=4096):
     theta_y values, about _TORUS_BLOCK points at a time, so the whole grid
     is never held; the block sums are added with ``math.fsum``.  The grid
     carries a fixed irrational-ish offset so that lattice points dodge
-    symmetric zero sets.
+    symmetric zero sets.  The same row array of theta_y values goes with
+    every block of a grid, so g may keep work that depends only on it.
+
+    Raises ValueError unless tol > 0 (a NaN tol included), and
+    QuadratureError when the sum of a block is not finite.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if n_max < n_start:
         raise ValueError(f"n_max ({n_max}) must be at least n_start ({n_start})")
@@ -441,7 +445,10 @@ def integrate_torus2(g, tol=1e-6, n_start=16, n_max=4096):
         for r in range(0, n, rows):
             tx = t[r:r + rows, None]
             vals = np.broadcast_to(g(tx, t[None, :]), (len(tx), n))
-            block_sums.append(float(vals.sum()))
+            block_sum = float(vals.sum())
+            if not math.isfinite(block_sum):
+                raise QuadratureError("integrand is not finite")
+            block_sums.append(block_sum)
         evals += n * n
         s = math.fsum(block_sums) / (n * n)
         sums.append(s)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mahler
 from mahler.cli import main
 
@@ -52,6 +54,12 @@ def test_measure_with_torus_check(tmp_path):
                  "--format", "json", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert all(c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "abc"])
+def test_tol_not_positive_finite_is_usage_error(tol, capsys):
+    assert main(["measure", "1+x+y", "--tol", tol, "--format", "json"]) == 2
+    assert "tol must be a positive finite number" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code():

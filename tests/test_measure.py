@@ -3,13 +3,14 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from mahler import measure
 from mahler.lpoly import LaurentPoly2, monomial_transform, parse_poly
-from mahler.errors import DegenerateFiberError
+from mahler.errors import DegenerateFiberError, QuadratureError
 from mahler.measure import (
     _BAND,
     _coeff_table,
@@ -257,6 +258,99 @@ def test_torus2_matches_eval_grid_integrand(poly):
 def test_torus2_rejects_n_max_below_start():
     with pytest.raises(ValueError):
         mahler_torus2(parse_poly("1+x+y"), n_max=8)
+
+
+def _whole_block_log_abs(P):
+    """The torus integrand as one whole-block product, with the y-powers
+    built on every call: the reference for the row-sliced kernel."""
+    coeff_table = _coeff_table(_y_coeff_polys(P))
+    ypowers = np.arange(coeff_table[1].shape[1])
+
+    def g(tx, ty):
+        vals = np.abs(_coeffs_grid(coeff_table, np.ravel(tx))
+                      @ np.exp(1j * np.outer(ypowers, np.ravel(ty))))
+        return np.log(np.maximum(vals, 1e-300))
+
+    return g
+
+
+def _torus_grid(n):
+    return (np.arange(n) + 0.5857864376269049) * (2.0 * math.pi / n)
+
+
+# row counts that are not multiples of the slice (8 rows at n = 4096, 128
+# at n = 256, 2 at n = 32768); 300 rows at n = 256 cross two slice
+# boundaries, and 33 rows at n = 4096 and 5 at n = 32768 would end on a
+# one-row slice, whose product numpy computes otherwise; 1 row is a
+# one-row block
+@pytest.mark.parametrize("n,rows", [(16, 1), (16, 5), (16, 37), (256, 5),
+                                    (256, 37), (256, 300), (4096, 5),
+                                    (4096, 33), (4096, 37), (32768, 5)])
+@pytest.mark.parametrize("poly", TORUS_INTEGRAND_POLYS, ids=str)
+def test_torus_kernel_matches_whole_block_product(poly, n, rows):
+    t = _torus_grid(n)
+    tx = np.resize(t, 3 + rows)[3:, None]
+    got = _torus_log_abs(poly)(tx, t[None, :])
+    assert got.shape == (rows, n)
+    assert np.array_equal(got, _whole_block_log_abs(poly)(tx, t[None, :]))
+
+
+def test_torus_kernel_rebuilds_y_powers_for_a_new_row():
+    poly = parse_poly(A_POLY)
+    tx = _torus_grid(64)[:7, None]
+    row_a = _torus_grid(64)[None, :]
+    row_b = _torus_grid(64)[None, :] + 0.25      # same length, other values
+    row_c = _torus_grid(128)[None, :]
+    g = _torus_log_abs(poly)
+    for ty in (row_a, row_b, row_a, row_c, row_a):
+        assert np.array_equal(g(tx, ty), _torus_log_abs(poly)(tx, ty))
+    # a row changed in place after a call is still seen as new
+    g = _torus_log_abs(poly)
+    ty = row_a.copy()
+    g(tx, ty)
+    ty += 0.5
+    assert np.array_equal(g(tx, ty), _torus_log_abs(poly)(tx, ty))
+
+
+def test_torus_kernel_exact_zero_is_guarded():
+    # x - y vanishes exactly on the diagonal tx = ty: both powers of the
+    # same angle come from the same exp, and their difference is 0.0
+    t = _torus_grid(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = _torus_log_abs(parse_poly("x-y"))(t[:, None], t[None, :])
+    assert np.all(np.isfinite(vals))
+    assert np.all(vals.diagonal() == math.log(1e-300))
+
+
+@pytest.mark.parametrize("poly", [parse_poly("1+x+y"), parse_poly(A_POLY),
+                                  family_poly("P", 3), family_poly("R", 3)], ids=str)
+def test_torus2_matches_whole_block_integrand(poly):
+    # the four polynomials of the torus benchmark; tol is out of reach, so
+    # every grid up to n = 1024 runs, in several row blocks at the last one
+    res = mahler_torus2(poly, tol=1e-15, n_max=1024)
+    ref = integrate_torus2(_whole_block_log_abs(poly), tol=1e-15, n_max=1024)
+    assert res.value == ref.value
+    assert res.err_est == ref.err_est
+
+
+# y-degree 0 takes the one-variable path of mahler_jensen
+@pytest.mark.parametrize("y_degree", [1, 0])
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("engine", [mahler_jensen, mahler_torus2])
+def test_non_finite_coefficient_raises(engine, c, y_degree):
+    poly = LaurentPoly2({(0, 0): c, (1, 0): 1, (2, y_degree): 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="not finite"):
+            engine(poly)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("engine", [mahler_jensen, mahler_torus2])
+def test_tol_must_be_positive(engine, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        engine(parse_poly("1+x+y"), tol=tol)
 
 
 @pytest.mark.parametrize("expr", CUBIC_QUARTIC_FIBERS)

@@ -133,6 +133,8 @@ def test_bad_arguments():
         integrate(lambda x: x, 1.0, 0.0, SingularityHint.none(), 1e-10)
     with pytest.raises(ValueError):
         integrate(lambda x: x, 0.0, 1.0, SingularityHint.none(), -1.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        integrate(lambda x: x, 0.0, 1.0, SingularityHint.none(), math.nan)
     with pytest.raises(ValueError):
         integrate(lambda x: x, 0.0, math.inf,
                   SingularityHint.inverse_sqrt_both(), 1e-10)
@@ -169,6 +171,24 @@ def test_torus2_rejects_n_max_below_start():
     with pytest.raises(ValueError):
         integrate_torus2(lambda tx, ty: np.zeros(np.broadcast(tx, ty).shape),
                          n_max=8)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_torus2_rejects_tol_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        integrate_torus2(lambda tx, ty: np.zeros(np.broadcast(tx, ty).shape),
+                         tol=tol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_torus2_non_finite_integrand_raises(bad):
+    def g(tx, ty):
+        vals = np.zeros(np.broadcast(tx, ty).shape)
+        vals[-1, -1] = bad
+        return vals
+
+    with pytest.raises(QuadratureError, match="not finite"):
+        integrate_torus2(g)
 
 
 def test_level_nodes_match_de_weight():
