@@ -438,10 +438,13 @@ def r_derivative(k, tol=1e-13):
     above the threshold 16/(3 sqrt 3), the two incomplete pieces
     (0, t1^2) and (t2^2, 1) below it.  The singular endpoint factors c and
     1-c are absorbed into the substitution analytically.  Raises
-    RegimeBoundaryError within R_TOUCH_GUARD of k = 2 sqrt 2."""
+    RegimeBoundaryError within R_TOUCH_GUARD of k = 2 sqrt 2, and
+    ValueError when tol is not positive (NaN included)."""
     k = abs(float(k))
     if k == 0:
         raise ValueError("k must be nonzero")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     _guard(k, R_THRESHOLD, "dr/dk")
     _guard(k, TWO_SQRT2, "dr/dk", R_TOUCH_GUARD)
     k2 = k * k

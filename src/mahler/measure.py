@@ -13,16 +13,25 @@ are located up front.  Spikes come from the unit-circle roots of a_d.
 Crossings come from the number of roots outside the circle: the fiber
 coefficients are evaluated at all angles of a uniform scan grid at once (in
 blocks of angles, so memory does not grow with the x-degree times the grid
-size), the roots outside are counted for the whole grid in one call, and
-every cell where the count changes is bisected, all cells together, down to
-a width of 1e-12.  Fibers of degree 1 and 2 are counted from their roots,
-solved in one ``batch_roots`` call; cubic and quartic fibers (degree 3 and
-up) are counted without solving, by the Schur-Cohn recursion
-``rootfind.count_outside``, and only the rows it leaves undecided are
-solved.  Each bisection call counts the midpoints of the
-next three halvings of every cell and then replays the halvings, so the
-cuts are those of one halving per call.  A crossing pair inside one scan
-cell leaves the count unchanged at both ends and is missed.
+size), and the roots outside are counted for the whole grid in one call.
+Fibers of degree 1 and 2 are counted from their roots, solved in one
+``batch_roots`` call; cubic and quartic fibers (degree 3 and up) are counted
+without solving, by the Schur-Cohn recursion ``rootfind.count_outside``, and
+only the rows it leaves undecided are solved.  Every cell where the count
+changes holds a torus point of the curve P = 0, where the kink sits, and
+all cells are polished together by Newton's method on the two real
+equations Re, Im P(e^{it}, e^{i phi}) = 0, from the cell midpoint and the
+argument of the fiber root nearest the circle there.  Where the two nearest
+roots form a pair y, 1/conj(y), the pair meets on the circle (a fold, as at
+the arc ends of the self-reciprocal families) and Gauss-Newton solves
+P = dP/dphi = 0 instead.  A cut is kept only when the iteration converged
+strictly inside its cell and the root count just either side of it is the
+count at the cell's ends; a cell whose crossing sits on the edge t = 0 or pi
+needs no cut.  The few cells left over are bisected on the count, all
+together, down to a width of 1e-12; each bisection call counts the
+midpoints of the next three halvings of every cell and then replays the
+halvings, so the cuts are those of one halving per call.  A crossing pair
+inside one scan cell leaves the count unchanged at both ends and is missed.
 
 The pieces between the cuts are integrated together with the
 double-exponential rule ``quad._tanh_sinh_pieces``: each level evaluates
@@ -162,10 +171,13 @@ def mahler_1var(coeffs):
 
     ``coeffs`` maps exponent -> real coefficient.  Jensen: log|lead| plus
     log+ of the root magnitudes; magnitudes within 1e-12 of 1 count as
-    exactly 1, so products of cyclotomics give exactly 0.0.
+    exactly 1, so products of cyclotomics give exactly 0.0.  A NaN or
+    infinite coefficient raises ``QuadratureError``, as in the engines.
     """
     if not coeffs:
         raise ValueError("measure of the zero polynomial")
+    if not all(cmath.isfinite(c) for c in coeffs.values()):
+        raise QuadratureError("integrand is not finite")
     emin = min(coeffs)
     emax = max(coeffs)
     c = [complex(coeffs.get(e, 0)) for e in range(emin, emax + 1)]
@@ -189,23 +201,24 @@ def mahler_1var(coeffs):
 
 _BAND = 1e-9   # families have whole arcs with |y| = 1 exactly; counting
                # "outside" with this margin keeps rounding noise from
-               # flickering the count there while pinning genuine crossings
-               # to within ~_BAND of the true angle
+               # flickering the count there (a bisected crossing is pinned
+               # where |y| = 1 + _BAND, a polished one on the circle)
 
 
-def _root_magnitudes(coeffs):
-    """Root moduli of the fibers in the rows of ``coeffs``, solved together
-    by ``batch_roots``.
+def _fiber_roots(coeffs):
+    """Roots of the fibers in the rows of ``coeffs``, solved together by
+    ``batch_roots``.
 
     Where the leading coefficient nearly vanishes (below 1e-8 of the
     largest) the reversed polynomial is solved instead, which keeps the huge
     root without feeding an ill-conditioned leading term to the solver, and
-    its roots are inverted (a root below 1e-300 gives modulus 0).  Zero
-    leading coefficients of the polynomial solved, which only a reversed or
-    a vanishing fiber can have, are trimmed, one ``batch_roots`` call per
-    degree left; the roots they drop are y = 0, modulus 0.
+    its roots are inverted (a root below 1e-300 gives 0: the root at
+    infinity of a vanishing lead, which the measure of the lead accounts
+    for).  Zero leading coefficients of the polynomial solved, which only a
+    reversed or a vanishing fiber can have, are trimmed, one ``batch_roots``
+    call per degree left; the roots they drop are y = 0.
 
-    The rows are taken, and the moduli returned, column-major: a reduction
+    The rows are taken, and the roots returned, column-major: a reduction
     over each row's few entries then runs along contiguous columns, several
     times faster than over short C-order rows (55 against 7 us for the
     maximum over 1025 rows of 2).
@@ -220,15 +233,21 @@ def _root_magnitudes(coeffs):
         nonzero = solve != 0
         degree = np.where(nonzero.any(axis=1), m - nonzero[:, ::-1].argmax(axis=1), 0)
         groups = {deg: degree == deg for deg in range(1, m + 1) if (degree == deg).any()}
-    mags = np.zeros((n, m), order="F")
+    out = np.zeros((n, m), dtype=complex, order="F")
     for deg, rows in groups.items():
         roots = batch_roots(solve[rows, :deg + 1])
         with np.errstate(divide="ignore", invalid="ignore"):
-            mags[rows, :deg] = np.where(
+            out[rows, :deg] = np.where(
                 flip[rows, None],
-                np.where(np.abs(roots) > 1e-300, np.abs(1.0 / roots), 0.0),
-                np.abs(roots))
-    return mags
+                np.where(np.abs(roots) > 1e-300, 1.0 / roots, 0.0),
+                roots)
+    return out
+
+
+def _root_magnitudes(coeffs):
+    """Root moduli of the fibers in the rows of ``coeffs`` (see
+    ``_fiber_roots``), column-major."""
+    return np.abs(_fiber_roots(coeffs))
 
 
 def _fiber_logplus(coeff_table, thetas):
@@ -304,13 +323,151 @@ def _unit_circle_angles(coeff_poly):
     return sorted(angles), at_one, at_minus_one
 
 
-_TREE_DEPTH = 3   # bisection halvings counted per _count_outside call
+_TREE_DEPTH = 3      # bisection halvings counted per _count_outside call
+_POLISH_STEPS = 8    # Newton / Gauss-Newton steps at most
+_MIRROR_REL = 1e-6   # tolerance of the root pair test of a fold
 
 
-def _crossing_angles(coeff_table, n_scan):
-    """Bisection on the outside-circle root count over a uniform scan grid;
-    all brackets are halved together until narrower than 1e-12, at most 60
-    times.
+def _torus_terms(ext_table, t, phi):
+    """F(t, phi) = sum_j c_j(e^{it}) e^{ij phi} at an array of points, with
+    F_t, F_phi, F_t phi and F_phi phi.  ``ext_table`` is the coefficient
+    table with the t-derivatives of its columns appended, so that one
+    ``_coeffs_grid`` call gives the c_j and their derivatives.  The sums
+    avoid BLAS, whose buffers would add to peak memory."""
+    cc = _coeffs_grid(ext_table, t)
+    j = np.arange(cc.shape[1] // 2)
+    yp = np.exp(1j * np.outer(phi, j))
+    c = cc[:, :len(j)] * yp
+    dc = cc[:, len(j):] * yp
+    return (c.sum(axis=1), dc.sum(axis=1), (c * (1j * j)).sum(axis=1),
+            (dc * (1j * j)).sum(axis=1), (c * (-j * j)).sum(axis=1))
+
+
+def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
+    """The torus point of P = 0 in each scan cell [a, b], by Newton's method
+    on Re, Im F = 0 in (t, phi) from the cell midpoint and the argument of
+    the fiber root nearest the circle there.
+
+    Where the two roots nearest the circle at the midpoint form a pair
+    y, 1/conj(y) (both on the circle, or mirrored in it), the crossing is a
+    fold: the pair meets on the circle, the Jacobian of F is singular there,
+    and (F, F_phi) = 0 is solved by Gauss-Newton instead.  A Newton step is
+    the Gauss-Newton step of F alone, so both share one loop.  A cell stops
+    early when its iterate goes non-finite or leaves the cell's neighbours,
+    when its step stops shrinking, or when it halves its distance to the
+    edge 0 or pi twice in a row.
+
+    Returns the cut of each cell, NaN where the cell is left to the
+    bisection, and a mask of the cells whose cut falls on the edge 0 or pi
+    of the scan, which need none.  An interior cut is kept when the
+    iteration converged strictly inside the cell and the counts at
+    t* -/+ delta are the cell's end counts.  At the edges, where a root
+    touches the circle at t = 0 or pi (|y(t)| is even there), a cell needs
+    no cut when its iteration reaches the edge, converging there or
+    halving its distance to it at each step as at a double solution, the
+    root followed accounts for the count change, and the count at the
+    midpoint is that of the cell's inner end, so no crossing shares the
+    cell's inner half.
+    """
+    exps, table = coeff_table
+    # scaled by a power of 2, so that no square below overflows: the count
+    # and the root solver take 1e200 * R_3, so the polish must too
+    table = table * 2.0 ** -np.frexp(np.abs(table).max())[1]
+    ext = (exps, np.hstack([table, 1j * exps[:, None] * table]))
+    n = len(a)
+    mid = 0.5 * (a + b)
+    width = b - a
+    rows = _coeffs_grid(coeff_table, np.concatenate([mid, [0.0, math.pi]]))
+    roots = _fiber_roots(rows[:n])
+    with np.errstate(divide="ignore"):
+        order = np.argsort(np.abs(np.log(np.abs(roots))), axis=1)
+    y0 = roots[np.arange(n), order[:, 0]]
+    fold = np.zeros(n, dtype=bool)
+    if roots.shape[1] > 1:
+        y1 = roots[np.arange(n), order[:, 1]]
+        fold = ((np.abs(y0 * np.conj(y1) - 1.0) <= _MIRROR_REL)
+                | ((np.abs(np.abs(y0) - 1.0) <= _MIRROR_REL)
+                   & (np.abs(np.abs(y1) - 1.0) <= _MIRROR_REL)))
+    w = fold.astype(float)
+    # the end of the scan a cell touches, NaN for inner cells
+    edge = np.where(a == lo, 0.0, np.where(b == hi, math.pi, np.nan))
+
+    t, phi = mid.copy(), np.angle(y0)
+    converged = np.zeros(n, dtype=bool)
+    last_dt = np.full(n, np.inf)
+    ratios = np.zeros(n, dtype=int)       # steps in a row at ratio ~1/2
+    live = np.arange(n)
+    # a singular Jacobian divides by zero; its row is then lost below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_POLISH_STEPS):
+            if not len(live):
+                break
+            F, Ft, Fp, Ftp, Fpp = _torus_terms(ext, t[live], phi[live])
+            wl = w[live]
+            # Gauss-Newton on (F, w F_phi) = 0, by the 2x2 normal equations
+            uu = np.abs(Ft) ** 2 + wl * np.abs(Ftp) ** 2
+            vv = np.abs(Fp) ** 2 + wl * np.abs(Fpp) ** 2
+            uv = (np.conj(Ft) * Fp).real + wl * (np.conj(Ftp) * Fpp).real
+            ug = (np.conj(Ft) * F).real + wl * (np.conj(Ftp) * Fp).real
+            vg = (np.conj(Fp) * F).real + wl * (np.conj(Fpp) * Fp).real
+            det = uu * vv - uv * uv
+            dt = (uv * vg - vv * ug) / det
+            dp = (uv * ug - uu * vg) / det
+            d_old = np.abs(t[live] - edge[live])
+            t[live] += dt
+            phi[live] += dp
+            step = np.abs(dt)
+            done = (step <= 1e-14) & (np.abs(dp) <= 1e-11)
+            converged[live[done]] = True
+            # Newton's method halves the distance to a double solution
+            ratio = np.abs(t[live] - edge[live]) / d_old
+            ratios[live] = np.where((ratio > 0.35) & (ratio < 0.65), ratios[live] + 1, 0)
+            lost = ~(np.isfinite(t[live]) & np.isfinite(phi[live])
+                     & (np.abs(t[live] - mid[live]) < 4.0 * width[live])
+                     & (step < last_dt[live]))
+            last_dt[live] = step
+            live = live[~(done | (ratios[live] >= 2) | lost)]
+
+    halving = ratios >= 2     # nearing the edge, as at a double solution
+    inside = converged & (t > a) & (t < b)
+    # the count change an edge touch explains: a touching root counts
+    # outside on the cell's inner side only
+    inner = np.where(edge == 0.0, nb, na)
+    outer = np.where(edge == 0.0, na, nb)
+    # a real root y = +-1 on the circle at the edge, whose |y(t)| is even:
+    # F(edge, 0) or F(edge, pi) vanishes; rows are the edges 0 and pi,
+    # columns the roots 1 and -1
+    ends = rows[n:]
+    alternating = (-1.0) ** np.arange(ends.shape[1])
+    at_pm1 = np.stack([ends.sum(axis=1), (ends * alternating).sum(axis=1)], axis=1)
+    real_root = np.abs(at_pm1) <= 1e-13 * np.abs(ends).sum(axis=1)[:, None]
+    with np.errstate(invalid="ignore"):     # phi of a lost iterate may be inf
+        nearer_minus_one = ~(np.cos(phi) > 0.0)
+    real_touch = real_root[np.where(edge == 0.0, 0, 1), nearer_minus_one.astype(int)]
+    # converged on the edge, which lies lo beyond the scan: a fold, or a
+    # pair e^{+-i phi} of which one root leaves the circle as the other
+    # enters; or halving towards the edge: a fold, or a root y = +-1 that
+    # touches the circle from outside
+    at_edge = ((converged & (np.abs(t - edge) <= 2.0 * lo))
+               | (halving & (fold | (real_touch & (np.abs(y0) > 1.0 + _BAND)))))
+    at_edge &= inner - outer == 1
+    ti = t[inside]
+    delta = np.minimum(1e-6, 0.5 * np.minimum(ti - a[inside], b[inside] - ti))
+    probe = np.concatenate([ti - delta, ti + delta, mid[at_edge]])
+    counts = _count_outside(coeff_table, probe) if len(probe) else probe
+    k = np.count_nonzero(inside)
+    ok = (counts[:k] == na[inside]) & (counts[k:2 * k] == nb[inside])
+    cuts = np.full(n, np.nan)
+    cuts[np.flatnonzero(inside)[ok]] = ti[ok]
+    dropped = np.zeros(n, dtype=bool)
+    dropped[np.flatnonzero(at_edge)[counts[2 * k:] == inner[at_edge]]] = True
+    return cuts, dropped
+
+
+def _bisect_cells(coeff_table, a, b, na):
+    """Bisection on the outside-circle root count: the brackets [a, b], on
+    whose ends the count differs (na at a), are halved together until
+    narrower than 1e-12, at most 60 times; returns their midpoints.
 
     One ``_count_outside`` call counts the 7 midpoints of the next three
     halvings of every live bracket (the tree of both outcomes of each
@@ -319,13 +476,8 @@ def _crossing_angles(coeff_table, n_scan):
     is checked after each halving, so the cuts are those of one halving
     per call.
     """
-    lo = 1e-9
-    hi = math.pi - 1e-9
-    grid = lo + (hi - lo) * np.arange(n_scan + 1) / n_scan
-    counts = _count_outside(coeff_table, grid)
-    cells = np.flatnonzero(counts[:-1] != counts[1:])
-    a, b, na = grid[cells], grid[cells + 1], counts[cells]
-    live = np.arange(len(cells))
+    a, b = a.copy(), b.copy()
+    live = np.arange(len(a))
     halvings = 0
     while len(live) and halvings < 60:
         depth = min(_TREE_DEPTH, 60 - halvings)
@@ -353,7 +505,33 @@ def _crossing_angles(coeff_table, n_scan):
             going = going[b[br] - a[br] >= 1e-12]
         halvings += depth
         live = live[going]
-    return (0.5 * (a + b)).tolist()
+    return 0.5 * (a + b)
+
+
+def _crossing_angles(coeff_table, n_scan):
+    """Angles in (0, pi) where a fiber root crosses the unit circle.
+
+    The outside-circle root count on a uniform scan grid brackets them:
+    every cell where the count changes holds one.  ``_polish_cells`` puts
+    each cut on the torus point of the curve P = 0 in its cell, or finds
+    that the cell's crossing sits on the edge 0 or pi, where no cut is
+    needed; the cells it cannot settle are bisected by ``_bisect_cells``.
+    A crossing pair inside one scan cell leaves the count unchanged at both
+    ends and is missed.
+    """
+    lo = 1e-9
+    hi = math.pi - 1e-9
+    grid = lo + (hi - lo) * np.arange(n_scan + 1) / n_scan
+    counts = _count_outside(coeff_table, grid)
+    cells = np.flatnonzero(counts[:-1] != counts[1:])
+    if not len(cells):
+        return []
+    a, b, na, nb = grid[cells], grid[cells + 1], counts[cells], counts[cells + 1]
+    cuts, dropped = _polish_cells(coeff_table, a, b, na, nb, lo, hi)
+    rest = np.isnan(cuts) & ~dropped
+    if rest.any():
+        cuts[rest] = _bisect_cells(coeff_table, a[rest], b[rest], na[rest])
+    return cuts[~dropped].tolist()
 
 
 def mahler_jensen(P, tol=1e-10, n_scan=1024):

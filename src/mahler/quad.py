@@ -49,6 +49,8 @@ from .errors import QuadratureError
 
 __all__ = ["QuadResult", "SingularityHint", "integrate", "integrate_torus2"]
 
+_EPS = float(np.finfo(float).eps)   # a Python float, so no result turns np.float64
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -192,7 +194,7 @@ def _tanh_sinh(f, a, b, tol, max_level=_MAX_LEVEL):
         new_value = 0.5 * value + add * h * half
         err = abs(new_value - value)
         value = new_value
-        if err <= max(tol, 4.0 * np.finfo(float).eps * abs(value)) * 0.5:
+        if err <= max(tol, 4.0 * _EPS * abs(value)) * 0.5:
             break
     if not pass_distance:
         # black-box integrands stop one ulp short of the endpoints; if they
@@ -202,7 +204,7 @@ def _tanh_sinh(f, a, b, tol, max_level=_MAX_LEVEL):
         sing_coeff = max(fv * math.sqrt(d) for d, fv in deepest if math.isfinite(d))\
             if any(math.isfinite(d) for d, _ in deepest) else 0.0
         err = max(err, 1e-7 * sing_coeff)
-    return QuadResult(value, max(err, np.finfo(float).eps * abs(value)), evals)
+    return QuadResult(value, max(err, _EPS * abs(value)), evals)
 
 
 def _tanh_sinh_pieces(F, edges, tol):
@@ -275,11 +277,11 @@ def _tanh_sinh_pieces(F, edges, tol):
         new_value = 0.5 * value[live] + add * h * hl
         err[live] = np.abs(new_value - value[live])
         value[live] = new_value
-        limit = np.maximum(tol, 4.0 * np.finfo(float).eps * np.abs(new_value)) * 0.5
+        limit = np.maximum(tol, 4.0 * _EPS * np.abs(new_value)) * 0.5
         live = live[~(err[live] <= limit)]
     sing = (deep_f * np.sqrt(np.where(np.isfinite(deep_d), deep_d, 0.0))).max(axis=1)
     err = np.maximum(err, 1e-7 * sing)
-    return [QuadResult(float(v), max(float(e), np.finfo(float).eps * abs(float(v))), int(k))
+    return [QuadResult(float(v), max(float(e), _EPS * abs(float(v))), int(k))
             for v, e, k in zip(value, err, evals)]
 
 
@@ -335,7 +337,7 @@ def _adaptive_gk(f, a, b, tol, max_panels=2000):
         total_err += e1 + e2 - pe
         heapq.heappush(heap, (-e1, pa, pm, v1, e1))
         heapq.heappush(heap, (-e2, pm, pb, v2, e2))
-    return QuadResult(total, max(total_err, np.finfo(float).eps * abs(total)), evals)
+    return QuadResult(total, max(total_err, _EPS * abs(total)), evals)
 
 
 # ---------------------------------------------------------------------------

@@ -328,3 +328,9 @@ def test_lemma_unit_modulus_at_cubic_roots():
         y1, y2 = branch_roots("R", k, math.acos(cr.t2))
         branch = y1 if k <= TWO_SQRT2 else y2
         assert abs(abs(branch) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_r_derivative_tol_must_be_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        r_derivative(2.0, tol=tol)

@@ -5,6 +5,7 @@ import math
 import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,12 +14,15 @@ from mahler.lpoly import LaurentPoly2, monomial_transform, parse_poly
 from mahler.errors import DegenerateFiberError, QuadratureError
 from mahler.measure import (
     _BAND,
+    _bisect_cells,
     _coeff_table,
     _coeffs_at,
     _coeffs_grid,
     _count_outside,
     _crossing_angles,
     _fiber_logplus,
+    _fiber_roots,
+    _polish_cells,
     _root_magnitudes,
     _torus_log_abs,
     _unit_circle_angles,
@@ -28,7 +32,7 @@ from mahler.measure import (
     mahler_torus2,
     roots_in_y,
 )
-from mahler.families import family_poly, wt_family_poly
+from mahler.families import family_poly, p_measure, q_measure, r_measure, wt_family_poly
 from mahler.quad import _level_nodes, integrate_torus2
 from mahler.rootfind import batch_roots, count_outside, poly_roots
 
@@ -51,8 +55,11 @@ A_POLY = "x^2-x*y+y^2+x+y"
 ALL_FLAGGED = "3-3*y^2+3*x+1*x*y^2-3*x*y^3-2*x^2*y-3*x^2*y^3"
 
 
+SCAN_ENDS = (1e-9, math.pi - 1e-9)
+
+
 def _scan_grid(n_scan=1024):
-    lo, hi = 1e-9, math.pi - 1e-9
+    lo, hi = SCAN_ENDS
     return lo + (hi - lo) * np.arange(n_scan + 1) / n_scan
 
 
@@ -120,6 +127,22 @@ def test_identically_zero_fiber_raises():
     # (x - 1) * y: at x = 1 every coefficient vanishes
     with pytest.raises(DegenerateFiberError):
         roots_in_y(parse_poly("x*y-y"), 1.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_one_variable_measure_rejects_non_finite(c):
+    with pytest.raises(QuadratureError, match="not finite"):
+        mahler_1var({0: c, 1: 1})
+
+
+@pytest.mark.parametrize("run", [
+    lambda: p_measure(5.0), lambda: q_measure(6), lambda: r_measure(2.0),
+    lambda: mahler_jensen(parse_poly("1+x+y")), lambda: mahler_torus2(parse_poly("1+x+y"))])
+def test_results_are_python_floats(run):
+    # p_measure's err_est was an np.float64, from the quadrature's epsilon floor
+    res = run()
+    assert type(res.value) is float
+    assert type(res.err_est) is float
 
 
 def test_one_variable_measures():
@@ -531,13 +554,215 @@ def _one_halving_per_call(cx, n_scan=1024):
     return (0.5 * (a + b)).tolist()
 
 
+def _scan_cells(table, n_scan=1024):
+    grid = _scan_grid(n_scan)
+    counts = _count_outside(table, grid)
+    cells = np.flatnonzero(counts[:-1] != counts[1:])
+    return grid[cells], grid[cells + 1], counts[cells], counts[cells + 1]
+
+
 @pytest.mark.parametrize("poly", [family_poly("P", 3), family_poly("R", 3),
                                   parse_poly(A_POLY), _narrow_arc_poly()]
                          + [parse_poly(e) for e in CUBIC_QUARTIC_FIBERS], ids=str)
 def test_crossing_trees_give_exact_cuts(poly):
+    # the bisection, run on every scan cell, not only on those the torus
+    # polish leaves to it
     cx = _y_coeff_polys(poly)
-    cuts = _crossing_angles(_coeff_table(cx), 1024)
-    assert cuts == _one_halving_per_call(cx)
+    table = _coeff_table(cx)
+    a, b, na, _ = _scan_cells(table)
+    assert _bisect_cells(table, a, b, na).tolist() == _one_halving_per_call(cx)
+
+
+def _mp_torus_point(cx, t0, phi0, fold):
+    """The torus point of P = 0 next to (t0, phi0), by mpmath.findroot at 30
+    digits: Re, Im F = 0 in real (t, phi), or for a fold F = F_phi = 0 in
+    complex (t, phi), whose solution then has vanishing imaginary parts."""
+    terms = [(i, j, mpmath.mpf(c)) for j, cm in enumerate(cx) for i, c in cm.items()]
+
+    def F(t, phi, dphi=0):
+        return sum(c * (1j * j) ** dphi * mpmath.expj(i * t + j * phi) for i, j, c in terms)
+
+    with mpmath.workdps(30):
+        if fold:
+            t, phi = mpmath.findroot(lambda t, phi: (F(t, phi), F(t, phi, 1)),
+                                     (mpmath.mpc(t0), mpmath.mpc(phi0)))
+            assert abs(t.imag) < 1e-20 and abs(phi.imag) < 1e-20
+            return float(t.real)
+        t, phi = mpmath.findroot(lambda t, phi: (F(t, phi).real, F(t, phi).imag),
+                                 (mpmath.mpf(t0), mpmath.mpf(phi0)))
+        return float(t)
+
+
+# the last three have fold cells, where a root pair y, 1/conj(y) meets on
+# the circle
+POLISH_POLYS = ([family_poly("R", 3), parse_poly(A_POLY)]
+                + [parse_poly(e) for e in CUBIC_QUARTIC_FIBERS]
+                + [wt_family_poly("P", 3), wt_family_poly("Q", 6), family_poly("P", 3)])
+
+
+@pytest.mark.parametrize("poly", POLISH_POLYS, ids=str)
+def test_polished_cuts_are_torus_points(poly):
+    cx = _y_coeff_polys(poly)
+    table = _coeff_table(cx)
+    a, b, na, nb = _scan_cells(table)
+    cuts, _ = _polish_cells(table, a, b, na, nb, *SCAN_ENDS)
+    for t in cuts[~np.isnan(cuts)]:
+        roots = _fiber_roots(_coeffs_grid(table, np.array([t])))[0]
+        near = roots[np.argsort(np.abs(np.log(np.abs(roots))))]
+        fold = len(near) > 1 and abs(near[0] - near[1]) < 1e-4
+        assert abs(_mp_torus_point(cx, t, cmath.phase(near[0]), fold) - t) < 1e-13
+        if str(poly) == str(wt_family_poly("Q", 6)):
+            assert fold
+
+
+# P_3 and wt Q_6 have inner folds, settled by Gauss-Newton; P_3 also folds
+# at t = 0, where Gauss-Newton halves its distance to the edge, following
+# the root of the pair that is inside; wt P_3 (real self-reciprocal fibers)
+# has two inner folds and two at the edges; in the last, a pair e^{+-i phi}
+# crosses the circle at t = 0 and at t = pi, where Newton converges
+@pytest.mark.parametrize("poly,dropped", [
+    (family_poly("P", 3), [True, False]),
+    (wt_family_poly("Q", 6), [False]),
+    (wt_family_poly("P", 3), [True, False, False, True]),
+    (parse_poly("1-1*y^2-3*x+2*x*y-3*x*y^2-2*x^2-1*x^2*y"), [True, True]),
+], ids=str)
+def test_polish_settles_folds_and_edges(poly, dropped):
+    table = _coeff_table(_y_coeff_polys(poly))
+    a, b, na, nb = _scan_cells(table)
+    cuts, edge = _polish_cells(table, a, b, na, nb, *SCAN_ENDS)
+    assert edge.tolist() == dropped
+    assert not np.isnan(cuts[~edge]).any()
+
+
+# the crossing of the first lies on the scan grid point pi / 2, the end of
+# its cell, so the polish leaves the cell to the bisection; the second (a
+# quartic of CUBIC_QUARTIC_FIBERS) touches the circle at t = 0 with the root
+# y = 1, where the count with its 1e-9 band changed at t ~ 4.4e-5 and the
+# bisection put a cut; references: bench/refs.json (mpmath, 25 digits)
+@pytest.mark.parametrize("expr,ref,fallback,edge", [
+    ("-1+1*y+2*x-2*x*y+2*x^2*y", 0.8703506533592053068, [False, True], [True, False]),
+    (CUBIC_QUARTIC_FIBERS[4], 1.602191419081358131,
+     [False] * 5, [True, False, False, False, False]),
+])
+def test_fallback_and_edge_touch_values(expr, ref, fallback, edge):
+    poly = parse_poly(expr)
+    table = _coeff_table(_y_coeff_polys(poly))
+    a, b, na, nb = _scan_cells(table)
+    cuts, dropped = _polish_cells(table, a, b, na, nb, *SCAN_ENDS)
+    assert (np.isnan(cuts) & ~dropped).tolist() == fallback
+    assert dropped.tolist() == edge
+    # without the edge rule the bisection cuts next to t = 0
+    assert 1e-5 < _bisect_cells(table, a[:1], b[:1], na[:1])[0] < 1e-4
+    res = mahler_jensen(poly)
+    assert abs(res.value - ref) <= max(res.err_est, 1e-14)
+
+
+def test_polish_refuses_unconfirmed_cuts():
+    # R_3 crosses at pi/3 with counts 1 before and 2 after; a cell whose
+    # end counts disagree with the counts next to the torus point, and a
+    # cell beside the crossing, keep no cut
+    table = _coeff_table(_y_coeff_polys(family_poly("R", 3)))
+    t_c, w = math.pi / 3, 0.003
+    a = np.array([t_c - w / 3, t_c + 1e-4])
+    cuts, dropped = _polish_cells(table, a, a + w, np.array([2, 1]), np.array([1, 2]),
+                                  *SCAN_ENDS)
+    assert np.isnan(cuts).all() and not dropped.any()
+    cuts, _ = _polish_cells(table, a[:1], a[:1] + w, np.array([1]), np.array([2]),
+                            *SCAN_ENDS)
+    assert abs(cuts[0] - t_c) < 1e-15
+
+
+@pytest.mark.parametrize("na,nb,drop", [(3, 4, True), (2, 3, False), (2, 4, False)])
+def test_edge_rule_needs_the_counts(na, nb, drop):
+    # the quartic's root y = 1 touches the circle at t = 0 from outside, and
+    # the true counts of its first cell are 3 and 4: with a count at the
+    # midpoint other than the inner end's, or a change of 2, the touch does
+    # not account for the cell
+    table = _coeff_table(_y_coeff_polys(parse_poly(CUBIC_QUARTIC_FIBERS[4])))
+    a, b, _, _ = _scan_cells(table)
+    _, dropped = _polish_cells(table, a[:1], b[:1], np.array([na]), np.array([nb]),
+                               *SCAN_ENDS)
+    assert dropped.tolist() == [drop]
+
+
+def _near_touch_measure(s):
+    """m of (1 + 2x^2) y - s (1 + 2x), s < 1, to 30 digits: log 2 plus the
+    log+ of |y|^2 = s^2 (5 + 4 cos t) / (1 + 8 cos^2 t) between its two
+    crossings, the roots of 8c^2 - 4 s^2 c + 1 - 5 s^2 in c = cos t."""
+    with mpmath.workdps(30):
+        s = mpmath.mpf(s)
+        sq = mpmath.sqrt(16 * s ** 4 - 32 * (1 - 5 * s ** 2))
+        t1, t2 = (mpmath.acos((4 * s ** 2 + sq) / 16), mpmath.acos((4 * s ** 2 - sq) / 16))
+
+        def f(t):
+            c = mpmath.cos(t)
+            return mpmath.log(s) + mpmath.log((5 + 4 * c) / (1 + 8 * c * c)) / 2
+
+        return float(mpmath.log(2) + mpmath.quad(f, [t1, t2]) / mpmath.pi), float(t1)
+
+
+def test_edge_rule_needs_a_touch():
+    # at s = sqrt(1 - 1e-7) the root nearly touches the circle at t = 0 but
+    # crosses it at t = 3.9e-4: Newton's steps from the midpoint of the
+    # first cell near halve there too, yet y = 1 is no root at t = 0, so the
+    # cell keeps its cut
+    s = math.sqrt(1.0 - 1e-7)
+    ref, t1 = _near_touch_measure(s)
+    poly = LaurentPoly2({(0, 1): 1.0, (2, 1): 2.0, (0, 0): -s, (1, 0): -2.0 * s})
+    table = _coeff_table(_y_coeff_polys(poly))
+    a, b, na, nb = _scan_cells(table)
+    cuts, dropped = _polish_cells(table, a, b, na, nb, *SCAN_ENDS)
+    assert not dropped.any()
+    # bisected: the count changes where |y| = 1 + 1e-9, 3.9e-6 past t1
+    assert abs(min(measure._crossing_angles(table, 1024)) - t1) < 1e-5
+    res = mahler_jensen(poly)
+    assert abs(res.value - ref) <= res.err_est
+
+
+def test_edge_rule_needs_the_root_outside():
+    # the linear factor's root touches the circle at t = 0 from inside, and
+    # y = 2 keeps the count at 1: told that the count rises across the first
+    # cell, the polish follows the touching root, which does not account
+    # for the rise, and keeps the cell
+    table = _coeff_table(_y_coeff_polys(parse_poly("(y+2*x*y-1-2*x^2)*(y-2)")))
+    grid = _scan_grid()
+    _, dropped = _polish_cells(table, grid[:1], grid[1:2], np.array([0]), np.array([1]),
+                               *SCAN_ENDS)
+    assert not dropped.any()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_polish_takes_extreme_coefficient_scales(scale):
+    r3 = family_poly("R", 3)
+    poly = LaurentPoly2({k: scale * v for k, v in r3.terms.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = mahler_jensen(poly).value - math.log(scale)
+    assert abs(value - mahler_jensen(r3).value) < 1e-12
+
+
+# F = y - 1 does not depend on t, and F = x y - 2 only on t + phi: the
+# Jacobian is singular everywhere, and every Newton step divides by zero
+# (0 / 0 for the first, a nonzero numerator and an infinite phi for the
+# second); the cells at 0 and pi go through the edge rule
+@pytest.mark.parametrize("expr", ["y-1", "x*y-2"])
+@pytest.mark.parametrize("start", [1e-9, 1.0, math.pi - 1e-9 - 0.01])
+def test_polish_singular_jacobian_without_runtime_warnings(expr, start):
+    table = _coeff_table(_y_coeff_polys(parse_poly(expr)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cuts, dropped = _polish_cells(table, np.array([start]), np.array([start + 0.01]),
+                                      np.array([0]), np.array([1]), *SCAN_ENDS)
+    assert np.isnan(cuts).all() and not dropped.any()
+
+
+def test_polish_vanishing_lead_without_runtime_warnings():
+    # the lead 1 - x vanishes exactly at the cell midpoint t = 0
+    table = _coeff_table(_y_coeff_polys(parse_poly("(1-x)*y^3+y^2+2*y+3")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _polish_cells(table, np.array([-0.01]), np.array([0.01]), np.array([2]),
+                      np.array([3]), *SCAN_ENDS)
 
 
 def _eigvals_count(table, thetas):
@@ -565,7 +790,7 @@ def test_schur_count_agrees_with_eigvals_where_decided(poly, monkeypatch):
     cuts = _crossing_angles(table, 1024)
     monkeypatch.undo()
     assert _crossing_angles(table, 1024) == cuts
-    thetas = np.concatenate(angles)        # the scan grid, then the trees
+    thetas = np.concatenate(angles)        # the scan grid, the polish checks, trees
     counts, undecided = count_outside(_coeffs_grid(table, thetas), 1.0 + _BAND)
     decided = ~undecided
     assert (counts[decided] == _eigvals_count(table, thetas)[decided]).all()
@@ -586,16 +811,24 @@ def test_exactly_vanishing_lead_is_counted_at_the_lower_degree():
 
 
 def test_jensen_batch_call_count(monkeypatch):
-    # scan grid + bisection trees + one call per tanh-sinh level
+    # scan grid, the polish's start roots and its count check, one call per
+    # tanh-sinh level; no bisection
     calls = []
+    counts = []
 
     def counting(coeffs):
         calls.append(len(coeffs))
         return batch_roots(coeffs)
 
+    def counting_outside(table, thetas):
+        counts.append(len(thetas))
+        return _count_outside(table, thetas)
+
     monkeypatch.setattr(measure, "batch_roots", counting)
+    monkeypatch.setattr(measure, "_count_outside", counting_outside)
     mahler_jensen(family_poly("R", 3))
-    assert len(calls) <= 20
+    assert len(calls) <= 6
+    assert len(counts) <= 2
 
 
 def test_jensen_solves_few_cubic_rows(monkeypatch):
