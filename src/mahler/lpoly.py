@@ -249,8 +249,9 @@ class LaurentPoly2:
     def eval_grid(self, tx, ty):
         """Vectorised evaluation at x = exp(i*tx), y = exp(i*ty) (numpy arrays),
         one full-size exponential per monomial.  The reference evaluator:
-        ``mahler_torus2`` computes the same values as a product of fiber
-        coefficients with powers of y, and the tests compare it with this."""
+        ``mahler_torus2`` sums each row of its grids in closed form from the
+        fiber roots, and the tests compare those sums with the grid sums of
+        log|P| evaluated here."""
         total = np.zeros(np.broadcast(tx, ty).shape, dtype=complex)
         for (i, j), c in self.terms.items():
             total += _c_value(c) * np.exp(1j * (i * tx + j * ty))

@@ -40,11 +40,13 @@ the new nodes of all unconverged pieces with one call of the fiber kernel
 ``batch_roots`` call.
 
 The direct two-dimensional torus average is kept as an independent,
-lower-accuracy oracle.  It does not use Jensen's formula, but it reuses the
-scan's coefficient table: log|P| on each row block of the trapezoid grid is
-the product of the fiber coefficients at the block's x-angles with the
-powers of y at all y-angles, which are built once per grid; the product is
-taken in row slices that stay in cache.
+lower-accuracy oracle.  It does not use Jensen's formula, the crossing
+scan, the cuts or the tanh-sinh rule: it averages log|P| over trapezoid
+grids of n x n points.  Each row of a grid is summed in closed form from
+the roots of its fiber, since the n y-angles of a row are the n-th roots
+of a fixed unimodular w, so a grid costs one batch of n fiber solves
+(``_solve_fibers``, shared with the Jensen engine) and holds no n x n
+array.  The sums are those of the finite grids, not their limit.
 """
 
 from __future__ import annotations
@@ -205,18 +207,19 @@ _BAND = 1e-9   # families have whole arcs with |y| = 1 exactly; counting
                # where |y| = 1 + _BAND, a polished one on the circle)
 
 
-def _fiber_roots(coeffs):
-    """Roots of the fibers in the rows of ``coeffs``, solved together by
-    ``batch_roots``.
+def _solve_fibers(coeffs):
+    """The polynomials the fibers in the rows of ``coeffs`` are solved as,
+    with their leading coefficients and roots, solved together by
+    ``batch_roots``; returns ``(flip, lead, roots)``.
 
     Where the leading coefficient nearly vanishes (below 1e-8 of the
-    largest) the reversed polynomial is solved instead, which keeps the huge
-    root without feeding an ill-conditioned leading term to the solver, and
-    its roots are inverted (a root below 1e-300 gives 0: the root at
-    infinity of a vanishing lead, which the measure of the lead accounts
-    for).  Zero leading coefficients of the polynomial solved, which only a
-    reversed or a vanishing fiber can have, are trimmed, one ``batch_roots``
-    call per degree left; the roots they drop are y = 0.
+    largest, ``flip``) the reversed polynomial is solved instead, which
+    keeps the huge root without feeding an ill-conditioned leading term to
+    the solver.  Zero leading coefficients of the polynomial solved, which
+    only a reversed or a vanishing fiber can have, are trimmed, one
+    ``batch_roots`` call per degree left: ``lead`` is the coefficient left
+    on top (0 for a vanishing fiber), and the roots beyond a row's degree
+    are 0.
 
     The rows are taken, and the roots returned, column-major: a reduction
     over each row's few entries then runs along contiguous columns, several
@@ -228,20 +231,31 @@ def _fiber_roots(coeffs):
     scale = np.abs(coeffs).max(axis=1)
     flip = np.abs(coeffs[:, -1]) < _FLIP_REL * scale
     solve = np.where(flip[:, None], coeffs[:, ::-1], coeffs)
-    groups = {m: slice(None)}
-    if not solve[:, -1].all():
+    lead = solve[:, -1]
+    groups = {m: slice(None)} if m else {}
+    if not lead.all():
         nonzero = solve != 0
         degree = np.where(nonzero.any(axis=1), m - nonzero[:, ::-1].argmax(axis=1), 0)
+        lead = solve[np.arange(n), degree]
         groups = {deg: degree == deg for deg in range(1, m + 1) if (degree == deg).any()}
-    out = np.zeros((n, m), dtype=complex, order="F")
+    roots = np.zeros((n, m), dtype=complex, order="F")
     for deg, rows in groups.items():
-        roots = batch_roots(solve[rows, :deg + 1])
+        roots[rows, :deg] = batch_roots(solve[rows, :deg + 1])
+    return flip, lead, roots
+
+
+def _fiber_roots(coeffs):
+    """Roots of the fibers in the rows of ``coeffs``, column-major (see
+    ``_solve_fibers``).  The roots of a reversed fiber are inverted; a root
+    below 1e-300 gives 0, the root at infinity of a vanishing lead, which
+    the measure of the lead accounts for.  Where a zero leading coefficient
+    was trimmed, the roots it drops are y = 0."""
+    flip, _, roots = _solve_fibers(coeffs)
+    if flip.any():
+        flipped = roots[flip]
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[rows, :deg] = np.where(
-                flip[rows, None],
-                np.where(np.abs(roots) > 1e-300, 1.0 / roots, 0.0),
-                roots)
-    return out
+            roots[flip] = np.where(np.abs(flipped) > 1e-300, 1.0 / flipped, 0.0)
+    return roots
 
 
 def _root_magnitudes(coeffs):
@@ -264,9 +278,11 @@ def _fiber_logplus(coeff_table, thetas):
     solve = np.ones(len(coeffs), dtype=bool)
     if coeffs.shape[1] == 3:
         scale = np.abs(coeffs).max(axis=1)
-        c0, c1, c2 = coeffs.real.T
+        # scaled by a power of 2, exact, so that the discriminant of
+        # coefficients near 1e+-200 neither overflows nor underflows
+        c0, c1, c2 = np.ldexp(coeffs.real.T, -np.frexp(scale)[1])
         shortcut = ((np.abs(coeffs.imag).max(axis=1) <= 1e-13 * scale)
-                    & (np.abs(c2) > _DROP_REL * scale)
+                    & (np.abs(coeffs[:, 2].real) > _DROP_REL * scale)
                     & (c1 * c1 - 4.0 * c2 * c0 < 0.0))
         out[shortcut] = np.log(np.maximum(np.abs(c0[shortcut] / c2[shortcut]), 1.0))
         solve = ~shortcut
@@ -570,66 +586,67 @@ def mahler_jensen(P, tol=1e-10, n_scan=1024):
     return MeasureResult(value, err / math.pi + 1e-13, "jensen_1d")
 
 
-_TORUS_SLICE = 1 << 15   # grid points per row slice of a _torus_log_abs block
+def _torus_row_means(P):
+    """The means of log|P(e^{i tx}, e^{i ty})| over the y-angles ty, one
+    per x-angle tx: the row means of the trapezoid grid, in the contract of
+    ``integrate_torus2``, which passes ty as the uniform grid
+    ty_l = ty_0 + 2 pi l / n, l = 0..n-1.  Clearing the lowest y-power in
+    ``_y_coeff_polys`` leaves |P| unchanged on the torus.
 
+    Each row is summed in closed form from the roots of its fiber
+    f = c_d prod_i (y - r_i), solved by ``_solve_fibers``: with
+    w = e^{i n ty_0}, prod_l (z - e^{i ty_l}) = (-1)^n (z^n - w) gives
 
-def _torus_log_abs(P):
-    """log|P(e^{i tx}, e^{i ty})| on the grid of a column of angles tx
-    against a row of angles ty, as the product of the fiber coefficients
-    c_j(e^{i tx}) (rows of ``_coeffs_grid``) with the powers e^{i j ty}.
-    Clearing the lowest y-power in ``_y_coeff_polys`` leaves |P| unchanged
-    on the torus.
+        sum_l log|f(e^{i ty_l})| = n log|c_d| + sum_i log|r_i^n - w|,
 
-    The returned integrand keeps the y-power matrix of the last row of
-    angles it was given and builds it again only when a row differs in
-    value, so ``integrate_torus2``, which passes the same row with every
-    block of a grid, pays one ``exp`` per grid.  Each block is filled in
-    slices of about _TORUS_SLICE points (whole rows, at least two unless
-    the block has one) of one float array: the product of a slice, its
-    modulus, the 1e-300 guard and the log all stay in cache, and no other
-    grid-sized temporary is made.  Every point is computed as one
-    whole-block product would compute it."""
+    exactly, for every n: the sum of the finite grid, not its limit as
+    n -> infinity (which is Jensen's formula).  A fiber solved reversed
+    takes the conjugate angles, so w becomes conj(w).  With rho = |r|,
+    u = min(rho^n, rho^-n) and phi = n arg r - arg w, the term is
+
+        log|r^n - w| = n log+ rho + log((1 - u)^2 + 4 u sin^2(phi / 2)) / 2,
+
+    which is log|1 - conj(w) r^n| for rho <= 1 and
+    n log rho + log|1 - w r^-n| beyond: it neither overflows nor cancels
+    where a root sits near the circle.  A zero lead (a vanishing fiber)
+    counts as 1e-300, and the square under the last log is clamped at
+    1e-300 (a grid point on the curve P = 0), so the mean stays finite.
+    """
     coeff_table = _coeff_table(_y_coeff_polys(P))
-    ypowers = np.arange(coeff_table[1].shape[1])
-    last_ty = None
-    ypow = None
 
     def g(tx, ty):
-        nonlocal last_ty, ypow
-        ty = np.ravel(ty)
-        if last_ty is None or not np.array_equal(ty, last_ty):
-            last_ty = ty.copy()
-            ypow = np.exp(1j * np.outer(ypowers, ty))
-        coeffs = _coeffs_grid(coeff_table, np.ravel(tx))
-        out = np.empty((len(coeffs), len(ty)))
-        # no one-row slice unless the block has one row: numpy hands a
-        # one-row product to BLAS gemv, which rounds otherwise than gemm
-        rows = max(2, _TORUS_SLICE // len(ty))
-        for start in range(0, max(len(coeffs) - 1, 1), rows):
-            stop = start + rows if start + rows < len(coeffs) - 1 else len(coeffs)
-            part = out[start:stop]
-            np.abs(coeffs[start:stop] @ ypow, out=part)
-            np.maximum(part, 1e-300, out=part)
-            np.log(part, out=part)
-        return out
+        n = len(ty)
+        flip, lead, roots = _solve_fibers(_coeffs_grid(coeff_table, tx))
+        arg_w = np.where(flip, -n * ty[0], n * ty[0])
+        with np.errstate(divide="ignore"):    # a zero root: log rho = -inf, u = 0
+            log_rho = np.log(np.abs(roots))
+        decay = -n * np.abs(log_rho)
+        half_phi = 0.5 * (n * np.angle(roots) - arg_w[:, None])
+        gap = np.expm1(decay)
+        terms = gap * gap + 4.0 * np.exp(decay) * np.sin(half_phi) ** 2
+        np.log(np.maximum(terms, 1e-300), out=terms)
+        return (np.log(np.where(lead == 0, 1e-300, np.abs(lead)))
+                + np.maximum(log_rho, 0.0).sum(axis=1)
+                + 0.5 * terms.sum(axis=1) / n)
 
     return g
 
 
-def mahler_torus2(P, tol=1e-5, n_max=4096):
+def mahler_torus2(P, tol=1e-5, n_max=1 << 16):
     """Direct torus-average definition; cross-validation oracle only.
 
-    The trapezoid grid goes through ``integrate_torus2`` in row blocks; each
-    block of log|P| is filled in row slices, each one small product of the
-    fiber-coefficient table that the crossing scan uses (``_coeffs_grid``)
-    with the powers of y, which are built once per grid, so no full-grid
-    exponential is formed per monomial (see ``_torus_log_abs``).  Raises
-    ValueError when n_max is below the starting grid size 16 or tol is not
-    positive (NaN included), and QuadratureError for a NaN or infinite
-    coefficient."""
+    The trapezoid grids go through ``integrate_torus2``, one call of the
+    integrand per grid, which sums each row of the grid in closed form from
+    the roots of its fiber (see ``_torus_row_means``): a grid of n x n
+    points costs n fiber solves, not n^2 evaluations, and holds no n x n
+    array.  That is why n_max can default to 2^16: Q_6, whose singular zero
+    (x, y) = (-1, 1) slows the convergence, meets tol 1e-5 at n = 2^13.
+    Raises ValueError when n_max is below the starting grid size 16
+    or tol is not positive (NaN included), and QuadratureError for a NaN or
+    infinite coefficient."""
     if P.is_zero():
         raise ValueError("measure of the zero polynomial")
     if P.has_symbolic_k():
         raise ValueError("substitute a numeric k first")
-    r = integrate_torus2(_torus_log_abs(P), tol=tol, n_max=n_max)
+    r = integrate_torus2(_torus_row_means(P), tol=tol, n_max=n_max)
     return MeasureResult(r.value, r.err_est, "torus_2d")

@@ -409,25 +409,23 @@ def integrate(f, a, b, hint=SingularityHint.none(), tol=1e-12):
 # 2D periodic trapezoid oracle
 # ---------------------------------------------------------------------------
 
-_TORUS_BLOCK = 1 << 18   # grid points per call of g in integrate_torus2
-
-
 def integrate_torus2(g, tol=1e-6, n_start=16, n_max=4096):
-    """Average of g(theta_x, theta_y) over the periodic square [0, 2pi)^2.
+    """Average of a function of (theta_x, theta_y) over the periodic square
+    [0, 2pi)^2.
 
     Uses the tensor trapezoid rule (spectrally accurate for smooth periodic
     integrands) on a doubling sequence of shifted grids, with one Richardson
     extrapolation step whose order is estimated from the last three sums.
-    g must accept numpy arrays elementwise.  It is called on row blocks of
-    the n x n grid, a column of theta_x values against the row of all n
-    theta_y values, about _TORUS_BLOCK points at a time, so the whole grid
-    is never held; the block sums are added with ``math.fsum``.  The grid
-    carries a fixed irrational-ish offset so that lattice points dodge
-    symmetric zero sets.  The same row array of theta_y values goes with
-    every block of a grid, so g may keep work that depends only on it.
+    The grid carries a fixed irrational-ish offset so that lattice points
+    dodge symmetric zero sets: at size n, both the x-angles and the
+    y-angles are t_l = (l + 2 - sqrt(2)) 2pi/n, l = 0..n-1.  g is called
+    once per grid as g(t, t) and returns the n row means of the grid: entry
+    k is the mean of the integrand over the y-angles at x-angle t[k].  So g
+    decides how a row is summed, and need not hold the n x n grid.
+    ``QuadResult.evals`` counts the n^2 grid points of every grid.
 
     Raises ValueError unless tol > 0 (a NaN tol included), and
-    QuadratureError when the sum of a block is not finite.
+    QuadratureError when the sum of the row means is not finite.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -440,19 +438,11 @@ def integrate_torus2(g, tol=1e-6, n_start=16, n_max=4096):
     value = math.nan
     err = math.inf
     while n <= n_max:
-        h = 2.0 * math.pi / n
-        t = (np.arange(n) + offset) * h
-        rows = max(1, _TORUS_BLOCK // n)
-        block_sums = []
-        for r in range(0, n, rows):
-            tx = t[r:r + rows, None]
-            vals = np.broadcast_to(g(tx, t[None, :]), (len(tx), n))
-            block_sum = float(vals.sum())
-            if not math.isfinite(block_sum):
-                raise QuadratureError("integrand is not finite")
-            block_sums.append(block_sum)
+        t = (np.arange(n) + offset) * (2.0 * math.pi / n)
+        s = float(np.sum(g(t, t))) / n
+        if not math.isfinite(s):
+            raise QuadratureError("integrand is not finite")
         evals += n * n
-        s = math.fsum(block_sums) / (n * n)
         sums.append(s)
         if len(sums) >= 3:
             d1 = sums[-2] - sums[-3]

@@ -121,7 +121,15 @@ def aberth_roots(coeffs, tol=1e-14, max_iter=120):
 
 
 def _quadratic_roots(c0, c1, c2):
-    """Stable roots of c2 z^2 + c1 z + c0 (c2 != 0)."""
+    """Stable roots of c2 z^2 + c1 z + c0 (c2 != 0).  Coefficients whose
+    largest modulus lies beyond 2**+-400, where the discriminant can over-
+    or underflow, are first scaled by a power of 2, exactly, as in
+    ``_quadratic_batch``."""
+    big = max(abs(c0), abs(c1), abs(c2))
+    if not 2.0 ** -400 < big < 2.0 ** 400:
+        e = math.frexp(big)[1]
+        c0, c1, c2 = (complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+                      for c in (c0, c1, c2))
     if c0 == 0:
         return [0j, -c1 / c2]
     disc = c1 * c1 - 4.0 * c2 * c0
@@ -150,16 +158,37 @@ def poly_roots(coeffs):
     return aberth_roots(coeffs)
 
 
-def _quadratic_batch(c0, c1, c2):
-    """``_quadratic_roots`` over arrays of coefficients (c2 != 0 throughout)."""
+def _quadratic_rows(c0, c1, c2):
+    """The closed form of ``_quadratic_roots`` over arrays of coefficients."""
     sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
     q = -0.5 * np.where((np.conj(c1) * sq).real > 0.0, c1 + sq, c1 - sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = np.stack([q / c2, c0 / q], axis=1)
+    roots = np.stack([q / c2, c0 / q], axis=1)
     at_zero = c0 == 0      # q == 0 only happens here
     roots[at_zero, 0] = 0.0
     roots[at_zero, 1] = -c1[at_zero] / c2[at_zero]
     return roots
+
+
+def _quadratic_batch(c):
+    """``_quadratic_roots`` over the rows of an (n, 3) array of coefficients
+    (c2 != 0 throughout).
+
+    The rows are solved as they are, unless a product overflows or some
+    lead lies below 2**-200, where the squares can underflow, as with
+    coefficients near 1e+-200.  Then each row is scaled by the power of 2
+    that puts its largest modulus in [0.5, 1) and solved again.  The
+    scaling is exact (``ldexp`` of the real and imaginary parts, which
+    keeps signed zeros) and the roots do not depend on it."""
+    if np.abs(c[:, -1]).min() > 2.0 ** -200:
+        try:
+            with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+                return _quadratic_rows(*c.T)
+        except FloatingPointError:
+            pass
+    e = np.frexp(np.abs(c).max(axis=1))[1]
+    parts = np.ascontiguousarray(c.T).view(float).reshape(3, len(e), 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _quadratic_rows(*np.ldexp(parts, -e[:, None]).view(complex)[..., 0])
 
 
 def batch_roots(coeffs):
@@ -181,7 +210,7 @@ def batch_roots(coeffs):
     if m == 1:
         return (-c[:, 0] / lead)[:, None]
     if m == 2:
-        return _quadratic_batch(c[:, 0], c[:, 1], lead)
+        return _quadratic_batch(c)
     companion = np.zeros((n, m, m), dtype=complex)
     companion.reshape(n, m * m)[:, m::m + 1] = 1.0      # the subdiagonal
     companion[:, :, -1] = -c[:, :m] / c[:, m:]

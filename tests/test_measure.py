@@ -24,7 +24,8 @@ from mahler.measure import (
     _fiber_roots,
     _polish_cells,
     _root_magnitudes,
-    _torus_log_abs,
+    _solve_fibers,
+    _torus_row_means,
     _unit_circle_angles,
     _y_coeff_polys,
     mahler_1var,
@@ -35,6 +36,7 @@ from mahler.measure import (
 from mahler.families import family_poly, p_measure, q_measure, r_measure, wt_family_poly
 from mahler.quad import _level_nodes, integrate_torus2
 from mahler.rootfind import batch_roots, count_outside, poly_roots
+from torus_rows import row_means
 
 SMYTH = 0.3230659472194505     # m(x+y-1) = L'(chi_-3, -1)
 
@@ -248,23 +250,25 @@ def test_torus2_agrees_with_jensen(fam, k):
 
 
 def _eval_grid_log_abs(P):
-    """The torus integrand through the per-monomial reference evaluator."""
-    def g(tx, ty):
-        return np.log(np.maximum(np.abs(P.eval_grid(tx, ty)), 1e-300))
-    return g
+    """The torus integrand through the per-monomial reference evaluator, as
+    row means."""
+    return row_means(lambda tx, ty: np.log(np.maximum(np.abs(P.eval_grid(tx, ty)), 1e-300)))
 
 
 TORUS_INTEGRAND_POLYS = [family_poly("P", 3), family_poly("R", 3),
                          parse_poly(A_POLY), parse_poly("x^-2*y^-1+3*x*y^2-y+2")]
 
 
+def _torus_grid(n):
+    return (np.arange(n) + 0.5857864376269049) * (2.0 * math.pi / n)
+
+
 @pytest.mark.parametrize("poly", TORUS_INTEGRAND_POLYS, ids=str)
 def test_torus_integrand_matches_eval_grid(poly):
-    t = (np.arange(64) + 0.5857864376269049) * (2.0 * math.pi / 64)
-    tx, ty = t[:, None], t[None, :]
-    new = _torus_log_abs(poly)(tx, ty)
-    ref = _eval_grid_log_abs(poly)(tx, ty)
-    assert new.shape == (64, 64)
+    t = _torus_grid(64)
+    new = _torus_row_means(poly)(t, t)
+    ref = _eval_grid_log_abs(poly)(t, t)
+    assert new.shape == (64,)
     assert np.max(np.abs(new - ref)) < 1e-12
 
 
@@ -283,78 +287,103 @@ def test_torus2_rejects_n_max_below_start():
         mahler_torus2(parse_poly("1+x+y"), n_max=8)
 
 
-def _whole_block_log_abs(P):
-    """The torus integrand as one whole-block product, with the y-powers
-    built on every call: the reference for the row-sliced kernel."""
+def _per_point_log_abs(P):
+    """The torus integrand point by point, as row means: the product of
+    the fiber coefficients with the powers of y, the reference for the
+    closed-form row sums."""
     coeff_table = _coeff_table(_y_coeff_polys(P))
     ypowers = np.arange(coeff_table[1].shape[1])
 
-    def g(tx, ty):
+    def f(tx, ty):
         vals = np.abs(_coeffs_grid(coeff_table, np.ravel(tx))
                       @ np.exp(1j * np.outer(ypowers, np.ravel(ty))))
         return np.log(np.maximum(vals, 1e-300))
 
-    return g
+    return row_means(f)
 
 
-def _torus_grid(n):
-    return (np.arange(n) + 0.5857864376269049) * (2.0 * math.pi / n)
+def _generated_fiber(degree, seed=5):
+    """An integer polynomial with fibers of the given degree and negative
+    exponents in x and y."""
+    rng = random.Random(seed + degree)
+    terms = {(i, j): rng.choice([-3, -2, -1, 1, 2, 3])
+             for i in range(-2, 3) for j in range(-1, degree) if rng.random() < 0.5}
+    terms[(rng.randint(-2, 2), -1)] = rng.choice([-1, 2])
+    terms[(rng.randint(-2, 2), degree - 1)] = rng.choice([1, -3])
+    return LaurentPoly2(terms)
 
 
-# row counts that are not multiples of the slice (8 rows at n = 4096, 128
-# at n = 256, 2 at n = 32768); 300 rows at n = 256 cross two slice
-# boundaries, and 33 rows at n = 4096 and 5 at n = 32768 would end on a
-# one-row slice, whose product numpy computes otherwise; 1 row is a
-# one-row block
-@pytest.mark.parametrize("n,rows", [(16, 1), (16, 5), (16, 37), (256, 5),
-                                    (256, 37), (256, 300), (4096, 5),
-                                    (4096, 33), (4096, 37), (32768, 5)])
-@pytest.mark.parametrize("poly", TORUS_INTEGRAND_POLYS, ids=str)
-def test_torus_kernel_matches_whole_block_product(poly, n, rows):
+_FLIP_THETA = _torus_grid(64)[5]
+
+
+def _flip_row_poly():
+    """A quadratic fiber whose lead (x - e^{i a})(x - e^{-i a}) vanishes at
+    the x-angle a of row 5 of the 64-point grid."""
+    return LaurentPoly2({(2, 2): 1.0, (1, 2): -2.0 * math.cos(_FLIP_THETA), (0, 2): 1.0,
+                         (1, 1): 1.0, (0, 1): 2.0, (0, 0): 1.0, (1, 0): -3.0})
+
+
+ROW_SUM_POLYS = (TORUS_INTEGRAND_POLYS + [parse_poly("1+x+y"), _flip_row_poly()]
+                 + [_generated_fiber(d) for d in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512, 1024])
+@pytest.mark.parametrize("poly", ROW_SUM_POLYS, ids=str)
+def test_torus_row_sums_match_per_point(poly, n):
+    # the level's sum within 1e-13; a single row mean loses more where the
+    # row passes near the curve P = 0, in either evaluation (P_3 at n = 256:
+    # 1.0e-12 against the product, which is itself 6e-13 from eval_grid)
     t = _torus_grid(n)
-    tx = np.resize(t, 3 + rows)[3:, None]
-    got = _torus_log_abs(poly)(tx, t[None, :])
-    assert got.shape == (rows, n)
-    assert np.array_equal(got, _whole_block_log_abs(poly)(tx, t[None, :]))
+    got = _torus_row_means(poly)(t, t)
+    ref = _per_point_log_abs(poly)(t, t)
+    assert got.shape == (n,)
+    assert abs(got.sum() - ref.sum()) / n < 1e-13
+    assert np.max(np.abs(got - ref)) < 1e-11
 
 
-def test_torus_kernel_rebuilds_y_powers_for_a_new_row():
-    poly = parse_poly(A_POLY)
-    tx = _torus_grid(64)[:7, None]
-    row_a = _torus_grid(64)[None, :]
-    row_b = _torus_grid(64)[None, :] + 0.25      # same length, other values
-    row_c = _torus_grid(128)[None, :]
-    g = _torus_log_abs(poly)
-    for ty in (row_a, row_b, row_a, row_c, row_a):
-        assert np.array_equal(g(tx, ty), _torus_log_abs(poly)(tx, ty))
-    # a row changed in place after a call is still seen as new
-    g = _torus_log_abs(poly)
-    ty = row_a.copy()
-    g(tx, ty)
-    ty += 0.5
-    assert np.array_equal(g(tx, ty), _torus_log_abs(poly)(tx, ty))
-
-
-def test_torus_kernel_exact_zero_is_guarded():
-    # x - y vanishes exactly on the diagonal tx = ty: both powers of the
-    # same angle come from the same exp, and their difference is 0.0
+def test_torus_flip_row_is_solved_reversed():
+    # the row of the vanishing lead takes the reversed fiber and conj(w)
     t = _torus_grid(64)
+    poly = _flip_row_poly()
+    coeffs = _coeffs_grid(_coeff_table(_y_coeff_polys(poly)), t)
+    assert np.flatnonzero(_solve_fibers(coeffs)[0]).tolist() == [5]
+    assert abs(_torus_row_means(poly)(t, t)[5] - _per_point_log_abs(poly)(t, t)[5]) < 1e-13
+
+
+def test_torus_grid_point_on_the_curve_is_finite():
+    # x - y vanishes on the diagonal tx = ty of every grid: the term of the
+    # root r = e^{i tx} is the log of a rounding error, or the clamp where
+    # r^n = w exactly, so the means stay finite, with no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals = _torus_log_abs(parse_poly("x-y"))(t[:, None], t[None, :])
-    assert np.all(np.isfinite(vals))
-    assert np.all(vals.diagonal() == math.log(1e-300))
+        for n in (16, 1024):
+            t = _torus_grid(n)
+            assert np.all(np.isfinite(_torus_row_means(parse_poly("x-y"))(t, t)))
+        res = mahler_torus2(parse_poly("x-y"), n_max=1024)
+    assert math.isfinite(res.value)
 
 
-@pytest.mark.parametrize("poly", [parse_poly("1+x+y"), parse_poly(A_POLY),
-                                  family_poly("P", 3), family_poly("R", 3)], ids=str)
-def test_torus2_matches_whole_block_integrand(poly):
-    # the four polynomials of the torus benchmark; tol is out of reach, so
-    # every grid up to n = 1024 runs, in several row blocks at the last one
-    res = mahler_torus2(poly, tol=1e-15, n_max=1024)
-    ref = integrate_torus2(_whole_block_log_abs(poly), tol=1e-15, n_max=1024)
-    assert res.value == ref.value
-    assert res.err_est == ref.err_est
+def test_torus2_q6_meets_tol():
+    # a level costs O(n), so the default n_max (2^16) lets the oracle reach
+    # tol 1e-5 at the singular zero (x, y) = (-1, 1) of Q_6
+    poly = family_poly("Q", 6)
+    res = mahler_torus2(poly, tol=1e-5)
+    assert res.err_est <= 1e-5
+    assert abs(res.value - mahler_jensen(poly).value) <= res.err_est
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+@pytest.mark.parametrize("engine", [mahler_jensen, mahler_torus2])
+@pytest.mark.parametrize("expr", [A_POLY, "(x^2+x+1)*y^2+3*x*(x+1)*y+x*(x^2+x+1)"])
+def test_quadratic_fibers_with_huge_and_tiny_coefficients(expr, engine, scale):
+    # every coefficient of A or P_3 times 1e+-200 or 1e+-300: the squares of
+    # the quadratic fibers, and of P_3's quadratic lead, would overflow or
+    # underflow unscaled, and a lead near 1e-300 is no vanishing fiber
+    poly = parse_poly(expr)
+    scaled = LaurentPoly2({e: c * scale for e, c in poly.terms.items()})
+    res, base = engine(scaled), engine(poly)
+    assert abs(res.value - math.log(scale) - base.value) < 1e-12
+    assert abs(res.err_est - base.err_est) < 1e-12
 
 
 # y-degree 0 takes the one-variable path of mahler_jensen

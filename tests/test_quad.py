@@ -9,6 +9,7 @@ import pytest
 from mahler.errors import QuadratureError
 from mahler.quad import (SingularityHint, _de_weight, _level_nodes, _tanh_sinh,
                          _tanh_sinh_pieces, integrate, integrate_torus2)
+from torus_rows import row_means
 
 
 def test_constant():
@@ -141,43 +142,64 @@ def test_bad_arguments():
 
 
 def test_torus2_constant():
-    r = integrate_torus2(
-        lambda tx, ty: np.full(np.broadcast(tx, ty).shape, math.log(2.0)),
+    r = integrate_torus2(row_means(
+        lambda tx, ty: np.full(np.broadcast(tx, ty).shape, math.log(2.0))),
         tol=1e-13)
     assert abs(r.value - math.log(2.0)) < 1e-13
 
 
 def test_torus2_smooth_product():
     # mean of cos(tx)^2 * (2 + sin(ty)) over the periodic square = 1
-    r = integrate_torus2(lambda tx, ty: np.cos(tx) ** 2 * (2.0 + np.sin(ty)),
+    r = integrate_torus2(row_means(lambda tx, ty: np.cos(tx) ** 2 * (2.0 + np.sin(ty))),
                          tol=1e-12)
     assert abs(r.value - 1.0) < 1e-11
 
 
 def test_torus2_integrand_constant_in_one_variable():
-    # g may return its broadcastable shape: here one column per row block
-    r = integrate_torus2(lambda tx, ty: np.cos(tx) ** 2, tol=1e-12)
+    # the grid integrand may return its broadcastable shape: here one
+    # column per row block
+    r = integrate_torus2(row_means(lambda tx, ty: np.cos(tx) ** 2), tol=1e-12)
     assert abs(r.value - 0.5) < 1e-12
 
 
 def test_torus2_budget_exhaustion_reports_err():
-    r = integrate_torus2(lambda tx, ty: np.log(np.abs(np.exp(1j * tx)
-                                                      + np.exp(1j * ty) - 1.0)),
+    r = integrate_torus2(row_means(lambda tx, ty: np.log(np.abs(np.exp(1j * tx)
+                                                                + np.exp(1j * ty) - 1.0))),
                          tol=1e-14, n_max=64)
     assert r.err_est > 1e-14       # could not converge, says so
 
 
 def test_torus2_rejects_n_max_below_start():
     with pytest.raises(ValueError):
-        integrate_torus2(lambda tx, ty: np.zeros(np.broadcast(tx, ty).shape),
+        integrate_torus2(row_means(lambda tx, ty: np.zeros(np.broadcast(tx, ty).shape)),
                          n_max=8)
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
 def test_torus2_rejects_tol_not_positive(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
-        integrate_torus2(lambda tx, ty: np.zeros(np.broadcast(tx, ty).shape),
+        integrate_torus2(row_means(lambda tx, ty: np.zeros(np.broadcast(tx, ty).shape)),
                          tol=tol)
+
+
+def test_torus2_row_mean_contract():
+    # one call per grid with both angle arrays on the offset grid, n row
+    # means back; evals still counts the n^2 grid points
+    calls = []
+
+    def g(tx, ty):
+        calls.append((tx.copy(), ty.copy()))
+        return np.cos(tx) ** 2
+
+    r = integrate_torus2(g, tol=1e-300, n_max=64)
+    assert [len(tx) for tx, _ in calls] == [16, 32, 64]
+    for tx, ty in calls:
+        n = len(tx)
+        assert np.array_equal(tx, ty)
+        assert np.allclose(tx, (np.arange(n) + 2.0 - math.sqrt(2.0)) * 2.0 * math.pi / n,
+                           rtol=0.0, atol=1e-15)
+    assert r.evals == 16 ** 2 + 32 ** 2 + 64 ** 2
+    assert abs(r.value - 0.5) < 1e-15
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -188,7 +210,7 @@ def test_torus2_non_finite_integrand_raises(bad):
         return vals
 
     with pytest.raises(QuadratureError, match="not finite"):
-        integrate_torus2(g)
+        integrate_torus2(row_means(g))
 
 
 def test_level_nodes_match_de_weight():

@@ -96,6 +96,21 @@ def test_batch_quadratic_cancellation_and_zero_root():
     assert sorted(abs(r) for r in roots[1]) == [0.0, 2.0]
 
 
+def test_batch_quadratic_extreme_magnitudes():
+    # rows near 1e+-200: unscaled, the discriminant overflows or underflows
+    rows = np.array([[2.0 + 1j, -3.0, 1.0 - 0.5j], [1.0, 1e8, 1.0], [-0.0j, 2.0, 1.0]])
+    plain = batch_roots(rows)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for scale in (2.0 ** 600, 2.0 ** -600):      # exact scalings
+            assert np.array_equal(batch_roots(rows * scale), plain)
+        for scale in (1e200, 1e-200):
+            scaled, ref = np.sort(batch_roots(rows * scale)), np.sort(plain)
+            assert np.all(np.abs(scaled - ref) <= 4e-16 * np.abs(ref))
+            for row, roots in zip(rows * scale, ref):
+                _match(poly_roots(row), list(roots), 4e-16 * np.abs(roots).max())
+
+
 def test_batch_roots_rejects_zero_leading_coefficient():
     with pytest.raises(ValueError):
         batch_roots([[1.0, 2.0, 3.0, 0.0]])
