@@ -135,13 +135,22 @@ def _measure_at(family, k, tol):
     return families.r_measure(k, tol=tol)
 
 
+def _member(family, k):
+    """The family member at the family parameter k, as P_k, Q_{k+2}, R_k."""
+    return f"{family}_{_fmt(k + 2 if family == 'Q' else k)}"
+
+
+def _derivative_at(family, k):
+    """d m/dk of the family at the family parameter k."""
+    return {"P": families.p_derivative, "Q": families.q_derivative,
+            "R": families.r_derivative}[family](k)
+
+
 def _cmd_family(args):
     report = RunReport("family", {"family": args.family, "k": args.k,
                                   "tol": args.tol})
     res = _measure_at(args.family, args.k, args.tol)
-    name = (f"m(Q_{_fmt(args.k + 2)})" if args.family == "Q"
-            else f"m({args.family}_{_fmt(args.k)})")
-    report.add_output(name, res.value, res.err_est)
+    report.add_output(f"m({_member(args.family, args.k)})", res.value, res.err_est)
     if args.k > 0:
         report.inputs["regime"] = families.regime_tag(args.family, args.k)
     return report
@@ -149,9 +158,7 @@ def _cmd_family(args):
 
 def _cmd_derivative(args):
     report = RunReport("derivative", {"family": args.family, "k": args.k})
-    fn = {"P": families.p_derivative, "Q": families.q_derivative,
-          "R": families.r_derivative}[args.family]
-    val = fn(args.k)
+    val = _derivative_at(args.family, args.k)
     report.add_output(f"d m({args.family})/dk at {_fmt(args.k)}", val)
     return report
 
@@ -159,39 +166,32 @@ def _cmd_derivative(args):
 def _parse_k_list(text, default):
     if not text:
         return list(default)
-    return [float(v) for v in text.split(",")]
+    return [_finite(v) for v in text.split(",")]
 
 
-def _fd_derivative(measure, k, h=1e-4):
-    return (measure(k + h).value - measure(k - h).value) / (2.0 * h)
+_FD_STEP = 1e-4     # step of the central difference the derivatives are checked by
 
 
-def _suite_theorem1(report, k_list, tol):
-    for k in k_list:
-        p = families.p_measure(k, tol=tol)
-        q = families.q_measure(k + 2.0, tol=tol)
-        diff = abs(p.value - q.value)
-        if k >= 4.0:
-            report.add_check(f"m(P_{_fmt(k)})=m(Q_{_fmt(k + 2)})", diff < 1e-7,
-                             f"difference {diff:.3e}")
-        else:
-            report.add_check(
-                f"m(P_{_fmt(k)})!=m(Q_{_fmt(k + 2)}) (expected noncoincidence)",
-                diff > 1e-4, f"difference {diff:.3e}")
+def _fd_derivative(measure, k):
+    return (measure(k + _FD_STEP).value - measure(k - _FD_STEP).value) / (2.0 * _FD_STEP)
 
 
-def _suite_theorem2(report, k_list, tol):
-    for k in k_list:
-        p = families.p_measure(k, tol=tol)
-        r = families.r_measure(k, tol=tol)
-        diff = abs(p.value - r.value)
-        if k >= families.R_THRESHOLD:
-            report.add_check(f"m(P_{_fmt(k)})=m(R_{_fmt(k)})", diff < 1e-7,
-                             f"difference {diff:.3e}")
-        else:
-            report.add_check(
-                f"m(P_{_fmt(k)})!=m(R_{_fmt(k)}) (expected noncoincidence)",
-                diff > 1e-4, f"difference {diff:.3e}")
+def _coincidence_suite(family, threshold):
+    """The suite checking m(P_k) = m(family member at k) for k >= threshold
+    and their noncoincidence below it."""
+
+    def suite(report, k_list, tol):
+        for k in k_list:
+            p = families.p_measure(k, tol=tol)
+            diff = abs(p.value - _measure_at(family, k, tol).value)
+            p_k, other = f"m(P_{_fmt(k)})", f"m({_member(family, k)})"
+            if k >= threshold:
+                report.add_check(f"{p_k}={other}", diff < 1e-7, f"difference {diff:.3e}")
+            else:
+                report.add_check(f"{p_k}!={other} (expected noncoincidence)",
+                                 diff > 1e-4, f"difference {diff:.3e}")
+
+    return suite
 
 
 def _suite_landen(report, k_list, _tol):
@@ -285,8 +285,9 @@ def _suite_asymptotics(report, _k_list, tol):
 
 
 _SUITES = {
-    "theorem1": (_suite_theorem1, (4.0, 5.5, 10.0, 33.0)),
-    "theorem2": (_suite_theorem2, (families.R_THRESHOLD + 0.01, 4.0, 10.0)),
+    "theorem1": (_coincidence_suite("Q", 4.0), (4.0, 5.5, 10.0, 33.0)),
+    "theorem2": (_coincidence_suite("R", families.R_THRESHOLD),
+                 (families.R_THRESHOLD + 0.01, 4.0, 10.0)),
     "landen": (_suite_landen, (1.0, 2.0, 10.0)),
     "derivatives": (_suite_derivatives, ()),
     "lemmas": (_suite_lemmas, ()),
@@ -311,10 +312,8 @@ def _sweep_row(job):
     family, k, tol = job
     res = _measure_at(family, k, tol)
     regime = families.regime_tag(family, k)
-    deriv_fn = {"P": families.p_derivative, "Q": families.q_derivative,
-                "R": families.r_derivative}[family]
     try:
-        deriv = deriv_fn(k)
+        deriv = _derivative_at(family, k)
         note = ""
     except RegimeBoundaryError:
         deriv = math.nan
@@ -392,6 +391,18 @@ def _cmd_lvalue(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _finite(text):
+    """Type of ``--k``, ``--from`` and ``--to``: a finite float, else a
+    usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"k must be a finite number, got {text!r}")
+    return value
+
+
 def _positive_tol(text):
     """Type of ``--tol``: a finite float above 0, else a usage error."""
     try:
@@ -421,20 +432,20 @@ def _build_parser():
 
     p = sub.add_parser("measure", help="Mahler measure of an expression")
     p.add_argument("poly")
-    p.add_argument("--k", type=float, default=None)
+    p.add_argument("--k", type=_finite, default=None)
     p.add_argument("--torus-check", action="store_true")
     common(p)
     p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("family", help="closed-form family measure")
     p.add_argument("family", choices=("P", "Q", "R"))
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=_finite, required=True)
     common(p)
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("derivative", help="d m(family)/dk")
     p.add_argument("family", choices=("P", "Q", "R"))
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=_finite, required=True)
     common(p)
     p.set_defaults(fn=_cmd_derivative)
 
@@ -446,8 +457,8 @@ def _build_parser():
 
     p = sub.add_parser("sweep", help="parameter sweep with CSV output")
     p.add_argument("family", choices=("P", "Q", "R"))
-    p.add_argument("--from", dest="k_from", type=float, required=True)
-    p.add_argument("--to", dest="k_to", type=float, required=True)
+    p.add_argument("--from", dest="k_from", type=_finite, required=True)
+    p.add_argument("--to", dest="k_to", type=_finite, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the rows")

@@ -90,7 +90,10 @@ def root_interval_quadrature(H, lo, hi, tol=1e-13, left_root=True,
     """Integral of 1/sqrt(F) over (lo, hi) where F(v) = (v-lo)^{left_root} *
     (hi-v)^{right_root} * H(v) and H stays positive on the closed interval.
     The declared root factors are absorbed into the substitution exactly, so
-    H is the only thing evaluated numerically."""
+    H is the only thing evaluated numerically.  At least one end must be
+    declared a root; ValueError otherwise."""
+    if not (left_root or right_root):
+        raise ValueError("declare a root at one end at least")
     if hi <= lo:
         return 0.0
     if left_root and right_root:
@@ -102,25 +105,18 @@ def root_interval_quadrature(H, lo, hi, tol=1e-13, left_root=True,
             return 1.0 / math.sqrt(h) if h > 0.0 else 0.0
 
         return _tanh_sinh(g, -0.5 * math.pi, 0.5 * math.pi, tol).value
-    if left_root or right_root:
-        width = hi - lo
-        rt = math.sqrt(width)
+    width = hi - lo
+    rt = math.sqrt(width)
 
-        def g(phi):
-            s = math.sin(phi)
-            v = lo + width * s * s if left_root else hi - width * s * s
-            h = H(v)
-            if h <= 0.0:
-                return 0.0
-            return 2.0 * rt * math.cos(phi) / math.sqrt(h)
-
-        return _tanh_sinh(g, 0.0, 0.5 * math.pi, tol).value
-
-    def g(v):
+    def g(phi):
+        s = math.sin(phi)
+        v = lo + width * s * s if left_root else hi - width * s * s
         h = H(v)
-        return 1.0 / math.sqrt(h) if h > 0.0 else 0.0
+        if h <= 0.0:
+            return 0.0
+        return 2.0 * rt * math.cos(phi) / math.sqrt(h)
 
-    return _adaptive_gk(g, lo, hi, tol).value
+    return _tanh_sinh(g, 0.0, 0.5 * math.pi, tol).value
 
 
 def _deflate(coeffs, r):
@@ -355,9 +351,10 @@ def landen_check(k, tol=1e-13):
     they are nonnegative contribute (real-part convention), and the
     substitutions map those regions onto each other.  Every piece is
     integrated with its singular endpoint factors removed analytically.
-    At k = 3 the identity degenerates and RegimeBoundaryError is raised."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    At k = 3 the identity degenerates and RegimeBoundaryError is raised;
+    a k that is not positive and finite (NaN included) raises ValueError."""
+    if not 0.0 < k < math.inf:
+        raise ValueError("k must be positive and finite")
     if abs(k - 3.0) < 1e-12:
         raise RegimeBoundaryError("identity degenerates at k = 3")
     s = math.sqrt(k * k + 16.0)

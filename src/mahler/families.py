@@ -119,11 +119,19 @@ _BOUNDARIES = {
 }
 
 
+def _positive_k(k):
+    """k as a float; ValueError unless 0 < k < inf.  The families P and R
+    are even in k and pass |k|."""
+    k = float(k)
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k!r}")
+    return k
+
+
 def regime_tag(family, k):
     """Regime label for positive k; boundaries follow the half-open
     conventions of the derivative formulas."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    k = _positive_k(k)
     if family == "P":
         return "k<3" if k < 3.0 else "k>=3"
     if family == "Q":
@@ -149,13 +157,12 @@ class FamilyPoint:
 
     @classmethod
     def from_k(cls, family, k):
-        if k <= 0:
-            raise ValueError("k must be positive")
+        regime = regime_tag(family, k)    # refuses the family or k first
         for b in _BOUNDARIES[family]:
             if abs(k - b) <= BOUNDARY_GUARD:
                 raise RegimeBoundaryError(
                     f"family {family}: k = {k!r} sits on the regime boundary {b!r}")
-        return cls(family, float(k), regime_tag(family, k))
+        return cls(family, float(k), regime)
 
 
 @dataclass(frozen=True)
@@ -193,9 +200,7 @@ def _t_roots(k):
 
 def critical_roots(point):
     """Critical values for a FamilyPoint (or any object with .k)."""
-    k = point.k if hasattr(point, "k") else float(point)
-    if k <= 0:
-        raise ValueError("k must be positive")
+    k = _positive_k(point.k if hasattr(point, "k") else point)
     c_minus, c_plus = _c_plus_minus(k)
     t1 = t2 = None
     if k < R_THRESHOLD:
@@ -276,9 +281,7 @@ def p_measure(k, tol=1e-12):
     |4c-1| (both branches sit on the unit circle and only the leading
     coefficient contributes).  Integrates over (0, pi/2) doubled, split at
     the square-root kinks c = c_pm."""
-    k = abs(float(k))
-    if k == 0:
-        raise ValueError("k must be nonzero")
+    k = _positive_k(abs(k))
     c_minus, c_plus = _c_plus_minus(k)
 
     def integrand(theta):
@@ -303,28 +306,22 @@ def q_measure(subscript, tol=1e-11):
     """m(Q_s) for the polynomial subscript s, via the generic Jensen engine
     on the reduced quadratic form (the family is not symmetric in s, so the
     value is computed exactly at the requested parameter)."""
-    wt = wt_family_poly("Q", float(subscript))
-    res = mahler_jensen(wt, tol=tol)
-    return MeasureResult(res.value, res.err_est, "jensen_1d")
+    return mahler_jensen(wt_family_poly("Q", float(subscript)), tol=tol)
 
 
-def _r_branch_logs(k):
-    """(log|y1|, log|y2|) of the reduced R fiber as functions of t=|cos
-    theta|, with the real-part convention where the radicand is negative."""
+def _r_branch_log(k, sign):
+    """log|y| of the root y = (k + sign sqrt(rad)) / (4t) of the reduced R
+    fiber, as a function of phi with t = sin(phi) = |cos theta|; where the
+    radicand is negative, the real-part convention."""
 
-    def log_plus_branch(t):
+    def log_branch(phi):
+        t = math.sin(phi)
         rad = k * k - 16.0 * t * t * (3.0 - 4.0 * t * t)
         if rad >= 0.0:
-            return math.log((k + math.sqrt(rad)) / (4.0 * t))
+            return math.log(abs(k + sign * math.sqrt(rad)) / (4.0 * t))
         return 0.5 * math.log(3.0 - 4.0 * t * t)
 
-    def log_minus_branch(t):
-        rad = k * k - 16.0 * t * t * (3.0 - 4.0 * t * t)
-        if rad >= 0.0:
-            return math.log(abs(k - math.sqrt(rad)) / (4.0 * t))
-        return 0.5 * math.log(3.0 - 4.0 * t * t)
-
-    return log_plus_branch, log_minus_branch
+    return log_branch
 
 
 def r_measure(k, tol=1e-12):
@@ -333,9 +330,7 @@ def r_measure(k, tol=1e-12):
     modulus exceeds 1; cross-checked in tests against the generic engine.
     The substitution t = sin(phi) absorbs the 1/sqrt(1-t^2) weight exactly,
     so only bounded log-type integrands reach the quadrature rule."""
-    k = abs(float(k))
-    if k == 0:
-        raise ValueError("k must be nonzero")
+    k = _positive_k(abs(k))
 
     if k >= R_THRESHOLD:
         def integrand(phi):
@@ -348,14 +343,7 @@ def r_measure(k, tol=1e-12):
                              "closed_form")
 
     t1, t2 = _t_roots(k)
-    log_p, log_m = _r_branch_logs(k)
-
-    def i_plus(phi):
-        return log_p(math.sin(phi))
-
-    def i_minus(phi):
-        return log_m(math.sin(phi))
-
+    i_plus, i_minus = _r_branch_log(k, 1.0), _r_branch_log(k, -1.0)
     if k < 3.0:
         rr = math.sqrt(9.0 - k * k)
         t_a = math.sqrt((3.0 - rr) / 8.0)
@@ -399,9 +387,7 @@ def _guard(k, boundary, what, width=BOUNDARY_GUARD):
 def p_derivative(k):
     """dp/dk as the complete period of -(v+12)(v^2+k^2v-4k^2) between -12
     (or the lower quadratic root, below k=3) and the positive root."""
-    k = abs(float(k))
-    if k == 0:
-        raise ValueError("k must be nonzero")
+    k = _positive_k(abs(k))
     _guard(k, 3.0, "dp/dk")
     r_low, _, r_high = cubic_roots_pq(k)
     coeffs = pq_radicand_coeffs(k)
@@ -415,9 +401,7 @@ def q_derivative(k):
     complete period at and above 4 (where k(1-k) reaches -12 and the
     incomplete piece vanishes).  Raises RegimeBoundaryError within
     Q_MERGE_GUARD of k = 3."""
-    k = float(k)
-    if k <= 0:
-        raise ValueError("k must be positive")
+    k = _positive_k(k)
     _guard(k, 3.0, "dq/dk", Q_MERGE_GUARD)
     r_low, _, _ = cubic_roots_pq(k)
     coeffs = pq_radicand_coeffs(k)
@@ -440,9 +424,7 @@ def r_derivative(k, tol=1e-13):
     1-c are absorbed into the substitution analytically.  Raises
     RegimeBoundaryError within R_TOUCH_GUARD of k = 2 sqrt 2, and
     ValueError when tol is not positive (NaN included)."""
-    k = abs(float(k))
-    if k == 0:
-        raise ValueError("k must be nonzero")
+    k = _positive_k(abs(k))
     if not tol > 0:
         raise ValueError("tol must be positive")
     _guard(k, R_THRESHOLD, "dr/dk")

@@ -99,10 +99,6 @@ def _knorm(a, b):
     return a if b == 0 else KLinear(a, b)
 
 
-def _c_add(u, v):
-    return u + v
-
-
 def _c_mul(u, v):
     if isinstance(u, KLinear) or isinstance(v, KLinear):
         if isinstance(u, float) or isinstance(v, float):
@@ -188,7 +184,7 @@ class LaurentPoly2:
             other = LaurentPoly2.const(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = _c_add(out.get(e, 0), c)
+            out[e] = out.get(e, 0) + c
         return LaurentPoly2(out)
 
     __radd__ = __add__
@@ -211,7 +207,7 @@ class LaurentPoly2:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2)
-                out[e] = _c_add(out.get(e, 0), _c_mul(c1, c2))
+                out[e] = out.get(e, 0) + _c_mul(c1, c2)
         return LaurentPoly2(out)
 
     __rmul__ = __mul__
@@ -481,10 +477,7 @@ def monomial_transform(P, M, shift=(0, 0), scale=1):
     out = {}
     for (i, j), c in P.terms.items():
         e = (m11 * i + m12 * j + s, m21 * i + m22 * j + t)
-        if e in out:
-            out[e] = _c_add(out[e], _c_mul(c, scale))
-        else:
-            out[e] = _c_mul(c, scale)
+        out[e] = out.get(e, 0) + _c_mul(c, scale)
     return LaurentPoly2(out)
 
 
@@ -499,9 +492,6 @@ class Face:
     start: tuple
     end: tuple
     coeffs: tuple  # coefficient at each lattice point from start to end
-
-    def poly_coeffs(self):
-        return self.coeffs
 
 
 @dataclass(frozen=True)
@@ -575,29 +565,13 @@ def cyclotomic(n):
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num = _polydiv_exact(num, cyclotomic(d))
+            num = _try_polydiv(num, cyclotomic(d))   # exact: Phi_d divides t^n - 1
     return tuple(num)
 
 
-def _polydiv_exact(num, den):
-    """Exact division of integer coefficient lists (ascending); remainder must vanish."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        q, r = divmod(num[i], den[dd])
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        out[i - dd] = q
-        for m in range(dd + 1):
-            num[i - dd + m] -= q * den[m]
-    if any(num[:dd]):
-        raise ArithmeticError("nonzero remainder")
-    return out
-
-
 def _try_polydiv(num, den):
-    """Divide integer polynomials; None if not an exact factor."""
+    """Divide integer coefficient lists (ascending); None if ``den`` is not
+    an exact factor."""
     num = list(num)
     dd = len(den) - 1
     if len(num) - 1 < dd:
@@ -639,10 +613,7 @@ def _is_cyclotomic_product(coeffs):
     while len(c) > 1 and progress:
         progress = False
         for n in range(1, _CYCLO_MAX_ORDER + 1):
-            phi = cyclotomic(n)
-            if len(phi) - 1 > len(c) - 1:
-                continue
-            q = _try_polydiv(c, list(phi))
+            q = _try_polydiv(c, cyclotomic(n))
             if q is not None:
                 c = q
                 progress = True

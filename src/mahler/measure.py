@@ -97,8 +97,13 @@ def _y_coeff_polys(P):
     """Coefficient Laurent polynomials (dicts {i: c}) of y^0..y^d after
     clearing the lowest power of y.
 
-    Every engine takes the coefficients from here, so this is where a NaN
-    or infinite coefficient is refused, with ``QuadratureError``."""
+    Every engine takes the coefficients from here, so this is where the
+    zero polynomial and a symbolic k are refused, with ValueError, and a
+    NaN or infinite coefficient, with ``QuadratureError``."""
+    if P.is_zero():
+        raise ValueError("measure of the zero polynomial")
+    if P.has_symbolic_k():
+        raise ValueError("substitute a numeric k first")
     if not all(cmath.isfinite(c) for c in P.terms.values()):
         raise QuadratureError("integrand is not finite")
     ycof = P.y_coefficients()
@@ -130,9 +135,10 @@ def _coeffs_grid(coeff_table, thetas):
     """Fiber coefficients at x = e^{i theta} for an array of angles: row n
     is ``_coeffs_at(cx, e^{i thetas[n]})``.  The angles go in blocks, so that
     no temporary exceeds _BLOCK_ENTRIES entries whatever the x-degree; the
-    product uses einsum, not BLAS, whose buffers would add to peak memory."""
+    product uses einsum, not BLAS, whose buffers would add to peak memory.
+    The rows come column-major, as ``_solve_fibers`` takes them."""
     exps, table = coeff_table
-    out = np.empty((len(thetas), table.shape[1]), dtype=complex)
+    out = np.empty((len(thetas), table.shape[1]), dtype=complex, order="F")
     block = max(1, _BLOCK_ENTRIES // len(exps))
     for s in range(0, len(thetas), block):
         powers = np.exp(1j * np.outer(thetas[s:s + block], exps))
@@ -149,8 +155,6 @@ def roots_in_y(P, x):
     A vanishing leading coefficient is reported via ``dropped`` and the
     lower-degree root set is returned; an identically-zero fiber raises.
     """
-    if P.has_symbolic_k():
-        raise ValueError("substitute a numeric k first")
     if abs(abs(x) - 1.0) > 1e-9:
         raise ValueError("x must lie on the unit circle")
     cx = _y_coeff_polys(P)
@@ -168,6 +172,26 @@ def roots_in_y(P, x):
     return FiberRoots(tuple(roots), lead, dropped)
 
 
+def _solve_1var(coeffs):
+    """Logarithmic Mahler measure and roots of a one-variable Laurent
+    polynomial {exponent: c}: its zero ends are trimmed, since a monomial
+    factor changes neither, and the rest is solved by ``poly_roots``."""
+    if not any(coeffs.values()):
+        raise ValueError("measure of the zero polynomial")
+    c = [complex(coeffs.get(e, 0)) for e in range(min(coeffs), max(coeffs) + 1)]
+    while c[-1] == 0:
+        c.pop()
+    while c[0] == 0:
+        c.pop(0)
+    roots = poly_roots(c) if len(c) > 1 else []
+    total = math.log(abs(c[-1]))
+    for r in roots:
+        ar = abs(r)
+        if abs(ar - 1.0) > _UNIT_CLAMP and ar > 1.0:
+            total += math.log(ar)
+    return total, roots
+
+
 def mahler_1var(coeffs):
     """Logarithmic Mahler measure of a one-variable Laurent polynomial.
 
@@ -176,25 +200,9 @@ def mahler_1var(coeffs):
     exactly 1, so products of cyclotomics give exactly 0.0.  A NaN or
     infinite coefficient raises ``QuadratureError``, as in the engines.
     """
-    if not coeffs:
-        raise ValueError("measure of the zero polynomial")
     if not all(cmath.isfinite(c) for c in coeffs.values()):
         raise QuadratureError("integrand is not finite")
-    emin = min(coeffs)
-    emax = max(coeffs)
-    c = [complex(coeffs.get(e, 0)) for e in range(emin, emax + 1)]
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    while len(c) > 1 and c[0] == 0:
-        c.pop(0)
-    if len(c) == 1:
-        return math.log(abs(c[0]))
-    total = math.log(abs(c[-1]))
-    for r in poly_roots(c):
-        ar = abs(r)
-        if abs(ar - 1.0) > _UNIT_CLAMP and ar > 1.0:
-            total += math.log(ar)
-    return total
+    return _solve_1var(coeffs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +266,16 @@ def _fiber_roots(coeffs):
     return roots
 
 
-def _root_magnitudes(coeffs):
-    """Root moduli of the fibers in the rows of ``coeffs`` (see
-    ``_fiber_roots``), column-major."""
-    return np.abs(_fiber_roots(coeffs))
-
-
 def _fiber_logplus(coeff_table, thetas):
     """sum_i log+ |y_i| at x = e^{i theta} for an array of angles.
 
-    The fibers are solved together by ``_root_magnitudes``.  For fibers
+    The fibers are solved together by ``_fiber_roots``.  For fibers
     with (numerically) real coefficients and degree 2, a negative
     discriminant means both roots share the modulus sqrt(|c0/c2|); such a
     pair contributes log+ |c0/c2| exactly, with no branch ambiguity, and
     is not solved.
     """
-    coeffs = np.asfortranarray(_coeffs_grid(coeff_table, thetas))   # see _root_magnitudes
+    coeffs = _coeffs_grid(coeff_table, thetas)
     out = np.zeros(len(coeffs))
     solve = np.ones(len(coeffs), dtype=bool)
     if coeffs.shape[1] == 3:
@@ -287,7 +289,7 @@ def _fiber_logplus(coeff_table, thetas):
         out[shortcut] = np.log(np.maximum(np.abs(c0[shortcut] / c2[shortcut]), 1.0))
         solve = ~shortcut
     if solve.any():
-        mags = _root_magnitudes(coeffs[solve])
+        mags = np.abs(_fiber_roots(coeffs[solve]))
         out[solve] = np.log(np.maximum(mags, 1.0)).sum(axis=1)
     return out
 
@@ -298,47 +300,28 @@ def _count_outside(coeff_table, thetas):
     Fibers of degree 3 and up are counted without a root solve by
     ``count_outside``; the rows it leaves undecided, and those whose lead
     is below the flip threshold, are solved together by
-    ``_root_magnitudes``, as are all fibers of degree 1 and 2, whose closed
+    ``_fiber_roots``, as are all fibers of degree 1 and 2, whose closed
     forms cost no more than the count.
     """
-    coeffs = np.asfortranarray(_coeffs_grid(coeff_table, thetas))   # see _root_magnitudes
+    coeffs = _coeffs_grid(coeff_table, thetas)
     if coeffs.shape[1] <= 3:
-        return np.count_nonzero(_root_magnitudes(coeffs) > 1.0 + _BAND, axis=1)
+        return np.count_nonzero(np.abs(_fiber_roots(coeffs)) > 1.0 + _BAND, axis=1)
     counts, solve = count_outside(coeffs, 1.0 + _BAND)
     solve |= np.abs(coeffs[:, -1]) < _FLIP_REL * np.abs(coeffs).max(axis=1)
     if solve.any():
         counts[solve] = np.count_nonzero(
-            _root_magnitudes(coeffs[solve]) > 1.0 + _BAND, axis=1)
+            np.abs(_fiber_roots(coeffs[solve])) > 1.0 + _BAND, axis=1)
     return counts
 
 
-def _unit_circle_angles(coeff_poly):
-    """Angles in (0, pi) where a one-variable Laurent polynomial vanishes on
-    the unit circle, plus flags for zeros at x = 1 and x = -1."""
-    emin = min(coeff_poly)
-    emax = max(coeff_poly)
-    c = [complex(coeff_poly.get(e, 0)) for e in range(emin, emax + 1)]
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    while len(c) > 1 and c[0] == 0:
-        c.pop(0)
-    if len(c) == 1:
-        return [], False, False
-    angles = []
-    at_one = at_minus_one = False
-    for r in poly_roots(c):
-        if abs(abs(r) - 1.0) > 1e-9:
-            continue
-        t = cmath.phase(r)
-        if abs(t) < 1e-12:
-            at_one = True
-        elif abs(abs(t) - math.pi) < 1e-12:
-            at_minus_one = True
-        elif t > 0:
-            angles.append(t)
-    return sorted(angles), at_one, at_minus_one
+def _unit_circle_angles(roots):
+    """Angles in (0, pi) of the roots within 1e-9 of the unit circle,
+    ascending; roots at 1 and -1 give none."""
+    angles = (cmath.phase(r) for r in roots if abs(abs(r) - 1.0) <= 1e-9)
+    return sorted(t for t in angles if t >= 1e-12 and abs(t - math.pi) >= 1e-12)
 
 
+_N_SCAN = 1024       # cells of the crossing scan over (0, pi)
 _TREE_DEPTH = 3      # bisection halvings counted per _count_outside call
 _POLISH_STEPS = 8    # Newton / Gauss-Newton steps at most
 _MIRROR_REL = 1e-6   # tolerance of the root pair test of a fold
@@ -524,7 +507,7 @@ def _bisect_cells(coeff_table, a, b, na):
     return 0.5 * (a + b)
 
 
-def _crossing_angles(coeff_table, n_scan):
+def _crossing_angles(coeff_table):
     """Angles in (0, pi) where a fiber root crosses the unit circle.
 
     The outside-circle root count on a uniform scan grid brackets them:
@@ -537,7 +520,7 @@ def _crossing_angles(coeff_table, n_scan):
     """
     lo = 1e-9
     hi = math.pi - 1e-9
-    grid = lo + (hi - lo) * np.arange(n_scan + 1) / n_scan
+    grid = lo + (hi - lo) * np.arange(_N_SCAN + 1) / _N_SCAN
     counts = _count_outside(coeff_table, grid)
     cells = np.flatnonzero(counts[:-1] != counts[1:])
     if not len(cells):
@@ -550,26 +533,23 @@ def _crossing_angles(coeff_table, n_scan):
     return cuts[~dropped].tolist()
 
 
-def mahler_jensen(P, tol=1e-10, n_scan=1024):
+def mahler_jensen(P, tol=1e-10):
     """Logarithmic Mahler measure of a real-coefficient Laurent polynomial.
 
-    Raises ValueError when tol is not positive (NaN included), and
-    QuadratureError for a NaN or infinite coefficient."""
-    if P.is_zero():
-        raise ValueError("measure of the zero polynomial")
-    if P.has_symbolic_k():
-        raise ValueError("substitute a numeric k first")
+    Raises ValueError for the zero polynomial, a symbolic k or a tol that
+    is not positive (NaN included), and QuadratureError for a NaN or
+    infinite coefficient."""
+    cx = _y_coeff_polys(P)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    cx = _y_coeff_polys(P)
     d = len(cx) - 1
     if d == 0:
         return MeasureResult(mahler_1var(cx[0]), 1e-15, "jensen_1d")
 
-    lead_measure = mahler_1var(cx[d])
-    degen, _, _ = _unit_circle_angles(cx[d])
+    lead_measure, lead_roots = _solve_1var(cx[d])
+    degen = _unit_circle_angles(lead_roots)
     coeff_table = _coeff_table(cx)
-    crossings = _crossing_angles(coeff_table, n_scan)
+    crossings = _crossing_angles(coeff_table)
 
     cuts = sorted(set(degen) | set(crossings))
     edges = [0.0] + [t for t in cuts if 1e-12 < t < math.pi - 1e-12] + [math.pi]
@@ -641,12 +621,8 @@ def mahler_torus2(P, tol=1e-5, n_max=1 << 16):
     points costs n fiber solves, not n^2 evaluations, and holds no n x n
     array.  That is why n_max can default to 2^16: Q_6, whose singular zero
     (x, y) = (-1, 1) slows the convergence, meets tol 1e-5 at n = 2^13.
-    Raises ValueError when n_max is below the starting grid size 16
-    or tol is not positive (NaN included), and QuadratureError for a NaN or
-    infinite coefficient."""
-    if P.is_zero():
-        raise ValueError("measure of the zero polynomial")
-    if P.has_symbolic_k():
-        raise ValueError("substitute a numeric k first")
+    Raises ValueError for the zero polynomial or a symbolic k, when n_max
+    is below the starting grid size 16, or when tol is not positive (NaN
+    included), and QuadratureError for a NaN or infinite coefficient."""
     r = integrate_torus2(_torus_row_means(P), tol=tol, n_max=n_max)
     return MeasureResult(r.value, r.err_est, "torus_2d")

@@ -133,7 +133,7 @@ def _level_nodes(level):
     return ts, dists, ws
 
 
-def _tanh_sinh(f, a, b, tol, max_level=_MAX_LEVEL):
+def _tanh_sinh(f, a, b, tol):
     """Tanh-sinh quadrature of f over the finite interval (a, b).
 
     f is never evaluated exactly at a or b; nodes whose distance from an
@@ -182,7 +182,7 @@ def _tanh_sinh(f, a, b, tol, max_level=_MAX_LEVEL):
             out += w * v
         return out
 
-    for level in range(max_level + 1):
+    for level in range(_MAX_LEVEL + 1):
         h = 0.5 ** level
         add = 0.0
         for node in zip(*_level_nodes(level)):
@@ -320,11 +320,14 @@ def _gk15(f, a, b):
     return resk * half, abs(resk - resg) * abs(half), 15
 
 
-def _adaptive_gk(f, a, b, tol, max_panels=2000):
+_MAX_PANELS = 2000   # panels of the adaptive Gauss-Kronrod rule at most
+
+
+def _adaptive_gk(f, a, b, tol):
     value, err, evals = _gk15(f, a, b)
     heap = [(-err, a, b, value, err)]
     total, total_err = value, err
-    while total_err > tol and len(heap) < max_panels:
+    while total_err > tol and len(heap) < _MAX_PANELS:
         _, pa, pb, pv, pe = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
         if pm == pa or pm == pb:
@@ -352,8 +355,6 @@ def integrate(f, a, b, hint=SingularityHint.none(), tol=1e-12):
     integrand keeps an integrable endpoint; the transformed integral then runs
     through the tanh-sinh rule.
     """
-    if hint is None:
-        hint = SingularityHint.none()
     if not (a < b):
         raise ValueError("need a < b")
     if not tol > 0:
@@ -409,7 +410,10 @@ def integrate(f, a, b, hint=SingularityHint.none(), tol=1e-12):
 # 2D periodic trapezoid oracle
 # ---------------------------------------------------------------------------
 
-def integrate_torus2(g, tol=1e-6, n_start=16, n_max=4096):
+_N_START = 16     # size of the first torus grid
+
+
+def integrate_torus2(g, tol=1e-6, n_max=4096):
     """Average of a function of (theta_x, theta_y) over the periodic square
     [0, 2pi)^2.
 
@@ -424,17 +428,18 @@ def integrate_torus2(g, tol=1e-6, n_start=16, n_max=4096):
     decides how a row is summed, and need not hold the n x n grid.
     ``QuadResult.evals`` counts the n^2 grid points of every grid.
 
-    Raises ValueError unless tol > 0 (a NaN tol included), and
-    QuadratureError when the sum of the row means is not finite.
+    Raises ValueError unless tol > 0 (a NaN tol included) and n_max is at
+    least the first grid size 16, and QuadratureError when the sum of the
+    row means is not finite.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if n_max < n_start:
-        raise ValueError(f"n_max ({n_max}) must be at least n_start ({n_start})")
+    if n_max < _N_START:
+        raise ValueError(f"n_max ({n_max}) must be at least the first grid size {_N_START}")
     offset = 0.5857864376269049  # 2 - sqrt(2), fixed for determinism
     sums = []
     evals = 0
-    n = n_start
+    n = _N_START
     value = math.nan
     err = math.inf
     while n <= n_max:

@@ -49,7 +49,11 @@ def residual_scale(coeffs, z):
     return s
 
 
-def aberth_roots(coeffs, tol=1e-14, max_iter=120):
+_ABERTH_TOL = 1e-14       # relative residual at which a root has converged
+_ABERTH_MAX_ITER = 120
+
+
+def aberth_roots(coeffs):
     """All complex roots of the polynomial with the given ascending coefficients.
 
     The leading coefficient must be nonzero.  Zero roots are deflated exactly
@@ -85,13 +89,13 @@ def aberth_roots(coeffs, tol=1e-14, max_iter=120):
          for j in range(d)]
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_ABERTH_MAX_ITER):
         moved = 0.0
         done = True
         for i in range(d):
             p, dp = _horner2(c, z[i])
             scale = residual_scale(c, z[i])
-            if abs(p) > tol * scale:
+            if abs(p) > _ABERTH_TOL * scale:
                 done = False
             if dp == 0:
                 z[i] += 1e-6 * (1 + abs(z[i]))

@@ -190,8 +190,12 @@ def bloch_wigner(z):
 # Hurwitz zeta and Dirichlet L-values
 # ---------------------------------------------------------------------------
 
-def hurwitz_zeta(s, a, n_direct=25, n_bernoulli=6):
-    """zeta(s, a) for s > 1, 0 < a <= 1, by Euler-Maclaurin: ~25 direct terms,
+_N_DIRECT = 25       # terms of the Hurwitz zeta series summed directly
+_N_BERNOULLI = 6     # Euler-Maclaurin corrections, through B_12
+
+
+def hurwitz_zeta(s, a):
+    """zeta(s, a) for s > 1, 0 < a <= 1, by Euler-Maclaurin: 25 direct terms,
     tail integral, and Bernoulli corrections through B_12 (absolute error well
     below 1e-13 for s up to ~10)."""
     if s <= 1.0:
@@ -199,14 +203,14 @@ def hurwitz_zeta(s, a, n_direct=25, n_bernoulli=6):
     if not 0.0 < a <= 1.0:
         raise ValueError("need 0 < a <= 1")
     total = 0.0
-    for n in range(n_direct):
+    for n in range(_N_DIRECT):
         total += (n + a) ** (-s)
-    x = n_direct + a
+    x = _N_DIRECT + a
     total += x ** (1.0 - s) / (s - 1.0)
     total += 0.5 * x ** (-s)
     rising = s                      # s (s+1) ... (s+2j-2)
     xpow = x ** (-s - 1.0)
-    for j in range(1, n_bernoulli + 1):
+    for j in range(1, _N_BERNOULLI + 1):
         b = float(_bernoulli(2 * j))
         total += b / math.factorial(2 * j) * rising * xpow
         rising *= (s + 2 * j - 1) * (s + 2 * j)

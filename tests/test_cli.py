@@ -62,6 +62,18 @@ def test_tol_not_positive_finite_is_usage_error(tol, capsys):
     assert "tol must be a positive finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "1+k*x+y", "--k=nan"], ["family", "P", "--k=inf"],
+    ["derivative", "R", "--k=-inf"], ["verify", "landen", "--k", "nan"],
+    ["verify", "theorem2", "--k", "4,inf"],
+    ["sweep", "P", "--from=nan", "--to", "2", "--steps", "3"],
+    ["sweep", "R", "--from", "1", "--to=inf", "--steps", "3"]], ids=" ".join)
+def test_non_finite_k_is_usage_error(argv, capsys):
+    # verify landen --k nan printed [PASS] with a zero deviation and exited 0
+    assert main(argv) == 2
+    assert "k must be a finite number" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code():
     r = run_cli("measure", "x+*y")
     assert r.returncode == 2

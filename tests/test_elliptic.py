@@ -14,6 +14,7 @@ from mahler.elliptic import (
     period_integral,
     period_quadrature,
     pq_radicand_coeffs,
+    root_interval_quadrature,
 )
 from mahler.errors import RegimeBoundaryError
 from mahler.quad import SingularityHint, integrate
@@ -149,3 +150,17 @@ def test_landen_rejects_k3():
         landen_check(3.0)
     with pytest.raises(ValueError):
         landen_check(-1.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf])
+def test_landen_rejects_non_finite(k):
+    # NaN fails both k <= 0 and |k - 3| < 1e-12; NaN and inf returned a
+    # zero chain, which passes
+    with pytest.raises(ValueError, match="k must be positive and finite"):
+        landen_check(k)
+
+
+def test_root_interval_quadrature_needs_a_root():
+    with pytest.raises(ValueError, match="root at one end"):
+        root_interval_quadrature(lambda v: 1.0, 0.0, 1.0, 1e-12,
+                                 left_root=False, right_root=False)

@@ -181,6 +181,32 @@ def test_measures_even_in_k():
     assert abs(r_measure(-2.0).value - r_measure(2.0).value) < 1e-13
 
 
+_BAD_K = "k must be positive and finite"
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: p_measure(math.nan), _BAD_K),
+    (lambda: p_measure(math.inf), _BAD_K),
+    (lambda: r_measure(math.nan), _BAD_K),
+    (lambda: r_measure(-math.inf), _BAD_K),
+    (lambda: p_derivative(math.nan), _BAD_K),
+    (lambda: q_derivative(math.nan), _BAD_K),
+    (lambda: q_derivative(math.inf), _BAD_K),
+    (lambda: r_derivative(math.inf), _BAD_K),
+    (lambda: regime_tag("P", math.nan), _BAD_K),
+    (lambda: regime_tag("R", math.inf), _BAD_K),
+    (lambda: critical_roots(math.nan), _BAD_K),
+    (lambda: FamilyPoint.from_k("P", math.nan), _BAD_K),
+    (lambda: FamilyPoint.from_k("X", 1.0), "family must be one of"),
+], ids=["p_measure-nan", "p_measure-inf", "r_measure-nan", "r_measure-minf",
+        "p_derivative-nan", "q_derivative-nan", "q_derivative-inf",
+        "r_derivative-inf", "regime_tag-nan", "regime_tag-inf",
+        "critical_roots-nan", "from_k-nan", "from_k-unknown-family"])
+def test_bad_family_parameter_is_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_measures_reject_zero():
     with pytest.raises(ValueError):
         p_measure(0.0)

@@ -23,7 +23,7 @@ from mahler.measure import (
     _fiber_logplus,
     _fiber_roots,
     _polish_cells,
-    _root_magnitudes,
+    _solve_1var,
     _solve_fibers,
     _torus_row_means,
     _unit_circle_angles,
@@ -145,6 +145,33 @@ def test_results_are_python_floats(run):
     res = run()
     assert type(res.value) is float
     assert type(res.err_est) is float
+
+
+def test_one_variable_zero_polynomial():
+    for coeffs in ({}, {0: 0}, {-1: 0, 2: 0.0}):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            mahler_1var(coeffs)
+
+
+def test_lead_coefficient_is_solved_once(monkeypatch):
+    # the lead x^2 + x + 1 of P_3 gives both m(a_d) and the cut at 2 pi / 3
+    calls, edges = [], []
+
+    def counting(c):
+        calls.append(c)
+        return poly_roots(c)
+
+    def recording(F, e, tol):
+        edges.append(list(e))
+        return pieces(F, e, tol)
+
+    pieces = measure._tanh_sinh_pieces
+    monkeypatch.setattr(measure, "poly_roots", counting)
+    monkeypatch.setattr(measure, "_tanh_sinh_pieces", recording)
+    res = mahler_jensen(family_poly("P", 3))
+    assert len(calls) == 1
+    assert edges == [[0.0, 2.0943951023931957, 2.636232143305636, math.pi]]
+    assert res.value == 0.9990518315218821
 
 
 def test_one_variable_measures():
@@ -518,8 +545,8 @@ def _scalar_fiber_logplus(coeffs):
 
 def _jensen_edges(cx):
     table = _coeff_table(cx)
-    cuts = sorted(set(_unit_circle_angles(cx[-1])[0])
-                  | set(_crossing_angles(table, 1024)))
+    cuts = sorted(set(_unit_circle_angles(_solve_1var(cx[-1])[1]))
+                  | set(_crossing_angles(table)))
     return [0.0] + [t for t in cuts if 1e-12 < t < math.pi - 1e-12] + [math.pi]
 
 
@@ -743,7 +770,7 @@ def test_edge_rule_needs_a_touch():
     cuts, dropped = _polish_cells(table, a, b, na, nb, *SCAN_ENDS)
     assert not dropped.any()
     # bisected: the count changes where |y| = 1 + 1e-9, 3.9e-6 past t1
-    assert abs(min(measure._crossing_angles(table, 1024)) - t1) < 1e-5
+    assert abs(min(measure._crossing_angles(table)) - t1) < 1e-5
     res = mahler_jensen(poly)
     assert abs(res.value - ref) <= res.err_est
 
@@ -797,7 +824,7 @@ def test_polish_vanishing_lead_without_runtime_warnings():
 def _eigvals_count(table, thetas):
     """The outside count from root moduli alone, as reference for the
     Schur-Cohn count."""
-    mags = _root_magnitudes(_coeffs_grid(table, thetas))
+    mags = np.abs(_fiber_roots(_coeffs_grid(table, thetas)))
     return np.count_nonzero(mags > 1.0 + _BAND, axis=1)
 
 
@@ -816,9 +843,9 @@ def test_schur_count_agrees_with_eigvals_where_decided(poly, monkeypatch):
         return _eigvals_count(table, thetas)
 
     monkeypatch.setattr(measure, "_count_outside", recording)
-    cuts = _crossing_angles(table, 1024)
+    cuts = _crossing_angles(table)
     monkeypatch.undo()
-    assert _crossing_angles(table, 1024) == cuts
+    assert _crossing_angles(table) == cuts
     thetas = np.concatenate(angles)        # the scan grid, the polish checks, trees
     counts, undecided = count_outside(_coeffs_grid(table, thetas), 1.0 + _BAND)
     decided = ~undecided
@@ -880,7 +907,7 @@ def test_root_magnitudes_trim_flip_and_vanishing_rows():
                      [0.0, 1.0, 1e-10],     # flipped; reversed lead is 0
                      [0.0, 0.0, 0.0]],      # vanishing fiber
                     dtype=complex)
-    mags = np.sort(_root_magnitudes(rows), axis=1)
+    mags = np.sort(np.abs(_fiber_roots(rows)), axis=1)
     assert np.allclose(mags[0], [1.0, 2.0], rtol=1e-15)
     assert mags[1, 0] == 0.0 and abs(mags[1, 1] / 1e10 - 1.0) < 1e-15
     assert mags[2].tolist() == [0.0, 0.0]
