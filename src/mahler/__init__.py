@@ -7,7 +7,7 @@ Submodules:
   measure   the generic Jensen-formula Mahler measure engine
   families  the parametric families P_k, Q_k, R_k: closed-form measures and
             piecewise derivative formulas
-  elliptic  Carlson R_F, period integrals of cubics, the Landen-type identity
+  elliptic  Carlson R_F, DLMF 19.29.4 periods, the Landen-type identity
   specialfn Bloch-Wigner dilogarithm, Hurwitz zeta, Dirichlet L-values
   eclf      elliptic-curve L-functions via point counting and the smoothed
             approximate functional equation
@@ -42,7 +42,6 @@ from .measure import (
     mahler_1var,
 )
 from .elliptic import (
-    CubicPeriodSpec,
     LandenResult,
     carlson_rf,
     period_integral,

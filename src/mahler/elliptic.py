@@ -1,10 +1,14 @@
-"""Elliptic integrals of cubics under a square root.
+"""Elliptic integrals of cubics and quartics under a square root.
 
-Complete integrals (between consecutive roots of the radicand, or from a root
-out to infinity) reduce to the Carlson symmetric form R_F via the standard
-root-difference formulas.  Numerical evaluation of the defining integrals
-never feeds a bare inverse-square-root endpoint to the quadrature rule:
-known root factors are removed analytically,
+Every period behind the family derivatives is one call of `period_integral`,
+Carlson's DLMF 19.29.4: the integral of 1/sqrt(f1 f2 f3 f4) over an interval,
+for linear factors f_i (real, or with one complex-conjugate pair; a cubic
+takes 1 as f4), is 2 R_F(U12^2, U13^2, U14^2), built from the factor values
+at the two ends.  Complete and incomplete periods are the same formula.
+
+The quadrature routes below are independent oracles for `landen_check` and
+the tests.  They never feed a bare inverse-square-root endpoint to the
+quadrature rule: known root factors are removed analytically,
 
     int_r^s dv / sqrt((v-r)(s-v) H(v))  =  int dphi / sqrt(H(v)),
                                            v = (r+s)/2 + (s-r)/2 sin(phi),
@@ -25,6 +29,7 @@ substitution forms.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -50,23 +55,25 @@ _ROOT_SNAP = 1e-9     # endpoint within this (relative) distance counts as a roo
 
 
 def carlson_rf(x, y, z):
-    """Carlson symmetric integral R_F(x, y, z), x, y, z >= 0, at most one zero.
+    """Carlson symmetric integral R_F(x, y, z) of three nonnegative reals, or
+    of one nonnegative real and a complex-conjugate pair; at most one zero.
 
     Duplication iteration: replacing each argument by (arg + lambda)/4 with
     lambda = sqrt(x y) + sqrt(y z) + sqrt(z x) quarters the spread; a fifth
     order Taylor expansion at the common limit finishes to ~1e-15 relative.
+    The iteration runs in complex arithmetic with principal square roots,
+    which keeps a conjugate pair conjugate, and returns the real part.
     """
-    if min(x, y, z) < 0:
-        raise ValueError("arguments must be nonnegative")
+    x, y, z = complex(x), complex(y), complex(z)
+    if any(v.imag == 0 and v.real < 0 for v in (x, y, z)):
+        raise ValueError("arguments must not be negative reals")
     if sum(1 for v in (x, y, z) if v == 0) > 1:
         raise ValueError("at most one argument may vanish")
     for _ in range(200):
         mu = (x + y + z) / 3.0
-        if mu == 0:
-            raise ValueError("all arguments vanish")
-        if max(abs(x - mu), abs(y - mu), abs(z - mu)) < 1e-4 * mu:
+        if max(abs(x - mu), abs(y - mu), abs(z - mu)) < 1e-4 * abs(mu):
             break
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
         lam = sx * sy + sy * sz + sz * sx
         x = 0.25 * (x + lam)
         y = 0.25 * (y + lam)
@@ -78,7 +85,34 @@ def carlson_rf(x, y, z):
     e2 = dx * dy + dy * dz + dz * dx
     e3 = dx * dy * dz
     series = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0)
-    return series / math.sqrt(mu)
+    return (series / cmath.sqrt(mu)).real
+
+
+def period_integral(width, lower, upper):
+    """int dt / sqrt(f1 f2 f3 f4) over an interval of length ``width``, from
+    the values of the four linear factors at its lower and upper ends: by
+    DLMF 19.29.4 it is 2 R_F(U12^2, U13^2, U14^2), U1j = (X1 Xj Yk Yl +
+    Y1 Yj Xk Xl) / width for {j, k, l} = {2, 3, 4}, with X_i and Y_i the
+    square roots of f_i at the upper and the lower end.  The factors are
+    nonnegative on the interval, or f3, f4 a complex-conjugate pair; a cubic
+    takes f4 = 1.  A root at an end is a zero value, so complete and
+    incomplete periods are one formula.  The U are scaled to modulus <= 1
+    before squaring (R_F is homogeneous of degree -1/2).  ValueError for a
+    negative real factor value or a width that is not positive."""
+    if not width > 0:
+        raise ValueError("the interval width must be positive")
+    roots = []
+    for values in (lower, upper):
+        values = [complex(v) for v in values]
+        if any(v.imag == 0 and v.real < 0 for v in values):
+            raise ValueError("factor values must not be negative reals")
+        roots.append([cmath.sqrt(v) for v in values])
+    (y1, y2, y3, y4), (x1, x2, x3, x4) = roots
+    u = (x1 * x2 * y3 * y4 + y1 * y2 * x3 * x4,
+         x1 * x3 * y2 * y4 + y1 * y3 * x2 * x4,
+         x1 * x4 * y2 * y3 + y1 * y4 * x2 * x3)
+    scale = max(abs(v) for v in u) or 1.0
+    return 2.0 * width / scale * carlson_rf(*((v / scale) ** 2 for v in u))
 
 
 # ---------------------------------------------------------------------------
@@ -253,46 +287,6 @@ def period_quadrature(spec, tol=1e-13):
         return 1.0 / math.sqrt(rad) if rad > 0.0 else 0.0
 
     return _adaptive_gk(f, spec.a, spec.b, tol).value
-
-
-def period_integral(spec, tol=1e-12):
-    """Evaluate the period/incomplete integral described by ``spec``.
-
-    Root-to-root and root-to-infinity intervals use the R_F reductions
-
-        int_b^c dv / sqrt(|s| (v-a)(v-b)(c-v))      = 2 R_F(0, b-a, c-a)/sqrt|s|
-        int_{-inf}^a dv / sqrt(|s| (a-v)(b-v)(c-v)) = 2 R_F(0, b-a, c-a)/sqrt|s|
-        int_a^b dv / sqrt(s (v-a)(b-v)(c-v))        = 2 R_F(0, c-b, c-a)/sqrt(s)
-        int_c^inf dv / sqrt(s (v-a)(v-b)(v-c))      = 2 R_F(0, c-b, c-a)/sqrt(s)
-
-    for real roots a < b < c and leading coefficient s (negative in the first
-    pair, positive in the second).  Incomplete intervals go through the
-    smooth-cofactor quadrature."""
-    if spec.a == spec.b:
-        return 0.0
-    if not spec.a < spec.b:
-        raise ValueError("need a < b")
-    c3 = spec.coeffs[3]
-    if c3 == 0:
-        raise ValueError("radicand must be a genuine cubic")
-    _check_sign(spec)
-    roots = _real_cubic_roots(spec.coeffs)
-
-    if len(roots) == 3:
-        ra, rb, rc = roots
-        s = c3
-        if math.isinf(spec.a) and _near_root(spec.b, [ra]) is not None and s < 0:
-            return 2.0 * carlson_rf(0.0, rb - ra, rc - ra) / math.sqrt(-s)
-        if math.isinf(spec.b) and _near_root(spec.a, [rc]) is not None and s > 0:
-            return 2.0 * carlson_rf(0.0, rc - rb, rc - ra) / math.sqrt(s)
-        if (_near_root(spec.a, [rb]) is not None
-                and _near_root(spec.b, [rc]) is not None and s < 0):
-            return 2.0 * carlson_rf(0.0, rb - ra, rc - ra) / math.sqrt(-s)
-        if (_near_root(spec.a, [ra]) is not None
-                and _near_root(spec.b, [rb]) is not None and s > 0):
-            return 2.0 * carlson_rf(0.0, rc - rb, rc - ra) / math.sqrt(s)
-
-    return period_quadrature(spec, max(tol * 0.1, 1e-14))
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,19 @@ in the parameter:
 * p(k) = m(P_k) has the closed theta-integral of the bracketed root branch,
   with kinks where cos^2(theta) crosses the critical values
   c_pm(k) = (8+k^2 +- k sqrt(16+k^2))/32.
-* dp/dk, dq/dk are periods of the cubic -(v+12)(v^2+k^2 v-4k^2), complete or
-  split into complete-plus-incomplete pieces depending on the regime.
+* dp/dk, dq/dk are periods of the cubic -(v+12)(v^2+k^2 v-4k^2) up to its
+  positive root: complete for P, from k(1-k) for Q below k = 4.
 * r(k) = m(R_k) integrates the larger/smaller root branch over ranges
   bounded by the zeros t_1(k) < t_2(k) of 8t^3-8t+k, which is where a branch
   modulus crosses 1; dr/dk is the (in)complete period of
-  c(1-c)(64c^2-48c+k^2).
+  c(1-c)(64c^2-48c+k^2).  Each derivative is one or two calls of
+  `elliptic.period_integral` on closed-form factor values.
 
 Parameter conventions: P and R are even in k, so negative k maps to |k| at
 the interface.  The Q family is not symmetric; q_measure takes the polynomial
 subscript itself (e.g. -1), while q_derivative takes the offset parameter k
 with subscript k+2, matching the derivative regime splits {0<k<=3, 3<k<4,
-k>=4}.  Derivatives reject parameters within the guard band of a boundary
+k>=4}.  Derivatives reject parameters within BOUNDARY_GUARD of a boundary
 where the formulas degenerate (k=3 for P and Q, 16/(3 sqrt 3) for R).
 """
 
@@ -34,13 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .elliptic import (
-    CubicPeriodSpec,
-    cubic_roots_pq,
-    period_integral,
-    pq_radicand_coeffs,
-    root_interval_quadrature,
-)
+from .elliptic import period_integral
 from .errors import RegimeBoundaryError
 from .lpoly import monomial_transform, parse_poly
 from .measure import MeasureResult, mahler_jensen
@@ -67,15 +62,6 @@ __all__ = [
 R_THRESHOLD = 16.0 / (3.0 * math.sqrt(3.0))   # 3.0792...
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 BOUNDARY_GUARD = 1e-12
-# Near k = 3 the roots -12 and -k(k + sqrt(k^2+16))/2 of the dq/dk radicand
-# merge, and the cubic root finder behind period_integral stops resolving
-# them (it fails for |k - 3| up to ~1.5e-6); q_derivative refuses this band.
-Q_MERGE_GUARD = 1e-5
-# At k = 2 sqrt 2 the endpoint t2^2 = 1/2 of dr/dk's right piece falls on the
-# root c = 1/2 of 64c^2 - 48c + k^2, and the piece loses accuracy without
-# saying so (2.5e-9 at the boundary, 8.6e-12 at 1e-5 from it, below 4e-13
-# from 3e-5 on); r_derivative refuses this band.
-R_TOUCH_GUARD = 3e-5
 
 _TEMPLATES = {
     "P": "(x^2+x+1)*y^2+k*x*(x+1)*y+x*(x^2+x+1)",
@@ -177,18 +163,21 @@ class CriticalRoots:
 
 
 def _c_plus_minus(k):
-    c_plus = (8.0 + k * k + k * math.sqrt(16.0 + k * k)) / 32.0
-    return (1.0 / 16.0) / c_plus, c_plus   # product of the roots is 1/16
+    # ((2/w)^2, (w/8)^2), w = k + sqrt(k^2+16): no k^2, c_plus inf for huge k
+    w = k + math.hypot(k, 4.0)
+    return (2.0 / w) * (2.0 / w), (w / 8.0) * (w / 8.0)
 
 
 def _t_roots(k):
     """Real zeros of 8t^3-8t+k in (0, 1) by the trigonometric formula for a
-    three-real-root depressed cubic, plus one Newton step where safe."""
+    three-real-root depressed cubic, plus one Newton step where safe.  With
+    theta = asin(3 sqrt(3) k / 16), t1 = (2/sqrt 3) sin(theta/3) keeps its
+    relative accuracy for small k, where cos(theta/3 - pi/2) would cancel."""
     if not 0.0 < k < R_THRESHOLD:
         raise ValueError("t-roots exist only for 0 < k < 16/(3*sqrt(3))")
-    phi = math.acos(max(-1.0, min(1.0, -3.0 * math.sqrt(3.0) * k / 16.0)))
-    t2 = (2.0 / math.sqrt(3.0)) * math.cos(phi / 3.0)
-    t1 = (2.0 / math.sqrt(3.0)) * math.cos(phi / 3.0 - 2.0 * math.pi / 3.0)
+    theta = math.asin(min(1.0, 3.0 * math.sqrt(3.0) * k / 16.0))
+    t2 = (2.0 / math.sqrt(3.0)) * math.cos(theta / 3.0 + math.pi / 6.0)
+    t1 = (2.0 / math.sqrt(3.0)) * math.sin(theta / 3.0)
 
     def polish(t):
         f = ((8.0 * t * t) - 8.0) * t + k
@@ -259,11 +248,12 @@ def _order_pair(y1, y2):
 # measures
 # ---------------------------------------------------------------------------
 
-def _sum_pieces(f, edges, tol):
+def _sum_pieces(pieces, tol):
+    """Sum of the integrals of f over (lo, hi), (f, lo, hi) in ``pieces``."""
     total = 0.0
     err = 0.0
-    n = max(len(edges) - 1, 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    n = max(len(pieces), 1)
+    for f, lo, hi in pieces:
         if hi - lo < 1e-15:
             continue
         r = integrate(f, lo, hi, SingularityHint.inverse_sqrt_both(), tol / n)
@@ -280,26 +270,30 @@ def p_measure(k, tol=1e-12):
     c = cos^2 t.  Where the radicand is negative the modulus collapses to
     |4c-1| (both branches sit on the unit circle and only the leading
     coefficient contributes).  Integrates over (0, pi/2) doubled, split at
-    the square-root kinks c = c_pm."""
+    the square-root kinks c = c_pm; log k is taken out of the branch between
+    them, so no k^2 is formed and huge k does not overflow."""
     k = _positive_k(abs(k))
     c_minus, c_plus = _c_plus_minus(k)
 
-    def integrand(theta):
+    def inside(theta):
+        # the branch between the kinks, less log k: -q/k^2 = c - ((4c-1)/k)^2
         ct = math.cos(theta)
         c = ct * ct
-        q = (16.0 * c - (8.0 + k * k)) * c + 1.0
-        if q <= 0.0:
-            return math.log(k * math.sqrt(c) + math.sqrt(-q))
-        return math.log(abs(4.0 * c - 1.0))
+        a = (4.0 * c - 1.0) / k
+        return math.log(ct + math.sqrt(max(c - a * a, 0.0)))
 
-    edges = [0.0]
+    def outside(theta):
+        ct = math.cos(theta)
+        return math.log(abs(4.0 * ct * ct - 1.0))
+
+    lo = math.acos(math.sqrt(c_plus)) if c_plus < 1.0 else 0.0
+    hi = math.acos(math.sqrt(c_minus))
+    pieces = [(inside, lo, hi), (outside, hi, 0.5 * math.pi)]
     if c_plus < 1.0:
-        edges.append(math.acos(math.sqrt(c_plus)))
-    edges.append(math.acos(math.sqrt(c_minus)))
-    edges.append(0.5 * math.pi)
-    total, err = _sum_pieces(integrand, edges, tol)
-    return MeasureResult(2.0 * total / math.pi, 2.0 * err / math.pi + 1e-14,
-                         "closed_form")
+        pieces.insert(0, (outside, 0.0, lo))
+    total, err = _sum_pieces(pieces, tol)
+    value = math.log(k) * (2.0 * (hi - lo) / math.pi) + 2.0 * total / math.pi
+    return MeasureResult(value, 2.0 * err / math.pi + 1e-14, "closed_form")
 
 
 def q_measure(subscript, tol=1e-11):
@@ -334,13 +328,14 @@ def r_measure(k, tol=1e-12):
 
     if k >= R_THRESHOLD:
         def integrand(phi):
+            # log((k + sqrt(rad))/2) - log k, rad = k^2 - 16t^2(3-4t^2)
             t = math.sin(phi)
-            rad = k * k - 16.0 * t * t * (3.0 - 4.0 * t * t)
-            return math.log(0.5 * (k + math.sqrt(max(rad, 0.0))))
+            x = 4.0 * t / k
+            return math.log(0.5 * (1.0 + math.sqrt(max(1.0 - x * x * (3.0 - 4.0 * t * t), 0.0))))
 
-        total, err = _sum_pieces(integrand, [0.0, 0.5 * math.pi], tol)
-        return MeasureResult(2.0 * total / math.pi, 2.0 * err / math.pi + 1e-14,
-                             "closed_form")
+        total, err = _sum_pieces([(integrand, 0.0, 0.5 * math.pi)], tol)
+        return MeasureResult(math.log(k) + 2.0 * total / math.pi,
+                             2.0 * err / math.pi + 1e-14, "closed_form")
 
     t1, t2 = _t_roots(k)
     i_plus, i_minus = _r_branch_log(k, 1.0), _r_branch_log(k, -1.0)
@@ -352,9 +347,9 @@ def r_measure(k, tol=1e-12):
     else:
         rad_zeros = [math.sqrt(3.0 / 8.0)]      # near-degenerate dip at k ~ 3
 
-    def edges(lo, hi):
-        cuts = [lo] + [z for z in rad_zeros if lo < z < hi] + [hi]
-        return [math.asin(c) for c in cuts]
+    def pieces(f, lo, hi):
+        cuts = [math.asin(c) for c in [lo] + [z for z in rad_zeros if lo < z < hi] + [hi]]
+        return [(f, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     total = 0.0
@@ -362,12 +357,12 @@ def r_measure(k, tol=1e-12):
     if k < TWO_SQRT2:
         for f, lo, hi in ((i_plus, 0.0, inv_sqrt2), (i_plus, t2, 1.0),
                           (i_minus, t1, inv_sqrt2)):
-            v, e = _sum_pieces(f, edges(lo, hi), tol / 3.0)
+            v, e = _sum_pieces(pieces(f, lo, hi), tol / 3.0)
             total += v
             err += e
     else:
         for f, lo, hi in ((i_plus, 0.0, 1.0), (i_minus, t1, t2)):
-            v, e = _sum_pieces(f, edges(lo, hi), tol / 2.0)
+            v, e = _sum_pieces(pieces(f, lo, hi), tol / 2.0)
             total += v
             err += e
     return MeasureResult(2.0 * total / math.pi, 2.0 * err / math.pi + 1e-14,
@@ -378,10 +373,33 @@ def r_measure(k, tol=1e-12):
 # derivatives in k
 # ---------------------------------------------------------------------------
 
-def _guard(k, boundary, what, width=BOUNDARY_GUARD):
-    if abs(k - boundary) <= width:
+def _guard(k, boundary, what):
+    if abs(k - boundary) <= BOUNDARY_GUARD:
         raise RegimeBoundaryError(
-            f"{what} is undefined within {width:g} of the regime boundary k = {boundary}")
+            f"{what} is undefined within {BOUNDARY_GUARD:g} of the regime boundary k = {boundary}")
+
+
+def _pq_period(k, from_cut=False):
+    """(1/pi) int dv / sqrt(-(v+12)(v^2+k^2 v-4k^2)) up to the positive root
+    r_high, from k(1-k) when ``from_cut``, else from r_low below k = 3 and
+    from -12 above.  The factors v+12, (v - r_low)/|r_low|, r_high - v hold no
+    k^2 (R_F homogeneity), and no gap cancels: with u = sqrt(k^2+16)/k,
+    r_low + 12 = 4 (3-k)(3+k)/(3 + 2/(1+u)) = -8 (k-3)(k+3) |r_low|/(k^2 (3u+5))."""
+    u = math.hypot(1.0, 4.0 / k)
+    r_high = 8.0 / (1.0 + u)                       # k(sqrt(k^2+16) - k)/2
+    root = math.sqrt(2.0 / (1.0 + u)) / k          # |r_low|^(-1/2)
+    inv = root * root
+    if from_cut:
+        width = 0.5 * k * (k * (1.0 + u) - 2.0)    # r_high - k(1-k)
+        lower = ((4.0 - k) * (3.0 + k), k * (1.0 + 8.0 / (k * (1.0 + u))) * inv, width)
+    elif k < 3.0:
+        width = r_high + 1.0 / inv                 # r_high - r_low
+        lower = (4.0 * (3.0 - k) * (3.0 + k) / (3.0 + 2.0 / (1.0 + u)), 0.0, width)
+    else:
+        width = r_high + 12.0
+        lower = (0.0, 8.0 * ((k - 3.0) / k) * ((k + 3.0) / k) / (3.0 * u + 5.0), width)
+    upper = (r_high + 12.0, 1.0 + r_high * inv, 0.0, 1.0)
+    return root * period_integral(width, lower + (1.0,), upper) / math.pi
 
 
 def p_derivative(k):
@@ -389,59 +407,38 @@ def p_derivative(k):
     (or the lower quadratic root, below k=3) and the positive root."""
     k = _positive_k(abs(k))
     _guard(k, 3.0, "dp/dk")
-    r_low, _, r_high = cubic_roots_pq(k)
-    coeffs = pq_radicand_coeffs(k)
-    lo = -12.0 if k > 3.0 else r_low
-    return period_integral(CubicPeriodSpec(coeffs, lo, r_high)) / math.pi
+    return _pq_period(k)
 
 
 def q_derivative(k):
-    """dq(k+2)/dk, piecewise: a complete period from -infinity minus an
-    incomplete piece ending at the ordinary point k(1-k) below k=4, the pure
-    complete period at and above 4 (where k(1-k) reaches -12 and the
-    incomplete piece vanishes).  Raises RegimeBoundaryError within
-    Q_MERGE_GUARD of k = 3."""
+    """dq(k+2)/dk: the period of dp/dk's cubic from k(1-k) (or from -12, at
+    and above k = 4) up to the positive root.  This is the complete period
+    from -infinity less the piece from the arch's lower end to k(1-k)."""
     k = _positive_k(k)
-    _guard(k, 3.0, "dq/dk", Q_MERGE_GUARD)
-    r_low, _, _ = cubic_roots_pq(k)
-    coeffs = pq_radicand_coeffs(k)
-    if k >= 4.0:
-        return period_integral(CubicPeriodSpec(coeffs, -math.inf, r_low)) / math.pi
-    cut = k * (1.0 - k)
-    if k < 3.0:
-        complete = period_integral(CubicPeriodSpec(coeffs, -math.inf, -12.0))
-        partial = period_integral(CubicPeriodSpec(coeffs, r_low, cut))
-    else:
-        complete = period_integral(CubicPeriodSpec(coeffs, -math.inf, r_low))
-        partial = period_integral(CubicPeriodSpec(coeffs, -12.0, cut))
-    return (complete - partial) / math.pi
+    _guard(k, 3.0, "dq/dk")
+    return _pq_period(k, from_cut=k < 4.0)
 
 
-def r_derivative(k, tol=1e-13):
-    """dr/dk as the period of c(1-c)(64c^2-48c+k^2): complete over (0,1)
-    above the threshold 16/(3 sqrt 3), the two incomplete pieces
-    (0, t1^2) and (t2^2, 1) below it.  The singular endpoint factors c and
-    1-c are absorbed into the substitution analytically.  Raises
-    RegimeBoundaryError within R_TOUCH_GUARD of k = 2 sqrt 2, and
-    ValueError when tol is not positive (NaN included)."""
+def r_derivative(k):
+    """dr/dk = (1/pi) int dc / sqrt(c(1-c)(64c^2-48c+k^2)) over (0, 1) above
+    16/(3 sqrt 3), over (0, t1^2) and (t2^2, 1) below; 64c^2-48c+k^2 =
+    64(c - c_a)(c - c_b), a conjugate pair above k = 3.  At k = 2 sqrt 2,
+    t2^2 meets c_b; h(c) = 64c(c-1)^2 takes k^2 at t2^2, so t2^2 - c_b =
+    -16 c_b (2c_b-1)^2 / (divided difference of h), and 1 - t^2 = k/(8t)."""
     k = _positive_k(abs(k))
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     _guard(k, R_THRESHOLD, "dr/dk")
-    _guard(k, TWO_SQRT2, "dr/dk", R_TOUCH_GUARD)
-    k2 = k * k
-
-    def quartic(c):
-        return (64.0 * c - 48.0) * c + k2
-
+    d = cmath.sqrt(3.0 - k) * cmath.sqrt(3.0 + k)          # sqrt(9 - k^2)
+    c_b = (3.0 + d) / 8.0
+    c_a = (k / 8.0) * ((k / 8.0) / c_b)
     if k > R_THRESHOLD:
-        return root_interval_quadrature(quartic, 0.0, 1.0, tol) / math.pi
-
+        return period_integral(1.0, (0.0, 1.0, -c_a, -c_b),
+                               (1.0, 0.0, 1.0 - c_a, 1.0 - c_b)) / (8.0 * math.pi)
     t1, t2 = _t_roots(k)
-    left = root_interval_quadrature(lambda c: (1.0 - c) * quartic(c),
-                                    0.0, t1 * t1, tol,
-                                    left_root=True, right_root=False)
-    right = root_interval_quadrature(lambda c: c * quartic(c),
-                                     t2 * t2, 1.0, tol,
-                                     left_root=False, right_root=True)
-    return (left + right) / math.pi
+    y1, y2 = t1 * t1, t2 * t2
+    left = period_integral(y1, (0.0, 1.0, c_a, c_b),
+                           (y1, 1.0 - y1, c_a - y1, c_b - y1))
+    e = (TWO_SQRT2 - k) * (TWO_SQRT2 + k) / (4.0 * (1.0 + d))     # 2c_b - 1
+    gap = -c_b * e * e / (4.0 * ((y2 * y2 + y2 * c_b + c_b * c_b) - 2.0 * (y2 + c_b) + 1.0))
+    right = period_integral(k / (8.0 * t2), (y2, k / (8.0 * t2), y2 - c_a, gap),
+                            (1.0, 0.0, 1.0 - c_a, 1.0 - c_b))
+    return (left + right) / (8.0 * math.pi)

@@ -90,6 +90,27 @@ def test_boundary_derivative_exit_code():
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("family,k", [("R", "2.8284271247461903"), ("Q", "3.000001")])
+def test_derivative_next_to_a_touching_root_is_a_value(family, k, tmp_path):
+    # k = 2 sqrt 2 (R) and 1e-6 above 3 (Q) are no regime boundary of the
+    # derivative: it is one Carlson period there, with no guard band
+    out = tmp_path / "r.json"
+    assert main(["derivative", family, "--k", k, "--format", "json",
+                 "--out", str(out)]) == 0
+    value = json.loads(out.read_text())["outputs"][0]["value"]
+    derivative = {"Q": mahler.q_derivative, "R": mahler.r_derivative}[family]
+    assert value == derivative(float(k))
+    assert math.isfinite(value) and value > 0
+
+
+def test_sweep_across_two_sqrt2_keeps_derivatives(tmp_path):
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "R", "--from", "2.82842", "--to", "2.82843", "--steps", "3",
+                 "--format", "csv", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:] if line]
+    assert len(rows) == 3 and all(math.isfinite(float(row[4])) for row in rows)
+
+
 def test_unknown_suite_exit_code():
     r = run_cli("verify", "nonsense")
     assert r.returncode == 2

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from mahler.elliptic import (
@@ -53,28 +54,64 @@ def test_rf_rejects_two_zeros():
         carlson_rf(-1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("x,z", [(0.0, 1.0 + 2.0j), (2.0, -1.0 + 0.5j),
+                                 (0.5, 3.0 - 4.0j), (1e-3, 1e3 + 1e3j)])
+def test_rf_conjugate_pair_matches_mpmath(x, z):
+    ref = float(mpmath.elliprf(x, z, z.conjugate()).real)
+    for args in ((x, z, z.conjugate()), (z.conjugate(), x, z)):
+        assert abs(carlson_rf(*args) - ref) < 1e-14 * ref
+
+
+def test_rf_conjugate_pair_refuses_negative_real():
+    with pytest.raises(ValueError, match="negative"):
+        carlson_rf(-1.0, 1.0 + 1.0j, 1.0 - 1.0j)
+
+
+def _pq_factors(k, v):
+    """Factor values (v+12, v-r_low, r_high-v, 1) of -(v+12)(v^2+k^2v-4k^2)."""
+    r_low, _, r_high = cubic_roots_pq(k)
+    return (v + 12.0, v - r_low, r_high - v, 1.0)
+
+
 @pytest.mark.parametrize("k", [1.0, 2.0, 5.0, 10.0])
 def test_complete_periods_carlson_vs_quadrature(k):
     coeffs = pq_radicand_coeffs(k)
     r_low, _, r_high = cubic_roots_pq(k)
-    lo = -12.0 if k > 3.0 else r_low
-    spec = CubicPeriodSpec(coeffs, lo, r_high)
-    assert abs(period_integral(spec) - period_quadrature(spec)) < 1e-11
+    lo = max(r_low, -12.0)
+    carlson = period_integral(r_high - lo, _pq_factors(k, lo), _pq_factors(k, r_high))
+    assert abs(carlson - period_quadrature(CubicPeriodSpec(coeffs, lo, r_high))) < 1e-11
+    # the period from -infinity up to the lowest root is the same number
     spec_inf = CubicPeriodSpec(coeffs, -math.inf, min(r_low, -12.0))
-    assert abs(period_integral(spec_inf) - period_quadrature(spec_inf)) < 1e-11
+    assert abs(carlson - period_quadrature(spec_inf)) < 1e-11
 
 
-def test_degenerate_interval_is_zero():
-    spec = CubicPeriodSpec(pq_radicand_coeffs(5.0), -3.0, -3.0)
-    assert period_integral(spec) == 0.0
+@pytest.mark.parametrize("k", [3.5, 5.0])
+def test_conjugate_pair_period_vs_quadrature(k):
+    # int_0^1 dc / sqrt(c (1-c) (64c^2-48c+k^2)), whose quadratic factor has
+    # the conjugate roots (3 +- i sqrt(k^2-9))/8 above k = 3
+    c_b = complex(3.0, math.sqrt(k * k - 9.0)) / 8.0
+    c_a = c_b.conjugate()
+    carlson = period_integral(1.0, (0.0, 1.0, -c_a, -c_b),
+                              (1.0, 0.0, 1.0 - c_a, 1.0 - c_b)) / 8.0
+    oracle = root_interval_quadrature(lambda c: (64.0 * c - 48.0) * c + k * k,
+                                      0.0, 1.0, 1e-14)
+    assert abs(carlson - oracle) < 1e-13
 
 
 def test_negative_radicand_rejected():
-    # +(v+12)(v^2+25v-100) is negative between -12 and the positive root
-    c0, c1, c2, c3 = pq_radicand_coeffs(5.0)
-    bad = CubicPeriodSpec((-c0, -c1, -c2, -c3), -12.0, cubic_roots_pq(5.0)[2])
-    with pytest.raises(ValueError):
-        period_integral(bad)
+    # +(v+12)(v^2+25v-100) is negative between -12 and the positive root:
+    # its factor v - r_high is negative there
+    r_low, _, r_high = cubic_roots_pq(5.0)
+    lower = (0.0, -12.0 - r_low, -12.0 - r_high, 1.0)
+    upper = (r_high + 12.0, r_high - r_low, 0.0, 1.0)
+    with pytest.raises(ValueError, match="negative"):
+        period_integral(r_high + 12.0, lower, upper)
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+def test_period_width_must_be_positive(width):
+    with pytest.raises(ValueError, match="width must be positive"):
+        period_integral(width, _pq_factors(5.0, -12.0), _pq_factors(5.0, 0.0))
 
 
 def test_incomplete_piece_matches_plain_quadrature():
@@ -85,7 +122,7 @@ def test_incomplete_piece_matches_plain_quadrature():
     r_low, _, _ = cubic_roots_pq(k)
     cut = k * (1.0 - k)
     spec = CubicPeriodSpec(coeffs, r_low, cut)
-    val = period_integral(spec)
+    val = period_integral(cut - r_low, _pq_factors(k, r_low), _pq_factors(k, cut))
 
     def f(v):
         rad = spec.radicand(v)

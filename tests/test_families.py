@@ -2,16 +2,17 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from mahler import elliptic, families, quad
 from mahler.errors import RegimeBoundaryError
 from mahler.families import (
     BOUNDARY_GUARD,
     CriticalRoots,
     FamilyPoint,
     R_THRESHOLD,
-    R_TOUCH_GUARD,
     TWO_SQRT2,
     branch_roots,
     critical_roots,
@@ -259,27 +260,146 @@ def test_derivative_boundaries_rejected():
         q_derivative(-2.0)
 
 
+def _mp_period(lo, hi, others, lo_root, hi_root):
+    """int_lo^hi dv / sqrt((v-lo)^lo_root (hi-v)^hi_root prod(g(v) for g in
+    others)); v = (lo+hi)/2 + w sin(phi) with (v-lo)(hi-v) = (w cos phi)^2
+    absorbs the inverse square roots at the ends."""
+    w = (hi - lo) / 2
+
+    def f(phi):
+        s = mp.sin(phi)
+        a, b = w * (1 + s), w * (1 - s)
+        v = lo + a if s < 0 else hi - b
+        den = 1
+        for g in others:
+            den *= g(v)
+        return mp.sqrt((1 if lo_root else a) * (1 if hi_root else b) / den)
+
+    return mp.quad(f, [-mp.pi / 2, 0, mp.pi / 2])
+
+
+def mp_derivative(family, k):
+    """dm/dk by mpmath quadrature of the defining period integrals, 40 digits:
+    (1/pi) int dv / sqrt(-(v+12)(v-r_low)(v-r_high)) up to r_high, from r_low
+    or -12 (P; Q at and above 4) or from k(1-k) (Q below 4), and
+    (1/pi) int dc / sqrt(c(1-c)(64c^2-48c+k^2)) over (0, t1^2), (t2^2, 1)."""
+    with mp.workdps(40):
+        k = mp.mpf(k)
+        if family in "PQ":
+            s = mp.sqrt(k * k + 16)
+            r_low, r_high = -k * (k + s) / 2, 8 * k / (k + s)
+            if family == "Q" and k < 4:
+                v = _mp_period(k * (1 - k), r_high,
+                               [lambda v: v + 12, lambda v: v - r_low], False, True)
+            elif k < 3:
+                v = _mp_period(r_low, r_high, [lambda v: v + 12], True, True)
+            else:
+                v = _mp_period(mp.mpf(-12), r_high, [lambda v: v - r_low], True, True)
+            return v / mp.pi
+        if k < 3:
+            d = mp.sqrt(9 - k * k)
+            quartic = lambda c: 64 * (c - (3 - d) / 8) * (c - (3 + d) / 8)
+        else:
+            quartic = lambda c: (64 * c - 48) * c + k * k
+        if k > 16 / (3 * mp.sqrt(3)):
+            return _mp_period(mp.mpf(0), mp.mpf(1), [quartic], True, True) / mp.pi
+        t1, t2 = sorted(mp.re(t) for t in mp.polyroots([8, 0, -8, k], maxsteps=100,
+                                                      extraprec=200)
+                        if 0 < mp.re(t) < 1)
+        return (_mp_period(mp.mpf(0), t1 ** 2, [lambda c: 1 - c, quartic], True, False)
+                + _mp_period(t2 ** 2, mp.mpf(1), [lambda c: c, quartic], False, True)) / mp.pi
+
+
+_DERIVATIVES = {"P": p_derivative, "Q": q_derivative, "R": r_derivative}
+
+
+def _assert_matches_mpmath(family, k):
+    ref = mp_derivative(family, k)
+    got = _DERIVATIVES[family](k)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+# next to k = 3 two roots of the cubic merge; next to k = 4 the end k(1-k)
+# of the dq/dk period meets the root -12; at k = 1e-9 the period is short
+@pytest.mark.parametrize("family,k", [
+    ("P", 3.0 - 1e-6), ("P", 3.0 - 1e-9), ("P", 3.0 + 1e-9),
+    ("Q", 1e-9), ("Q", 4.0 - 1e-9), ("Q", 4.0 - 1e-10), ("Q", 4.0 - 1e-12),
+    ("Q", 2.999), ("Q", 3.001)])
+def test_derivative_matches_mpmath(family, k):
+    _assert_matches_mpmath(family, k)
+
+
 @pytest.mark.parametrize("k", [3.0 + 1e-6, 3.0 - 1e-7, 3.0 + 1e-9])
-def test_q_derivative_next_to_k3_raises_typed_error(k):
-    # the radicand's roots -12 and -k(k+sqrt(k^2+16))/2 merge at k = 3; the
-    # period evaluation used to fail here with an untyped ValueError
-    with pytest.raises(RegimeBoundaryError):
-        q_derivative(k)
+def test_q_derivative_next_to_k3_matches_mpmath(k):
+    # the radicand's roots -12 and -k(k+sqrt(k^2+16))/2 merge at k = 3, below
+    # the interval of the dq/dk period
+    _assert_matches_mpmath("Q", k)
 
 
 @pytest.mark.parametrize("k", [TWO_SQRT2, TWO_SQRT2 - 1e-6, TWO_SQRT2 + 1e-6])
-def test_r_derivative_next_to_two_sqrt2_raises(k):
+def test_r_derivative_next_to_two_sqrt2_matches_mpmath(k):
     # the endpoint t2^2 = 1/2 meets the root c = 1/2 of 64c^2 - 48c + k^2
-    with pytest.raises(RegimeBoundaryError):
-        r_derivative(k)
+    _assert_matches_mpmath("R", k)
 
 
 # dr/dk at 2 sqrt 2 -+ 1e-4 from bench/refmath.r_theta(k, derivative=True)
 @pytest.mark.parametrize("dk,ref", [(-1e-4, 0.36194178371514896),
                                     (1e-4, 0.3620017941412544)])
 def test_r_derivative_outside_two_sqrt2_band(dk, ref):
-    assert abs(dk) > R_TOUCH_GUARD
     assert abs(r_derivative(TWO_SQRT2 + dk) - ref) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1e150, 1e155, 1e200, 1e300])
+def test_huge_k(k):
+    # m(P_k) and m(R_k) are log k - O(1/k^2); each derivative is 1/k + O(1/k^3)
+    for measure in (p_measure, r_measure):
+        res = measure(k)
+        assert abs(res.value - math.log(k)) <= res.err_est
+    for derivative in _DERIVATIVES.values():
+        assert abs(k * derivative(k) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1e-30, 1e-100, 1e-150])
+def test_tiny_k(k):
+    # p'(0) = sqrt(3)/6 and q'(0) = r'(0) = sqrt(3)/18; the next terms are
+    # O(k) and O(sqrt k)
+    for derivative, limit in ((p_derivative, math.sqrt(3.0) / 6.0),
+                              (q_derivative, math.sqrt(3.0) / 18.0),
+                              (r_derivative, math.sqrt(3.0) / 18.0)):
+        assert abs(derivative(k) - limit) <= 1e-14 * limit
+
+
+# m(P_k) ~ (sqrt 3 / 6) k; mpmath values of bench/refmath.p_theta
+@pytest.mark.parametrize("k,ref", [(1e-6, 2.886751345948e-7),
+                                   (1e-9, 2.88675134595e-10)])
+def test_p_measure_small_k_within_err_est(k, ref):
+    res = p_measure(k)
+    assert abs(res.value - ref) <= res.err_est
+
+
+def _accuracy_grid():
+    ks = [1e-9, 1e-6, 0.3, 1.0, 2.0, 2.5, 3.5, 10.0, 1e4, 1e8]
+    for b in (TWO_SQRT2, 3.0, 4.0, R_THRESHOLD):
+        for e in (1e-3, 1e-6, 1e-9, 1e-12):
+            ks += [b - e, b + e]
+    return ks
+
+
+def test_derivatives_use_no_quadrature_or_root_finder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a derivative called a quadrature rule or root finder")
+
+    for owner, name in ((quad, "_tanh_sinh"), (quad, "_adaptive_gk"), (quad, "integrate"),
+                        (elliptic, "_tanh_sinh"), (elliptic, "_adaptive_gk"),
+                        (elliptic, "root_interval_quadrature"),
+                        (elliptic, "period_quadrature"), (elliptic, "_real_cubic_roots"),
+                        (families, "integrate"), (np, "roots")):
+        monkeypatch.setattr(owner, name, refuse)
+    for k in _accuracy_grid():
+        for family, derivative in _DERIVATIVES.items():
+            boundary = R_THRESHOLD if family == "R" else 3.0
+            if abs(k - boundary) > BOUNDARY_GUARD:
+                assert math.isfinite(derivative(k))
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +474,3 @@ def test_lemma_unit_modulus_at_cubic_roots():
         y1, y2 = branch_roots("R", k, math.acos(cr.t2))
         branch = y1 if k <= TWO_SQRT2 else y2
         assert abs(abs(branch) - 1.0) < 1e-10
-
-
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
-def test_r_derivative_tol_must_be_positive(tol):
-    with pytest.raises(ValueError, match="tol must be positive"):
-        r_derivative(2.0, tol=tol)
