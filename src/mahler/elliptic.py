@@ -1,30 +1,17 @@
 """Elliptic integrals of cubics and quartics under a square root.
 
-Every period behind the family derivatives is one call of `period_integral`,
-Carlson's DLMF 19.29.4: the integral of 1/sqrt(f1 f2 f3 f4) over an interval,
-for linear factors f_i (real, or with one complex-conjugate pair; a cubic
-takes 1 as f4), is 2 R_F(U12^2, U13^2, U14^2), built from the factor values
-at the two ends.  Complete and incomplete periods are the same formula.
+Every period in the package is one call of `period_integral`, Carlson's
+DLMF 19.29.4: the integral of 1/sqrt(f1 f2 f3 f4) over an interval, for
+linear factors f_i (real, or with one complex-conjugate pair; a cubic takes
+1 as f4), is 2 R_F(U12^2, U13^2, U14^2), built from the factor values at the
+two ends.  Complete and incomplete periods are the same formula.  Callers
+pass factor values in closed form, so that no gap between two nearby roots
+is formed by cancellation.
 
-The quadrature routes below are independent oracles for `landen_check` and
-the tests.  They never feed a bare inverse-square-root endpoint to the
-quadrature rule: known root factors are removed analytically,
-
-    int_r^s dv / sqrt((v-r)(s-v) H(v))  =  int dphi / sqrt(H(v)),
-                                           v = (r+s)/2 + (s-r)/2 sin(phi),
-    int_r^b dv / sqrt((v-r) H(v))       =  int 2 sqrt(b-r) cos(phi)
-                                           / sqrt(H(v)) dphi,
-                                           v = r + (b-r) sin^2(phi),
-
-    int_{-inf}^a dv / sqrt((a-v) H(v))  =  int_0^inf 2 du / sqrt(H(a-u^2)),
-
-with H the (smooth, positive) cofactor obtained by synthetic division, so
-the transformed integrands are bounded and full double precision survives.
-
-The module also hosts the Moebius involution that swaps the two period
-intervals of the cubic -(v+12)(v^2+k^2 v-4k^2), and the Landen-type identity
-equating a quartic period to a cubic one, checked through all intermediate
-substitution forms.
+The module also hosts the cubic -(v+12)(v^2+k^2 v-4k^2) behind dp/dk and
+dq/dk: its roots, its period, the Moebius involution that swaps its two
+period intervals, and the Landen-type identity equating a quartic period to
+a cubic one, checked through four substitution forms.
 """
 
 from __future__ import annotations
@@ -33,25 +20,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import RegimeBoundaryError
-from .quad import _adaptive_gk, _tanh_sinh
 
 __all__ = [
     "carlson_rf",
-    "CubicPeriodSpec",
     "period_integral",
-    "period_quadrature",
     "involution_v",
     "LandenResult",
     "landen_check",
     "cubic_roots_pq",
-    "pq_radicand_coeffs",
-    "root_interval_quadrature",
 ]
-
-_ROOT_SNAP = 1e-9     # endpoint within this (relative) distance counts as a root
 
 
 def carlson_rf(x, y, z):
@@ -62,7 +40,11 @@ def carlson_rf(x, y, z):
     lambda = sqrt(x y) + sqrt(y z) + sqrt(z x) quarters the spread; a fifth
     order Taylor expansion at the common limit finishes to ~1e-15 relative.
     The iteration runs in complex arithmetic with principal square roots,
-    which keeps a conjugate pair conjugate, and returns the real part.
+    which keeps a conjugate pair conjugate, and returns the real part.  Each
+    new argument is formed as the product x + lambda = (sqrt x + sqrt y)
+    (sqrt x + sqrt z), whose sums of principal roots do not cancel, while
+    the sum x + lambda does for a pair next to the negative real axis (the
+    c-form of `landen_check` just above k = 3 has one).
     """
     x, y, z = complex(x), complex(y), complex(z)
     if any(v.imag == 0 and v.real < 0 for v in (x, y, z)):
@@ -74,10 +56,8 @@ def carlson_rf(x, y, z):
         if max(abs(x - mu), abs(y - mu), abs(z - mu)) < 1e-4 * abs(mu):
             break
         sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
+        a, b, c = sx + sy, sy + sz, sz + sx
+        x, y, z = 0.25 * a * c, 0.25 * a * b, 0.25 * b * c
     mu = (x + y + z) / 3.0
     dx = (mu - x) / mu
     dy = (mu - y) / mu
@@ -94,7 +74,8 @@ def period_integral(width, lower, upper):
     DLMF 19.29.4 it is 2 R_F(U12^2, U13^2, U14^2), U1j = (X1 Xj Yk Yl +
     Y1 Yj Xk Xl) / width for {j, k, l} = {2, 3, 4}, with X_i and Y_i the
     square roots of f_i at the upper and the lower end.  The factors are
-    nonnegative on the interval, or f3, f4 a complex-conjugate pair; a cubic
+    nonnegative on the interval, or f3, f4 a complex-conjugate pair (up to
+    a positive factor, as R_F is homogeneous); a cubic
     takes f4 = 1.  A root at an end is a zero value, so complete and
     incomplete periods are one formula.  The U are scaled to modulus <= 1
     before squaring (R_F is homogeneous of degree -1/2).  ValueError for a
@@ -116,180 +97,6 @@ def period_integral(width, lower, upper):
 
 
 # ---------------------------------------------------------------------------
-# smooth-cofactor quadrature of singular intervals
-# ---------------------------------------------------------------------------
-
-def root_interval_quadrature(H, lo, hi, tol=1e-13, left_root=True,
-                             right_root=True):
-    """Integral of 1/sqrt(F) over (lo, hi) where F(v) = (v-lo)^{left_root} *
-    (hi-v)^{right_root} * H(v) and H stays positive on the closed interval.
-    The declared root factors are absorbed into the substitution exactly, so
-    H is the only thing evaluated numerically.  At least one end must be
-    declared a root; ValueError otherwise."""
-    if not (left_root or right_root):
-        raise ValueError("declare a root at one end at least")
-    if hi <= lo:
-        return 0.0
-    if left_root and right_root:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-
-        def g(phi):
-            h = H(mid + half * math.sin(phi))
-            return 1.0 / math.sqrt(h) if h > 0.0 else 0.0
-
-        return _tanh_sinh(g, -0.5 * math.pi, 0.5 * math.pi, tol).value
-    width = hi - lo
-    rt = math.sqrt(width)
-
-    def g(phi):
-        s = math.sin(phi)
-        v = lo + width * s * s if left_root else hi - width * s * s
-        h = H(v)
-        if h <= 0.0:
-            return 0.0
-        return 2.0 * rt * math.cos(phi) / math.sqrt(h)
-
-    return _tanh_sinh(g, 0.0, 0.5 * math.pi, tol).value
-
-
-def _deflate(coeffs, r):
-    """Quotient coefficients of the cubic divided by (v - r), by one Horner
-    pass; the remainder (the residual of r) is discarded."""
-    c0, c1, c2, c3 = coeffs
-    q2 = c3
-    q1 = c2 + r * q2
-    q0 = c1 + r * q1
-    return q0, q1, q2
-
-
-@dataclass(frozen=True)
-class CubicPeriodSpec:
-    """Integral of 1/sqrt(radicand) over (a, b), where the radicand is the
-    cubic with the given ascending coefficients (c0, c1, c2, c3) and must be
-    nonnegative on the open interval.  Endpoints may be +-inf."""
-
-    coeffs: tuple       # (c0, c1, c2, c3), real, c3 != 0
-    a: float
-    b: float
-
-    def radicand(self, v):
-        c0, c1, c2, c3 = self.coeffs
-        return ((c3 * v + c2) * v + c1) * v + c0
-
-
-def _real_cubic_roots(coeffs):
-    c0, c1, c2, c3 = coeffs
-    roots = np.roots([c3, c2, c1, c0])
-    scale = 1.0 + max(abs(r) for r in roots)
-    out = sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-9 * scale)
-    return out
-
-
-def _near_root(point, roots):
-    if math.isinf(point):
-        return None
-    for r in roots:
-        if abs(point - r) <= _ROOT_SNAP * (1.0 + abs(r)):
-            return r
-    return None
-
-
-def _check_sign(spec):
-    """Radicand must be nonnegative at the midpoint and near both ends."""
-    probes = []
-    if math.isinf(spec.a) or math.isinf(spec.b):
-        if math.isinf(spec.a):
-            probes += [spec.b - 1.0, spec.b - 10.0]
-        if math.isinf(spec.b):
-            probes += [spec.a + 1.0, spec.a + 10.0]
-    else:
-        w = spec.b - spec.a
-        probes += [spec.a + 0.5 * w, spec.a + 1e-3 * w, spec.b - 1e-3 * w]
-    c3 = spec.coeffs[3]
-    for p in probes:
-        if spec.radicand(p) < -1e-9 * (1.0 + abs(p)) ** 3 * abs(c3):
-            raise ValueError("radicand negative inside the interval")
-
-
-def period_quadrature(spec, tol=1e-13):
-    """Direct numerical evaluation of the period integral (the oracle route;
-    no Carlson reduction).  Root endpoints are detected by proximity and
-    their factors removed by synthetic division before substitution."""
-    if spec.a == spec.b:
-        return 0.0
-    if not spec.a < spec.b:
-        raise ValueError("need a < b")
-    _check_sign(spec)
-    roots = _real_cubic_roots(spec.coeffs)
-    c3 = spec.coeffs[3]
-
-    if math.isinf(spec.a) or math.isinf(spec.b):
-        # only (-inf, lowest root] / [highest root, inf) converge for a cubic
-        if math.isinf(spec.a):
-            r = _near_root(spec.b, roots)
-            if r is None:
-                raise ValueError("integral from -inf must end at a root")
-            q = _deflate(spec.coeffs, r)
-
-            def h_of_u(u):
-                v = r - u * u
-                val = -(q[2] * v * v + q[1] * v + q[0])   # (r-v) absorbed
-                return val
-        else:
-            r = _near_root(spec.a, roots)
-            if r is None:
-                raise ValueError("integral to +inf must start at a root")
-            q = _deflate(spec.coeffs, r)
-
-            def h_of_u(u):
-                v = r + u * u
-                return q[2] * v * v + q[1] * v + q[0]
-
-        def g(w):
-            den = 1.0 - w
-            u = w / den
-            h = h_of_u(u)
-            if h <= 0.0:
-                return 0.0
-            return 2.0 / (math.sqrt(h) * den * den)
-
-        return _tanh_sinh(g, 0.0, 1.0, tol).value
-
-    ra = _near_root(spec.a, roots)
-    rb = _near_root(spec.b, roots)
-    if ra is not None and rb is not None:
-        # radicand = c3 (v-r1)(v-r2)(v-r3); the endpoint factors rearrange to
-        # (v-ra)(rb-v) > 0, leaving H = -c3 (v - third)
-        third = [r for r in roots if r != ra and r != rb]
-        if len(third) != 1:
-            raise ValueError("complete interval endpoints must be two distinct roots")
-        t0 = third[0]
-
-        def H(v):
-            return -c3 * (v - t0)
-
-        return root_interval_quadrature(H, ra, rb, tol, True, True)
-    if ra is not None or rb is not None:
-        r = ra if ra is not None else rb
-        q0, q1, q2 = _deflate(spec.coeffs, r)
-        if ra is not None:
-            def H(v):
-                return q2 * v * v + q1 * v + q0
-        else:
-            def H(v):
-                return -(q2 * v * v + q1 * v + q0)
-        return root_interval_quadrature(H, spec.a, spec.b, tol,
-                                        ra is not None, rb is not None)
-
-    def f(v):
-        rad = spec.radicand(v)
-        return 1.0 / math.sqrt(rad) if rad > 0.0 else 0.0
-
-    return _adaptive_gk(f, spec.a, spec.b, tol).value
-
-
-# ---------------------------------------------------------------------------
 # the cubic -(v+12)(v^2 + k^2 v - 4 k^2) and its involution
 # ---------------------------------------------------------------------------
 
@@ -303,10 +110,32 @@ def cubic_roots_pq(k):
     return r_low, -12.0, r_high
 
 
-def pq_radicand_coeffs(k):
-    """Ascending coefficients of -(v+12)(v^2+k^2 v-4k^2)."""
-    k2 = k * k
-    return (48.0 * k2, -(8.0 * k2), -(k2 + 12.0), -1.0)
+def _pq_period(k, from_cut=False):
+    """int dv / sqrt(-(v+12)(v^2+k^2 v-4k^2)) up to the positive root r_high,
+    from k(1-k) when ``from_cut`` (k < 4), else from r_low below k = 3 and
+    from -12 above.  No gap cancels: with w = k + sqrt(k^2+16), r_high =
+    8k/w, -r_low = kw/2 and r_low + 12 = 4(3-k)(3+k)/(3 + 2k/w).  Below
+    k = 4 the period is taken in v/k, which divides the two small factors
+    and the width by k, so that subnormal k loses no digits.  Above k = 3
+    the factor v - r_low is divided by |r_low| instead (R_F homogeneity) and
+    u = w/k - 1 = sqrt(1 + 16/k^2), so that no k^2 overflows."""
+    if from_cut or k < 3.0:
+        w = k + math.hypot(k, 4.0)
+        span = 8.0 / w + 0.5 * w                   # (r_high - r_low)/k
+        if from_cut:
+            width = 0.5 * w - 1.0                  # (r_high - k(1-k))/k
+            lower = ((4.0 - k) * (3.0 + k), 1.0 + 8.0 / w, width, 1.0)
+        else:
+            width = span
+            lower = (4.0 * (3.0 - k) * (3.0 + k) / (3.0 + 2.0 * k / w), 0.0, width, 1.0)
+        return period_integral(width, lower, (12.0 + 8.0 * k / w, span, 0.0, 1.0))
+    u = math.hypot(1.0, 4.0 / k)
+    r_high = 8.0 / (1.0 + u)
+    root = math.sqrt(2.0 / (1.0 + u)) / k          # |r_low|^(-1/2)
+    width = r_high + 12.0
+    lower = (0.0, 8.0 * ((k - 3.0) / k) * ((k + 3.0) / k) / (3.0 * u + 5.0), width, 1.0)
+    upper = (width, 1.0 + r_high * root * root, 0.0, 1.0)
+    return root * period_integral(width, lower, upper)
 
 
 def involution_v(v, k):
@@ -330,7 +159,7 @@ class LandenResult:
     diff: float       # max pairwise deviation along the chain
 
 
-def landen_check(k, tol=1e-13):
+def landen_check(k):
     """Evaluate all four parametrisations of the Landen-type period identity
     and report the largest pairwise deviation.
 
@@ -343,52 +172,50 @@ def landen_check(k, tol=1e-13):
     with A = k^2-24+k sqrt(k^2+16), B = 24-k^2+k sqrt(k^2+16).  For k < 3
     the radicands change sign inside the intervals; only the regions where
     they are nonnegative contribute (real-part convention), and the
-    substitutions map those regions onto each other.  Every piece is
-    integrated with its singular endpoint factors removed analytically.
-    At k = 3 the identity degenerates and RegimeBoundaryError is raised;
-    a k that is not positive and finite (NaN included) raises ValueError."""
+    substitutions map those regions onto each other.  Each form is one or
+    two `period_integral` calls on factor values in closed form, so no gap
+    cancels: with s = sqrt(k^2+16), B = 24 + 16k/(s+k), A = 64(k-3)(k+3)/B,
+    and 64c^2-48c+k^2 = 64(c-c_a)(c-c_b) with c_b = (3+sqrt(9-k^2))/8 and
+    c_a = k^2/(64 c_b), a conjugate pair above k = 3.  The t-integral is
+    even and taken over t >= 0 doubled; the v-integral is `_pq_period`.
+    At k = 3 the identity degenerates and RegimeBoundaryError is raised; a
+    k that is not positive and finite (NaN included) raises ValueError."""
     if not 0.0 < k < math.inf:
         raise ValueError("k must be positive and finite")
     if abs(k - 3.0) < 1e-12:
         raise RegimeBoundaryError("identity degenerates at k = 3")
-    s = math.sqrt(k * k + 16.0)
-    A = k * k - 24.0 + k * s
-    B = 24.0 - k * k + k * s
-    k2 = k * k
-
-    def quartic(c):
-        return (64.0 * c - 48.0) * c + k2
-
+    B = 24.0 + 16.0 / (1.0 + math.hypot(1.0, 4.0 / k))  # 24 + 16k/(s+k)
     if k > 3.0:
-        lhs = root_interval_quadrature(quartic, 0.0, 1.0, tol)
-        t_form = math.sqrt(2.0) * root_interval_quadrature(
-            lambda t: A + B * t * t, -1.0, 1.0, tol)
-        u_form = math.sqrt(2.0) * root_interval_quadrature(
-            lambda u: A + B * u, 0.0, 1.0, tol)
-        r_low, _, r_high = cubic_roots_pq(k)
-        rhs = root_interval_quadrature(lambda v: v - r_low, -12.0, r_high, tol)
+        e = math.sqrt(k - 3.0) * math.sqrt(k + 3.0)         # sqrt(k^2 - 9)
+        c_b = complex(3.0, e) / 8.0
+        c_a = c_b.conjugate()
+        lhs = period_integral(1.0, (0.0, 1.0, -c_a, -c_b),
+                              (1.0, 0.0, 1.0 - c_a, 1.0 - c_b))
+        # A + B t^2 = A (1 + it/a)(1 - it/a), a = sqrt(A/B)
+        a = 8.0 / B * e
+        t_half = period_integral(1.0, (1.0, 1.0, 1.0, 1.0),
+                                 (0.0, 2.0, complex(1.0, 1.0 / a), complex(1.0, -1.0 / a)))
+        u_half = period_integral(1.0, (0.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0 + (1.0 / a) ** 2, 1.0))
+        root = math.sqrt(2.0 / B) / a                       # sqrt(2/A)
     else:
-        rr = math.sqrt(9.0 - k2)
-        c_a = (3.0 - rr) / 8.0
-        c_b = (3.0 + rr) / 8.0
-        # 64 c^2 - 48 c + k^2 = 64 (c - c_a)(c - c_b)
-        lhs = (root_interval_quadrature(
-                   lambda c: 64.0 * (1.0 - c) * (c_b - c), 0.0, c_a, tol)
-               + root_interval_quadrature(
-                   lambda c: 64.0 * c * (c - c_a), c_b, 1.0, tol))
-        t_c = math.sqrt(-A / B)
-        # (1-t^2)(A+B t^2) = (1-t)(1+t) B (t-t_c)(t+t_c)
-        t_form = math.sqrt(2.0) * (
-            root_interval_quadrature(
-                lambda t: B * (1.0 - t) * (t_c - t), -1.0, -t_c, tol)
-            + root_interval_quadrature(
-                lambda t: B * (1.0 + t) * (t + t_c), t_c, 1.0, tol))
-        u_c = -A / B
-        u_form = math.sqrt(2.0) * root_interval_quadrature(
-            lambda u: B * u, u_c, 1.0, tol)
-        r_low, _, r_high = cubic_roots_pq(k)
-        rhs = root_interval_quadrature(lambda v: v + 12.0, r_low, r_high, tol)
-
+        d = math.sqrt(3.0 - k) * math.sqrt(3.0 + k)         # sqrt(9 - k^2) = 4(c_b - c_a)
+        c_b = (3.0 + d) / 8.0
+        c_a = (k / 8.0) * ((k / 8.0) / c_b)
+        # (0, c_a) in c = c_a x, so that c_a ~ k^2/48 may underflow
+        lhs = (period_integral(1.0, (0.0, 1.0, 1.0, c_b), (1.0, 0.0, 1.0 - c_a, 0.25 * d))
+               + period_integral(1.0 - c_b, (c_b, 1.0 - c_b, 0.25 * d, 0.0),
+                                 (1.0, 0.0, 1.0 - c_a, 1.0 - c_b)))
+        # A + B t^2 = B (t - t_c)(t + t_c), A + B u = B (u - t_c^2); over (t_c, 1)
+        # and (t_c^2, 1) the two factors that vanish at the ends are divided
+        # by the width, which cancels (1 - t_c^2 ~ k/3 for small k)
+        t_c = 8.0 * d / B
+        t_half = period_integral(1.0, (1.0, 1.0 + t_c, 0.0, 2.0 * t_c), (0.0, 2.0, 1.0, 1.0 + t_c))
+        u_half = period_integral(1.0, (t_c * t_c, 1.0, 0.0, 1.0), (1.0, 0.0, 1.0, 1.0))
+        root = math.sqrt(2.0 / B)
+    lhs /= 8.0
+    t_form = 2.0 * root * t_half
+    u_form = root * u_half
+    rhs = _pq_period(k)
     forms = (lhs, t_form, u_form, rhs)
     diff = max(abs(p - q) for p in forms for q in forms)
     return LandenResult(lhs, t_form, u_form, rhs, diff)

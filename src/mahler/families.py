@@ -35,7 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .elliptic import period_integral
+from .elliptic import _pq_period, period_integral
 from .errors import RegimeBoundaryError
 from .lpoly import monomial_transform, parse_poly
 from .measure import MeasureResult, mahler_jensen
@@ -59,7 +59,9 @@ __all__ = [
     "r_derivative",
 ]
 
-R_THRESHOLD = 16.0 / (3.0 * math.sqrt(3.0))   # 3.0792...
+_SQRT3 = math.sqrt(3.0)
+R_THRESHOLD = 16.0 / (3.0 * _SQRT3)            # 3.0792..., correctly rounded
+_R_THRESHOLD_LO = -1.1765797595680793e-16     # 16/(3 sqrt 3) - R_THRESHOLD
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 BOUNDARY_GUARD = 1e-12
 
@@ -169,22 +171,25 @@ def _c_plus_minus(k):
 
 
 def _t_roots(k):
-    """Real zeros of 8t^3-8t+k in (0, 1) by the trigonometric formula for a
-    three-real-root depressed cubic, plus one Newton step where safe.  With
-    theta = asin(3 sqrt(3) k / 16), t1 = (2/sqrt 3) sin(theta/3) keeps its
-    relative accuracy for small k, where cos(theta/3 - pi/2) would cancel."""
+    """Real zeros t1 < t2 of 8t^3-8t+k in (0, 1).  With t = 1/sqrt(3) + e the
+    cubic reads 8e^3 + 8 sqrt(3) e^2 = delta, delta = 16/(3 sqrt 3) - k taken
+    from a two-float constant (exact next to the threshold, where t1 and t2
+    merge); t2 is its positive root, which Newton's method reaches from
+    above, starting from sqrt(delta/(8 sqrt 3)), as the left side is convex.
+    Deflating the cubic by t2 leaves t^2 + t2 t + t2^2 - 1, whose positive
+    root is t1 = (k/(4 t2)) / (t2 + sqrt(4 - 3 t2^2)), since 1 - t2^2 =
+    k/(8 t2)."""
     if not 0.0 < k < R_THRESHOLD:
         raise ValueError("t-roots exist only for 0 < k < 16/(3*sqrt(3))")
-    theta = math.asin(min(1.0, 3.0 * math.sqrt(3.0) * k / 16.0))
-    t2 = (2.0 / math.sqrt(3.0)) * math.cos(theta / 3.0 + math.pi / 6.0)
-    t1 = (2.0 / math.sqrt(3.0)) * math.sin(theta / 3.0)
-
-    def polish(t):
-        f = ((8.0 * t * t) - 8.0) * t + k
-        df = 24.0 * t * t - 8.0
-        return t - f / df if abs(df) > 1e-3 else t
-
-    return polish(t1), polish(t2)
+    delta = (R_THRESHOLD - k) + _R_THRESHOLD_LO
+    e = math.sqrt(delta / (8.0 * _SQRT3))
+    for _ in range(50):
+        step = ((8.0 * e + 8.0 * _SQRT3) * e * e - delta) / ((24.0 * e + 16.0 * _SQRT3) * e)
+        e -= step
+        if step <= 4e-16 * e:
+            break
+    t2 = 1.0 / _SQRT3 + e
+    return (k / (4.0 * t2)) / (t2 + math.sqrt(4.0 - 3.0 * t2 * t2)), t2
 
 
 def critical_roots(point):
@@ -379,35 +384,12 @@ def _guard(k, boundary, what):
             f"{what} is undefined within {BOUNDARY_GUARD:g} of the regime boundary k = {boundary}")
 
 
-def _pq_period(k, from_cut=False):
-    """(1/pi) int dv / sqrt(-(v+12)(v^2+k^2 v-4k^2)) up to the positive root
-    r_high, from k(1-k) when ``from_cut``, else from r_low below k = 3 and
-    from -12 above.  The factors v+12, (v - r_low)/|r_low|, r_high - v hold no
-    k^2 (R_F homogeneity), and no gap cancels: with u = sqrt(k^2+16)/k,
-    r_low + 12 = 4 (3-k)(3+k)/(3 + 2/(1+u)) = -8 (k-3)(k+3) |r_low|/(k^2 (3u+5))."""
-    u = math.hypot(1.0, 4.0 / k)
-    r_high = 8.0 / (1.0 + u)                       # k(sqrt(k^2+16) - k)/2
-    root = math.sqrt(2.0 / (1.0 + u)) / k          # |r_low|^(-1/2)
-    inv = root * root
-    if from_cut:
-        width = 0.5 * k * (k * (1.0 + u) - 2.0)    # r_high - k(1-k)
-        lower = ((4.0 - k) * (3.0 + k), k * (1.0 + 8.0 / (k * (1.0 + u))) * inv, width)
-    elif k < 3.0:
-        width = r_high + 1.0 / inv                 # r_high - r_low
-        lower = (4.0 * (3.0 - k) * (3.0 + k) / (3.0 + 2.0 / (1.0 + u)), 0.0, width)
-    else:
-        width = r_high + 12.0
-        lower = (0.0, 8.0 * ((k - 3.0) / k) * ((k + 3.0) / k) / (3.0 * u + 5.0), width)
-    upper = (r_high + 12.0, 1.0 + r_high * inv, 0.0, 1.0)
-    return root * period_integral(width, lower + (1.0,), upper) / math.pi
-
-
 def p_derivative(k):
     """dp/dk as the complete period of -(v+12)(v^2+k^2v-4k^2) between -12
     (or the lower quadratic root, below k=3) and the positive root."""
     k = _positive_k(abs(k))
     _guard(k, 3.0, "dp/dk")
-    return _pq_period(k)
+    return _pq_period(k) / math.pi
 
 
 def q_derivative(k):
@@ -416,7 +398,7 @@ def q_derivative(k):
     from -infinity less the piece from the arch's lower end to k(1-k)."""
     k = _positive_k(k)
     _guard(k, 3.0, "dq/dk")
-    return _pq_period(k, from_cut=k < 4.0)
+    return _pq_period(k, from_cut=k < 4.0) / math.pi
 
 
 def r_derivative(k):
@@ -424,7 +406,10 @@ def r_derivative(k):
     16/(3 sqrt 3), over (0, t1^2) and (t2^2, 1) below; 64c^2-48c+k^2 =
     64(c - c_a)(c - c_b), a conjugate pair above k = 3.  At k = 2 sqrt 2,
     t2^2 meets c_b; h(c) = 64c(c-1)^2 takes k^2 at t2^2, so t2^2 - c_b =
-    -16 c_b (2c_b-1)^2 / (divided difference of h), and 1 - t^2 = k/(8t)."""
+    -16 c_b (2c_b-1)^2 / (divided difference of h), and 1 - t^2 = k/(8t).
+    The left period is taken in c/t1^2 and the right one in (1-c)/(1-t2^2),
+    with c_a/t1^2 = (t2 (t1+t2))^2 / c_b (Vieta), so that t1^2 ~ k^2/64 may
+    underflow and k may be subnormal."""
     k = _positive_k(abs(k))
     _guard(k, R_THRESHOLD, "dr/dk")
     d = cmath.sqrt(3.0 - k) * cmath.sqrt(3.0 + k)          # sqrt(9 - k^2)
@@ -435,10 +420,9 @@ def r_derivative(k):
                                (1.0, 0.0, 1.0 - c_a, 1.0 - c_b)) / (8.0 * math.pi)
     t1, t2 = _t_roots(k)
     y1, y2 = t1 * t1, t2 * t2
-    left = period_integral(y1, (0.0, 1.0, c_a, c_b),
-                           (y1, 1.0 - y1, c_a - y1, c_b - y1))
+    rho = (t2 * (t1 + t2)) ** 2 / c_b                      # c_a / y1
+    left = period_integral(1.0, (0.0, 1.0, rho, c_b), (1.0, 1.0 - y1, rho - 1.0, c_b - y1))
     e = (TWO_SQRT2 - k) * (TWO_SQRT2 + k) / (4.0 * (1.0 + d))     # 2c_b - 1
     gap = -c_b * e * e / (4.0 * ((y2 * y2 + y2 * c_b + c_b * c_b) - 2.0 * (y2 + c_b) + 1.0))
-    right = period_integral(k / (8.0 * t2), (y2, k / (8.0 * t2), y2 - c_a, gap),
-                            (1.0, 0.0, 1.0 - c_a, 1.0 - c_b))
-    return (left + right) / (8.0 * math.pi)
+    right = period_integral(1.0, (0.0, 1.0, 1.0 - c_a, 1.0 - c_b), (1.0, y2, y2 - c_a, gap))
+    return (left + math.sqrt(k / (8.0 * t2)) * right) / (8.0 * math.pi)

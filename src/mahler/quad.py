@@ -21,11 +21,10 @@ numerical integration", Publ. RIMS 9, 1974) has two entry points that share
 the node tables of ``_level_nodes``, built once per level, and nothing else:
 
 * ``_tanh_sinh`` integrates one interval with a scalar integrand, one call
-  per node.  ``integrate``, the family integrands and the elliptic periods
-  use it.  They converge within 3-5 levels, where per-level numpy work costs
-  as much as the scalar loop: a prototype that moved them onto the array
-  rule took ``p_measure(2.5)`` from 0.45-0.73 to 0.80-0.88 ms and
-  ``landen_check(2.5)`` from 0.89-1.16 to 1.44-1.53 ms (one BLAS thread,
+  per node.  ``integrate`` and through it the family measures use it.  They
+  converge within 3-5 levels, where per-level numpy work costs as much as
+  the scalar loop: a prototype that moved them onto the array rule took
+  ``p_measure(2.5)`` from 0.45-0.73 to 0.80-0.88 ms (one BLAS thread,
   2-core x86 machine).
 * ``_tanh_sinh_pieces`` integrates all pieces of a cut interval at once
   with an integrand over arrays of abscissae, one call per level for all

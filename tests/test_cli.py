@@ -122,6 +122,12 @@ def test_verify_landen():
     assert r.stdout.count("[PASS]") == 2
 
 
+def test_verify_landen_next_to_k3():
+    # every form of the chain is exact next to the degenerate k = 3
+    r = run_cli("verify", "landen", "--k", "3.000001")
+    assert r.returncode == 0, r.stdout
+
+
 def test_verify_theorem1_expected_noncoincidence():
     r = run_cli("verify", "theorem1", "--k", "3.5")
     assert r.returncode == 0
@@ -171,6 +177,14 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(args + ["--out", str(f1)]) == 0
     assert main(args + ["--jobs", "2", "--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only sweep --jobs N > 1 uses the pool, which costs every process that
+    # loads the CLI 1.4-2.1 MB of peak memory
+    code = ("import sys, mahler.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=ENV).returncode == 0
 
 
 def test_jobs_only_on_sweep_and_at_least_one():
