@@ -18,7 +18,6 @@ from .errors import (
     ParseError,
     QuadratureError,
     RegimeBoundaryError,
-    DegenerateFiberError,
     ResolutionError,
 )
 from .lpoly import (
@@ -34,9 +33,7 @@ from .lpoly import (
 )
 from .quad import QuadResult, SingularityHint, integrate, integrate_torus2
 from .measure import (
-    FiberRoots,
     MeasureResult,
-    roots_in_y,
     mahler_jensen,
     mahler_torus2,
     mahler_1var,
@@ -73,7 +70,6 @@ from .specialfn import (
     dirichlet_l,
     l_deriv_minus1,
     m_A_dilog,
-    verify_x1_on_resultant,
 )
 from .eclf import (
     WeierstrassCurve,

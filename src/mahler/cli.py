@@ -197,7 +197,7 @@ def _suite_landen(report, k_list, _tol):
     for k in k_list:
         res = landen_check(k)
         report.add_check(f"landen identity at k={_fmt(k)}", res.diff < 1e-10,
-                         f"max chain deviation {res.diff:.3e}")
+                         f"max relative chain deviation {res.diff:.3e}")
 
 
 def _suite_derivatives(report, _k_list, tol):

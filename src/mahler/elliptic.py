@@ -156,12 +156,13 @@ class LandenResult:
     t_form: float     # trigonometric substitution form
     u_form: float     # u = t^2 form
     rhs: float        # cubic-side period in v
-    diff: float       # max pairwise deviation along the chain
+    diff: float       # largest pairwise gap over |rhs|; inf if a form is not finite
 
 
 def landen_check(k):
     """Evaluate all four parametrisations of the Landen-type period identity
-    and report the largest pairwise deviation.
+    and report the largest pairwise gap relative to the cubic period, or
+    inf if a form is not finite.
 
     chain: c-integral int_0^1 dc/sqrt(c(1-c)(64c^2-48c+k^2))
         -> t-integral sqrt(2) int_{-1}^1 dt/sqrt((1-t^2)(A+B t^2))
@@ -217,5 +218,7 @@ def landen_check(k):
     u_form = root * u_half
     rhs = _pq_period(k)
     forms = (lhs, t_form, u_form, rhs)
-    diff = max(abs(p - q) for p in forms for q in forms)
+    diff = math.inf
+    if all(map(math.isfinite, forms)):
+        diff = (max(forms) - min(forms)) / abs(rhs)
     return LandenResult(lhs, t_form, u_form, rhs, diff)

@@ -24,10 +24,6 @@ class RegimeBoundaryError(ValueError):
     function says so, in a stated band around it)."""
 
 
-class DegenerateFiberError(ValueError):
-    """The leading y-coefficient vanishes at the requested circle point."""
-
-
 class ResolutionError(RuntimeError):
     """No (root number, bad local factor) assignment satisfies the L-function
     consistency threshold; usually a wrong conductor or too few coefficients."""

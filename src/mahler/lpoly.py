@@ -323,9 +323,9 @@ def _tokenize(text):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":    # not str.isdigit, which admits any Unicode digit
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
             toks.append((_TOK_INT, int(text[start:pos]), start))
             continue
@@ -450,9 +450,16 @@ def parse_poly(text, k_value=None):
     """Parse an expression in x, y and optionally k into a LaurentPoly2.
 
     If the symbol k occurs and ``k_value`` is given it is substituted;
-    otherwise coefficients carry k symbolically (linearly).
+    otherwise coefficients carry k symbolically (linearly).  Malformed
+    input, nesting too deep for the interpreter's recursion limit included,
+    raises ``ParseError``.
     """
-    return _Parser(text, k_value).parse()
+    parser = _Parser(text, k_value)
+    try:
+        return parser.parse()
+    except RecursionError:
+        pos = parser.toks[min(parser.idx, len(parser.toks) - 1)][2]
+        raise ParseError("expression nested too deeply", pos) from None
 
 
 # ---------------------------------------------------------------------------

@@ -57,14 +57,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFiberError, QuadratureError
+from .errors import QuadratureError
 from .quad import _tanh_sinh_pieces, integrate_torus2
 from .rootfind import batch_roots, count_outside, poly_roots
 
 __all__ = [
-    "FiberRoots",
     "MeasureResult",
-    "roots_in_y",
     "mahler_jensen",
     "mahler_torus2",
     "mahler_1var",
@@ -80,17 +78,6 @@ class MeasureResult:
     value: float
     err_est: float
     method: str   # jensen_1d | torus_2d | closed_form
-
-
-@dataclass(frozen=True)
-class FiberRoots:
-    """Roots of P(x, .) at one circle point, ordered by descending modulus
-    (ties by ascending argument), with the value of the leading coefficient.
-    ``dropped`` flags a degenerate fiber where the top coefficient vanished."""
-
-    roots: tuple
-    lead: complex
-    dropped: bool
 
 
 def _y_coeff_polys(P):
@@ -112,10 +99,6 @@ def _y_coeff_polys(P):
     return [ycof.get(j, {}) for j in range(jmin, jmax + 1)]
 
 
-def _coeffs_at(cx, x):
-    return [sum(c * x ** i for i, c in cm.items()) if cm else 0j for cm in cx]
-
-
 _BLOCK_ENTRIES = 4096   # angles times x-exponents per block of _coeffs_grid
 
 
@@ -132,11 +115,12 @@ def _coeff_table(cx):
 
 
 def _coeffs_grid(coeff_table, thetas):
-    """Fiber coefficients at x = e^{i theta} for an array of angles: row n
-    is ``_coeffs_at(cx, e^{i thetas[n]})``.  The angles go in blocks, so that
-    no temporary exceeds _BLOCK_ENTRIES entries whatever the x-degree; the
-    product uses einsum, not BLAS, whose buffers would add to peak memory.
-    The rows come column-major, as ``_solve_fibers`` takes them."""
+    """Fiber coefficients at x = e^{i theta} for an array of angles: entry
+    (n, j) is the coefficient of y^j at x = e^{i thetas[n]}.  The angles go
+    in blocks, so that no temporary exceeds _BLOCK_ENTRIES entries whatever
+    the x-degree; the product uses einsum, not BLAS, whose buffers would add
+    to peak memory.  The rows come column-major, as ``_solve_fibers`` takes
+    them."""
     exps, table = coeff_table
     out = np.empty((len(thetas), table.shape[1]), dtype=complex, order="F")
     block = max(1, _BLOCK_ENTRIES // len(exps))
@@ -144,32 +128,6 @@ def _coeffs_grid(coeff_table, thetas):
         powers = np.exp(1j * np.outer(thetas[s:s + block], exps))
         out[s:s + block] = np.einsum("ij,jk->ik", powers, table)
     return out
-
-
-def roots_in_y(P, x):
-    """Solve P(x, y) = 0 in y at a fixed point x on the unit circle.
-
-    Solves with ``rootfind.poly_roots``: closed forms through degree 2, the
-    Aberth-Ehrlich finder beyond.  (The Jensen engine itself solves its
-    fibers in batches with ``rootfind.batch_roots``.)
-    A vanishing leading coefficient is reported via ``dropped`` and the
-    lower-degree root set is returned; an identically-zero fiber raises.
-    """
-    if abs(abs(x) - 1.0) > 1e-9:
-        raise ValueError("x must lie on the unit circle")
-    cx = _y_coeff_polys(P)
-    coeffs = _coeffs_at(cx, x)
-    scale = max(abs(c) for c in coeffs)
-    if scale == 0.0:
-        raise DegenerateFiberError("fiber polynomial vanishes identically")
-    dropped = False
-    while len(coeffs) > 1 and abs(coeffs[-1]) <= _DROP_REL * scale:
-        coeffs.pop()
-        dropped = True
-    lead = coeffs[-1]
-    roots = poly_roots(coeffs) if len(coeffs) > 1 else []
-    roots.sort(key=lambda r: (-abs(r), cmath.phase(r)))
-    return FiberRoots(tuple(roots), lead, dropped)
 
 
 def _solve_1var(coeffs):

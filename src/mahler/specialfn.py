@@ -19,7 +19,6 @@ __all__ = [
     "dirichlet_l",
     "l_deriv_minus1",
     "m_A_dilog",
-    "verify_x1_on_resultant",
 ]
 
 
@@ -260,37 +259,3 @@ def m_A_dilog():
            - 2.0 * bloch_wigner(w / complex(1.5, half_rt3))
            - 2.0 * bloch_wigner(w / complex(1.5, -half_rt3)))
     return val / math.pi
-
-
-def _resultant_2x2(a, b, c, d, e, f):
-    """Resultant of a y^2 + b y + c and d y^2 + e y + f."""
-    return (a * f - c * d) ** 2 - (a * e - b * d) * (b * f - c * e)
-
-
-def verify_x1_on_resultant():
-    """Consistency of the algebraic data behind m_A_dilog: the distinguished
-    torus point x1 = (3 + i sqrt(5+2 sqrt 13))/(1 + sqrt 13) is a unimodular
-    root of x^4+x^3-x^2+x+1; the rational parametrisation
-    x = (t-2)/(t^2-t+1), y = (-t-1)/(t^2-t+1) sends t1 to (x1, 1/x1); and
-    Res_y(A, A*) equals 3 x^2 (x^4+x^3-x^2+x+1).  Returns True iff every
-    check passes at 1e-12."""
-    s = math.sqrt(5.0 + 2.0 * math.sqrt(13.0))
-    x1 = complex(3.0, s) / (1.0 + math.sqrt(13.0))
-    # x^4+x^3-x^2+x+1 by Horner
-    quartic = (((x1 + 1.0) * x1 - 1.0) * x1 + 1.0) * x1 + 1.0
-    ok = abs(quartic) < 1e-12
-    ok &= abs(abs(x1) - 1.0) < 1e-12
-
-    t1 = _t1_point()
-    den = t1 * t1 - t1 + 1.0
-    ok &= abs((t1 - 2.0) / den - x1) < 1e-12
-    ok &= abs((-t1 - 1.0) / den - 1.0 / x1) < 1e-12
-
-    # Res_y(A, A*) with A = y^2 + (1-x) y + (x^2+x),
-    # A* = x^2 y^2 A(1/x, 1/y) = (1+x) y^2 + (x^2-x) y + x^2
-    for x in (0.7 + 0.4j, -1.3 + 0.9j, 2.2 - 0.5j):
-        res = _resultant_2x2(1.0, 1.0 - x, x * x + x,
-                             1.0 + x, x * x - x, x * x)
-        target = 3.0 * x * x * ((((x + 1.0) * x - 1.0) * x + 1.0) * x + 1.0)
-        ok &= abs(res - target) < 1e-9 * max(1.0, abs(target))
-    return bool(ok)

@@ -80,6 +80,13 @@ def test_parse_error_exit_code():
     assert "position" in r.stderr
 
 
+def test_deep_nesting_is_usage_error():
+    # the parser's RecursionError printed a traceback and exited 1
+    r = run_cli("measure", "(" * 248 + "x" + ")" * 248)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr and "position" in r.stderr
+
+
 def test_symbolic_k_without_value_is_usage_error():
     r = run_cli("measure", "k*x+y")
     assert r.returncode == 2
@@ -120,6 +127,14 @@ def test_verify_landen():
     r = run_cli("verify", "landen", "--k", "1,10")
     assert r.returncode == 0
     assert r.stdout.count("[PASS]") == 2
+
+
+def test_verify_landen_fails_on_a_nan_form(monkeypatch):
+    # max over the pairwise gaps dropped a NaN form unless it came first, so
+    # the chain passed on the other three forms
+    monkeypatch.setattr(mahler.elliptic, "_pq_period", lambda k: math.nan)
+    assert mahler.landen_check(5.0).diff == math.inf
+    assert main(["verify", "landen", "--k", "5"]) == 1
 
 
 def test_verify_landen_next_to_k3():

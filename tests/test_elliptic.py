@@ -225,6 +225,7 @@ def test_landen_forms_at_extreme_k(k, limit):
     res = landen_check(k)
     for form in (res.lhs, res.t_form, res.u_form, res.rhs):
         assert abs(form - limit) < 1e-15 * limit
+    assert res.diff < 1e-14    # relative, so it means the same at k = 1e300
 
 
 def test_landen_rejects_k3():

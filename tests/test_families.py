@@ -27,7 +27,13 @@ from mahler.families import (
     wt_family_poly,
 )
 from mahler.lpoly import parse_poly
-from mahler.measure import mahler_jensen, roots_in_y
+from mahler.measure import (
+    _coeff_table,
+    _coeffs_grid,
+    _fiber_roots,
+    _y_coeff_polys,
+    mahler_jensen,
+)
 
 
 def central_difference(measure, k, h=1e-4):
@@ -437,9 +443,9 @@ def test_branch_roots_p_vieta():
     # the reduced P fiber degenerates at theta = pi/3 (leading coefficient
     # 4 cos^2 - 1 vanishes); the original fiber does not, and both satisfy
     # |y1 y2| = 1
-    fiber = roots_in_y(family_poly("P", 5), complex(math.cos(math.pi / 3),
-                                                    math.sin(math.pi / 3)))
-    assert abs(abs(fiber.roots[0] * fiber.roots[1]) - 1.0) < 1e-12
+    cx = _y_coeff_polys(family_poly("P", 5))
+    y1, y2 = _fiber_roots(_coeffs_grid(_coeff_table(cx), np.array([math.pi / 3])))[0]
+    assert abs(abs(y1 * y2) - 1.0) < 1e-12
     y1, y2 = branch_roots("P", 5.0, 1.0)
     assert abs(abs(y1 * y2) - 1.0) < 1e-12
     with pytest.raises(ValueError):

@@ -47,7 +47,13 @@ def test_parse_negative_exponents():
     assert p.terms == {(-2, 3): 1, (-1, 0): 2}
 
 
-@pytest.mark.parametrize("text", ["x+*y", "(x+y", "x^", "x^y"])
+@pytest.mark.parametrize("text", [
+    "x+*y", "(x+y", "x^", "x^y",
+    # deeper than the recursion limit; it raised RecursionError
+    pytest.param("(" * 248 + "x" + ")" * 248, id="nested-248"),
+    # non-ASCII digits: "²" raised a bare ValueError from int(), and
+    # "x+١" (Arabic-Indic one) parsed as 1+x
+    "²", "x+١"])
 def test_parse_syntax_errors_carry_position(text):
     with pytest.raises(ParseError) as exc:
         parse_poly(text)

@@ -11,12 +11,11 @@ import pytest
 
 from mahler import measure
 from mahler.lpoly import LaurentPoly2, monomial_transform, parse_poly
-from mahler.errors import DegenerateFiberError, QuadratureError
+from mahler.errors import QuadratureError
 from mahler.measure import (
     _BAND,
     _bisect_cells,
     _coeff_table,
-    _coeffs_at,
     _coeffs_grid,
     _count_outside,
     _crossing_angles,
@@ -31,7 +30,6 @@ from mahler.measure import (
     mahler_1var,
     mahler_jensen,
     mahler_torus2,
-    roots_in_y,
 )
 from mahler.families import family_poly, p_measure, q_measure, r_measure, wt_family_poly
 from mahler.quad import _level_nodes, integrate_torus2
@@ -65,27 +63,17 @@ def _scan_grid(n_scan=1024):
     return lo + (hi - lo) * np.arange(n_scan + 1) / n_scan
 
 
-def test_roots_single_linear():
-    fiber = roots_in_y(parse_poly("y-5"), 1.0)
-    assert len(fiber.roots) == 1
-    assert abs(fiber.roots[0] - 5.0) < 1e-14
-    assert not fiber.dropped
-
-
-def test_roots_ordering():
-    # (y - 3)(y - 1/2) at x = 1: descending magnitude
-    fiber = roots_in_y(parse_poly("2*y^2-7*y+3"), 1.0)
-    assert abs(fiber.roots[0]) >= abs(fiber.roots[1])
-    assert abs(fiber.roots[0] - 3.0) < 1e-13
+def _fiber_coeffs(P, thetas):
+    """Coefficient rows of the fibers of P at x = e^{i thetas}, as the
+    engine evaluates them."""
+    return _coeffs_grid(_coeff_table(_y_coeff_polys(P)), np.asarray(thetas, dtype=float))
 
 
 def test_wt_p_vieta_at_right_angle():
     # fiber of the reduced P-form at theta = pi/2: the root product has
     # modulus 1 (the two coefficients c0 and c2 coincide)
-    wt = wt_family_poly("P", 3)
-    fiber = roots_in_y(wt, 1j)
-    prod = fiber.roots[0] * fiber.roots[1]
-    assert abs(abs(prod) - 1.0) < 1e-12
+    y1, y2 = _fiber_roots(_fiber_coeffs(wt_family_poly("P", 3), [0.5 * math.pi]))[0]
+    assert abs(abs(y1 * y2) - 1.0) < 1e-12
 
 
 def test_wt_r_vieta_value():
@@ -93,42 +81,24 @@ def test_wt_r_vieta_value():
     # and the product tends to 3
     wt = wt_family_poly("R", 3)
     theta = 0.5 * math.pi - 1e-7
-    fiber = roots_in_y(wt, cmath.exp(1j * theta))
+    y1, y2 = _fiber_roots(_fiber_coeffs(wt, [theta]))[0]
     c = math.cos(theta) ** 2
-    assert abs(fiber.roots[0] * fiber.roots[1] - (3.0 - 4.0 * c)) < 1e-5
-    exact = roots_in_y(wt, 1j)
-    assert exact.dropped
+    assert abs(y1 * y2 - (3.0 - 4.0 * c)) < 1e-5
+    # at pi/2 the leading coefficient 2 cos(theta) vanishes: the engine
+    # solves the reversed fiber
+    flip, _, _ = _solve_fibers(_fiber_coeffs(wt, [0.5 * math.pi]))
+    assert flip[0]
 
 
 def test_vieta_battery_on_grid():
     rng = random.Random(5)
-    wtp = wt_family_poly("P", 5)
-    wtq = wt_family_poly("Q", 7)
-    wtr = wt_family_poly("R", 2.5)
-    for _ in range(200):
-        theta = rng.uniform(1e-3, math.pi - 1e-3)
-        x = cmath.exp(1j * theta)
-        for poly in (wtp, wtq):
-            fiber = roots_in_y(poly, x)
-            if fiber.dropped or len(fiber.roots) < 2:
-                continue
-            assert abs(abs(fiber.roots[0] * fiber.roots[1]) - 1.0) < 1e-10
-        fiber = roots_in_y(wtr, x)
-        if not fiber.dropped and len(fiber.roots) == 2:
-            c = math.cos(theta) ** 2
-            assert abs(abs(fiber.roots[0] * fiber.roots[1])
-                       - abs(3.0 - 4.0 * c)) < 1e-10
-
-
-def test_roots_requires_unit_circle():
-    with pytest.raises(ValueError):
-        roots_in_y(parse_poly("y-1"), 2.0)
-
-
-def test_identically_zero_fiber_raises():
-    # (x - 1) * y: at x = 1 every coefficient vanishes
-    with pytest.raises(DegenerateFiberError):
-        roots_in_y(parse_poly("x*y-y"), 1.0)
+    thetas = np.array([rng.uniform(1e-3, math.pi - 1e-3) for _ in range(200)])
+    for poly in (wt_family_poly("P", 5), wt_family_poly("Q", 7)):
+        roots = _fiber_roots(_fiber_coeffs(poly, thetas))
+        assert np.abs(np.abs(roots[:, 0] * roots[:, 1]) - 1.0).max() < 1e-10
+    roots = _fiber_roots(_fiber_coeffs(wt_family_poly("R", 2.5), thetas))
+    c = np.cos(thetas) ** 2
+    assert np.abs(np.abs(roots[:, 0] * roots[:, 1]) - np.abs(3.0 - 4.0 * c)).max() < 1e-10
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf])
@@ -439,6 +409,12 @@ def test_measure_invariant_under_swap_cubic_quartic_fibers(expr):
     p = parse_poly(expr)
     swapped = monomial_transform(p, ((0, 1), (1, 0)))
     assert abs(mahler_jensen(p).value - mahler_jensen(swapped).value) < 1e-12
+
+
+def _coeffs_at(cx, x):
+    """Per-point reference for ``_coeffs_grid``: the fiber coefficients at
+    one x as monomial sums."""
+    return [sum(c * x ** i for i, c in cm.items()) if cm else 0j for cm in cx]
 
 
 def _scalar_count_outside(cx, theta):

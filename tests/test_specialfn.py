@@ -17,8 +17,8 @@ from mahler.specialfn import (
     hurwitz_zeta,
     kronecker_symbol,
     l_deriv_minus1,
+    _t1_point,
     m_A_dilog,
-    verify_x1_on_resultant,
 )
 
 CATALAN = 0.9159655941772190   # sum of the defining series at z = i
@@ -174,4 +174,25 @@ def test_r3_decomposition():
 
 
 def test_x1_and_parametrisation():
-    assert verify_x1_on_resultant()
+    # the algebraic data behind m_A_dilog: the torus point
+    # x1 = (3 + i sqrt(5+2 sqrt 13))/(1 + sqrt 13) is a unimodular root of
+    # x^4+x^3-x^2+x+1, and x = (t-2)/(t^2-t+1), y = (-t-1)/(t^2-t+1) sends
+    # t1 to (x1, 1/x1)
+    s = math.sqrt(5.0 + 2.0 * math.sqrt(13.0))
+    x1 = complex(3.0, s) / (1.0 + math.sqrt(13.0))
+    assert abs((((x1 + 1.0) * x1 - 1.0) * x1 + 1.0) * x1 + 1.0) < 1e-12
+    assert abs(abs(x1) - 1.0) < 1e-12
+    t1 = _t1_point()
+    den = t1 * t1 - t1 + 1.0
+    assert abs((t1 - 2.0) / den - x1) < 1e-12
+    assert abs((-t1 - 1.0) / den - 1.0 / x1) < 1e-12
+    # Res_y(A, A*) = 3 x^2 (x^4+x^3-x^2+x+1) for A = y^2 + (1-x) y + (x^2+x)
+    # and A* = x^2 y^2 A(1/x, 1/y) = (1+x) y^2 + (x^2-x) y + x^2, through the
+    # 2x2 resultant (af - cd)^2 - (ae - bd)(bf - ce) of a y^2 + b y + c and
+    # d y^2 + e y + f
+    for x in (0.7 + 0.4j, -1.3 + 0.9j, 2.2 - 0.5j):
+        a, b, c = 1.0, 1.0 - x, x * x + x
+        d, e, f = 1.0 + x, x * x - x, x * x
+        res = (a * f - c * d) ** 2 - (a * e - b * d) * (b * f - c * e)
+        target = 3.0 * x * x * ((((x + 1.0) * x - 1.0) * x + 1.0) * x + 1.0)
+        assert abs(res - target) < 1e-9 * max(1.0, abs(target))
