@@ -2,8 +2,8 @@
 
 Submodules:
   lpoly     exact Laurent polynomials, parser, Newton polygon, temperedness
-  quad      1D quadrature (tanh-sinh / adaptive Gauss-Kronrod) and the 2D
-            torus trapezoid oracle
+  quad      1D tanh-sinh quadrature on finite intervals and the 2D torus
+            trapezoid oracle
   measure   the generic Jensen-formula Mahler measure engine
   families  the parametric families P_k, Q_k, R_k: closed-form measures and
             piecewise derivative formulas
@@ -31,7 +31,7 @@ from .lpoly import (
     is_tempered,
     cyclotomic,
 )
-from .quad import QuadResult, SingularityHint, integrate, integrate_torus2
+from .quad import QuadResult, integrate, integrate_torus2
 from .measure import (
     MeasureResult,
     mahler_jensen,

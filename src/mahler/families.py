@@ -39,7 +39,7 @@ from .elliptic import _pq_period, period_integral
 from .errors import RegimeBoundaryError
 from .lpoly import monomial_transform, parse_poly
 from .measure import MeasureResult, mahler_jensen
-from .quad import SingularityHint, integrate
+from .quad import integrate
 
 __all__ = [
     "R_THRESHOLD",
@@ -261,7 +261,7 @@ def _sum_pieces(pieces, tol):
     for f, lo, hi in pieces:
         if hi - lo < 1e-15:
             continue
-        r = integrate(f, lo, hi, SingularityHint.inverse_sqrt_both(), tol / n)
+        r = integrate(f, lo, hi, tol / n)
         total += r.value
         err += r.err_est
     return total, err

@@ -327,7 +327,11 @@ def _tokenize(text):
             start = pos
             while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
-            toks.append((_TOK_INT, int(text[start:pos]), start))
+            try:
+                value = int(text[start:pos])
+            except ValueError:      # longer than int()'s digit limit
+                raise ParseError("integer literal too long", start) from None
+            toks.append((_TOK_INT, value, start))
             continue
         if ch.isalpha():
             start = pos

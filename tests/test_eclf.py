@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,7 +29,6 @@ from mahler.eclf import (
     _truncation_m,
 )
 from mahler.errors import ResolutionError
-from mahler.quad import SingularityHint, integrate
 
 
 def test_discriminants_factor_over_conductor_primes():
@@ -388,19 +388,15 @@ def test_l_deriv_at_zero_sign_and_value():
 
 
 def test_e1_branches():
-    # series vs continued fraction, both against quadrature
+    # series vs continued fraction, both against mpmath
     for x in (0.3, 0.9, 1.0, 1.5, 4.0):
-        r = integrate(lambda t, x=x: math.exp(-t) / t, x, math.inf,
-                      SingularityHint.none(), 1e-13)
-        assert abs(exp_e1(x) - r.value) < 1e-13
+        assert abs(exp_e1(x) - float(mpmath.expint(1, x))) < 1e-13
 
 
 def test_upper_gamma_against_quadrature():
     for s in (0.7, 1.3, 2.0, 0.0):
         for x in (0.4, 1.1, 3.0):
-            r = integrate(lambda t, s=s: t ** (s - 1.0) * math.exp(-t),
-                          x, math.inf, SingularityHint.none(), 1e-13)
-            assert abs(upper_gamma(s, x) - r.value) < 1e-12
+            assert abs(upper_gamma(s, x) - float(mpmath.gammainc(s, x))) < 1e-12
 
 
 def test_curve_ldata_is_frozen_record():

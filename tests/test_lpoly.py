@@ -53,7 +53,9 @@ def test_parse_negative_exponents():
     pytest.param("(" * 248 + "x" + ")" * 248, id="nested-248"),
     # non-ASCII digits: "²" raised a bare ValueError from int(), and
     # "x+١" (Arabic-Indic one) parsed as 1+x
-    "²", "x+١"])
+    "²", "x+١",
+    # longer than int()'s 4,300-digit limit; it raised a bare ValueError
+    pytest.param("1" * 5000, id="digits-5000")])
 def test_parse_syntax_errors_carry_position(text):
     with pytest.raises(ParseError) as exc:
         parse_poly(text)

@@ -1,4 +1,5 @@
-"""Quadrature: closed forms, hints, additivity, error-estimate behaviour."""
+"""Quadrature: closed forms, endpoint singularities, additivity,
+error-estimate behaviour."""
 
 import math
 import random
@@ -7,87 +8,34 @@ import numpy as np
 import pytest
 
 from mahler.errors import QuadratureError
-from mahler.quad import (SingularityHint, _de_weight, _level_nodes, _tanh_sinh,
-                         _tanh_sinh_pieces, integrate, integrate_torus2)
+from mahler.quad import (_de_weight, _level_nodes, _tanh_sinh_pieces, integrate,
+                         integrate_torus2)
 from torus_rows import row_means
 
 
 def test_constant():
-    r = integrate(lambda x: 1.0, 0.0, 1.0, SingularityHint.none(), 1e-12)
+    r = integrate(lambda x: 1.0, 0.0, 1.0, 1e-12)
     assert abs(r.value - 1.0) < 1e-14
-    assert r.err_est < 1e-14
+    assert r.err_est <= 1e-12
     assert r.evals > 0
-
-
-def _arcsine_integrand():
-    # distance-aware form of 1/sqrt(c(1-c)): the singular factor nearest the
-    # endpoint is computed from the exact offset handed over by the rule
-    def f(c, d):
-        if d > 0:
-            return 1.0 / math.sqrt(d * (1.0 - c))
-        return 1.0 / math.sqrt(c * (-d))
-    f.needs_endpoint_distance = True
-    return f
-
-
-def test_arcsine_integral():
-    r = integrate(_arcsine_integrand(), 0.0, 1.0,
-                  SingularityHint.inverse_sqrt_both(), 1e-12)
-    assert abs(r.value - math.pi) < 1e-12
 
 
 def test_arcsine_blackbox_error_is_reported():
     # a plain black-box integrand cannot beat ~sqrt(eps) here; the estimate
     # must own up to that
-    r = integrate(lambda c: 1.0 / math.sqrt(c * (1.0 - c)), 0.0, 1.0,
-                  SingularityHint.inverse_sqrt_both(), 1e-12)
+    r = integrate(lambda c: 1.0 / math.sqrt(c * (1.0 - c)), 0.0, 1.0, 1e-12)
     assert abs(r.value - math.pi) < 1e-6
     assert abs(r.value - math.pi) <= r.err_est
 
 
-def test_landen_integrand_both_sides():
-    # same identity the elliptic module verifies, here through the public
-    # 1D interface at k = 10
-    k = 10.0
-    s = math.sqrt(k * k + 16.0)
-    r_low = -0.5 * k * (k + s)
-    r_high = -4.0 * k * k / r_low
-
-    def lhs(c, d):
-        cc = d if d > 0 else c
-        omc = (1.0 - c) if d > 0 else -d
-        q = (64.0 * c - 48.0) * c + k * k
-        return 1.0 / math.sqrt(cc * omc * q)
-    lhs.needs_endpoint_distance = True
-
-    def rhs(v, d):
-        va = d if d > 0 else (v + 12.0)
-        vb = (r_high - v) if d > 0 else -d
-        return 1.0 / math.sqrt(va * vb * (v - r_low))
-    rhs.needs_endpoint_distance = True
-
-    ra = integrate(lhs, 0.0, 1.0, SingularityHint.inverse_sqrt_both(), 1e-13)
-    rb = integrate(rhs, -12.0, r_high, SingularityHint.inverse_sqrt_both(), 1e-13)
-    assert abs(ra.value - rb.value) < 2e-10
-
-
 def test_one_variable_jensen_is_zero():
-    # int_0^pi log|2 cos t| dt = 0, log singularity declared at pi/2
-    r = integrate(lambda t: math.log(abs(2.0 * math.cos(t))), 0.0, math.pi,
-                  SingularityHint.log_interior(math.pi / 2), 1e-12)
-    assert abs(r.value) < 1e-11
+    # int_0^pi log|2 cos t| dt = 0, split at the log singularity pi/2
+    def f(t):
+        return math.log(abs(2.0 * math.cos(t)))
 
-
-def test_infinite_intervals():
-    r = integrate(lambda x: math.exp(-x), 0.0, math.inf,
-                  SingularityHint.none(), 1e-12)
-    assert abs(r.value - 1.0) < 1e-12
-    r = integrate(lambda x: 1.0 / (1.0 + x * x), -math.inf, math.inf,
-                  SingularityHint.none(), 1e-12)
-    assert abs(r.value - math.pi) < 1e-11
-    r = integrate(lambda x: math.exp(x), -math.inf, 0.0,
-                  SingularityHint.none(), 1e-12)
-    assert abs(r.value - 1.0) < 1e-12
+    total = sum(integrate(f, lo, hi, 0.5e-12).value
+                for lo, hi in ((0.0, math.pi / 2), (math.pi / 2, math.pi)))
+    assert abs(total) < 1e-11
 
 
 def test_additivity_on_random_analytic_integrands():
@@ -101,22 +49,22 @@ def test_additivity_on_random_analytic_integrands():
 
         a, b = -1.3, 2.1
         c = rng.uniform(a + 0.2, b - 0.2)
-        whole = integrate(f, a, b, SingularityHint.none(), 1e-12)
-        left = integrate(f, a, c, SingularityHint.none(), 1e-12)
-        right = integrate(f, c, b, SingularityHint.none(), 1e-12)
+        whole = integrate(f, a, b, 1e-12)
+        left = integrate(f, a, c, 1e-12)
+        right = integrate(f, c, b, 1e-12)
         assert abs(whole.value - left.value - right.value) <= \
             whole.err_est + left.err_est + right.err_est + 1e-13
 
 
 def test_err_est_monotone_under_tightening():
     corpus = [
-        (lambda x: math.exp(-x * x), 0.0, 2.0, SingularityHint.none()),
-        (lambda x: math.sin(3 * x) / (1 + x * x), -1.0, 4.0, SingularityHint.none()),
-        (lambda x: math.log(x), 0.0, 1.0, SingularityHint.inverse_sqrt_left()),
+        (lambda x: math.exp(-x * x), 0.0, 2.0),
+        (lambda x: math.sin(3 * x) / (1 + x * x), -1.0, 4.0),
+        (lambda x: math.log(x), 0.0, 1.0),
     ]
-    for f, a, b, hint in corpus:
-        loose = integrate(f, a, b, hint, 1e-6)
-        tight = integrate(f, a, b, hint, 1e-7)
+    for f, a, b in corpus:
+        loose = integrate(f, a, b, 1e-6)
+        tight = integrate(f, a, b, 1e-7)
         assert tight.err_est <= loose.err_est * (1.0 + 1e-12)
 
 
@@ -125,20 +73,25 @@ def test_nan_propagates_with_abscissa():
         return math.nan if 0.4 < x < 0.6 else 1.0
 
     with pytest.raises(QuadratureError) as exc:
-        integrate(f, 0.0, 1.0, SingularityHint.none(), 1e-10)
+        integrate(f, 0.0, 1.0, 1e-10)
     assert exc.value.abscissa is not None
 
 
 def test_bad_arguments():
     with pytest.raises(ValueError):
-        integrate(lambda x: x, 1.0, 0.0, SingularityHint.none(), 1e-10)
+        integrate(lambda x: x, 1.0, 0.0, 1e-10)
     with pytest.raises(ValueError):
-        integrate(lambda x: x, 0.0, 1.0, SingularityHint.none(), -1.0)
+        integrate(lambda x: x, 0.0, 1.0, -1.0)
     with pytest.raises(ValueError, match="tol must be positive"):
-        integrate(lambda x: x, 0.0, 1.0, SingularityHint.none(), math.nan)
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, 0.0, math.inf,
-                  SingularityHint.inverse_sqrt_both(), 1e-10)
+        integrate(lambda x: x, 0.0, 1.0, math.nan)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
+                                  (-math.inf, math.inf), (math.nan, 1.0),
+                                  (0.0, math.nan)])
+def test_non_finite_endpoints_raise(a, b):
+    with pytest.raises(ValueError, match="endpoints must be finite"):
+        integrate(lambda x: 1.0, a, b, 1e-10)
 
 
 def test_torus2_constant():
@@ -252,7 +205,7 @@ def test_pieces_rule_matches_scalar_rule(name):
     pieces = _tanh_sinh_pieces(F, edges, 1e-11)
     assert len(pieces) == len(edges) - 1
     for r, lo, hi in zip(pieces, edges[:-1], edges[1:]):
-        ref = _tanh_sinh(f, lo, hi, 1e-11)
+        ref = integrate(f, lo, hi, 1e-11)
         assert abs(r.value - ref.value) <= 1e-15 * abs(ref.value)
         assert abs(r.err_est - ref.err_est) <= 1e-15
         assert r.evals == ref.evals
@@ -273,5 +226,5 @@ def test_pieces_rule_interior_nan_raises_with_abscissa(edges):
     assert 0.4 < exc.value.abscissa < 0.6
     if len(edges) == 2:
         with pytest.raises(QuadratureError) as ref:
-            _tanh_sinh(f, edges[0], edges[1], 1e-10)
+            integrate(f, edges[0], edges[1], 1e-10)
         assert exc.value.abscissa == ref.value.abscissa
