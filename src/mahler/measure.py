@@ -38,6 +38,16 @@ the new nodes of all unconverged pieces with one call of the fiber kernel
 ``_fiber_logplus``, so the fibers of a whole level are solved in one
 ``batch_roots`` call.
 
+Every fiber solve, of the scan rows, the polish, the quadrature levels and
+the torus rows below, goes through ``_solve_fibers`` to ``batch_roots``,
+which solves fibers through degree 4 in closed form (Cardano's and
+Ferrari's formulas for the cubics and quartics, with a Newton polish) and
+takes companion-matrix eigenvalues only for the rows that polish rejects.
+Both engines first divide P by the power of 2 that puts its largest
+coefficient modulus in [0.5, 1) (``_unit_scaled``) and add its logarithm
+back, so a fiber coefficient, a sum of terms, neither overflows nor goes
+subnormal.
+
 The direct two-dimensional torus average is kept as an independent,
 lower-accuracy oracle.  It does not use Jensen's formula, the crossing
 scan, the cuts or the tanh-sinh rule: it averages log|P| over trapezoid
@@ -96,6 +106,19 @@ def _y_coeff_polys(P):
     jmin = min(ycof)
     jmax = max(ycof)
     return [ycof.get(j, {}) for j in range(jmin, jmax + 1)]
+
+
+def _unit_scaled(cx):
+    """The coefficient polynomials ``cx`` divided by the power of 2, 2^e,
+    that puts their largest modulus in [0.5, 1), and e log 2, which the
+    measure gains back.  The division is exact (``ldexp`` of the real and
+    imaginary parts).  It keeps a fiber coefficient, a sum of terms, from
+    overflowing or going subnormal where every term is finite, as for P
+    times 1e308 or 2^-1060."""
+    e = math.frexp(max(abs(c) for cm in cx for c in cm.values()))[1]
+    scaled = [{i: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+               for i, c in cm.items()} for cm in cx]
+    return scaled, e * math.log(2.0)
 
 
 _BLOCK_ENTRIES = 4096   # angles times x-exponents per block of _coeffs_grid
@@ -325,9 +348,6 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
     cell's inner half.
     """
     exps, table = coeff_table
-    # scaled by a power of 2, so that no square below overflows: the count
-    # and the root solver take 1e200 * R_3, so the polish must too
-    table = table * 2.0 ** -np.frexp(np.abs(table).max())[1]
     ext = (exps, np.hstack([table, 1j * exps[:, None] * table]))
     n = len(a)
     mid = 0.5 * (a + b)
@@ -466,15 +486,17 @@ def _crossing_angles(coeff_table):
 def mahler_jensen(P, tol=1e-10):
     """Logarithmic Mahler measure of a real-coefficient Laurent polynomial.
 
+    P is first divided by a power of 2, 2^e (``_unit_scaled``), and
+    e log 2 is added back, so P times 1e308 or 2^-1060 works as P does.
     Raises ValueError for the zero polynomial, a symbolic k or a tol that
     is not positive (NaN included), and QuadratureError for a NaN or
     infinite coefficient."""
-    cx = _y_coeff_polys(P)
+    cx, log_scale = _unit_scaled(_y_coeff_polys(P))
     if not tol > 0:
         raise ValueError("tol must be positive")
     d = len(cx) - 1
     if d == 0:
-        return MeasureResult(mahler_1var(cx[0]), 1e-15, "jensen_1d")
+        return MeasureResult(log_scale + mahler_1var(cx[0]), 1e-15, "jensen_1d")
 
     lead_measure, lead_roots = _solve_1var(cx[d])
     degen = _unit_circle_angles(lead_roots)
@@ -492,16 +514,17 @@ def mahler_jensen(P, tol=1e-10):
         total += r.value
         err += r.err_est
 
-    value = lead_measure + total / math.pi
+    value = log_scale + lead_measure + total / math.pi
     return MeasureResult(value, err / math.pi + 1e-13, "jensen_1d")
 
 
-def _torus_row_means(P):
+def _torus_row_means(cx):
     """The means of log|P(e^{i tx}, e^{i ty})| over the y-angles ty, one
-    per x-angle tx: the row means of the trapezoid grid, in the contract of
+    per x-angle tx, for the coefficient polynomials ``cx`` of P in y (see
+    ``_y_coeff_polys``; clearing the lowest y-power leaves |P| unchanged on
+    the torus): the row means of the trapezoid grid, in the contract of
     ``integrate_torus2``, which passes ty as the uniform grid
-    ty_l = ty_0 + 2 pi l / n, l = 0..n-1.  Clearing the lowest y-power in
-    ``_y_coeff_polys`` leaves |P| unchanged on the torus.
+    ty_l = ty_0 + 2 pi l / n, l = 0..n-1.
 
     Each row is summed in closed form from the roots of its fiber
     f = c_d prod_i (y - r_i), solved by ``_solve_fibers``: with
@@ -522,7 +545,7 @@ def _torus_row_means(P):
     counts as 1e-300, and the square under the last log is clamped at
     1e-300 (a grid point on the curve P = 0), so the mean stays finite.
     """
-    coeff_table = _coeff_table(_y_coeff_polys(P))
+    coeff_table = _coeff_table(cx)
 
     def g(tx, ty):
         n = len(ty)
@@ -551,8 +574,11 @@ def mahler_torus2(P, tol=1e-5, n_max=1 << 16):
     points costs n fiber solves, not n^2 evaluations, and holds no n x n
     array.  That is why n_max can default to 2^16: Q_6, whose singular zero
     (x, y) = (-1, 1) slows the convergence, meets tol 1e-5 at n = 2^13.
-    Raises ValueError for the zero polynomial or a symbolic k, when n_max
-    is below the starting grid size 16, or when tol is not positive (NaN
-    included), and QuadratureError for a NaN or infinite coefficient."""
-    r = integrate_torus2(_torus_row_means(P), tol=tol, n_max=n_max)
-    return MeasureResult(r.value, r.err_est, "torus_2d")
+    As in ``mahler_jensen``, P is divided by a power of 2 first and its
+    logarithm added back.  Raises ValueError for the zero polynomial or a
+    symbolic k, when n_max is below the starting grid size 16, or when tol
+    is not positive (NaN included), and QuadratureError for a NaN or
+    infinite coefficient."""
+    cx, log_scale = _unit_scaled(_y_coeff_polys(P))
+    r = integrate_torus2(_torus_row_means(cx), tol=tol, n_max=n_max)
+    return MeasureResult(log_scale + r.value, r.err_est, "torus_2d")

@@ -8,9 +8,11 @@ Three entry points:
   the companion-matrix eigenvalues take over).  Degrees in this package are
   tiny (<= 8), so robustness beats speed.
 * ``batch_roots`` solves many polynomials of one degree at once: the same
-  closed forms applied to whole arrays through degree 2, and the eigenvalues
-  of the stacked companion matrices in one LAPACK call beyond.  The Jensen
-  engine's fiber solves go through it.
+  closed forms applied to whole arrays through degree 2, Cardano's and
+  Ferrari's formulas with a Newton polish for cubics and quartics, and the
+  eigenvalues of the stacked companion matrices in one LAPACK call for the
+  rows that polish rejects and for degree 5 and up.  Every fiber solve of
+  the Jensen engine and of the torus oracle goes through it.
 * ``count_outside`` counts, without solving, how many roots of each of many
   polynomials of one degree lie outside a circle, by the Schur-Cohn
   recursion; rows it cannot decide in floating point are flagged for a
@@ -168,8 +170,9 @@ def _quadratic_rows(c0, c1, c2):
     q = -0.5 * np.where((np.conj(c1) * sq).real > 0.0, c1 + sq, c1 - sq)
     roots = np.stack([q / c2, c0 / q], axis=1)
     at_zero = c0 == 0      # q == 0 only happens here
-    roots[at_zero, 0] = 0.0
-    roots[at_zero, 1] = -c1[at_zero] / c2[at_zero]
+    if at_zero.any():
+        roots[at_zero, 0] = 0.0
+        roots[at_zero, 1] = -c1[at_zero] / c2[at_zero]
     return roots
 
 
@@ -195,30 +198,247 @@ def _quadratic_batch(c):
         return _quadratic_rows(*np.ldexp(parts, -e[:, None]).view(complex)[..., 0])
 
 
+_OMEGA = np.exp(2j * np.pi / 3.0 * np.arange(3))[:, None]   # the cube roots of 1
+_OMEGA_BAR = np.conj(_OMEGA)
+
+
+def _cubic_rows(a0, a1, a2):
+    """Cardano's roots of the monic cubics w^3 + a2 w^2 + a1 w + a0 over
+    arrays of coefficients, as a (3, n) array.
+
+    With w = t - a2/3 the cubic is t^3 + p t + q, whose roots are
+    omega^k u + omega^-k v (k = 0, 1, 2) for u^3 = -q/2 -+ sqrt(q^2/4 +
+    p^3/27) and v = -p/(3u).  Of the two signs u^3 takes the one of larger
+    modulus, which does not cancel.  u = 0 only at a triple root
+    (p = q = 0), whose row comes out NaN."""
+    s = a2 / 3.0
+    p3 = (a1 - a2 * s) / 3.0
+    h = 0.5 * a0 - s * (0.5 * a1 - s * s)     # q/2
+    sq = np.sqrt(h * h + p3 * p3 * p3)
+    sq *= np.copysign(1.0, (np.conj(h) * sq).real)
+    u = (-h - sq) ** (1.0 / 3.0)
+    return _OMEGA * u - _OMEGA_BAR * (p3 / u) - s
+
+
+def _quartic_rows(a0, a1, a2, a3):
+    """Ferrari's roots of the monic quartics w^4 + a3 w^3 + a2 w^2 + a1 w +
+    a0 over arrays of coefficients, as a (4, n) array.
+
+    With w = t - a3/4 the quartic is t^4 + p t^2 + q t + r.  For a root y
+    of the resolvent cubic y^3 + p y^2 + (p^2/4 - r) y - q^2/8 and
+    sigma = sqrt(2y) it factors as (t^2 - sigma t + p/2 + y + q/(2 sigma))
+    (t^2 + sigma t + p/2 + y - q/(2 sigma)), whose roots ``_quadratic_rows``
+    gives.  y is the resolvent root of largest modulus, which is 0 only at
+    a quadruple root (p = q = r = 0), whose row comes out NaN."""
+    n = len(a0)
+    s = 0.25 * a3
+    ss = s * s
+    p = a2 - 6.0 * ss
+    q = a1 - 2.0 * s * (a2 - 4.0 * ss)
+    r = a0 - s * (a1 - s * (a2 - 3.0 * ss))
+    ys = _cubic_rows(-0.125 * q * q, 0.25 * p * p - r, p)
+    y = ys[np.abs(ys).argmax(axis=0), np.arange(n)]
+    sigma = np.sqrt(2.0 * y)
+    g = q / (2.0 * sigma)
+    h = 0.5 * p + y
+    t = _quadratic_rows(np.concatenate([h + g, h - g]), np.concatenate([-sigma, sigma]),
+                        np.ones(2 * n))
+    return t.reshape(2, n, 2).transpose(0, 2, 1).reshape(4, n) - s
+
+
+_NEWTON_STEPS = 2
+_ACCEPT = 8 * np.finfo(float).eps   # accepted relative residual and Vieta defect
+_GAP = 1e4          # root modulus ratio above which the small roots restart
+
+
+def _newton_rows(a, w):
+    """Two Newton steps from the roots ``w`` (m, n) of the monic rows
+    w^m + a[m-1] w^(m-1) + ... + a[0]; returns the roots and a mask of the
+    rows they are accepted for.
+
+    A row is accepted when, after the last step, every residual |p(w)| is
+    within 8 ulps of sum_j |a_j| |w|^j, and the roots sum to -a[m-1]
+    within 8 ulps of sum |w| (Vieta), which catches two roots drawn to
+    one.  NaN fails both."""
+    w = w.copy()
+    for _ in range(_NEWTON_STEPS):      # p and p' by Horner's rule, in place
+        p = w + a[-1]
+        dp = w + p
+        p *= w
+        p += a[-2]
+        for c in a[-3::-1]:
+            dp *= w
+            dp += p
+            p *= w
+            p += c
+        p /= dp
+        w -= p
+    p = w + a[-1]
+    mod = np.abs(w)
+    size = np.abs(a)
+    scale = mod + size[-1]
+    for c, s in zip(a[-2::-1], size[-2::-1]):
+        p *= w
+        p += c
+        scale *= mod
+        scale += s
+    ok = ((np.abs(p) <= _ACCEPT * scale).all(axis=0)
+          & (np.abs(w.sum(axis=0) + a[-1]) <= _ACCEPT * mod.sum(axis=0)))
+    return w, ok
+
+
+def _low_roots(a, k):
+    """Roots of the truncations a[0] + a[1] w + ... + a[k] w^k (k <= 3) of
+    the rows ``a``, as a (k, n) array: to first order the k smallest roots
+    of the rows, where they lie far below the others."""
+    if k == 1:
+        return -a[:1] / a[1]
+    if k == 2:
+        return _quadratic_rows(a[0], a[1], a[2]).T
+    return _cubic_rows(a[0] / a[3], a[1] / a[3], a[2] / a[3])
+
+
+def _restart_small_roots(a, w):
+    """The roots ``w`` (m, n) of the monic rows ``a``, with the roots below
+    the widest gap in modulus replaced by those of the truncation that has
+    as many (``_low_roots``)."""
+    m = len(a)
+    mod = np.abs(w)
+    order = np.argsort(-mod, axis=0)
+    desc = np.take_along_axis(mod, order, axis=0)
+    small = m - 1 - (desc[:-1] / desc[1:]).argmax(axis=0)
+    cols = np.arange(w.shape[1])
+    for k in range(1, m):
+        sel = small == k
+        if sel.any():
+            w[order[m - k:, sel], cols[sel]] = _low_roots(a[:, sel], k)
+    return w
+
+
+def _closed_form_roots(a):
+    """Roots of the monic cubics or quartics w^m + a[m-1] w^(m-1) + ... +
+    a[0] (``a`` of shape (m, n), m = 3 or 4) by Cardano's or Ferrari's
+    formula and ``_newton_rows``; returns the (m, n) roots and a mask of
+    the rows they are accepted for.
+
+    The formulas give each root to within a few ulps of the largest root
+    modulus, so a root many orders of magnitude below the others comes out
+    as rounding noise, which a Newton step reduces only by a factor eps,
+    and its row fails; so do the small roots of a quartic with one huge
+    root, which Ferrari's shift by -a3/4 swamps.  Where the roots of such
+    a row spread by more than _GAP in modulus, the small ones restart from
+    the low-order truncation, whose roots are theirs to first order in the
+    modulus ratio (-a0/a1 for one tiny root, a quadratic for two, a cubic
+    for three), and the row is polished again."""
+    w, ok = _newton_rows(a, _cubic_rows(*a) if len(a) == 3 else _quartic_rows(*a))
+    if not ok.all():
+        mod = np.abs(w[:, ~ok])
+        rows = np.flatnonzero(~ok)[mod.min(axis=0) * _GAP < mod.max(axis=0)]
+        if len(rows):
+            w[:, rows], ok[rows] = _newton_rows(
+                a[:, rows], _restart_small_roots(a[:, rows], w[:, rows]))
+    return w, ok
+
+
+def _companion_roots(monic):
+    """Roots of the monic rows z^m + monic[:, m-1] z^(m-1) + ... +
+    monic[:, 0], as the eigenvalues of their stacked companion matrices in
+    one ``np.linalg.eigvals`` call, which is backward stable (Edelman &
+    Murakami, "Polynomial roots from companion matrix eigenvalues",
+    Math. Comp. 64, 1995)."""
+    n, m = monic.shape
+    companion = np.zeros((n, m, m), dtype=complex)
+    companion.reshape(n, m * m)[:, m::m + 1] = 1.0      # the subdiagonal
+    companion[:, :, -1] = -monic
+    return np.linalg.eigvals(companion)
+
+
+_UNSCALED = 2.0 ** 32   # monic coefficient size up to which a row is not scaled
+
+
+def _monic_rows(c):
+    """The rows of ``c`` (n, m + 1), m >= 3, with c0 and c_m nonzero, as
+    monic polynomials in w = z / 2^e: returns the (m, n) array of their
+    lower coefficients and the exponents e (None when every e is 0).
+
+    A row whose largest monic coefficient modulus lies within 2^+-32 is
+    taken as it is: its roots lie below 2^33, so no power in the closed
+    forms overflows.  Any other row takes the 2^e within a factor 2 above
+    its root size bound max_j |c_j / c_m|^(1/(m-j)), which puts every
+    coefficient below 2 in modulus, and is scaled exactly (``ldexp`` of the
+    real and imaginary parts).  Either way a power-of-2 scale of a row
+    changes nothing."""
+    m = c.shape[1] - 1
+    a = np.ascontiguousarray((c[:, :m] / c[:, m:]).T)
+    size = np.abs(a).max(axis=0)
+    far = ~((size >= 1.0 / _UNSCALED) & (size <= _UNSCALED))
+    if not far.any():
+        return a, None
+    cf = c[far]
+    ex = np.frexp(np.abs(cf))[1]
+    bound = np.where(cf[:, :m] != 0, (ex[:, :m] - ex[:, m:]) / np.arange(m, 0, -1), -np.inf)
+    e = np.zeros(len(c), dtype=int)
+    e[far] = np.ceil(bound.max(axis=1))
+    shift = np.arange(-m, 1) * e[far, None] - ex[:, m:]
+    scaled = np.empty_like(cf)
+    scaled.real = np.ldexp(cf.real, shift)
+    scaled.imag = np.ldexp(cf.imag, shift)
+    a[:, far] = (scaled[:, :m] / scaled[:, m:]).T
+    return a, e
+
+
 def batch_roots(coeffs):
     """Roots of n polynomials of one degree m >= 1, solved together.
 
     ``coeffs`` holds n rows of m + 1 ascending coefficients, each row with a
     nonzero leading coefficient; the result is the (n, m) complex array of
-    their roots, in no particular order within a row.  Degrees 1 and 2 use
-    the closed forms of ``poly_roots``; degree 3 and up take the eigenvalues
-    of the stacked companion matrices in one ``np.linalg.eigvals`` call,
-    which is backward stable (Edelman & Murakami, "Polynomial roots from
-    companion matrix eigenvalues", Math. Comp. 64, 1995).
+    their roots, in no particular order within a row.  n may be 0; a row
+    with a NaN or infinite coefficient gets NaN roots.
+
+    Degrees 1 and 2 use the closed forms of ``poly_roots``.  From degree 3
+    on, zero roots are split off exactly, and the rows are made monic, in a
+    variable scaled by a power of 2 where their size calls for it
+    (``_monic_rows``).  Cubics and quartics are then solved by Cardano's and
+    Ferrari's formulas with a Newton polish, vectorised over the rows
+    (``_closed_form_roots``).  The rows that polish does not accept, and
+    every row of degree 5 and up, take the eigenvalues of their companion
+    matrices (``_companion_roots``).
     """
     c = np.asarray(coeffs, dtype=complex)
     n, m = c.shape[0], c.shape[1] - 1
     lead = c[:, -1]
     if not lead.all():
         raise ValueError("leading coefficient is zero")
+    if n == 0:
+        return np.empty((0, m), dtype=complex)
+    if not np.isfinite(c).all():
+        finite = np.isfinite(c).all(axis=1)
+        roots = np.full((n, m), np.nan, dtype=complex)
+        if finite.any():
+            roots[finite] = batch_roots(c[finite])
+        return roots
     if m == 1:
         return (-c[:, 0] / lead)[:, None]
     if m == 2:
         return _quadratic_batch(c)
-    companion = np.zeros((n, m, m), dtype=complex)
-    companion.reshape(n, m * m)[:, m::m + 1] = 1.0      # the subdiagonal
-    companion[:, :, -1] = -c[:, :m] / c[:, m:]
-    return np.linalg.eigvals(companion)
+    zero = c[:, 0] == 0
+    if zero.any():
+        roots = np.zeros((n, m), dtype=complex)
+        roots[zero, 1:] = batch_roots(c[zero, 1:])
+        if not zero.all():
+            roots[~zero] = batch_roots(c[~zero])
+        return roots
+    with np.errstate(all="ignore"):
+        a, e = _monic_rows(c)
+        if m <= 4:
+            w, ok = _closed_form_roots(a)
+        else:
+            w, ok = np.empty((m, n), dtype=complex), np.zeros(n, dtype=bool)
+        if not ok.all():
+            w[:, ~ok] = _companion_roots(a[:, ~ok].T).T
+        if e is not None:
+            w *= np.ldexp(1.0, e)
+    return w.T
 
 
 _SCHUR_FLAG = 1e-8   # relative pivot gap at or below which a row is undecided

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from mahler import measure
+from mahler import measure, rootfind
 from mahler.lpoly import LaurentPoly2, monomial_transform, parse_poly
 from mahler.errors import QuadratureError
 from mahler.measure import (
@@ -26,6 +26,7 @@ from mahler.measure import (
     _solve_fibers,
     _torus_row_means,
     _unit_circle_angles,
+    _unit_scaled,
     _y_coeff_polys,
     mahler_1var,
     mahler_jensen,
@@ -263,7 +264,7 @@ def _torus_grid(n):
 @pytest.mark.parametrize("poly", TORUS_INTEGRAND_POLYS, ids=str)
 def test_torus_integrand_matches_eval_grid(poly):
     t = _torus_grid(64)
-    new = _torus_row_means(poly)(t, t)
+    new = _torus_row_means(_y_coeff_polys(poly))(t, t)
     ref = _eval_grid_log_abs(poly)(t, t)
     assert new.shape == (64,)
     assert np.max(np.abs(new - ref)) < 1e-12
@@ -331,7 +332,7 @@ def test_torus_row_sums_match_per_point(poly, n):
     # row passes near the curve P = 0, in either evaluation (P_3 at n = 256:
     # 1.0e-12 against the product, which is itself 6e-13 from eval_grid)
     t = _torus_grid(n)
-    got = _torus_row_means(poly)(t, t)
+    got = _torus_row_means(_y_coeff_polys(poly))(t, t)
     ref = _per_point_log_abs(poly)(t, t)
     assert got.shape == (n,)
     assert abs(got.sum() - ref.sum()) / n < 1e-13
@@ -344,7 +345,8 @@ def test_torus_flip_row_is_solved_reversed():
     poly = _flip_row_poly()
     coeffs = _coeffs_grid(_coeff_table(_y_coeff_polys(poly)), t)
     assert np.flatnonzero(_solve_fibers(coeffs)[0]).tolist() == [5]
-    assert abs(_torus_row_means(poly)(t, t)[5] - _per_point_log_abs(poly)(t, t)[5]) < 1e-13
+    row_means = _torus_row_means(_y_coeff_polys(poly))(t, t)
+    assert abs(row_means[5] - _per_point_log_abs(poly)(t, t)[5]) < 1e-13
 
 
 def test_torus_grid_point_on_the_curve_is_finite():
@@ -355,7 +357,7 @@ def test_torus_grid_point_on_the_curve_is_finite():
         warnings.simplefilter("error")
         for n in (16, 1024):
             t = _torus_grid(n)
-            assert np.all(np.isfinite(_torus_row_means(parse_poly("x-y"))(t, t)))
+            assert np.all(np.isfinite(_torus_row_means(_y_coeff_polys(parse_poly("x-y")))(t, t)))
         res = mahler_torus2(parse_poly("x-y"), n_max=1024)
     assert math.isfinite(res.value)
 
@@ -404,8 +406,9 @@ def test_tol_must_be_positive(engine, tol):
 
 @pytest.mark.parametrize("expr", CUBIC_QUARTIC_FIBERS)
 def test_measure_invariant_under_swap_cubic_quartic_fibers(expr):
-    # the swapped polynomial has fibers of degree <= 2 (closed forms), the
-    # original runs the companion kernel: two independent paths
+    # the swapped polynomial has fibers of degree <= 2 (quadratic closed
+    # forms), the original cubic and quartic ones (Cardano, Ferrari): two
+    # independent paths
     p = parse_poly(expr)
     swapped = monomial_transform(p, ((0, 1), (1, 0)))
     assert abs(mahler_jensen(p).value - mahler_jensen(swapped).value) < 1e-12
@@ -780,7 +783,7 @@ def test_polish_vanishing_lead_without_runtime_warnings():
                       np.array([3]), *SCAN_ENDS)
 
 
-def _eigvals_count(table, thetas):
+def _solved_count(table, thetas):
     """The outside count from root moduli alone, as reference for the
     Schur-Cohn count."""
     mags = np.abs(_fiber_roots(_coeffs_grid(table, thetas)))
@@ -793,13 +796,13 @@ SCHUR_POLYS = ([family_poly("P", 3)] + [family_poly("R", k) for k in (1, 3, 5)]
 
 
 @pytest.mark.parametrize("poly", SCHUR_POLYS, ids=str)
-def test_schur_count_agrees_with_eigvals_where_decided(poly, monkeypatch):
+def test_schur_count_agrees_with_root_solve_where_decided(poly, monkeypatch):
     table = _coeff_table(_y_coeff_polys(poly))
     angles = []
 
     def recording(table, thetas):
         angles.append(np.array(thetas))
-        return _eigvals_count(table, thetas)
+        return _solved_count(table, thetas)
 
     monkeypatch.setattr(measure, "_count_outside", recording)
     cuts = _crossing_angles(table)
@@ -808,14 +811,14 @@ def test_schur_count_agrees_with_eigvals_where_decided(poly, monkeypatch):
     thetas = np.concatenate(angles)        # the scan grid, the polish checks, trees
     counts, undecided = count_outside(_coeffs_grid(table, thetas), 1.0 + _BAND)
     decided = ~undecided
-    assert (counts[decided] == _eigvals_count(table, thetas)[decided]).all()
+    assert (counts[decided] == _solved_count(table, thetas)[decided]).all()
 
 
-def test_all_flagged_polynomial_takes_the_eigvals_fallback():
+def test_all_flagged_polynomial_takes_the_root_solve():
     table = _coeff_table(_y_coeff_polys(parse_poly(ALL_FLAGGED)))
     grid = _scan_grid()
     assert count_outside(_coeffs_grid(table, grid), 1.0 + _BAND)[1].all()
-    assert (_count_outside(table, grid) == _eigvals_count(table, grid)).all()
+    assert (_count_outside(table, grid) == _solved_count(table, grid)).all()
 
 
 def test_exactly_vanishing_lead_is_counted_at_the_lower_degree():
@@ -848,7 +851,7 @@ def test_jensen_batch_call_count(monkeypatch):
 
 def test_jensen_solves_few_cubic_rows(monkeypatch):
     # the Schur-Cohn count leaves only its undecided rows, and the
-    # quadrature's nodes, to the eigenvalue solver
+    # quadrature's nodes, to the root solver
     rows = []
 
     def counting(coeffs):
@@ -859,6 +862,85 @@ def test_jensen_solves_few_cubic_rows(monkeypatch):
     monkeypatch.setattr(measure, "batch_roots", counting)
     mahler_jensen(family_poly("R", 3))
     assert sum(rows) <= 400
+
+
+def _companion_route(coeffs):
+    """``batch_roots`` as it was: the quadratic closed forms through degree
+    2, the stacked companion eigenvalues beyond."""
+    c = np.asarray(coeffs, dtype=complex)
+    if c.shape[1] <= 3:
+        return batch_roots(c)
+    return rootfind._companion_roots(c[:, :-1] / c[:, -1:])
+
+
+ROUTE_POLYS = ([parse_poly(e) for e in CUBIC_QUARTIC_FIBERS]
+               + [family_poly("R", k) for k in (1, 3, 5)])
+
+
+@pytest.mark.parametrize("poly", ROUTE_POLYS, ids=str)
+def test_jensen_matches_the_companion_route(poly, monkeypatch):
+    table = _coeff_table(_unit_scaled(_y_coeff_polys(poly))[0])
+    value, cuts = mahler_jensen(poly).value, _crossing_angles(table)
+    monkeypatch.setattr(measure, "batch_roots", _companion_route)
+    assert abs(mahler_jensen(poly).value - value) <= 1e-14
+    assert len(_crossing_angles(table)) == len(cuts)
+
+
+def _count_fallback_rows(monkeypatch):
+    rows = []
+    companion = rootfind._companion_roots
+
+    def counting(monic):
+        rows.append(len(monic))
+        return companion(monic)
+
+    monkeypatch.setattr(rootfind, "_companion_roots", counting)
+    return rows
+
+
+def test_torus_r3_takes_no_eigenvalues_and_matches_the_companion_route(monkeypatch):
+    rows = _count_fallback_rows(monkeypatch)
+    value = mahler_torus2(family_poly("R", 3), tol=1e-5).value
+    assert rows == []
+    monkeypatch.undo()
+    monkeypatch.setattr(measure, "batch_roots", _companion_route)
+    assert abs(mahler_torus2(family_poly("R", 3), tol=1e-5).value - value) <= 1e-14
+
+
+def test_jensen_fallback_rows_pinned(monkeypatch):
+    # every cubic and quartic fiber of these runs is solved in closed form,
+    # the near-circle rows of the scan and the polish included
+    rows = _count_fallback_rows(monkeypatch)
+    for poly in ROUTE_POLYS:
+        mahler_jensen(poly)
+    assert sum(rows) == 0
+
+
+SCALED_POLYS = {"1+x+y": parse_poly("1+x+y"), "A": parse_poly(A_POLY),
+                "P_3": family_poly("P", 3), "R_3": family_poly("R", 3)}
+
+
+@pytest.mark.parametrize("engine", [mahler_jensen, mahler_torus2])
+@pytest.mark.parametrize("name", SCALED_POLYS)
+def test_engines_normalise_the_coefficient_scale(name, engine):
+    # a fiber coefficient is a sum of terms, which overflows or goes
+    # subnormal although every term is finite, unless P is scaled first
+    poly = SCALED_POLYS[name]
+    base = engine(poly).value
+    for scale, log_scale in [(2.0 ** 1022, 1022 * math.log(2.0)),
+                             (2.0 ** 1023, 1023 * math.log(2.0)),
+                             (2.0 ** -1060, -1060 * math.log(2.0)),
+                             (1e308, math.log(1e308))]:
+        terms = {e: c * scale for e, c in poly.terms.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not all(math.isfinite(c) for c in terms.values()):
+                with pytest.raises(QuadratureError):    # 3 * 2^1023 is no float
+                    engine(LaurentPoly2(terms))
+                continue
+            res = engine(LaurentPoly2(terms))
+        err = abs(res.value - (log_scale + base))
+        assert err <= 1.6e-13 and err <= res.err_est
 
 
 def test_root_magnitudes_trim_flip_and_vanishing_rows():

@@ -1,13 +1,17 @@
-"""Aberth-Ehrlich root finder against the companion-matrix oracle, and the
-Schur-Cohn outside count against known roots."""
+"""Aberth-Ehrlich root finder against the companion-matrix oracle, the
+batched closed forms against mpmath, and the Schur-Cohn outside count
+against known roots."""
 
+import math
 import random
 import warnings
 
+import mpmath
 import numpy as np
 
 import pytest
 
+from mahler import rootfind
 from mahler.rootfind import aberth_roots, batch_roots, count_outside, poly_roots, residual_scale
 
 
@@ -84,6 +88,8 @@ def test_batch_roots_match_poly_roots():
                 row[-1] += 1.0
             rows.append(row)
         rows.append([0.0] + [1.0] * d)          # a zero root
+        rows.append([1e-20] + [1.0] * d)        # a tiny root
+        rows.append([0.0, 0.0] + [1.0] * (d - 1) if d > 1 else [2.0, 1.0])
         batch = batch_roots(rows)
         assert batch.shape == (len(rows), d)
         for row, roots in zip(rows, batch):
@@ -114,6 +120,218 @@ def test_batch_quadratic_extreme_magnitudes():
 def test_batch_roots_rejects_zero_leading_coefficient():
     with pytest.raises(ValueError):
         batch_roots([[1.0, 2.0, 3.0, 0.0]])
+
+
+def _fallback_calls(monkeypatch):
+    """The monic rows of each call of the eigenvalue fallback, as it runs."""
+    calls = []
+    companion = rootfind._companion_roots
+
+    def recording(monic):
+        calls.append(np.array(monic))
+        return companion(monic)
+
+    monkeypatch.setattr(rootfind, "_companion_roots", recording)
+    return calls
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_batch_roots_edge_contract(m, monkeypatch):
+    # no rows give an (0, m) array; a non-finite coefficient gives NaN roots
+    # at every degree, and its row never reaches the eigenvalue fallback
+    assert batch_roots(np.zeros((0, m + 1))).shape == (0, m)
+    calls = _fallback_calls(monkeypatch)
+    good = [1.0, -2.0, 0.5j, 3.0, -1.0, 2.0][:m + 1]
+    rows = np.array([good, good, good, good], dtype=complex)
+    rows[1, 0] = np.nan
+    rows[2, -1] = np.inf
+    rows[3, m // 2] = complex(-np.inf, 1.0)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        roots = batch_roots(rows)
+    assert roots.shape == (4, m)
+    assert np.isnan(roots[1:]).all() and not np.isnan(roots[0]).any()
+    assert np.array_equal(roots[0], batch_roots([good])[0])
+    assert all(np.isfinite(monic).all() for monic in calls)
+
+
+def _mp_roots(row):
+    """Roots of the ascending ``row`` by ``mpmath.polyroots`` at 50 digits,
+    plus the decades its nonzero coefficients span, so that a root far
+    below the others is resolved too.  Exact zero roots are split off."""
+    zeros = next(j for j, c in enumerate(row) if c != 0)
+    row = row[zeros:]
+    mags = [abs(c) for c in row if c != 0]
+    extra = int(math.log10(max(mags) / min(mags))) + 1
+    if len(row) == 2:
+        roots = [-complex(row[0]) / complex(row[1])]
+    else:
+        with mpmath.workdps(50 + extra):
+            roots = mpmath.polyroots([mpmath.mpc(complex(c)) for c in reversed(row)],
+                                     maxsteps=500, extraprec=100)
+    return np.array([0j] * zeros + [complex(r) for r in roots])
+
+
+def _rel_errors(mine, ref):
+    """|z - r| / |r| for each reference root r, matched to the nearest of
+    ``mine`` left, the smallest r first (an exact zero root must come out
+    exactly 0), and the matched roots, in that order."""
+    left = list(mine)
+    errs, matched = [], []
+    for r in sorted(ref, key=abs):
+        z = left.pop(int(np.argmin([abs(z - r) for z in left])))
+        errs.append(abs(z - r) / abs(r) if r != 0 else (0.0 if z == 0 else math.inf))
+        matched.append(z)
+    return np.array(errs), np.array(matched)
+
+
+def _condition(row, ref):
+    """Relative condition number sum_j |c_j| |r|^j / (|r| |p'(r)|) of each
+    root r, at least 1, in the order of ``_rel_errors``."""
+    ref = np.array(sorted(ref, key=abs))
+    row = np.asarray(row)[:, None]
+    j = np.arange(len(row))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = (np.abs(row) * np.abs(ref) ** j).sum(axis=0)
+        slope = np.abs((j[1:] * row[1:] * ref ** (j[1:] - 1)).sum(axis=0))
+        return np.maximum(np.nan_to_num(scale / (np.abs(ref) * slope), nan=1.0), 1.0)
+
+
+def _assert_accurate(rows, ulps=16):
+    """Each root within ``ulps`` eps of relative error per unit of its
+    condition number, against mpmath: the roots are those of a polynomial
+    within a few ulps of each row.  Returns the reference roots of each
+    row, ascending in modulus, and the roots matched to them."""
+    rows = np.asarray(rows, dtype=complex)
+    pairs = []
+    for row, roots in zip(rows, batch_roots(rows)):
+        ref = _mp_roots(row)
+        errs, matched = _rel_errors(roots, ref)
+        assert np.all(errs <= ulps * np.finfo(float).eps * _condition(row, ref)), (row, errs)
+        pairs.append((np.array(sorted(ref, key=abs)), matched))
+    return pairs
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_closed_form_random_rows_match_mpmath(m, real):
+    rng = np.random.default_rng(7 + m)
+    rows = rng.standard_normal((60, m + 1))
+    if not real:
+        rows = rows + 1j * rng.standard_normal((60, m + 1))
+    _assert_accurate(rows)
+    if real:    # a real row's roots come in conjugate pairs
+        for roots in batch_roots(rows):
+            assert _rel_errors(np.conj(roots), roots)[0].max() <= 1e-13
+
+
+def _rows_from_roots(root_sets):
+    return np.array([np.poly(r)[::-1] for r in root_sets])
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_closed_form_roots_on_and_near_the_circle(m):
+    rng = np.random.default_rng(11 * m)
+    sets = []
+    for off in (0.0, 1e-9, -1e-9):
+        for _ in range(20):
+            rho = 1.0 + off * np.where(np.arange(m) % 2, 1.0, -1.0)
+            sets.append(rho * np.exp(1j * rng.uniform(-np.pi, np.pi, m)))
+        for a, b in rng.uniform(0.1, 3.0, (20, 2)):
+            # real rows: conjugate pairs on or next to the circle
+            pair = [(1 + off) * np.exp(1j * a), (1 + off) * np.exp(-1j * a)]
+            rest = [(1 - off) * np.exp(1j * b), (1 - off) * np.exp(-1j * b)] if m == 4 else [-1.0]
+            sets.append(np.array(pair + rest))
+    for ref, mine in _assert_accurate(_rows_from_roots(sets)):
+        # the side of the circle, where the reference is more than 1e-12 off it
+        sure = np.abs(np.abs(ref) - 1.0) > 1e-12
+        assert np.array_equal(np.abs(mine[sure]) > 1.0, np.abs(ref[sure]) > 1.0)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_closed_form_clusters_no_worse_than_eigenvalues(m):
+    rng = np.random.default_rng(5 * m)
+    sets = []
+    for _ in range(40):
+        centre = rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        others = 2.0 * rng.standard_normal(m - 2) + 2j * rng.standard_normal(m - 2)
+        sets.append(np.concatenate([[centre, centre + 1e-8 * np.exp(1j * rng.uniform(0, 7))],
+                                    others]))
+    rows = _rows_from_roots(sets)
+    eig = rootfind._companion_roots(rows[:, :-1] / rows[:, -1:])
+    for row, mine, theirs in zip(rows, batch_roots(rows), eig):
+        ref = _mp_roots(row)
+        assert _rel_errors(mine, ref)[0].max() <= 2.0 * _rel_errors(theirs, ref)[0].max()
+
+
+TINY_ROWS = [
+    [1e-300, 3.0, 0.0, 1.0],                    # y^3 + 3y + eps: one tiny root
+    [5e-303, 3.0, 0.0, 1.0],
+    [1e-17, 3.0, 0.0, 1.0],
+    [-2e-200, 1.0 - 2.0j, 0.5, 1.0],
+    [1e-300, 0.0, 1.0, 4.0, -3.0],              # -3y^4 + 4y^3 + y^2 + eps: two
+    [1e-120j, 0.0, 1.0, 4.0, -3.0],
+    [1e-17, 0.0, 1.0, 4.0, -3.0],
+    [3e-250, 2e-125, 1.0, 4.0, -3.0],
+    [1e-200, 1.0, 0.0, 1.0, 4.0],               # one tiny root of a quartic
+    [1.0, 3.0, -2.0, 1e-7],                     # two, three roots far below
+    [1.0, 1.0, 3.0, -2.0, 1e-7],                # the last one (a small lead)
+    [0.0, 3.0, 0.0, 1.0],                       # exact zero roots
+    [0.0, 0.0, 1.0, 1.0],
+    [0.0, 2.0, 1.0, 4.0, -3.0],
+    [0.0, 0.0, 1.0, 4.0, -3.0],
+    [0.0, 0.0, 0.0, 1.0, 4.0],
+]
+
+
+@pytest.mark.parametrize("row", TINY_ROWS, ids=str)
+def test_closed_form_tiny_and_zero_roots(row, monkeypatch):
+    # the closed forms resolve them: no row goes to the eigenvalues
+    monkeypatch.setattr(rootfind, "_companion_roots", None)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        batch_roots([row])
+    _assert_accurate([row])
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_closed_form_extreme_magnitudes(m):
+    # the scalings of the quadratic test: 2^+-600 is exact, 1e+-200 rounds
+    # the coefficients, which moves a root by its condition number in ulps
+    sets = [[2.0 + 1j, -3.0, 1.0 - 0.5j, 0.25j][:m], [0.5, 3.0, -1.5j, 2.0 + 2j][:m]]
+    rows = np.concatenate([_rows_from_roots(sets),
+                           [[2.0 + 1j, -3.0, 1.0 - 0.5j, 1.0, 0.7][:m + 1],
+                            [1e-17, 3.0, 0.0, 1.0, 2.0][:m + 1],
+                            [1.0, 1e8, 1.0, 1.0, 1.0][:m + 1]]])
+    plain = batch_roots(rows)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for scale in (2.0 ** 600, 2.0 ** -600):
+            assert np.array_equal(batch_roots(rows * scale), plain)
+        for scale in (1e200, 1e-200):
+            for row, mine, ref in zip(rows, batch_roots(rows * scale), plain):
+                errs = _rel_errors(mine, ref)[0]
+                assert np.all(errs <= 4e-16 * _condition(row, ref))
+
+
+def test_newton_check_rejects_two_roots_on_one():
+    # w^3 - 6w^2 + 11w - 6 = (w - 1)(w - 2)(w - 3) from the starts 1, 1, 3:
+    # every residual vanishes, but the roots sum to 5, not 6
+    a = np.array([[-6.0], [11.0], [-6.0]], dtype=complex)
+    w, ok = rootfind._newton_rows(a, np.array([[1.0], [1.0], [3.0]], dtype=complex))
+    assert np.array_equal(w[:, 0], [1.0, 1.0, 3.0]) and not ok[0]
+    assert rootfind._newton_rows(a, np.array([[1.0], [2.0], [3.0]], dtype=complex))[1][0]
+
+
+def test_rejected_row_takes_the_eigenvalue_fallback(monkeypatch):
+    # (y - 1)^3: Cardano's u is 0 at a triple root, so the row fails the
+    # check; the row beside it is accepted and keeps its closed-form roots
+    calls = _fallback_calls(monkeypatch)
+    good = [2.0 + 1j, -3.0, 1.0 - 0.5j, 1.0]
+    roots = batch_roots([[-1.0, 3.0, -3.0, 1.0], good])
+    assert [len(monic) for monic in calls] == [1]
+    assert np.abs(roots[0] - 1.0).max() < 1e-4      # a triple root: eps^(1/3)
+    assert _rel_errors(roots[1], _mp_roots(good))[0].max() <= 1e-15
 
 
 KNOWN_ROOTS = [0.3 * np.exp(0.4j), 0.6, 1.7 * np.exp(2j), 2.5 * np.exp(-1j), 3.0,
