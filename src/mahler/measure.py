@@ -13,11 +13,8 @@ are located up front.  Spikes come from the unit-circle roots of a_d.
 Crossings come from the number of roots outside the circle: the fiber
 coefficients are evaluated at all angles of a uniform scan grid at once (in
 blocks of angles, so memory does not grow with the x-degree times the grid
-size), and the roots outside are counted for the whole grid in one call.
-Fibers of degree 1 and 2 are counted from their roots, solved in one
-``batch_roots`` call; cubic and quartic fibers (degree 3 and up) are counted
-without solving, by the Schur-Cohn recursion ``rootfind.count_outside``, and
-only the rows it leaves undecided are solved.  Every cell where the count
+size), and the roots outside are counted for the whole grid from the fiber
+roots, solved in one ``batch_roots`` call.  Every cell where the count
 changes holds a torus point of the curve P = 0, where the kink sits, and
 all cells are polished together by Newton's method on the two real
 equations Re, Im P(e^{it}, e^{i phi}) = 0, from the cell midpoint and the
@@ -38,11 +35,12 @@ the new nodes of all unconverged pieces with one call of the fiber kernel
 ``_fiber_logplus``, so the fibers of a whole level are solved in one
 ``batch_roots`` call.
 
-Every fiber solve, of the scan rows, the polish, the quadrature levels and
-the torus rows below, goes through ``_solve_fibers`` to ``batch_roots``,
-which solves fibers through degree 4 in closed form (Cardano's and
-Ferrari's formulas for the cubics and quartics, with a Newton polish) and
-takes companion-matrix eigenvalues only for the rows that polish rejects.
+Every fiber solve, of the scan and probe counts, the polish, the quadrature
+levels and the torus rows below, goes through ``_solve_fibers`` to
+``batch_roots``, which solves fibers through degree 4 in closed form
+(Cardano's and Ferrari's formulas for the cubics and quartics, with a Newton
+polish) and takes companion-matrix eigenvalues only for the rows that polish
+rejects.
 Both engines first divide P by the power of 2 that puts its largest
 coefficient modulus in [0.5, 1) (``_unit_scaled``) and add its logarithm
 back, so a fiber coefficient, a sum of terms, neither overflows nor goes
@@ -68,7 +66,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .quad import _tanh_sinh_pieces, integrate_torus2
-from .rootfind import batch_roots, count_outside, poly_roots
+from .rootfind import batch_roots, poly_roots
 
 __all__ = [
     "MeasureResult",
@@ -77,7 +75,6 @@ __all__ = [
     "mahler_1var",
 ]
 
-_DROP_REL = 1e-12          # relative size below which a leading coeff counts as 0
 _UNIT_CLAMP = 1e-12        # |root| this close to 1 contributes log+ = 0 exactly
 _FLIP_REL = 1e-8           # relative lead below which the reversed fiber is solved
 
@@ -247,51 +244,17 @@ def _fiber_roots(coeffs):
 
 
 def _fiber_logplus(coeff_table, thetas):
-    """sum_i log+ |y_i| at x = e^{i theta} for an array of angles.
-
-    The fibers are solved together by ``_fiber_roots``.  For fibers
-    with (numerically) real coefficients and degree 2, a negative
-    discriminant means both roots share the modulus sqrt(|c0/c2|); such a
-    pair contributes log+ |c0/c2| exactly, with no branch ambiguity, and
-    is not solved.
-    """
-    coeffs = _coeffs_grid(coeff_table, thetas)
-    out = np.zeros(len(coeffs))
-    solve = np.ones(len(coeffs), dtype=bool)
-    if coeffs.shape[1] == 3:
-        scale = np.abs(coeffs).max(axis=1)
-        # scaled by a power of 2, exact, so that the discriminant of
-        # coefficients near 1e+-200 neither overflows nor underflows
-        c0, c1, c2 = np.ldexp(coeffs.real.T, -np.frexp(scale)[1])
-        shortcut = ((np.abs(coeffs.imag).max(axis=1) <= 1e-13 * scale)
-                    & (np.abs(coeffs[:, 2].real) > _DROP_REL * scale)
-                    & (c1 * c1 - 4.0 * c2 * c0 < 0.0))
-        out[shortcut] = np.log(np.maximum(np.abs(c0[shortcut] / c2[shortcut]), 1.0))
-        solve = ~shortcut
-    if solve.any():
-        mags = np.abs(_fiber_roots(coeffs[solve]))
-        out[solve] = np.log(np.maximum(mags, 1.0)).sum(axis=1)
-    return out
+    """sum_i log+ |y_i| at x = e^{i theta} for an array of angles, from the
+    fiber roots, solved together by ``_fiber_roots``."""
+    mags = np.abs(_fiber_roots(_coeffs_grid(coeff_table, thetas)))
+    return np.log(np.maximum(mags, 1.0)).sum(axis=1)
 
 
 def _count_outside(coeff_table, thetas):
-    """Number of fiber roots with |y| > 1 + _BAND at each angle.
-
-    Fibers of degree 3 and up are counted without a root solve by
-    ``count_outside``; the rows it leaves undecided, and those whose lead
-    is below the flip threshold, are solved together by
-    ``_fiber_roots``, as are all fibers of degree 1 and 2, whose closed
-    forms cost no more than the count.
-    """
-    coeffs = _coeffs_grid(coeff_table, thetas)
-    if coeffs.shape[1] <= 3:
-        return np.count_nonzero(np.abs(_fiber_roots(coeffs)) > 1.0 + _BAND, axis=1)
-    counts, solve = count_outside(coeffs, 1.0 + _BAND)
-    solve |= np.abs(coeffs[:, -1]) < _FLIP_REL * np.abs(coeffs).max(axis=1)
-    if solve.any():
-        counts[solve] = np.count_nonzero(
-            np.abs(_fiber_roots(coeffs[solve])) > 1.0 + _BAND, axis=1)
-    return counts
+    """Number of fiber roots with |y| > 1 + _BAND at each angle, from the
+    fiber roots, solved together by ``_fiber_roots``."""
+    mags = np.abs(_fiber_roots(_coeffs_grid(coeff_table, thetas)))
+    return np.count_nonzero(mags > 1.0 + _BAND, axis=1)
 
 
 def _unit_circle_angles(roots):
@@ -576,9 +539,9 @@ def mahler_torus2(P, tol=1e-5, n_max=1 << 16):
     (x, y) = (-1, 1) slows the convergence, meets tol 1e-5 at n = 2^13.
     As in ``mahler_jensen``, P is divided by a power of 2 first and its
     logarithm added back.  Raises ValueError for the zero polynomial or a
-    symbolic k, when n_max is below the starting grid size 16, or when tol
-    is not positive (NaN included), and QuadratureError for a NaN or
-    infinite coefficient."""
+    symbolic k, when n_max is not a finite number at least the starting
+    grid size 16, or when tol is not positive (NaN included), and
+    QuadratureError for a NaN or infinite coefficient."""
     cx, log_scale = _unit_scaled(_y_coeff_polys(P))
     r = integrate_torus2(_torus_row_means(cx), tol=tol, n_max=n_max)
     return MeasureResult(log_scale + r.value, r.err_est, "torus_2d")

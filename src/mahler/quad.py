@@ -277,14 +277,15 @@ def integrate_torus2(g, tol=1e-6, n_max=4096):
     decides how a row is summed, and need not hold the n x n grid.
     ``QuadResult.evals`` counts the n^2 grid points of every grid.
 
-    Raises ValueError unless tol > 0 (a NaN tol included) and n_max is at
-    least the first grid size 16, and QuadratureError when the sum of the
-    row means is not finite.
+    Raises ValueError unless tol > 0 (a NaN tol included) and n_max is a
+    finite number at least the first grid size 16, and QuadratureError when
+    the sum of the row means is not finite.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if n_max < _N_START:
-        raise ValueError(f"n_max ({n_max}) must be at least the first grid size {_N_START}")
+    if not (n_max >= _N_START and math.isfinite(n_max)):
+        raise ValueError(f"n_max ({n_max}) must be a finite number at least the first grid "
+                         f"size {_N_START}")
     offset = 0.5857864376269049  # 2 - sqrt(2), fixed for determinism
     sums = []
     evals = 0

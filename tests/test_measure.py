@@ -34,7 +34,7 @@ from mahler.measure import (
 )
 from mahler.families import family_poly, p_measure, q_measure, r_measure, wt_family_poly
 from mahler.quad import _level_nodes, integrate_torus2
-from mahler.rootfind import batch_roots, count_outside, poly_roots
+from mahler.rootfind import batch_roots, poly_roots
 from torus_rows import row_means
 
 SMYTH = 0.3230659472194505     # m(x+y-1) = L'(chi_-3, -1)
@@ -51,8 +51,8 @@ CUBIC_QUARTIC_FIBERS = [
     "-2*y^2-3*y^3+2*x*y+3*x*y^2-1*x*y^3+1*x*y^4+1*x^2+1*x^2*y-2*x^2*y^2",
 ]
 A_POLY = "x^2-x*y+y^2+x+y"
-# |a_0| = |a_m| on the whole circle: after the _BAND scaling the first Schur
-# pivot gap is about 2m * 1e-9, so the outside count flags every row
+# |a_0| = |a_m| on the whole circle, so no fiber's outside count can be
+# read off its end coefficients
 ALL_FLAGGED = "3-3*y^2+3*x+1*x*y^2-3*x*y^3-2*x^2*y-3*x^2*y^3"
 
 
@@ -281,8 +281,11 @@ def test_torus2_matches_eval_grid_integrand(poly):
 
 
 def test_torus2_rejects_n_max_below_start():
-    with pytest.raises(ValueError):
-        mahler_torus2(parse_poly("1+x+y"), n_max=8)
+    # a NaN n_max would run no grid, and an infinite one with a tol out of
+    # reach would double the grid until memory runs out
+    for n_max in (8, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mahler_torus2(parse_poly("1+x+y"), tol=1e-300, n_max=n_max)
 
 
 def _per_point_log_abs(P):
@@ -433,22 +436,23 @@ def _scalar_count_outside(cx, theta):
     return sum(1 for r in roots if abs(r) > 1.0 + _BAND)
 
 
-@pytest.mark.parametrize("poly", [family_poly("P", 3), family_poly("R", 3),
-                                  family_poly("R", 5), parse_poly(A_POLY)]
-                         + [parse_poly(e) for e in CUBIC_QUARTIC_FIBERS])
-def test_batched_outside_count_matches_scalar(poly):
-    cx = _y_coeff_polys(poly)
-    grid = _scan_grid()
-    batched = _count_outside(_coeff_table(cx), grid)
-    assert batched.tolist() == [_scalar_count_outside(cx, t) for t in grid]
-
-
 def _narrow_arc_poly():
     # y - 1.0001 ((1+x^3)/2)^200: 201 x-exponents, more than one block
     terms = {(0, 1): 1.0}
     for j in range(201):
         terms[(3 * j, 0)] = -1.0001 * math.comb(200, j) / 2.0 ** 200
     return LaurentPoly2(terms)
+
+
+@pytest.mark.parametrize("poly", [family_poly("P", 3)]
+                         + [family_poly("R", k) for k in (1, 3, 5)]
+                         + [parse_poly(A_POLY), _narrow_arc_poly()]
+                         + [parse_poly(e) for e in CUBIC_QUARTIC_FIBERS + [ALL_FLAGGED]])
+def test_batched_outside_count_matches_scalar(poly):
+    cx = _y_coeff_polys(poly)
+    grid = _scan_grid()
+    batched = _count_outside(_coeff_table(cx), grid)
+    assert batched.tolist() == [_scalar_count_outside(cx, t) for t in grid]
 
 
 def test_blocked_coefficients_match_pointwise_on_narrow_arc():
@@ -541,7 +545,7 @@ def _nodes_next_to_cuts(edges, levels=4):
     return np.array(xs)
 
 
-# wt P_3 has real quadratic fibers (the negative-discriminant shortcut);
+# wt P_3 has real quadratic fibers, some with a complex root pair;
 # the fourth has the lead (1-x)^2, whose fibers near t = 0 take the
 # reversed-polynomial branch; the last has quartic fibers
 KERNEL_POLYS = {
@@ -783,85 +787,39 @@ def test_polish_vanishing_lead_without_runtime_warnings():
                       np.array([3]), *SCAN_ENDS)
 
 
-def _solved_count(table, thetas):
-    """The outside count from root moduli alone, as reference for the
-    Schur-Cohn count."""
-    mags = np.abs(_fiber_roots(_coeffs_grid(table, thetas)))
-    return np.count_nonzero(mags > 1.0 + _BAND, axis=1)
-
-
-SCHUR_POLYS = ([family_poly("P", 3)] + [family_poly("R", k) for k in (1, 3, 5)]
-               + [parse_poly(A_POLY), _narrow_arc_poly()]
-               + [parse_poly(e) for e in CUBIC_QUARTIC_FIBERS + [ALL_FLAGGED]])
-
-
-@pytest.mark.parametrize("poly", SCHUR_POLYS, ids=str)
-def test_schur_count_agrees_with_root_solve_where_decided(poly, monkeypatch):
-    table = _coeff_table(_y_coeff_polys(poly))
-    angles = []
-
-    def recording(table, thetas):
-        angles.append(np.array(thetas))
-        return _solved_count(table, thetas)
-
-    monkeypatch.setattr(measure, "_count_outside", recording)
-    cuts = _crossing_angles(table)
-    monkeypatch.undo()
-    assert _crossing_angles(table) == cuts
-    thetas = np.concatenate(angles)        # the scan grid, the polish checks, trees
-    counts, undecided = count_outside(_coeffs_grid(table, thetas), 1.0 + _BAND)
-    decided = ~undecided
-    assert (counts[decided] == _solved_count(table, thetas)[decided]).all()
-
-
-def test_all_flagged_polynomial_takes_the_root_solve():
-    table = _coeff_table(_y_coeff_polys(parse_poly(ALL_FLAGGED)))
-    grid = _scan_grid()
-    assert count_outside(_coeffs_grid(table, grid), 1.0 + _BAND)[1].all()
-    assert (_count_outside(table, grid) == _solved_count(table, grid)).all()
-
-
 def test_exactly_vanishing_lead_is_counted_at_the_lower_degree():
-    # at x = 1 the fiber is y^2 + 2y + 3, both roots of modulus sqrt 3; the
-    # Schur-Cohn count would put the missing third root at infinity
+    # at x = 1 the fiber is y^2 + 2y + 3, both roots of modulus sqrt 3; a
+    # count at the formal degree 3 would put a third root at infinity
     table = _coeff_table(_y_coeff_polys(parse_poly("(1-x)*y^3+y^2+2*y+3")))
     assert _count_outside(table, np.array([0.0])).tolist() == [2]
 
 
 def test_jensen_batch_call_count(monkeypatch):
-    # scan grid, the polish's start roots and its count check, one call per
-    # tanh-sinh level; no bisection
-    calls = []
+    # outside the counts: the polish's start roots and one call per
+    # tanh-sinh level; the counts, of the scan grid and of the polish's
+    # probes, one call each and one root solve each; no bisection
+    calls = {False: 0, True: 0}     # batch_roots calls by whether a count made them
     counts = []
+    in_count = []
 
     def counting(coeffs):
-        calls.append(len(coeffs))
+        calls[bool(in_count)] += 1
         return batch_roots(coeffs)
 
     def counting_outside(table, thetas):
         counts.append(len(thetas))
-        return _count_outside(table, thetas)
+        in_count.append(True)
+        try:
+            return _count_outside(table, thetas)
+        finally:
+            in_count.pop()
 
     monkeypatch.setattr(measure, "batch_roots", counting)
     monkeypatch.setattr(measure, "_count_outside", counting_outside)
     mahler_jensen(family_poly("R", 3))
-    assert len(calls) <= 6
+    assert calls[False] <= 6
     assert len(counts) <= 2
-
-
-def test_jensen_solves_few_cubic_rows(monkeypatch):
-    # the Schur-Cohn count leaves only its undecided rows, and the
-    # quadrature's nodes, to the root solver
-    rows = []
-
-    def counting(coeffs):
-        if np.shape(coeffs)[1] > 3:
-            rows.append(len(coeffs))
-        return batch_roots(coeffs)
-
-    monkeypatch.setattr(measure, "batch_roots", counting)
-    mahler_jensen(family_poly("R", 3))
-    assert sum(rows) <= 400
+    assert calls[True] == len(counts)
 
 
 def _companion_route(coeffs):

@@ -1,6 +1,5 @@
-"""Aberth-Ehrlich root finder against the companion-matrix oracle, the
-batched closed forms against mpmath, and the Schur-Cohn outside count
-against known roots."""
+"""Aberth-Ehrlich root finder against the companion-matrix oracle, and the
+batched closed forms against mpmath."""
 
 import math
 import random
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from mahler import rootfind
-from mahler.rootfind import aberth_roots, batch_roots, count_outside, poly_roots, residual_scale
+from mahler.rootfind import aberth_roots, batch_roots, poly_roots, residual_scale
 
 
 def _match(mine, theirs, tol):
@@ -333,41 +332,3 @@ def test_rejected_row_takes_the_eigenvalue_fallback(monkeypatch):
     assert np.abs(roots[0] - 1.0).max() < 1e-4      # a triple root: eps^(1/3)
     assert _rel_errors(roots[1], _mp_roots(good))[0].max() <= 1e-15
 
-
-KNOWN_ROOTS = [0.3 * np.exp(0.4j), 0.6, 1.7 * np.exp(2j), 2.5 * np.exp(-1j), 3.0,
-               1.3 * np.exp(0.7j)]
-
-
-def _from_roots(roots):
-    return np.poly(roots)[::-1]     # ascending coefficients
-
-
-@pytest.mark.parametrize("radius", [1.0, 1.0 + 1e-9])
-def test_count_outside_known_roots(radius):
-    for n in range(3, 7):
-        subsets = [KNOWN_ROOTS[:n], KNOWN_ROOTS[-n:]]
-        counts, undecided = count_outside([_from_roots(r) for r in subsets], radius)
-        assert counts.tolist() == [sum(abs(z) > radius for z in r) for r in subsets]
-        assert not undecided.any()
-    real_row = _from_roots([0.6, 3.0, 1.7 * np.exp(2j), 1.7 * np.exp(-2j)])
-    assert np.abs(real_row.imag).max() < 1e-15
-    counts, undecided = count_outside([real_row.real], radius)
-    assert counts.tolist() == [3] and not undecided.any()
-
-
-def test_count_outside_flags_undecidable_rows():
-    rows = [_from_roots([0.5, 1.0, 2.0]),       # a root on the circle
-            _from_roots([0.5, 2.0, 3j]),        # y and 1/conj(y): a later
-                                                # transform is self-inversive
-            [0.0, 0.0, 0.0, 0.0],               # a vanishing row
-            [np.nan, 1.0, 2.0, 3.0]]            # a NaN never counts
-    assert count_outside(rows, 1.0)[1].tolist() == [True] * 4
-    assert count_outside([[1.0, 3.0, 1.0]], 1.0)[1].tolist() == [True]   # p* = p
-
-
-def test_count_outside_extreme_magnitudes():
-    row = _from_roots(KNOWN_ROOTS[:5])
-    with warnings.catch_warnings(), np.errstate(all="raise"):
-        warnings.simplefilter("error")
-        counts, undecided = count_outside([row * 1e200, row * 1e-200], 1.0)
-    assert counts.tolist() == [3, 3] and not undecided.any()
