@@ -423,17 +423,20 @@ def _coeffs_at(cx, x):
     return [sum(c * x ** i for i, c in cm.items()) if cm else 0j for cm in cx]
 
 
-def _scalar_count_outside(cx, theta):
-    """Per-point reference for the batched count: one poly_roots solve."""
+def _scalar_moduli(cx, theta):
+    """Per-point reference for the fiber root moduli: one poly_roots solve."""
     coeffs = _coeffs_at(cx, cmath.exp(1j * theta))
     scale = max(abs(c) for c in coeffs)
     if scale == 0.0:
-        return 0
+        return []
     if abs(coeffs[-1]) < 1e-8 * scale:
-        roots = [1.0 / z for z in poly_roots(coeffs[::-1]) if abs(z) > 1e-300]
-    else:
-        roots = poly_roots(coeffs)
-    return sum(1 for r in roots if abs(r) > 1.0 + _BAND)
+        return [1.0 / abs(z) for z in poly_roots(coeffs[::-1]) if abs(z) > 1e-300]
+    return [abs(z) for z in poly_roots(coeffs)]
+
+
+def _scalar_count_outside(cx, theta):
+    """Per-point reference for the batched count."""
+    return sum(1 for r in _scalar_moduli(cx, theta) if r > 1.0 + _BAND)
 
 
 def _narrow_arc_poly():
@@ -785,6 +788,70 @@ def test_polish_vanishing_lead_without_runtime_warnings():
         warnings.simplefilter("error")
         _polish_cells(table, np.array([-0.01]), np.array([0.01]), np.array([2]),
                       np.array([3]), *SCAN_ENDS)
+
+
+COUNT_POLYS = ([family_poly("P", 3)] + [family_poly("R", k) for k in (1, 3, 5)]
+               + [parse_poly(A_POLY), _narrow_arc_poly()]
+               + [parse_poly(e) for e in CUBIC_QUARTIC_FIBERS + [ALL_FLAGGED]])
+
+
+@pytest.mark.parametrize("poly", COUNT_POLYS, ids=str)
+def test_count_at_every_probed_angle_matches_scalar(poly, monkeypatch):
+    # the scan grid and, where there are crossings, the polish and bisection
+    # probes next to them; a bisection converges onto an angle where a root
+    # is within rounding of the band, and either count is right there
+    cx = _y_coeff_polys(poly)
+    table = _coeff_table(cx)
+    angles, counts = [], []
+
+    def recording(table, thetas):
+        angles.append(np.array(thetas))
+        counts.append(_count_outside(table, thetas))
+        return counts[-1]
+
+    monkeypatch.setattr(measure, "_count_outside", recording)
+    _crossing_angles(table)
+    thetas = np.concatenate(angles)
+    moduli = [_scalar_moduli(cx, t) for t in thetas]
+    decided = [min((abs(r - 1.0 - _BAND) for r in m), default=1.0) > 1e-12 for m in moduli]
+    assert all(decided[:len(angles[0])])      # the scan grid
+    expected = [sum(r > 1.0 + _BAND for r in m) for m in moduli]
+    got = np.concatenate(counts)
+    assert all(got[i] == expected[i] for i in range(len(thetas)) if decided[i])
+
+
+KNOWN_ROOTS = [0.3 * np.exp(0.4j), 0.6, 1.7 * np.exp(2j), 2.5 * np.exp(-1j), 3.0,
+               1.3 * np.exp(0.7j)]
+
+
+def _constant_count(rows):
+    """``_count_outside`` of fibers that do not depend on x, one per row of
+    ascending coefficients."""
+    return [_count_outside((np.zeros(1), np.array([row], dtype=complex)),
+                           np.zeros(1))[0] for row in rows]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_count_outside_known_roots(n):
+    subsets = [KNOWN_ROOTS[:n], KNOWN_ROOTS[-n:]]
+    rows = [np.poly(r)[::-1] for r in subsets]
+    assert _constant_count(rows) == [sum(abs(z) > 1.0 for z in r) for r in subsets]
+
+
+def test_count_outside_at_the_band():
+    rows = [np.poly([0.5, 1.0, 2.0])[::-1],             # a root on the circle
+            np.poly([0.5, 1.0 + 2 * _BAND, 2.0])[::-1],  # just outside the band
+            np.poly([0.5, 2.0, 3j])[::-1],              # y and 1/conj(y)
+            np.poly([np.exp(1j), np.exp(2j), np.exp(-1j)])[::-1],
+            [1.0, 3.0, 1.0]]                            # self-reciprocal
+    assert _constant_count(rows) == [1, 2, 2, 0, 1]
+
+
+def test_count_outside_extreme_magnitudes():
+    row = np.poly(KNOWN_ROOTS[:5])[::-1]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert _constant_count([row * 1e200, row * 1e-200]) == [3, 3]
 
 
 def test_exactly_vanishing_lead_is_counted_at_the_lower_degree():
