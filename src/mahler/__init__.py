@@ -46,7 +46,6 @@ from .elliptic import (
     landen_check,
 )
 from .families import (
-    FamilyPoint,
     CriticalRoots,
     R_THRESHOLD,
     family_poly,

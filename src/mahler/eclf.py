@@ -256,9 +256,34 @@ def _an_list(good_ap, bad_ap, M):
 # incomplete gamma machinery
 # ---------------------------------------------------------------------------
 
+def _gamma_cf(s, x):
+    """Gamma(s, x) = e^{-x} x^s / (x+1-s- 1(1-s)/(x+3-s- 2(2-s)/(...))), the
+    continued fraction evaluated by the modified Lentz method; it converges
+    fast for x >= s + 1.  At s = 0 it is E_1(x)."""
+    tiny = 1e-300
+    one_s = 1.0 - s
+    b = x + one_s
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for j in range(1, 300):
+        an = j * (s - j)
+        b = x + 2.0 * j + one_s
+        d = b + an * d
+        d = tiny if d == 0.0 else d
+        c = b + an / c
+        c = tiny if c == 0.0 else c
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return math.exp(-x + s * math.log(x)) * h
+
+
 def exp_e1(x):
     """Exponential integral E_1(x), x > 0: alternating series below 1, the
-    classic continued fraction with a_j = j^2 above (absolute error < 1e-14)."""
+    continued fraction of Gamma(0, x) above (absolute error < 1e-14)."""
     if x <= 0:
         raise ValueError("need x > 0")
     if x < 1.0:
@@ -270,25 +295,7 @@ def exp_e1(x):
             if abs(term) < 1e-18 * n:
                 break
         return total
-    # modified Lentz on 1/(x+1- 1/(x+3- 4/(x+5- 9/(...))))
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for j in range(1, 200):
-        an = -j * j
-        b = x + 2.0 * j + 1.0
-        d = b + an * d
-        d = tiny if d == 0.0 else d
-        c = b + an / c
-        c = tiny if c == 0.0 else c
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x) * h
+    return _gamma_cf(0.0, x)
 
 
 def upper_gamma(s, x):
@@ -306,25 +313,7 @@ def upper_gamma(s, x):
         # one step of Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s
         return (upper_gamma(s + 1.0, x) - x ** s * math.exp(-x)) / s
     if x >= s + 1.0:
-        # continued fraction (Lentz): Gamma(s,x) = e^-x x^s / (x+1-s- 1(1-s)/(x+3-s- ...))
-        tiny = 1e-300
-        b = x + 1.0 - s
-        c = 1.0 / tiny
-        d = 1.0 / b
-        h = d
-        for j in range(1, 300):
-            an = -j * (j - s)
-            b += 2.0
-            d = b + an * d
-            d = tiny if d == 0.0 else d
-            c = b + an / c
-            c = tiny if c == 0.0 else c
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            if abs(delta - 1.0) < 1e-16:
-                break
-        return math.exp(-x + s * math.log(x)) * h
+        return _gamma_cf(s, x)
     # lower-gamma series
     total = 1.0 / s
     term = 1.0 / s
@@ -402,35 +391,43 @@ def _lambda_theta(N, an, eps, s, theta, M):
     return float(A @ a + eps * (B @ a))
 
 
-def lambda_with_error(data, s, theta=1.0, tol=1e-11):
-    """Lambda(s) with a crude bound on the truncation tail."""
+_THETA = 1.0                # the cutoff theta at which Lambda(s) is evaluated
+_P_MAX = 1000               # point counts cover every prime up to here
+_RESOLVE_THRESHOLD = 1e-8   # theta-consistency residual a resolution must meet
+
+
+def lambda_with_error(data, s, tol=1e-11):
+    """Lambda(s) with a crude bound on the truncation tail, at the cutoff
+    theta = 1."""
     N = data.conductor
     M = _truncation_m(N, tol)
     an = _an_list(data.ap, data.bad_ap, M)
-    val = _lambda_theta(N, an, data.root_number, s, theta, M)
-    # |a_n| <= n; both gamma factors decay like e^{-2 pi n theta' / sqrt N}
-    r = math.exp(-2.0 * math.pi * min(theta, 1.0 / theta) / math.sqrt(N))
+    val = _lambda_theta(N, an, data.root_number, s, _THETA, M)
+    # |a_n| <= n; both gamma factors decay like e^{-2 pi n theta' / sqrt N},
+    # theta' = min(theta, 1/theta)
+    r = math.exp(-2.0 * math.pi * min(_THETA, 1.0 / _THETA) / math.sqrt(N))
     lead = (M + 1) ** 2 * r ** (M + 1) / max(1.0 - r, 1e-6)
     return val, 4.0 * lead
 
 
-def lambda_completed(data, s, theta=1.0, tol=1e-11):
+def lambda_completed(data, s, tol=1e-11):
     """Lambda(s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s) by the smoothed series."""
-    return lambda_with_error(data, s, theta, tol)[0]
+    return lambda_with_error(data, s, tol)[0]
 
 
-def resolve_bad_data(curve, N=None, p_max=1000, threshold=1e-8):
+def resolve_bad_data(curve, N=None):
     """Fix the root number and the bad-prime coefficients by searching the
     finite set {eps = +-1} x {a_q in {-1,0,1}} for the assignment that makes
     the smoothed Lambda(s) independent of the cutoff theta (probed at
-    s in {1, 2} with theta 1 and 5/4); accepts below ``threshold``.
+    s in {1, 2} with theta 1 and 5/4); accepts a residual below
+    ``_RESOLVE_THRESHOLD``.
 
     The probes sit at s = 1 and 2 because there the incomplete gammas have
     closed forms (e^{-x}, (1+x) e^{-x} and E_1), so the weights are numpy
     expressions; on 224, 210 and 15 they pin the same data as probes at
     s in {0.8, 1.3}, with every other candidate's residual above 1e-4.  The
-    point counts cover every prime up to ``p_max``; a prime of bad reduction
-    there that does not divide N raises ``ResolutionError``.
+    point counts cover every prime up to ``_P_MAX``; a prime of bad
+    reduction there that does not divide N raises ``ResolutionError``.
 
     The weight differences between the two thetas are built once per probe,
     and so is the part of the a_n that does not depend on the bad a_q; each
@@ -440,9 +437,9 @@ def resolve_bad_data(curve, N=None, p_max=1000, threshold=1e-8):
         N = curve.conductor
     if N is None:
         raise ValueError("no conductor supplied")
-    good_ap, bad_primes = _good_ap_table(curve, N, p_max)
+    good_ap, bad_primes = _good_ap_table(curve, N, _P_MAX)
     M = _truncation_m(N, 1e-11)
-    if M > p_max:
+    if M > _P_MAX:
         raise ResolutionError("P_max too small for the truncation length")
 
     # Lambda_1(s) - Lambda_{5/4}(s) = dA . a + eps dB . a at each probe s
@@ -461,7 +458,7 @@ def resolve_bad_data(curve, N=None, p_max=1000, threshold=1e-8):
             if best is None or resid < best[0]:
                 best = (resid, eps, bad_ap)
     resid, eps, bad_ap = best
-    if resid > threshold:
+    if resid > _RESOLVE_THRESHOLD:
         raise ResolutionError(
             f"no consistent local data below threshold (best residual {resid:.3e}); "
             "wrong conductor or insufficient P_max")

@@ -44,7 +44,6 @@ from .quad import integrate
 __all__ = [
     "R_THRESHOLD",
     "BOUNDARY_GUARD",
-    "FamilyPoint",
     "CriticalRoots",
     "family_poly",
     "wt_family_poly",
@@ -100,13 +99,6 @@ def wt_family_poly(family, k=None):
 # regimes
 # ---------------------------------------------------------------------------
 
-_BOUNDARIES = {
-    "P": (3.0,),
-    "Q": (3.0, 4.0),
-    "R": (TWO_SQRT2, R_THRESHOLD),
-}
-
-
 def _positive_k(k):
     """k as a float; ValueError unless 0 < k < inf.  The families P and R
     are even in k and pass |k|."""
@@ -131,26 +123,6 @@ def regime_tag(family, k):
             return "k<2sqrt2"
         return "2sqrt2<=k<16/3sqrt3" if k < R_THRESHOLD else "k>=16/3sqrt3"
     raise ValueError("family must be one of P, Q, R")
-
-
-@dataclass(frozen=True)
-class FamilyPoint:
-    """A family member located in its piecewise regime.  Construction rejects
-    parameters within the guard band of a regime boundary, where the
-    derivative formulas collide."""
-
-    family: str
-    k: float
-    regime: str
-
-    @classmethod
-    def from_k(cls, family, k):
-        regime = regime_tag(family, k)    # refuses the family or k first
-        for b in _BOUNDARIES[family]:
-            if abs(k - b) <= BOUNDARY_GUARD:
-                raise RegimeBoundaryError(
-                    f"family {family}: k = {k!r} sits on the regime boundary {b!r}")
-        return cls(family, float(k), regime)
 
 
 @dataclass(frozen=True)
@@ -192,9 +164,9 @@ def _t_roots(k):
     return (k / (4.0 * t2)) / (t2 + math.sqrt(4.0 - 3.0 * t2 * t2)), t2
 
 
-def critical_roots(point):
-    """Critical values for a FamilyPoint (or any object with .k)."""
-    k = _positive_k(point.k if hasattr(point, "k") else point)
+def critical_roots(k):
+    """Critical values of the families at the parameter k > 0."""
+    k = _positive_k(k)
     c_minus, c_plus = _c_plus_minus(k)
     t1 = t2 = None
     if k < R_THRESHOLD:

@@ -603,6 +603,19 @@ def _try_polydiv(num, den):
 _CYCLO_MAX_ORDER = 120
 
 
+def _cyclotomic_split(c):
+    """The orders n <= _CYCLO_MAX_ORDER of the cyclotomic polynomials Phi_n
+    that divide the integer polynomial ``c`` (ascending coefficients), each
+    listed as often as it divides, and the cofactor left, by exact
+    division.  Only n <= 2 deg^2 can divide, since phi(n) >= sqrt(n/2)."""
+    orders = []
+    for n in range(1, min(_CYCLO_MAX_ORDER, 2 * (len(c) - 1) ** 2) + 1):
+        while (q := _try_polydiv(c, cyclotomic(n))) is not None:
+            orders.append(n)
+            c = q
+    return orders, list(c)
+
+
 def _is_cyclotomic_product(coeffs):
     """True if an integer polynomial is +-t^m times a product of cyclotomics."""
     c = list(coeffs)
@@ -614,22 +627,7 @@ def _is_cyclotomic_product(coeffs):
         return False
     if c[-1] < 0:
         c = [-v for v in c]
-    if len(c) == 1:
-        return c[0] == 1
-    # quick guard: every root must sit on the unit circle
-    roots = np.roots(list(reversed(c)))
-    if roots.size and np.any(np.abs(np.abs(roots) - 1.0) > 1e-8):
-        return False
-    progress = True
-    while len(c) > 1 and progress:
-        progress = False
-        for n in range(1, _CYCLO_MAX_ORDER + 1):
-            q = _try_polydiv(c, cyclotomic(n))
-            if q is not None:
-                c = q
-                progress = True
-                break
-    return c == [1]
+    return _cyclotomic_split(c)[1] == [1]
 
 
 def is_tempered(P):

@@ -5,11 +5,14 @@ the lowest y-power.  Averaging log|P| over the torus gives
 
     m(P) = m(a_d) + (1/pi) * integral over (0, pi) of sum_i log+ |y_i(e^{i t})|
 
-using conjugation symmetry in t; the leading-coefficient term is a
-one-variable measure obtained exactly from its roots.  The t-integrand is
-piecewise analytic: it has kinks where a root magnitude crosses 1 and
-logarithmic spikes where a_d vanishes on the circle.  Both kinds of points
-are located up front.  Spikes come from the unit-circle roots of a_d.
+using conjugation symmetry in t, which holds for real coefficients only;
+the leading-coefficient term is a one-variable measure.  Its cyclotomic
+factors are divided out exactly and add 0; the cofactor's measure comes
+from its roots.  The t-integrand is piecewise analytic: it has kinks where
+a root magnitude crosses 1 and logarithmic spikes where a_d vanishes on the
+circle.  Both kinds of points are located up front.  Spikes come from the
+zeros of a_d on the circle: the angles 2 pi j / n of its cyclotomic factors
+Phi_n, exactly, and the cofactor's roots within 1e-9 of the circle.
 Crossings come from the number of roots outside the circle: the fiber
 coefficients are evaluated at all angles of a uniform scan grid at once (in
 blocks of angles, so memory does not grow with the x-degree times the grid
@@ -37,7 +40,8 @@ the new nodes of all unconverged pieces with one call of the fiber kernel
 
 Every fiber solve, of the scan and probe counts, the polish, the quadrature
 levels and the torus rows below, goes through ``_solve_fibers`` to
-``batch_roots``, which solves fibers through degree 4 in closed form
+``batch_roots``, as does the lead's cofactor, a one-row ``poly_roots``
+call.  It solves through degree 4 in closed form
 (Cardano's and Ferrari's formulas for the cubics and quartics, with a Newton
 polish) and takes companion-matrix eigenvalues only for the rows that polish
 rejects.
@@ -61,10 +65,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import QuadratureError
+from .lpoly import _cyclotomic_split
 from .quad import _tanh_sinh_pieces, integrate_torus2
 from .rootfind import batch_roots, poly_roots
 
@@ -149,10 +155,24 @@ def _coeffs_grid(coeff_table, thetas):
     return out
 
 
+# pi to 57 digits, so that float(_PI * 2j / n) is 2 pi j / n correctly rounded
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097")
+
+
 def _solve_1var(coeffs):
-    """Logarithmic Mahler measure and roots of a one-variable Laurent
-    polynomial {exponent: c}: its zero ends are trimmed, since a monomial
-    factor changes neither, and the rest is solved by ``poly_roots``."""
+    """Logarithmic Mahler measure of a one-variable Laurent polynomial
+    {exponent: c} and the angles in (0, pi) of its zeros on the unit circle,
+    ascending.
+
+    Its zero ends are trimmed, since a monomial factor changes neither.  A
+    real polynomial is then made an integer one, exactly (every float is
+    a dyadic rational, ``float.as_integer_ratio``), and every cyclotomic
+    factor Phi_n, n <= ``_CYCLO_MAX_ORDER``, is divided out exactly
+    (``lpoly._cyclotomic_split``).  The stripped factors are monic with
+    all their roots on the circle, so they add exactly 0 to the measure,
+    and their zeros give the exact angles 2 pi j / n, correctly rounded.
+    The cofactor is solved by ``poly_roots``; its roots within 1e-9 of the
+    circle add their angles (``_unit_circle_angles``)."""
     if not any(coeffs.values()):
         raise ValueError("measure of the zero polynomial")
     c = [complex(coeffs.get(e, 0)) for e in range(min(coeffs), max(coeffs) + 1)]
@@ -160,22 +180,32 @@ def _solve_1var(coeffs):
         c.pop()
     while c[0] == 0:
         c.pop(0)
+    angles = []
+    if not any(v.imag for v in c):
+        ratios = [v.real.as_integer_ratio() for v in c]
+        den = max(q for _, q in ratios)
+        orders, cofactor = _cyclotomic_split([p * (den // q) for p, q in ratios])
+        c = [p / den for p in cofactor]
+        angles = [float(_PI * Fraction(2 * j, n)) for n in set(orders)
+                  for j in range(1, (n + 1) // 2) if math.gcd(j, n) == 1]
     roots = poly_roots(c) if len(c) > 1 else []
     total = math.log(abs(c[-1]))
     for r in roots:
         ar = abs(r)
         if abs(ar - 1.0) > _UNIT_CLAMP and ar > 1.0:
             total += math.log(ar)
-    return total, roots
+    return total, sorted(angles + _unit_circle_angles(roots))
 
 
 def mahler_1var(coeffs):
     """Logarithmic Mahler measure of a one-variable Laurent polynomial.
 
     ``coeffs`` maps exponent -> real coefficient.  Jensen: log|lead| plus
-    log+ of the root magnitudes; magnitudes within 1e-12 of 1 count as
-    exactly 1, so products of cyclotomics give exactly 0.0.  A NaN or
-    infinite coefficient raises ``QuadratureError``, as in the engines.
+    log+ of the root magnitudes, after the cyclotomic factors are divided
+    out exactly (``_solve_1var``), so products of cyclotomics, repeated
+    factors included, give exactly 0.0; magnitudes within 1e-12 of 1 count
+    as exactly 1.  A NaN or infinite coefficient raises
+    ``QuadratureError``, as in the engines.
     """
     if not all(cmath.isfinite(c) for c in coeffs.values()):
         raise QuadratureError("integrand is not finite")
@@ -451,18 +481,21 @@ def mahler_jensen(P, tol=1e-10):
 
     P is first divided by a power of 2, 2^e (``_unit_scaled``), and
     e log 2 is added back, so P times 1e308 or 2^-1060 works as P does.
-    Raises ValueError for the zero polynomial, a symbolic k or a tol that
-    is not positive (NaN included), and QuadratureError for a NaN or
-    infinite coefficient."""
+    Raises ValueError for the zero polynomial, a symbolic k, a coefficient
+    with a nonzero imaginary part (the fold of the t-integral onto (0, pi)
+    holds for real coefficients only; ``mahler_torus2`` takes complex
+    ones) or a tol that is not positive (NaN included), and
+    QuadratureError for a NaN or infinite coefficient."""
     cx, log_scale = _unit_scaled(_y_coeff_polys(P))
+    if any(c.imag for cm in cx for c in cm.values()):
+        raise ValueError("mahler_jensen needs real coefficients")
     if not tol > 0:
         raise ValueError("tol must be positive")
     d = len(cx) - 1
     if d == 0:
         return MeasureResult(log_scale + mahler_1var(cx[0]), 1e-15, "jensen_1d")
 
-    lead_measure, lead_roots = _solve_1var(cx[d])
-    degen = _unit_circle_angles(lead_roots)
+    lead_measure, degen = _solve_1var(cx[d])
     coeff_table = _coeff_table(cx)
     crossings = _crossing_angles(coeff_table)
 

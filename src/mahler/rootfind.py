@@ -1,19 +1,20 @@
 """Polynomial root finding.
 
 Coefficients are ascending (c[0] + c[1] z + ... + c[d] z^d), complex allowed.
-Two entry points:
+``batch_roots`` is the one solver: it takes many polynomials of one degree
+at once and solves them by closed forms applied to whole arrays through
+degree 2, Cardano's and Ferrari's formulas with a Newton polish for cubics
+and quartics, and the eigenvalues of the stacked companion matrices in one
+LAPACK call for the rows that polish rejects and for degree 5 and up.
+``poly_roots`` solves one polynomial as a one-row ``batch_roots`` call.
+Every generic root solve of the package goes through it: the fibers of the
+Jensen engine, its root counts included, and of the torus oracle, and the
+one-variable measures (the families and periods use their own closed
+forms).
 
-* ``poly_roots`` solves one polynomial: closed forms through degree 2, the
-  simultaneous Aberth-Ehrlich iteration beyond (if the iteration ever stalls
-  the companion-matrix eigenvalues take over).  Degrees in this package are
-  tiny (<= 8), so robustness beats speed.
-* ``batch_roots`` solves many polynomials of one degree at once: the same
-  closed forms applied to whole arrays through degree 2, Cardano's and
-  Ferrari's formulas with a Newton polish for cubics and quartics, and the
-  eigenvalues of the stacked companion matrices in one LAPACK call for the
-  rows that polish rejects and for degree 5 and up.  Every fiber solve of
-  the Jensen engine, its root counts included, and of the torus oracle
-  goes through it.
+``aberth_roots``, the simultaneous Aberth-Ehrlich iteration with its Horner
+pass and residual scale, is kept as an independent scalar reference for
+the tests; nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -122,46 +123,19 @@ def aberth_roots(coeffs):
     return zero_roots + [complex(v) for v in z]
 
 
-def _quadratic_roots(c0, c1, c2):
-    """Stable roots of c2 z^2 + c1 z + c0 (c2 != 0).  Coefficients whose
-    largest modulus lies beyond 2**+-400, where the discriminant can over-
-    or underflow, are first scaled by a power of 2, exactly, as in
-    ``_quadratic_batch``."""
-    big = max(abs(c0), abs(c1), abs(c2))
-    if not 2.0 ** -400 < big < 2.0 ** 400:
-        e = math.frexp(big)[1]
-        c0, c1, c2 = (complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
-                      for c in (c0, c1, c2))
-    if c0 == 0:
-        return [0j, -c1 / c2]
-    disc = c1 * c1 - 4.0 * c2 * c0
-    sq = cmath.sqrt(disc)
-    if (c1.conjugate() * sq).real > 0.0:
-        q = -0.5 * (c1 + sq)
-    else:
-        q = -0.5 * (c1 - sq)
-    if q == 0:
-        return [0j, 0j]
-    return [q / c2, c0 / q]
-
-
 def poly_roots(coeffs):
-    """Roots by degree: closed forms through degree 2, Aberth-Ehrlich beyond."""
-    coeffs = [complex(c) for c in coeffs]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    d = len(coeffs) - 1
-    if d <= 0:
-        return []
-    if d == 1:
-        return [-coeffs[0] / coeffs[1]]
-    if d == 2:
-        return _quadratic_roots(coeffs[0], coeffs[1], coeffs[2])
-    return aberth_roots(coeffs)
+    """Roots of one polynomial, as a list: a one-row ``batch_roots`` call
+    after the zero leading coefficients are trimmed."""
+    c = [complex(v) for v in coeffs]
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return batch_roots([c])[0].tolist() if len(c) > 1 else []
 
 
 def _quadratic_rows(c0, c1, c2):
-    """The closed form of ``_quadratic_roots`` over arrays of coefficients."""
+    """Stable roots of c2 z^2 + c1 z + c0 over arrays of coefficients
+    (c2 != 0): q = -(c1 +- sqrt(c1^2 - 4 c2 c0))/2 with the sign that does
+    not cancel, and the roots q/c2 and c0/q."""
     sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
     q = -0.5 * np.where((np.conj(c1) * sq).real > 0.0, c1 + sq, c1 - sq)
     roots = np.stack([q / c2, c0 / q], axis=1)
@@ -173,7 +147,7 @@ def _quadratic_rows(c0, c1, c2):
 
 
 def _quadratic_batch(c):
-    """``_quadratic_roots`` over the rows of an (n, 3) array of coefficients
+    """``_quadratic_rows`` over the rows of an (n, 3) array of coefficients
     (c2 != 0 throughout).
 
     The rows are solved as they are, unless a product overflows or some
@@ -391,7 +365,7 @@ def batch_roots(coeffs):
     their roots, in no particular order within a row.  n may be 0; a row
     with a NaN or infinite coefficient gets NaN roots.
 
-    Degrees 1 and 2 use the closed forms of ``poly_roots``.  From degree 3
+    Degrees 1 and 2 use closed forms (``_quadratic_batch``).  From degree 3
     on, zero roots are split off exactly, and the rows are made monic, in a
     variable scaled by a power of 2 where their size calls for it
     (``_monic_rows``).  Cubics and quartics are then solved by Cardano's and

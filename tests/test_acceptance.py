@@ -14,7 +14,6 @@ import numpy as np
 from mahler import eclf, specialfn
 from mahler.elliptic import carlson_rf, landen_check
 from mahler.families import (
-    FamilyPoint,
     R_THRESHOLD,
     TWO_SQRT2,
     branch_roots,
@@ -168,7 +167,7 @@ def test_criterion_08_lemma_suites():
     notes.append(f"max|y2| {high:.12f}")
 
     for k in (1.0, 2.0, 3.0):
-        cr = critical_roots(FamilyPoint.from_k("R", k))
+        cr = critical_roots(k)
         dev1 = abs(abs(branch_roots("R", k, math.acos(cr.t1))[1]) - 1.0)
         y1, y2 = branch_roots("R", k, math.acos(cr.t2))
         branch = y1 if k <= TWO_SQRT2 else y2

@@ -11,7 +11,6 @@ from mahler.errors import RegimeBoundaryError
 from mahler.families import (
     BOUNDARY_GUARD,
     CriticalRoots,
-    FamilyPoint,
     R_THRESHOLD,
     TWO_SQRT2,
     branch_roots,
@@ -64,17 +63,8 @@ def test_regime_tags():
     assert regime_tag("R", 3.1) == "k>=16/3sqrt3"
 
 
-def test_family_point_guard_band():
-    with pytest.raises(RegimeBoundaryError):
-        FamilyPoint.from_k("P", 3.0)
-    with pytest.raises(RegimeBoundaryError):
-        FamilyPoint.from_k("R", R_THRESHOLD)
-    fp = FamilyPoint.from_k("P", 3.0 + 10 * BOUNDARY_GUARD)
-    assert fp.regime == "k>=3"
-
-
 def test_critical_roots_at_k3():
-    cr = critical_roots(FamilyPoint.from_k("P", 3.0 + 1e-9))
+    cr = critical_roots(3.0 + 1e-9)
     assert abs(cr.c_minus - 1.0 / 16.0) < 1e-9
     assert abs(cr.c_plus - 1.0) < 1e-8
 
@@ -90,7 +80,7 @@ def _bisect_root(f, lo, hi):
 
 
 def test_critical_roots_cubic_residual():
-    cr = critical_roots(FamilyPoint.from_k("R", 1.0))
+    cr = critical_roots(1.0)
     for t in (cr.t1, cr.t2):
         assert abs(8.0 * t ** 3 - 8.0 * t + 1.0) < 1e-13
     assert 0.0 < cr.t1 < 1.0 / math.sqrt(3.0) < cr.t2 < 1.0
@@ -102,7 +92,7 @@ def test_critical_roots_cubic_residual():
 
 
 def test_critical_roots_double_root_limit():
-    cr = critical_roots(FamilyPoint.from_k("R", R_THRESHOLD - 1e-9))
+    cr = critical_roots(R_THRESHOLD - 1e-9)
     third = 1.0 / math.sqrt(3.0)
     assert abs(cr.t1 - third) < 1e-4
     assert abs(cr.t2 - third) < 1e-4
@@ -110,15 +100,14 @@ def test_critical_roots_double_root_limit():
 
 
 def test_critical_roots_absent_above_threshold():
-    cr = critical_roots(FamilyPoint.from_k("R", 5.0))
+    cr = critical_roots(5.0)
     assert cr.t1 is None and cr.t2 is None
     assert isinstance(cr, CriticalRoots)
 
 
 def test_c_roots_ordering_property():
     for k in (0.5, 2.0, 2.99, 3.01, 10.0, 1e4):
-        cr = critical_roots(FamilyPoint.from_k("P", k) if abs(k - 3) > 1e-6
-                            else FamilyPoint.from_k("P", k + 1e-3))
+        cr = critical_roots(k)
         assert 0.0 < cr.c_minus < cr.c_plus
         assert (cr.c_plus < 1.0) == (k < 3.0)
 
@@ -203,12 +192,11 @@ _BAD_K = "k must be positive and finite"
     (lambda: regime_tag("P", math.nan), _BAD_K),
     (lambda: regime_tag("R", math.inf), _BAD_K),
     (lambda: critical_roots(math.nan), _BAD_K),
-    (lambda: FamilyPoint.from_k("P", math.nan), _BAD_K),
-    (lambda: FamilyPoint.from_k("X", 1.0), "family must be one of"),
+    (lambda: regime_tag("X", 1.0), "family must be one of"),
 ], ids=["p_measure-nan", "p_measure-inf", "r_measure-nan", "r_measure-minf",
         "p_derivative-nan", "q_derivative-nan", "q_derivative-inf",
         "r_derivative-inf", "regime_tag-nan", "regime_tag-inf",
-        "critical_roots-nan", "from_k-nan", "from_k-unknown-family"])
+        "critical_roots-nan", "regime_tag-unknown-family"])
 def test_bad_family_parameter_is_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -485,7 +473,7 @@ def test_lemma_y2_inside_above_threshold():
 
 def test_lemma_unit_modulus_at_cubic_roots():
     for k in (1.0, 2.0, 3.0):
-        cr = critical_roots(FamilyPoint.from_k("R", k))
+        cr = critical_roots(k)
         _, y2 = branch_roots("R", k, math.acos(cr.t1))
         assert abs(abs(y2) - 1.0) < 1e-10
         y1, y2 = branch_roots("R", k, math.acos(cr.t2))

@@ -7,6 +7,8 @@ import pytest
 from mahler.errors import ParseError
 from mahler.lpoly import (
     KLinear,
+    _cyclotomic_split,
+    _is_cyclotomic_product,
     LaurentPoly2,
     cyclotomic,
     is_tempered,
@@ -209,6 +211,23 @@ def test_tempered_examples():
     assert not is_tempered(parse_poly("2*x+y-1"))
     assert not is_tempered(parse_poly("x+y-3"))
     assert is_tempered(parse_poly("(x^2+x+1)*y^2+k*x*(x+1)*y+x*(x^2+x+1)", 3))
+
+
+def test_cyclotomic_split_divides_exactly():
+    # (x^2+x+1)^2 (x-1) (2x+3), expanded: Phi_1 once, Phi_3 twice, 2x+3 left
+    c = [-3, -5, -5, 1, 5, 5, 2]
+    assert _cyclotomic_split(c) == ([1, 3, 3], [3, 2])
+    assert _cyclotomic_split([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]) == ([4, 20], [1])
+    assert _cyclotomic_split([7]) == ([], [7])
+
+
+def test_cyclotomic_product_needs_exact_factors():
+    # every root of 5x^2-6x+5, (3 +- 4i)/5, lies on the circle, and of
+    # x^4-x^3-x^2-x+1 two do: neither is a cyclotomic product
+    assert not _is_cyclotomic_product([5, -6, 5])
+    assert not _is_cyclotomic_product([1, -1, -1, -1, 1])
+    assert _is_cyclotomic_product([0, -1, 0, 0, 0, 0, 0, 1])     # -x (1 - x^6)
+    assert not _is_cyclotomic_product([0, 0])
 
 
 def test_tempered_symbolic_k_on_boundary_rejected():

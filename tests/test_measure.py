@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mahler import measure, rootfind
-from mahler.lpoly import LaurentPoly2, monomial_transform, parse_poly
+from mahler.lpoly import LaurentPoly2, is_tempered, monomial_transform, parse_poly
 from mahler.errors import QuadratureError
 from mahler.measure import (
     _BAND,
@@ -125,23 +125,20 @@ def test_one_variable_zero_polynomial():
 
 
 def test_lead_coefficient_is_solved_once(monkeypatch):
-    # the lead x^2 + x + 1 of P_3 gives both m(a_d) and the cut at 2 pi / 3
-    calls, edges = [], []
-
-    def counting(c):
-        calls.append(c)
-        return poly_roots(c)
+    # the lead x^2 + x + 1 of P_3 is Phi_3: split off exactly, it gives
+    # m(a_d) = 0 and the cut at fl(2 pi / 3), correctly rounded
+    edges = []
 
     def recording(F, e, tol):
         edges.append(list(e))
         return pieces(F, e, tol)
 
     pieces = measure._tanh_sinh_pieces
-    monkeypatch.setattr(measure, "poly_roots", counting)
     monkeypatch.setattr(measure, "_tanh_sinh_pieces", recording)
     res = mahler_jensen(family_poly("P", 3))
-    assert len(calls) == 1
-    assert edges == [[0.0, 2.0943951023931957, 2.636232143305636, math.pi]]
+    with mpmath.workdps(40):
+        cut = float(2 * mpmath.pi / 3)
+    assert edges == [[0.0, cut, 2.636232143305636, math.pi]]
     assert res.value == 0.9990518315218821
 
 
@@ -151,6 +148,70 @@ def test_one_variable_measures():
     assert mahler_1var({0: 1, 1: 1, 2: 1}) == 0.0
     assert mahler_1var({-1: 1, 0: -1, 1: 1}) == 0.0       # Laurent shift
     assert abs(mahler_1var({0: -1, 1: 2}) - math.log(2.0)) < 1e-15
+
+
+def _expand(*factors):
+    """Ascending coefficients of a product of ascending coefficient lists,
+    as a dict for ``mahler_1var``."""
+    c = [1]
+    for f in factors:
+        c = np.convolve(c, f).tolist()
+    return dict(enumerate(c))
+
+
+@pytest.mark.parametrize("coeffs, value", [
+    (_expand([1, 1, 1], [1, 1, 1], [1, 1, 1]), 0.0),               # read 1.4e-5
+    (_expand([-1, 1], [-1, 1], [-1, 1], [1, 1], [1, 1]), 0.0),     # read 4.5e-6
+    (_expand([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]), 0.0),              # read 2.3e-8
+    ({-3: 0.5, -2: 1.0, -1: 1.5, 0: 1.0, 1: 0.5}, -math.log(2.0)),  # read 1.0e-8 off
+], ids=["phi3-cubed", "phi1-cubed-phi2-squared", "phi5-squared", "dyadic-floats"])
+def test_repeated_cyclotomic_factors_measure_exactly(coeffs, value):
+    # the cyclotomic factors are divided out exactly before any root solve;
+    # the last polynomial is (x^2+x+1)^2 / (2 x^3), in floats
+    assert mahler_1var(coeffs) == value
+
+
+def test_cyclotomic_lead_gives_correctly_rounded_cuts():
+    # Phi_5 Phi_3^2 (3x + 1): the angles 2 pi j / n of the stripped factors
+    # come out correctly rounded, and the cofactor adds log 3
+    value, angles = _solve_1var(_expand([1, 1, 1, 1, 1], [1, 1, 1], [1, 1, 1], [1, 3]))
+    with mpmath.workdps(40):
+        exact = sorted(float(2 * mpmath.pi * j / n) for j, n in ((1, 5), (2, 5), (1, 3)))
+    assert angles == exact
+    assert value == math.log(3.0)
+
+
+@pytest.mark.parametrize("expr", ["(x^2+x+1)^2*(y+2)", "(x^2+x+1)^3*(y+2)"])
+def test_repeated_cyclotomic_lead_within_err_est(expr):
+    # read 1.0e-8 and 1.4e-5 off log 2, with err_est 1.3e-13, when the
+    # lead's repeated roots came from the Aberth-Ehrlich iteration
+    res = mahler_jensen(parse_poly(expr))
+    assert abs(res.value - math.log(2.0)) <= res.err_est
+
+
+def test_jensen_refuses_complex_coefficients():
+    # the fold of the t-integral onto (0, pi) needs real coefficients: this
+    # polynomial read 1.00332 with err_est 4.2e-12, against m = log 2
+    P = LaurentPoly2({(0, 1): 1, (1, 0): 1, (0, 0): 2j})
+    with pytest.raises(ValueError, match="real coefficients"):
+        mahler_jensen(P)
+    assert abs(mahler_torus2(P).value - math.log(2.0)) < 1e-5
+
+
+def test_no_package_path_reaches_aberth_or_np_roots(monkeypatch):
+    # every root solve goes through batch_roots; the scalar Aberth-Ehrlich
+    # iteration and numpy's companion solver are test references only
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a package path called a reference root finder")
+
+    monkeypatch.setattr(rootfind, "aberth_roots", refuse)
+    monkeypatch.setattr(np, "roots", refuse)
+    polys = [family_poly("P", 3), family_poly("R", 3), family_poly("Q", 6),
+             parse_poly("(x^3-x-1)*y+1")]
+    for P in polys:
+        assert math.isfinite(mahler_jensen(P).value)
+    assert mahler_1var({0: 1, 1: -2, 2: 3, 3: 1, 4: -1, 5: 2}) > 0.0
+    assert is_tempered(family_poly("R")) and is_tempered(family_poly("R", 4))
 
 
 def test_monomial_and_constant_measures():
@@ -424,14 +485,15 @@ def _coeffs_at(cx, x):
 
 
 def _scalar_moduli(cx, theta):
-    """Per-point reference for the fiber root moduli: one poly_roots solve."""
+    """Per-point reference for the fiber root moduli: one solve by the
+    scalar Aberth-Ehrlich iteration, independent of ``batch_roots``."""
     coeffs = _coeffs_at(cx, cmath.exp(1j * theta))
     scale = max(abs(c) for c in coeffs)
     if scale == 0.0:
         return []
     if abs(coeffs[-1]) < 1e-8 * scale:
-        return [1.0 / abs(z) for z in poly_roots(coeffs[::-1]) if abs(z) > 1e-300]
-    return [abs(z) for z in poly_roots(coeffs)]
+        return [1.0 / abs(z) for z in rootfind.aberth_roots(coeffs[::-1]) if abs(z) > 1e-300]
+    return [abs(z) for z in rootfind.aberth_roots(coeffs)]
 
 
 def _scalar_count_outside(cx, theta):

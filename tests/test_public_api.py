@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
     "LandenResult", "carlson_rf", "period_integral", "involution_v",
     "landen_check",
     # families
-    "FamilyPoint", "CriticalRoots", "R_THRESHOLD", "family_poly",
+    "CriticalRoots", "R_THRESHOLD", "family_poly",
     "wt_family_poly", "regime_tag", "critical_roots", "branch_roots",
     "p_measure", "q_measure", "r_measure", "p_derivative", "q_derivative",
     "r_derivative",
@@ -42,7 +42,7 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(mahler.__path__))
 def test_package_exports_exactly_the_public_names():
     exported = {name for name, value in vars(mahler).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 57
     assert exported == PUBLIC_NAMES
 
 

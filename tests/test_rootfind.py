@@ -1,5 +1,5 @@
-"""Aberth-Ehrlich root finder against the companion-matrix oracle, and the
-batched closed forms against mpmath."""
+"""The batched solver against the scalar Aberth-Ehrlich reference and
+mpmath, and that reference against the companion-matrix oracle."""
 
 import math
 import random
@@ -62,6 +62,14 @@ def test_small_degrees_closed_form():
     assert abs(roots[0] - 1.0) < 1e-14 and abs(roots[1] - 2.0) < 1e-14
 
 
+def test_poly_roots_is_one_batch_row():
+    # zero leading coefficients are trimmed before the one-row solve
+    assert poly_roots([0, 0]) == []
+    assert poly_roots([1, 2, 0, 0]) == [-0.5]
+    row = [2.0, -1.0 + 1j, 0.5, 3.0, 1.0]
+    assert poly_roots(row) == batch_roots([row])[0].tolist()
+
+
 def test_quadratic_cancellation_resistance():
     # x^2 - 1e8 x + 1: naive formula loses the tiny root
     roots = sorted(poly_roots([1.0, -1e8, 1.0]), key=lambda z: abs(z))
@@ -77,7 +85,7 @@ def test_cyclotomic_roots_on_circle():
         assert abs(abs(r) - 1.0) < 1e-12
 
 
-def test_batch_roots_match_poly_roots():
+def test_batch_roots_match_aberth_roots():
     rng = random.Random(4321)
     for d in range(1, 7):
         rows = []
@@ -92,7 +100,7 @@ def test_batch_roots_match_poly_roots():
         batch = batch_roots(rows)
         assert batch.shape == (len(rows), d)
         for row, roots in zip(rows, batch):
-            _match(list(roots), poly_roots(row), 1e-9)
+            _match(list(roots), aberth_roots(row), 1e-9)
 
 
 def test_batch_quadratic_cancellation_and_zero_root():
