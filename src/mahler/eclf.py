@@ -1,11 +1,13 @@
 """Elliptic-curve L-functions at desk scale.
 
-Good-prime coefficients a_p come from direct point counts over F_p on the
-completed-square model.  Bad local factors and the root number are not taken
-from reduction theory: they are pinned down by a finite consistency search,
-exploiting that the incomplete-gamma-smoothed series for the completed
-L-function carries a free cutoff parameter theta and only the correct
-(root number, bad a_q) assignment makes the value theta-independent.
+Every a_p comes from a point count over F_p: at a good prime on the
+completed-square model, and at a prime q of the conductor on the reduced
+curve with its singular point counted, a_q = q + 1 - #E~(F_q), which is
+-1, 0 or 1 on a model that is minimal at q.  The root number is the sign
+that makes the incomplete-gamma-smoothed series for the completed
+L-function independent of its free cutoff parameter theta; the residual
+of that theta-consistency probe certifies the whole local data, and a
+model that is not minimal at a bad prime fails it.
 
 With Lambda(s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s) = eps Lambda(2-s), the
 smoothed series reads
@@ -13,15 +15,12 @@ smoothed series reads
   Lambda(s) = sum_n a_n [ n^{-s} N^{s/2} (2pi)^{-s} Gamma(s, 2 pi n theta/sqrt N)
             + eps n^{s-2} N^{(2-s)/2} (2pi)^{s-2} Gamma(2-s, 2 pi n/(theta sqrt N)) ]
 
-for every theta > 0.  The search probes s = 1 and s = 2, where the orders s
+for every theta > 0.  The probe uses s = 1 and s = 2, where the orders s
 and 2 - s are 0, 1 or 2 and the incomplete gammas have closed forms:
 Gamma(1, x) = e^{-x}, Gamma(2, x) = (1+x) e^{-x} and Gamma(0, x) = E_1(x).
 Other orders, which only Lambda(s) at other s needs, use the standard
 series / continued-fraction pair.  The series is linear in a_n and its
-incomplete-gamma weights depend only on (N, s, theta, M), so they are built
-once per (s, theta); the a_n are split into a part built once per search
-and a fill of the bad prime powers, so a candidate assignment costs one
-fill and a few dot products.
+incomplete-gamma weights depend only on (N, s, theta, M).
 
 The derivative at 0 needs no extra machinery: Lambda is entire and Gamma has
 a simple pole at 0, so L(E, 0) = 0 and L'(E, 0) = Lambda(0) = eps Lambda(2) =
@@ -31,8 +30,8 @@ eps N L(E, 2) / (4 pi^2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -122,21 +121,16 @@ def _is_prime(n):
     return True
 
 
-def ap_count(curve, p):
-    """Trace of Frobenius a_p = p + 1 - #E(F_p) at an odd prime of good
-    reduction, by summing Legendre symbols of the completed-square cubic
+def _legendre_ap(curve, p):
+    """p + 1 - #E~(F_p) on the given model at an odd prime p < 2^20, good or
+    bad, by summing Legendre symbols of the completed-square cubic
     (2y + a1 x + a3)^2 = g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 over x mod p.
+    At a bad prime the singular point is one of the counted points.
 
     With the b's reduced mod p first, g(x) < 5 p^3 (below 5e9 for p <= 1000),
     so it is evaluated in int64 and reduced once, for p < 2^20; so are the
     squares x^2.  With z zeros of g and r values of g that are squares (zero
     included), the symbol sum is (r - z) - (p - r), and a_p is its negative."""
-    if p == 2 or not _is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if p >= 1 << 20:
-        raise ValueError("p must be below 2^20 for the int64 point count")
-    if curve.discriminant() % p == 0:
-        raise ValueError(f"p = {p} is a prime of bad reduction")
     b2, b4, b6, _ = curve.b_invariants()
     x = np.arange(p, dtype=np.int64)
     g = (((4 * x + b2 % p) * x + (2 * b4) % p) * x + b6 % p) % p
@@ -145,6 +139,18 @@ def ap_count(curve, p):
     zeros = int(np.count_nonzero(g == 0))
     squares = int(np.count_nonzero(is_sq[g]))
     return p + zeros - 2 * squares
+
+
+def ap_count(curve, p):
+    """Trace of Frobenius a_p = p + 1 - #E(F_p) at an odd prime of good
+    reduction below 2^20, by the Legendre-symbol sum of ``_legendre_ap``."""
+    if p == 2 or not _is_prime(p):
+        raise ValueError("p must be an odd prime")
+    if p >= 1 << 20:
+        raise ValueError("p must be below 2^20 for the int64 point count")
+    if curve.discriminant() % p == 0:
+        raise ValueError(f"p = {p} is a prime of bad reduction")
+    return _legendre_ap(curve, p)
 
 
 def ap_bruteforce(curve, p):
@@ -166,90 +172,73 @@ def ap_bruteforce(curve, p):
 # coefficient tables
 # ---------------------------------------------------------------------------
 
-def _good_ap_table(curve, N, p_max):
-    bad = {p for p in range(2, max(N, 2) + 1) if N % p == 0 and _is_prime(p)}
-    disc = abs(curve.discriminant())
-    table = {}
-    for p in range(2, p_max + 1):
-        if not _is_prime(p) or p in bad:
+def _local_data(curve, N, p_max):
+    """The a_p of the good primes up to ``p_max`` and the a_q of the primes
+    of N, each p + 1 - #E~(F_p) (``ap_bruteforce`` at 2).  A prime of N must
+    divide the discriminant, which makes its a_q -1, 0 or 1, and a prime up
+    to ``p_max`` that divides the discriminant must divide N."""
+    disc = curve.discriminant()
+    good_ap, bad_ap = {}, {}
+    for p in range(2, max(N, p_max) + 1):
+        if not _is_prime(p):
             continue
-        if disc % p == 0:
-            raise ResolutionError(
-                f"curve has bad reduction at {p} which does not divide N={N}; "
-                "wrong conductor")
-        table[p] = ap_bruteforce(curve, p) if p == 2 else ap_count(curve, p)
-    return table, sorted(bad)
+        if N % p == 0:
+            if disc % p:
+                raise ResolutionError(
+                    f"curve has good reduction at {p} which divides N={N}; "
+                    "wrong conductor")
+            bad_ap[p] = (ap_bruteforce(curve, p) if p == 2
+                         else _legendre_ap(curve, p))
+        elif p <= p_max:
+            if disc % p == 0:
+                raise ResolutionError(
+                    f"curve has bad reduction at {p} which does not divide "
+                    f"N={N}; wrong conductor")
+            good_ap[p] = (ap_bruteforce(curve, p) if p == 2
+                          else ap_count(curve, p))
+    return good_ap, bad_ap
 
 
-def _an_base(good_ap, bad_primes, M):
-    """The part of a_1..a_M that does not depend on the bad a_q: the a_n with
-    every bad a_q set to 1 (from the smallest-prime-factor sieve, the
-    good-prime Hecke powers and the composite splits), and for each bad
-    prime q the powers a_q^{v_q(n)} over n for a_q in {-1, 0, 1}, the only
-    values a bad prime can take.  ``_an_fill`` completes it for one
-    assignment of the bad a_q."""
-    good = [1.0] * (M + 1)     # bad prime powers keep 1.0: _an_fill scales them
+def _an_list(good_ap, bad_ap, M):
+    """Coefficients a_1..a_M (index 0 unused) in one pass over n.  At a
+    prime p the powers follow the Hecke recurrence
+    a_{p^{r+1}} = a_p a_{p^r} - c a_{p^{r-1}}, with c = p at a good prime and
+    c = 0 at a bad one (a_{q^r} = a_q^r, a_q in {-1, 0, 1}); every other a_n
+    is a_{p^e} a_{n/p^e} for its smallest prime p, from a sieve.  Every a_n
+    is an integer far below 2^53, so the products are exact."""
+    for q, aq in bad_ap.items():
+        if aq not in (-1, 0, 1):
+            raise ValueError(f"a_{q} = {aq} at a bad prime; need -1, 0 or 1")
     spf = list(range(M + 1))
     for p in range(2, int(M ** 0.5) + 1):
         if spf[p] == p:
             for m in range(p * p, M + 1, p):
                 if spf[m] == m:
                     spf[m] = p
-    powers = {}
-    for q in bad_primes:
-        v = np.zeros(M + 1, dtype=np.int64)
-        qe = q
-        while qe <= M:
-            v[qe::qe] += 1
-            qe *= q
-        powers[q] = {c: float(c) ** v[1:] for c in (-1, 0, 1)}
-    for p in range(2, M + 1):
-        if spf[p] != p or p in powers:
-            continue
-        if p not in good_ap:
-            raise ResolutionError(f"a_{p} missing; increase P_max")
-        ap = good_ap[p]
-        prev2, prev1 = 1.0, float(ap)
-        good[p] = prev1
-        pe = p * p
-        while pe <= M:
-            cur = ap * prev1 - p * prev2
-            good[pe] = cur
-            prev2, prev1 = prev1, cur
-            pe *= p
+    a = [0.0, 1.0] + [0.0] * (M - 1)
     for n in range(2, M + 1):
         p = spf[n]
         if p == n:
+            if p in bad_ap:
+                ap, c = bad_ap[p], 0
+            elif p in good_ap:
+                ap, c = good_ap[p], p
+            else:
+                raise ResolutionError(f"a_{p} missing; increase P_max")
+            prev2, prev1 = 1.0, float(ap)
+            a[p] = prev1
+            pe = p * p
+            while pe <= M:
+                prev2, prev1 = prev1, ap * prev1 - c * prev2
+                a[pe] = prev1
+                pe *= p
             continue
         pe = p
         while n % (pe * p) == 0:
             pe *= p
         if pe != n:
-            good[n] = good[pe] * good[n // pe]
-    return np.asarray(good[1:]), powers
-
-
-def _an_fill(base, bad_ap):
-    """a_1..a_M as an array for one assignment of the bad a_q: the bad
-    primes are completely multiplicative, so a_n = (good part of a_n) *
-    prod_q a_q^{v_q(n)}.  Every a_n is an integer far below 2^53, so the
-    products are exact in any order."""
-    good, powers = base
-    a = good.copy()
-    for q, pw in powers.items():
-        if bad_ap[q] not in pw:
-            raise ValueError(f"a_{q} = {bad_ap[q]} at a bad prime; "
-                             "need -1, 0 or 1")
-        a *= pw[bad_ap[q]]
+            a[n] = a[pe] * a[n // pe]
     return a
-
-
-def _an_list(good_ap, bad_ap, M):
-    """Coefficients a_1..a_M (index 0 unused) from multiplicativity and the
-    Hecke recurrences a_{p^{r+1}} = a_p a_{p^r} - p a_{p^{r-1}} (good p),
-    a_{p^r} = a_p^r (bad, a_p in {-1, 0, 1})."""
-    base = _an_base(good_ap, sorted(bad_ap), M)
-    return [0.0] + _an_fill(base, bad_ap).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +355,7 @@ def _upper_gamma_row(s, x):
 def _smoothing_weights(N, s, theta, M):
     """Weights (A, B) over n = 1..M of the smoothed series at (s, theta):
     Lambda_theta(s) = A . a + eps B . a.  They depend on neither the root
-    number nor the a_n, so one build serves every candidate assignment.
+    number nor the a_n, so one build serves both signs.
 
     A needs Gamma(s, .) and B needs Gamma(2 - s, .); at s = 1 both are e^{-x},
     and at s = 2 they are (1+x) e^{-x} and E_1, so the probes of
@@ -398,7 +387,9 @@ _RESOLVE_THRESHOLD = 1e-8   # theta-consistency residual a resolution must meet
 
 def lambda_with_error(data, s, tol=1e-11):
     """Lambda(s) with a crude bound on the truncation tail, at the cutoff
-    theta = 1."""
+    theta = 1; tol > 0 sets the truncation length."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     N = data.conductor
     M = _truncation_m(N, tol)
     an = _an_list(data.ap, data.bad_ap, M)
@@ -416,31 +407,35 @@ def lambda_completed(data, s, tol=1e-11):
 
 
 def resolve_bad_data(curve, N=None):
-    """Fix the root number and the bad-prime coefficients by searching the
-    finite set {eps = +-1} x {a_q in {-1,0,1}} for the assignment that makes
-    the smoothed Lambda(s) independent of the cutoff theta (probed at
-    s in {1, 2} with theta 1 and 5/4); accepts a residual below
-    ``_RESOLVE_THRESHOLD``.
+    """The a_p, the bad a_q and the root number of ``curve`` at the conductor
+    N (default ``curve.conductor``), an integer >= 1.
 
-    The probes sit at s = 1 and 2 because there the incomplete gammas have
-    closed forms (e^{-x}, (1+x) e^{-x} and E_1), so the weights are numpy
-    expressions; on 224, 210 and 15 they pin the same data as probes at
-    s in {0.8, 1.3}, with every other candidate's residual above 1e-4.  The
-    point counts cover every prime up to ``_P_MAX``; a prime of bad
-    reduction there that does not divide N raises ``ResolutionError``.
-
-    The weight differences between the two thetas are built once per probe,
-    and so is the part of the a_n that does not depend on the bad a_q; each
-    of the 2 * 3^b candidates then costs one fill of the bad prime powers
-    and four dot products."""
+    Every a_p is a point count on the given model (``_local_data``), at each
+    prime up to ``_P_MAX`` and each prime of N; a prime of N that does not
+    divide the discriminant, or the reverse below ``_P_MAX``, raises
+    ``ResolutionError``.  The root number is the sign that makes the
+    smoothed Lambda(s) independent of the cutoff theta, probed at s in
+    {1, 2}, where the incomplete gammas have closed forms, with theta 1 and
+    5/4.  The probe's residual certifies the whole local data; above
+    ``_RESOLVE_THRESHOLD`` it raises ``ResolutionError``.  The model must be
+    minimal at the bad primes, as Cremona's models are: where it is not,
+    the counted a_q is not the local factor of L(E, s), and the certificate
+    fails."""
     if N is None:
         N = curve.conductor
     if N is None:
         raise ValueError("no conductor supplied")
-    good_ap, bad_primes = _good_ap_table(curve, N, _P_MAX)
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise ValueError(f"conductor must be an integer, not {N!r}") from None
+    if N < 1:
+        raise ValueError(f"conductor must be >= 1, not {N}")
     M = _truncation_m(N, 1e-11)
     if M > _P_MAX:
         raise ResolutionError("P_max too small for the truncation length")
+    good_ap, bad_ap = _local_data(curve, N, _P_MAX)
+    a = np.asarray(_an_list(good_ap, bad_ap, M)[1:])
 
     # Lambda_1(s) - Lambda_{5/4}(s) = dA . a + eps dB . a at each probe s
     diffs = []
@@ -448,20 +443,17 @@ def resolve_bad_data(curve, N=None):
         (A1, B1), (A2, B2) = (_smoothing_weights(N, s, th, M)
                               for th in (1.0, 1.25))
         diffs.append((A1 - A2, B1 - B2))
-    base = _an_base(good_ap, bad_primes, M)
-    best = None
-    for eps in (1, -1):
-        for combo in product((-1, 0, 1), repeat=len(bad_primes)):
-            bad_ap = dict(zip(bad_primes, combo))
-            a = _an_fill(base, bad_ap)
-            resid = sum(abs(float(dA @ a + eps * (dB @ a))) for dA, dB in diffs)
-            if best is None or resid < best[0]:
-                best = (resid, eps, bad_ap)
-    resid, eps, bad_ap = best
+
+    def residual(eps):
+        return sum(abs(float(dA @ a + eps * (dB @ a))) for dA, dB in diffs)
+
+    eps = min((1, -1), key=residual)
+    resid = residual(eps)
     if resid > _RESOLVE_THRESHOLD:
         raise ResolutionError(
-            f"no consistent local data below threshold (best residual {resid:.3e}); "
-            "wrong conductor or insufficient P_max")
+            f"theta-consistency residual {resid:.3e} above threshold; wrong "
+            "conductor, a model not minimal at a bad prime, or "
+            "insufficient P_max")
     return CurveLData(curve, N, good_ap, eps, bad_ap, resid)
 
 

@@ -25,5 +25,7 @@ class RegimeBoundaryError(ValueError):
 
 
 class ResolutionError(RuntimeError):
-    """No (root number, bad local factor) assignment satisfies the L-function
-    consistency threshold; usually a wrong conductor or too few coefficients."""
+    """An elliptic curve's local data fail a check of the L-function: a
+    prime of the conductor with good reduction or the reverse, or a
+    theta-consistency residual above the threshold; usually a wrong
+    conductor or a model that is not minimal at a bad prime."""

@@ -100,8 +100,8 @@ def test_e4_is_twist_of_224_model():
 
 def test_resolution_224():
     data = resolve_bad_data(CURVE_224)
-    assert data.bad_ap[2] == 0                 # additive at 2^5
-    assert data.bad_ap[7] in (-1, 1)
+    # additive at 2^5, split multiplicative at 7; key order is the CLI's
+    assert list(data.bad_ap.items()) == [(2, 0), (7, -1)]
     assert data.root_number == -1
     assert data.residual < 1e-8
 
@@ -325,14 +325,61 @@ def test_bad_prime_above_200_is_wrong_conductor():
 
 def test_resolution_210():
     data = resolve_bad_data(CURVE_210)
-    assert all(data.bad_ap[q] in (-1, 1) for q in (2, 3, 5, 7))
+    assert list(data.bad_ap.items()) == [(2, -1), (3, -1), (5, -1), (7, -1)]
+    assert data.root_number == -1
     assert data.residual < 1e-8
 
 
 def test_resolution_15():
     data = resolve_bad_data(CURVE_15)
+    assert list(data.bad_ap.items()) == [(3, -1), (5, 1)]
     assert data.root_number == 1        # Lambda(1) != 0 for this curve
     assert data.residual < 1e-8
+
+
+@pytest.mark.parametrize("curve", [CURVE_210, CURVE_15], ids=["210", "15"])
+def test_root_number_matches_local_signs(curve):
+    # every bad prime of 210 and 15 is multiplicative, where the local root
+    # number is -a_q; with the sign -1 at infinity, eps = -prod(-a_q), an
+    # oracle independent of the theta probe
+    data = resolve_bad_data(curve)
+    assert all(aq in (-1, 1) for aq in data.bad_ap.values())
+    assert data.root_number == -math.prod(-aq for aq in data.bad_ap.values())
+
+
+@pytest.mark.parametrize("u", [3, 5])
+def test_model_not_minimal_at_a_bad_prime_fails_certificate(u):
+    # 15a8 with a_i scaled by u^i: the same curve over Q, but the model is
+    # not minimal at u, so the counted a_u is 0 (additive), not the local
+    # factor, and the theta residual (3.2e-3 at u = 3, 2.6e-4 at u = 5)
+    # stays far above the threshold
+    curve = WeierstrassCurve(u, u ** 2, u ** 3, 0, 0)
+    assert curve.discriminant() == CURVE_15.discriminant() * u ** 12
+    with pytest.raises(ResolutionError, match="residual"):
+        resolve_bad_data(curve, N=15)
+
+
+def test_prime_of_conductor_with_good_reduction_is_wrong_conductor():
+    # disc(15a8) = -15, so 7 | 105 is a prime of good reduction
+    with pytest.raises(ResolutionError, match="7"):
+        resolve_bad_data(CURVE_15, N=105)
+
+
+@pytest.mark.parametrize("N", [15.0, "15", 0, -15, None],
+                         ids=["float", "str", "zero", "negative", "none"])
+def test_conductor_must_be_positive_integer(N):
+    curve = WeierstrassCurve(1, 1, 1, 0, 0)    # 15a8 with no conductor
+    with pytest.raises(ValueError):
+        resolve_bad_data(curve, N=N)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")],
+                         ids=["zero", "negative", "nan"])
+def test_lambda_refuses_nonpositive_tol(tol):
+    data = resolve_bad_data(CURVE_15)
+    for fn in (lambda_with_error, lambda_completed):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            fn(data, 2.0, tol=tol)
 
 
 def test_wrong_conductor_rejected():
