@@ -33,10 +33,13 @@ crossing pair inside one scan cell leaves the count unchanged at both ends
 and is missed.
 
 The pieces between the cuts are integrated together with the
-double-exponential rule ``quad._tanh_sinh_pieces``: each level evaluates
-the new nodes of all unconverged pieces with one call of the fiber kernel
-``_fiber_logplus``, so the fibers of a whole level are solved in one
-``batch_roots`` call.
+double-exponential rule ``quad._tanh_sinh_pieces``.  Its first call of the
+fiber kernel ``_fiber_logplus`` takes every node of levels 0-3 of every
+piece, and each later level one call for the new nodes of the pieces not
+yet converged, so the fibers of each call are solved in one ``batch_roots``
+call per degree.  ``mahler_jensen(R_3)`` makes 5 ``batch_roots`` calls in
+all: the scan count, the polish's start roots, its probe count, the first
+pass and level 4.
 
 Every fiber solve, of the scan and probe counts, the polish, the quadrature
 levels and the torus rows below, goes through ``_solve_fibers`` to

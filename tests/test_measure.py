@@ -924,9 +924,10 @@ def test_exactly_vanishing_lead_is_counted_at_the_lower_degree():
 
 
 def test_jensen_batch_call_count(monkeypatch):
-    # outside the counts: the polish's start roots and one call per
-    # tanh-sinh level; the counts, of the scan grid and of the polish's
-    # probes, one call each and one root solve each; no bisection
+    # outside the counts: the polish's start roots, the tanh-sinh first pass
+    # through level 3 and one call per later level; the counts, of the scan
+    # grid and of the polish's probes, one call each and one root solve
+    # each; no bisection
     calls = {False: 0, True: 0}     # batch_roots calls by whether a count made them
     counts = []
     in_count = []
@@ -949,6 +950,26 @@ def test_jensen_batch_call_count(monkeypatch):
     assert calls[False] <= 6
     assert len(counts) <= 2
     assert calls[True] == len(counts)
+
+
+@pytest.mark.parametrize("measure_of, solves, value", [
+    (lambda: mahler_jensen(family_poly("R", 3)), 5, 1.011513888510491),
+    (lambda: mahler_jensen(family_poly("P", 3)), 4, 0.9990518315218821),
+    (lambda: q_measure(6), 5, 1.3640735091906029),
+], ids=["R_3", "P_3", "Q_6"])
+def test_jensen_batch_roots_calls_pinned(measure_of, solves, value, monkeypatch):
+    # two counts, the polish's start roots, one tanh-sinh first pass through
+    # level 3, and for R_3 and Q_6 level 4; one root solve per level would
+    # make 8, 7 and 8 calls for the same values
+    calls = []
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return batch_roots(coeffs)
+
+    monkeypatch.setattr(measure, "batch_roots", counting)
+    assert measure_of().value == value
+    assert len(calls) == solves
 
 
 def _companion_route(coeffs):

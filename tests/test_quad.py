@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from mahler.errors import QuadratureError
-from mahler.quad import (_de_weight, _level_nodes, _tanh_sinh_pieces, integrate,
-                         integrate_torus2)
+from mahler.quad import (_EPS, _FIRST_LEVEL, _MAX_LEVEL, _de_weight, _level_nodes,
+                         _tanh_sinh_pieces, integrate, integrate_torus2)
 from torus_rows import row_means
 
 
@@ -193,6 +193,30 @@ PIECE_CASES = {
 }
 
 
+def _node_counts(lo, hi):
+    """Per level, the nodes of (lo, hi) that ``integrate`` evaluates: the
+    center and every node that does not round onto its endpoint."""
+    half = 0.5 * (hi - lo)
+    counts = []
+    for level in range(_MAX_LEVEL + 1):
+        ts, dists, _ = _level_nodes(level)
+        counts.append(sum((lo + d * half != lo) + (hi - d * half != hi) if t else 1
+                          for t, d in zip(ts, dists)))
+    return counts
+
+
+def _expected_calls(edges, pieces):
+    """The lengths of the calls of F: all nodes of levels 0.._FIRST_LEVEL of
+    every piece, then the new nodes of each later level of the pieces that
+    reach it, the last level of a piece read off its ``evals``."""
+    counts = [_node_counts(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    last = [next(level for level in range(_MAX_LEVEL + 1)
+                 if sum(c[:level + 1]) == r.evals) for c, r in zip(counts, pieces)]
+    return ([sum(sum(c[:_FIRST_LEVEL + 1]) for c in counts)]
+            + [sum(c[level] for c, top in zip(counts, last) if top >= level)
+               for level in range(_FIRST_LEVEL + 1, max(last) + 1)])
+
+
 @pytest.mark.parametrize("name", sorted(PIECE_CASES))
 def test_pieces_rule_matches_scalar_rule(name):
     f, edges = PIECE_CASES[name]
@@ -210,8 +234,9 @@ def test_pieces_rule_matches_scalar_rule(name):
         assert abs(r.err_est - ref.err_est) <= 1e-15
         assert r.evals == ref.evals
     assert len({r.evals for r in pieces}) > 1        # different levels reached
-    assert sum(calls) == sum(r.evals for r in pieces)
-    assert len(calls) <= 13                          # one call per level
+    # one first pass through level _FIRST_LEVEL, then one call per level
+    assert calls == _expected_calls(edges, pieces)
+    assert len(calls) <= _MAX_LEVEL + 1 - _FIRST_LEVEL
     if name == "inverse_sqrt":
         assert max(r.err_est for r in pieces) > 1e-8     # deepest-node cap
 
@@ -228,3 +253,89 @@ def test_pieces_rule_interior_nan_raises_with_abscissa(edges):
         with pytest.raises(QuadratureError) as ref:
             integrate(f, edges[0], edges[1], 1e-10)
         assert exc.value.abscissa == ref.value.abscissa
+
+
+@pytest.mark.parametrize("edges", [[0.5, 2.0], [0.5, 2.0, 2.0 + 8 * _EPS, 4.0]])
+def test_pieces_rule_ignores_unreached_first_pass_nodes(edges):
+    # at tol 1e-3 a constant converges at level 2, and a piece four ulps
+    # wide, whose nodes mostly round onto its endpoints, at level 1: F
+    # returns NaN at every node the scalar rule does not evaluate, which
+    # must neither raise nor change a result
+    used = set()
+
+    def f(x):
+        used.add(x)
+        return 2.0
+
+    refs = [integrate(f, lo, hi, 1e-3) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert all(r.evals < sum(_node_counts(lo, hi)[:_FIRST_LEVEL + 1])
+               for r, lo, hi in zip(refs, edges[:-1], edges[1:]))
+    nans = []
+
+    def F(xs):
+        nans.append(sum(x not in used for x in xs))
+        return np.array([2.0 if x in used else math.nan for x in xs])
+
+    assert _tanh_sinh_pieces(F, edges, 1e-3) == refs
+    assert len(nans) == 1 and nans[0] > 0
+
+
+def _refuse(xs):
+    raise AssertionError("F called on refused input")
+
+
+@pytest.mark.parametrize("edges", [[1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0, 3.0],
+                                   [0.0, math.nan], [-math.inf, 0.0], [0.0, 1.0, math.inf]])
+def test_pieces_rule_refuses_bad_edges(edges):
+    # a descending pair gave negative node distances and a RuntimeWarning
+    # from np.sqrt; integrate refuses the same intervals
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        _tanh_sinh_pieces(_refuse, edges, 1e-10)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_pieces_rule_refuses_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        _tanh_sinh_pieces(_refuse, [0.0, 1.0], tol)
+
+
+def _fuzz_case(rng):
+    """Edges of 1-4 pieces, a tenth of them a few ulps wide; a log or
+    inverse-square-root singularity at one edge, or a smooth integrand, as
+    a scalar f and an array F of the same values; a tol in (1e-13, 1e-6)."""
+    edges = [rng.uniform(-2.0, 2.0)]
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.1:
+            edges.append(edges[-1] + rng.randint(2, 16) * math.ulp(edges[-1]))
+        else:
+            edges.append(edges[-1] + 10.0 ** rng.uniform(-6.0, 0.5))
+    s = rng.choice(edges)
+    c = rng.uniform(0.5, 4.0)
+    tol = 10.0 ** rng.uniform(-13.0, -6.0)
+    kind = rng.randrange(3)
+    if kind == 1:
+        # correctly rounded in both forms, so F may be numpy's; most of these
+        # pieces refine to the last level next to the singular edge, where
+        # the scalar loop would double the test's time
+        return (lambda x: 1.0 / math.sqrt(abs(x - s)),
+                lambda xs: 1.0 / np.sqrt(np.abs(xs - s)), edges, tol)
+    if kind == 0:
+        def f(x):
+            return math.log(abs(x - s))
+    else:
+        def f(x):
+            return math.exp(-x * x) * math.cos(c * x)
+    return f, (lambda xs: np.array([f(x) for x in xs])), edges, tol
+
+
+def test_pieces_rule_matches_scalar_rule_fuzz():
+    # 200 random cuts: 514 pieces, 55 of them a few ulps wide
+    rng = random.Random(1974)
+    for _ in range(200):
+        f, F, edges, tol = _fuzz_case(rng)
+        pieces = _tanh_sinh_pieces(F, edges, tol)
+        for r, lo, hi in zip(pieces, edges[:-1], edges[1:]):
+            ref = integrate(f, lo, hi, tol)
+            assert r.evals == ref.evals, (edges, tol)
+            assert abs(r.value - ref.value) <= 1e-15 * abs(ref.value), (edges, tol)
+            assert abs(r.err_est - ref.err_est) <= 1e-15, (edges, tol)
