@@ -220,8 +220,9 @@ class LaurentPoly2:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- evaluation / substitution --------------------------------------------
@@ -380,15 +381,22 @@ class _Parser:
         return value
 
     def expr(self):
-        value = self.term()
+        # the terms are added into one dict, with the arithmetic and the
+        # order of ``value + rhs`` and ``value - rhs``: a coefficient that
+        # cancels is removed, and comes back at the end
+        terms = dict(self.term().terms)
         while True:
             kind, val, _ = self.peek()
             if kind == _TOK_OP and val in "+-":
                 self.advance()
-                rhs = self.term()
-                value = value + rhs if val == "+" else value - rhs
+                for e, c in self.term().terms.items():
+                    c = terms.get(e, 0) + (c if val == "+" else -c)
+                    if _c_is_zero(c):
+                        terms.pop(e, None)
+                    else:
+                        terms[e] = c
             else:
-                return value
+                return LaurentPoly2(terms)
 
     def term(self):
         kind, val, _ = self.peek()
@@ -420,11 +428,11 @@ class _Parser:
             if kind != _TOK_INT:
                 raise ParseError("expected integer exponent", pos)
             e = sign * val
-            if e < 0:
-                if bare_var is None:
-                    raise ParseError("negative exponent only allowed on a bare variable", pos)
+            if bare_var is not None:
                 i, j = bare_var
                 return LaurentPoly2.monomial(i * e, j * e)
+            if e < 0:
+                raise ParseError("negative exponent only allowed on a bare variable", pos)
             return value ** e
         return value
 

@@ -27,17 +27,21 @@ the arc ends of the self-reciprocal families) and Gauss-Newton solves
 P = dP/dphi = 0 instead.  A cut is kept only when the iteration converged
 strictly inside its cell and the root count just either side of it is the
 count at the cell's ends; a cell whose crossing sits on the edge t = 0 or pi
-needs no cut.  The few cells left over are bisected on the count, all
-together, down to a width of 1e-12, one count call per halving.  A
-crossing pair inside one scan cell leaves the count unchanged at both ends
-and is missed.
+needs no cut.  A call whose cells hold no fold takes the Newton step from
+F, F_t and F_phi alone, since the fold terms would add exactly zero.  The
+few cells left over are bisected on the count, all together, down to a
+width of 1e-12: the midpoints that the next five halvings can take are
+counted in one call, and the halvings are replayed on them.  A crossing
+pair inside one scan cell leaves the count unchanged at both ends and is
+missed.
 
 The pieces between the cuts are integrated together with the
 double-exponential rule ``quad._tanh_sinh_pieces``.  Its first call of the
 fiber kernel ``_fiber_logplus`` takes every node of levels 0-3 of every
 piece, and each later level one call for the new nodes of the pieces not
 yet converged, so the fibers of each call are solved in one ``batch_roots``
-call per degree.  ``mahler_jensen(R_3)`` makes 5 ``batch_roots`` calls in
+call per degree, and the rule reduces the values of each call in one
+pass.  ``mahler_jensen(R_3)`` makes 5 ``batch_roots`` calls in
 all: the scan count, the polish's start roots, its probe count, the first
 pass and level 4.
 
@@ -248,7 +252,7 @@ def _solve_fibers(coeffs):
     n, m = coeffs.shape[0], coeffs.shape[1] - 1
     scale = np.abs(coeffs).max(axis=1)
     flip = np.abs(coeffs[:, -1]) < _FLIP_REL * scale
-    solve = np.where(flip[:, None], coeffs[:, ::-1], coeffs)
+    solve = np.where(flip[:, None], coeffs[:, ::-1], coeffs) if flip.any() else coeffs
     lead = solve[:, -1]
     groups = {m: slice(None)} if m else {}
     if not lead.all():
@@ -302,19 +306,42 @@ _POLISH_STEPS = 8    # Newton / Gauss-Newton steps at most
 _MIRROR_REL = 1e-6   # tolerance of the root pair test of a fold
 
 
-def _torus_terms(ext_table, t, phi):
+def _torus_terms(ext_table, t, phi, fold):
     """F(t, phi) = sum_j c_j(e^{it}) e^{ij phi} at an array of points, with
-    F_t, F_phi, F_t phi and F_phi phi.  ``ext_table`` is the coefficient
-    table with the t-derivatives of its columns appended, so that one
-    ``_coeffs_grid`` call gives the c_j and their derivatives.  The sums
-    avoid BLAS, whose buffers would add to peak memory."""
+    F_t and F_phi, and with F_t phi and F_phi phi when ``fold``.
+    ``ext_table`` is the coefficient table with the t-derivatives of its
+    columns appended, so that one ``_coeffs_grid`` call gives the c_j and
+    their derivatives.  The sums avoid BLAS, whose buffers would add to peak
+    memory."""
     cc = _coeffs_grid(ext_table, t)
     j = np.arange(cc.shape[1] // 2)
     yp = np.exp(1j * np.outer(phi, j))
     c = cc[:, :len(j)] * yp
     dc = cc[:, len(j):] * yp
-    return (c.sum(axis=1), dc.sum(axis=1), (c * (1j * j)).sum(axis=1),
-            (dc * (1j * j)).sum(axis=1), (c * (-j * j)).sum(axis=1))
+    terms = (c.sum(axis=1), dc.sum(axis=1), (c * (1j * j)).sum(axis=1))
+    if fold:
+        terms += ((dc * (1j * j)).sum(axis=1), (c * (-j * j)).sum(axis=1))
+    return terms
+
+
+def _newton_step(F, Ft, Fp, Ftp=None, Fpp=None, w=None):
+    """The Gauss-Newton step (dt, dphi) on (F, w F_phi) = 0, by the 2x2
+    normal equations; without F_t phi, F_phi phi and w it is the Newton
+    step on F = 0, the same step as with w = 0, whose terms in w add
+    exactly zero."""
+    uu = np.abs(Ft) ** 2
+    vv = np.abs(Fp) ** 2
+    uv = (np.conj(Ft) * Fp).real
+    ug = (np.conj(Ft) * F).real
+    vg = (np.conj(Fp) * F).real
+    if w is not None:
+        uu = uu + w * np.abs(Ftp) ** 2
+        vv = vv + w * np.abs(Fpp) ** 2
+        uv = uv + w * (np.conj(Ftp) * Fpp).real
+        ug = ug + w * (np.conj(Ftp) * Fp).real
+        vg = vg + w * (np.conj(Fpp) * Fp).real
+    det = uu * vv - uv * uv
+    return (uv * vg - vv * ug) / det, (uv * ug - uu * vg) / det
 
 
 def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
@@ -360,6 +387,7 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
                 | ((np.abs(np.abs(y0) - 1.0) <= _MIRROR_REL)
                    & (np.abs(np.abs(y1) - 1.0) <= _MIRROR_REL)))
     w = fold.astype(float)
+    any_fold = fold.any()     # else the fold terms are all zero
     # the end of the scan a cell touches, NaN for inner cells
     edge = np.where(a == lo, 0.0, np.where(b == hi, math.pi, np.nan))
 
@@ -373,17 +401,8 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
         for _ in range(_POLISH_STEPS):
             if not len(live):
                 break
-            F, Ft, Fp, Ftp, Fpp = _torus_terms(ext, t[live], phi[live])
-            wl = w[live]
-            # Gauss-Newton on (F, w F_phi) = 0, by the 2x2 normal equations
-            uu = np.abs(Ft) ** 2 + wl * np.abs(Ftp) ** 2
-            vv = np.abs(Fp) ** 2 + wl * np.abs(Fpp) ** 2
-            uv = (np.conj(Ft) * Fp).real + wl * (np.conj(Ftp) * Fpp).real
-            ug = (np.conj(Ft) * F).real + wl * (np.conj(Ftp) * Fp).real
-            vg = (np.conj(Fp) * F).real + wl * (np.conj(Fpp) * Fp).real
-            det = uu * vv - uv * uv
-            dt = (uv * vg - vv * ug) / det
-            dp = (uv * ug - uu * vg) / det
+            terms = _torus_terms(ext, t[live], phi[live], any_fold)
+            dt, dp = _newton_step(*terms, w=w[live] if any_fold else None)
             d_old = np.abs(t[live] - edge[live])
             t[live] += dt
             phi[live] += dp
@@ -435,21 +454,47 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
     return cuts, dropped
 
 
+_SECTION_DEPTH = 5   # halvings of every bracket per count call of _bisect_cells
+
+
 def _bisect_cells(coeff_table, a, b, na):
     """Bisection on the outside-circle root count: the brackets [a, b], on
     whose ends the count differs (na at a), are halved together until
-    narrower than 1e-12, at most 60 times, one ``_count_outside`` call per
-    halving; returns their midpoints."""
+    narrower than 1e-12, at most 60 times; returns their midpoints.
+
+    The halvings go _SECTION_DEPTH = k at a time.  The 2^k - 1 midpoints
+    that the next k halvings of a live bracket can take, built by the same
+    0.5 (a + b) recursion, are counted in one ``_count_outside`` call, and
+    the k decisions are then replayed on them, so the brackets are those of
+    one count call per halving, from at most ceil(60 / k) calls.  k = 5
+    took the bisection of a ``jensen-corpus`` round from 96 count calls and
+    7.6-8.0 ms to 21 calls and 3.5-4.0 ms (one process, one BLAS thread,
+    2-core x86 machine).
+    """
     a, b = a.copy(), b.copy()
     live = np.arange(len(a))
-    for _ in range(60):
-        if not len(live):
-            break
-        mid = 0.5 * (a[live] + b[live])
-        same = _count_outside(coeff_table, mid) == na[live]
-        a[live[same]] = mid[same]
-        b[live[~same]] = mid[~same]
-        live = live[b[live] - a[live] >= 1e-12]
+    halvings = 0
+    while len(live) and halvings < 60:
+        k = min(_SECTION_DEPTH, 60 - halvings)
+        size = 1 << k
+        # row i holds a bracket's dyadic points a = g_0 < ... < g_size = b
+        grid = np.empty((len(live), size + 1))
+        grid[:, 0], grid[:, size] = a[live], b[live]
+        for step in (1 << s for s in range(k, 0, -1)):
+            grid[:, step // 2::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
+        counts = _count_outside(coeff_table, grid[:, 1:-1].ravel()).reshape(len(live), -1)
+        rows = np.arange(len(live))
+        lo, hi = np.zeros(len(live), dtype=int), np.full(len(live), size)
+        going = np.ones(len(live), dtype=bool)
+        for _ in range(k):
+            mid = (lo + hi) // 2
+            same = counts[rows, mid - 1] == na[live]
+            lo = np.where(going & same, mid, lo)
+            hi = np.where(going & ~same, mid, hi)
+            going &= grid[rows, hi] - grid[rows, lo] >= 1e-12
+        halvings += k
+        a[live], b[live] = grid[rows, lo], grid[rows, hi]
+        live = live[going]
     return 0.5 * (a + b)
 
 

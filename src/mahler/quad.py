@@ -22,11 +22,13 @@ The rule has two entry points that share the node tables of
 * ``_tanh_sinh_pieces`` integrates all pieces of a cut interval at once
   with an integrand over arrays of abscissae.  The nodes are nested, so
   its first call takes every node of levels 0-3 of every piece, and each
-  later level one call for the pieces not yet converged.  The Jensen
-  engine uses it, because each of its integrand values costs a polynomial
-  root solve, and a batch of them costs little more than one.  Given the
-  same integrand values it returns the same results as ``integrate`` piece
-  by piece.
+  later level one call for the pieces not yet converged.  The values of a
+  call are reduced in one pass over a padded (pieces, levels, nodes, side)
+  layout, so the rule's own work is a fixed number of numpy calls per call
+  of the integrand, not per level.  The Jensen engine uses it, because
+  each of its integrand values costs a polynomial root solve, and a batch
+  of them costs little more than one.  Given the same integrand values it
+  returns the same results as ``integrate`` piece by piece.
 
 Both treat the integrand as a black box that is never evaluated closer to
 an endpoint than one ulp.  An inverse-square-root endpoint then caps the
@@ -181,31 +183,39 @@ def integrate(f, a, b, tol=1e-12):
 
 
 @functools.lru_cache(maxsize=None)
-def _level_arrays(level):
-    """``_level_nodes(level)``'s distances and weights as numpy arrays: views
-    of the same buffers, so both rules read the same floats."""
-    _, dists, ws = _level_nodes(level)
-    return np.frombuffer(dists), np.frombuffer(ws)
+def _block_tables(first, last):
+    """Levels first..last of the rule in the padded layout (levels, nodes,
+    side) that ``_tanh_sinh_pieces`` reduces in one pass: the signed unit
+    distances (+dist on the left side, -dist on the right), the weights,
+    the mask of the real nodes and the step 2^-level of each level.
 
-
-@functools.lru_cache(maxsize=None)
-def _first_pass_nodes():
-    """The distances of every node of levels 0.._FIRST_LEVEL but the center
-    t = 0, level after level, and the slice of each level in them."""
-    dists = [_level_arrays(level)[0] for level in range(_FIRST_LEVEL + 1)]
-    dists[0] = dists[0][1:]
-    stops = np.cumsum([len(d) for d in dists]).tolist()
-    return np.concatenate(dists), [slice(lo, hi) for lo, hi in zip([0] + stops, stops)]
-
-
-def _piece_nodes(half, ends, dists):
-    """Node distances d, abscissae x, shaped (pieces, nodes, side), and the
-    mask of the abscissae that do not round onto their endpoint, for the
-    half-widths ``half``, the ends (pieces, 1, side) and the unit-interval
-    distances ``dists``."""
-    d = np.outer(half, dists)[:, :, None]
-    x = ends + np.concatenate([d, -d], axis=2)
-    return d, x, x != ends    # black-box cannot be evaluated closer than one ulp
+    A level's nodes take slots 1, 2, ... by increasing t, as in
+    ``_level_nodes``, and padding up to the longest level follows.  Slot 0
+    holds level 0's center t = 0, whose weight sits on the left side only,
+    and is empty on the other levels.  Neither slot 0 nor the padding is a
+    real node (the center's abscissa is no endpoint plus a distance): an
+    empty place holds the value 0 and the weight -0.0, which adds -0.0 to a
+    pair sum and so leaves every sum as it is.  Slot 0 has distance inf,
+    so that a side with no node taken, whose last taken slot reads as 0,
+    has no deepest node; the padding has distance 0.
+    """
+    levels = range(first, last + 1)
+    tables = [_level_nodes(level) for level in levels]
+    width = max(len(ts) + (level > 0) for level, (ts, _, _) in zip(levels, tables))
+    sdist = np.zeros((len(levels), width, 2))
+    w = np.full((len(levels), width, 2), -0.0)
+    real = np.zeros((len(levels), width, 2), dtype=bool)
+    for i, (level, (_, dists, ws)) in enumerate(zip(levels, tables)):
+        lo = 1 if level else 0
+        slots = slice(lo, lo + len(dists))
+        sdist[i, slots] = np.frombuffer(dists)[:, None] * [1.0, -1.0]
+        w[i, slots] = np.frombuffer(ws)[:, None]
+        real[i, slots] = True
+    if first == 0:     # the center
+        w[0, 0, 1] = -0.0
+        real[0, 0] = False
+    sdist[:, 0] = math.inf
+    return sdist, w, real, 0.5 ** np.arange(first, last + 1)
 
 
 def _tanh_sinh_pieces(F, edges, tol):
@@ -223,15 +233,30 @@ def _tanh_sinh_pieces(F, edges, tol):
     that its piece never reaches is ignored: it neither raises nor counts
     in ``evals``.  Returns one QuadResult per piece.
 
-    _FIRST_LEVEL is 3 from a measurement.  Each call of the Jensen engine's
-    F costs a fixed 0.1-0.2 ms of root solving whatever its number of
-    nodes, and 177 of the 253 pieces of a ``jensen-corpus`` round converge
-    at level 3 or 4 (53 at level 1, 36 of them on arcs where the integrand
-    vanishes).  The median time of such a round (seed 3, one process, one
-    BLAS thread, 2-core x86 machine, three repeats) was 181-184 ms with a
-    first pass through level 2, 166-174 ms through level 3, 166-167 ms
-    through level 4 and 178-180 ms through level 5, whose nodes most pieces
-    never use; one solve per level took 194-206 ms.
+    The values of one call are reduced in one pass over the padded layout
+    (pieces, levels, nodes, side) of ``_block_tables``: the pair sums of
+    every level by ``cumsum`` along the nodes, which adds left to right,
+    the node counts and the deepest node of each side; only the recurrence
+    from one level's value to the next runs level by level, on arrays over
+    the pieces.  A level's taken nodes are a prefix of its slots, since
+    ``a + d`` rounds monotonically onto ``a`` as d shrinks, so the deepest
+    node taken is the last; where a value is not finite it is found among
+    the nodes used instead.
+
+    _FIRST_LEVEL is 3.  Each call of the Jensen engine's F costs a fixed
+    0.1-0.2 ms of root solving whatever its number of nodes, and 177 of the
+    253 pieces of a ``jensen-corpus`` round converge at level 3 or 4 (53 at
+    level 1, 36 of them on arcs where the integrand vanishes).  With the
+    one-pass reduction, the median time of such a round (one process, one
+    BLAS thread, 2-core x86 machine, median of 7 rounds, 3-4 repeats) was,
+    in the order of seed 3, 122-130 ms with a first pass through level 2,
+    116-122 ms through level 3, 110-111 ms through level 4 and 122-125 ms
+    through level 5, whose nodes most pieces never use; in the order of
+    seed 11, 119-122 ms through level 3 and 114-129 ms through level 4.
+    Level 4 is a few per cent faster but changes the engine's pinned
+    counts of root solves (``mahler_jensen(R_3)`` and ``q_measure(6)``
+    would make 4 calls instead of 5 for the same values), so that change
+    is left to one that re-pins them.
 
     Raises ValueError unless the edges are finite and strictly increasing
     and tol > 0 (a NaN tol included).
@@ -248,70 +273,79 @@ def _tanh_sinh_pieces(F, edges, tol):
     half = 0.5 * (b - a)
     value = np.zeros(n)
     err = np.zeros(n)
-    evals = np.zeros(n, dtype=int)
-    deep_d = np.full((n, 2), math.inf)   # per piece and side: min d used
-    deep_f = np.zeros((n, 2))            # and |f| there
-    ends = np.stack([a, b], axis=1)[:, None, :]
-    # the first pass: the center and levels 0.._FIRST_LEVEL of every piece
-    first_dists, spans = _first_pass_nodes()
-    d_first, x_first, take_first = _piece_nodes(half, ends, first_dists)
-    center = 0.5 * (a + b)
-    vals = F(np.concatenate([center, x_first[take_first]]))
-    fc = vals[:n]
-    if not np.isfinite(fc).all():     # every piece's first node
-        raise QuadratureError("integrand is not finite",
-                              float(center[np.argmin(np.isfinite(fc))]))
-    v_first = np.zeros(x_first.shape)
-    v_first[take_first] = vals[n:]
+    # per piece, level and side: the nodes taken, and the distance of the
+    # deepest node used with |f| there
+    taken = np.zeros((n, _MAX_LEVEL + 1, 2), dtype=int)
+    depth = np.full((n, _MAX_LEVEL + 1, 2), math.inf)
+    height = np.zeros((n, _MAX_LEVEL + 1, 2))
+    ends = np.stack([a, b], axis=1)[:, None, None, :]
 
     live = np.arange(n)
-    for level in range(_MAX_LEVEL + 1):
-        if not len(live):
-            break
-        dists, ws = _level_arrays(level)
+    first, last = 0, _FIRST_LEVEL
+    while len(live) and first <= _MAX_LEVEL:
+        sdist, w, real, hs = _block_tables(first, last)
         hl = half[live]
-        if level <= _FIRST_LEVEL:
-            span = spans[level]
-            d, x, take = d_first[live, span], x_first[live, span], take_first[live, span]
-            v = v_first[live, span]
-        else:
-            d, x, take = _piece_nodes(hl, ends[live], dists)
-            v = np.zeros(x.shape)
-            v[take] = F(x[take])
-        if level == 0:      # t = 0 is the single center node
-            w0, ws = ws[0], ws[1:]
-        evals[live] += take.sum(axis=(1, 2)) + (level == 0)
-        bad = take & ~np.isfinite(v)
-        if bad.any():
-            interior = bad & (d > 1e-9 * np.abs(hl)[:, None, None])
-            if interior.any():
+        xd = hl[:, None, None, None] * sdist    # the signed node distances
+        e = ends[live]
+        x = e + xd
+        take = (x != e) & real    # black-box cannot be evaluated closer than one ulp
+        v = np.zeros(x.shape)
+        if first == 0:      # the center of every piece, then the nodes
+            center = 0.5 * (a + b)
+            vals = F(np.concatenate([center, x[take]]))
+            if not np.isfinite(vals[:n]).all():
                 raise QuadratureError("integrand is not finite",
-                                      float(x[tuple(np.argwhere(interior)[0])]))
-            v[bad] = 0.0       # integrable endpoint blow-up, weight negligible
-        used = take & ~bad
-        # the deepest node used on each side
-        dd = np.where(used, d, math.inf)
-        j = dd.argmin(axis=1)[:, None, :]
-        d_min = np.take_along_axis(dd, j, axis=1)[:, 0, :]
-        deeper = d_min < deep_d[live]
-        deep_d[live] = np.where(deeper, d_min, deep_d[live])
-        deep_f[live] = np.where(deeper, np.abs(np.take_along_axis(v, j, axis=1)[:, 0, :]),
-                                deep_f[live])
-        terms = np.where(used, ws[None, :, None] * v, 0.0)
-        pairs = terms[:, :, 0] + terms[:, :, 1]
-        if level == 0:
-            pairs = np.concatenate([(w0 * fc)[:, None], pairs], axis=1)
+                                      float(center[np.argmin(np.isfinite(vals[:n]))]))
+            v[:, 0, 0, 0] = vals[:n]
+            v[take] = vals[n:]
+        else:
+            vals = F(x[take])
+            v[take] = vals
+        counts = take.sum(axis=2)
+        # the place of the deepest node used on each level and side
+        at = np.arange(len(live))
+        deepest = at[:, None, None], np.arange(len(hs))[:, None], counts, [0, 1]
+        bad = None if np.isfinite(vals).all() else ~np.isfinite(v)
+        if bad is None:
+            d_min = np.abs(xd[deepest])      # the last node taken, slot 0 if none
+        else:
+            v[bad] = 0.0    # integrable endpoint blow-up, weight negligible
+            dd = np.where(take & ~bad, np.abs(xd), math.inf)
+            deepest = deepest[:2] + (dd.argmin(axis=2), [0, 1])
+            d_min = dd[deepest]
+        terms = w * v
         # the node pairs are added left to right, as in integrate
-        add = np.cumsum(pairs, axis=1)[:, -1]
-        h = 0.5 ** level
-        if level == 0:
-            value[live] = add * h * hl
-            continue
-        new_value = 0.5 * value[live] + add * h * hl
-        err[live] = np.abs(new_value - value[live])
-        value[live] = new_value
-        limit = np.maximum(tol, 4.0 * _EPS * np.abs(new_value)) * 0.5
-        live = live[~(err[live] <= limit)]
+        add = np.cumsum(terms[:, :, :, 0] + terms[:, :, :, 1], axis=2)[:, :, -1]
+        inc = add * hs * hl[:, None]
+        after = np.empty_like(inc)      # the value after each level
+        prev = value[live]
+        for i in range(len(hs)):
+            prev = after[:, i] = inc[:, i] if first + i == 0 else 0.5 * prev + inc[:, i]
+        diffs = np.abs(after - np.concatenate([value[live][:, None], after[:, :-1]], axis=1))
+        done = diffs <= np.maximum(tol, 4.0 * _EPS * np.abs(after)) * 0.5
+        if first == 0:
+            done[:, 0] = False      # level 0 only starts the recurrence
+        stop = np.where(done.any(axis=1), done.argmax(axis=1), len(hs) - 1)
+        reached = (np.arange(len(hs)) <= stop[:, None])[:, :, None]
+        if bad is not None:
+            interior = bad & reached[:, :, :, None] & (
+                np.abs(xd) > 1e-9 * np.abs(hl)[:, None, None, None])
+            if interior.any():
+                level = interior.any(axis=(0, 2, 3)).argmax()
+                raise QuadratureError("integrand is not finite",
+                                      float(x[:, level][tuple(np.argwhere(interior[:, level])[0])]))
+        value[live] = after[at, stop]
+        err[live] = diffs[at, stop]
+        block = slice(first, last + 1)
+        taken[live, block] = counts * reached
+        depth[live, block] = np.where(reached, d_min, math.inf)
+        height[live, block] = np.abs(v[deepest])
+        live = live[~done[at, stop]]
+        first = last = last + 1
+    # the deepest node used on each side, the earliest of equal depth
+    deepest = np.arange(n)[:, None], depth.argmin(axis=1), [0, 1]
+    deep_d, deep_f = depth[deepest], height[deepest]
+    evals = taken.sum(axis=(1, 2)) + 1
     sing = (deep_f * np.sqrt(np.where(np.isfinite(deep_d), deep_d, 0.0))).max(axis=1)
     err = np.maximum(err, 1e-7 * sing)
     return [QuadResult(float(v), max(float(e), _EPS * abs(float(v))), int(k))

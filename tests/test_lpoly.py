@@ -1,6 +1,10 @@
 """Laurent polynomial arithmetic, parser, Newton polygon, temperedness."""
 
+import importlib.util
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +83,87 @@ def test_negative_exponent_only_on_bare_variable():
 def test_k_degree_limited():
     with pytest.raises(ValueError):
         parse_poly("k*k*x")
+
+
+def test_power_makes_no_unused_squaring():
+    # the squaring after the last bit of the exponent was computed and
+    # dropped, and for a linear k it raised "degree > 1 in k"
+    assert parse_poly("(k+y)^1") == parse_poly("k+y")
+    assert parse_poly("(k*x+1)^1", 2.5) == parse_poly("k*x+1", 2.5)
+    assert parse_poly("(x+y)^5") == parse_poly("(x+y)^4*(x+y)")
+    with pytest.raises(ValueError):
+        parse_poly("(k+y)^2")
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _corpus_expressions():
+    """(expression, k) of every polynomial the benchmark's jensen-corpus
+    parses: the P, R and Q templates at its k, 1+x+y, A and the generated
+    polynomials of bench/refs.json."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", BENCH / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    refs = json.loads((BENCH / "refs.json").read_text())
+    out = [(corpus.FAMILY_TEMPLATES[name], k)
+           for name, ks in (("P", corpus.JENSEN_P_K), ("R", corpus.JENSEN_R_K),
+                            ("Q", corpus.JENSEN_Q_S)) for k in ks]
+    out += [("1+x+y", None), (corpus.A_POLY, None)]
+    return out + [(item["expr"], None) for items in refs["generated"].values() for item in items]
+
+
+def _generic_parse(text, k=None):
+    """An expression without negative exponents, evaluated by Python's own
+    parser with the generic ``LaurentPoly2`` arithmetic: the reference for
+    the parser's shortcuts (one dict for a sum, a bare variable's power as
+    a monomial)."""
+    code = re.sub(r"\^(\d+)|(\d+)", lambda m: f"**{m[1]}" if m[1] else f"C({m[2]})", text)
+    names = {"C": LaurentPoly2.const, "x": LaurentPoly2.monomial(1, 0),
+             "y": LaurentPoly2.monomial(0, 1),
+             "k": LaurentPoly2.const(KLinear(0, 1) if k is None else k)}
+    return eval(code, {"__builtins__": {}}, names)
+
+
+def _typed_terms(p):
+    return [(e, type(c), c) for e, c in p.terms.items()]
+
+
+def test_parse_matches_generic_arithmetic_on_benchmark_corpus():
+    # the same terms dict, in order and coefficient type
+    cases = _corpus_expressions()
+    assert len(cases) == 17 + 2 + 157
+    for text, k in cases:
+        assert _typed_terms(parse_poly(text, k)) == _typed_terms(_generic_parse(text, k)), text
+
+
+def _random_expression(rng, depth=0):
+    def atom():
+        if depth or rng.random() < 0.6:
+            return rng.choice(["x", "y", "k", str(rng.randint(0, 4)), "y^3", "x^0", "x^2"])
+        return f"({_random_expression(rng, depth + 1)})" + rng.choice(["", "^2", "^0", "^1"])
+
+    def term():
+        return ("-" if rng.random() < 0.2 else "") + "*".join(
+            atom() for _ in range(rng.randint(1, 3)))
+
+    return term() + "".join(rng.choice("+-") + term() for _ in range(rng.randint(0, 4)))
+
+
+def test_parse_matches_generic_arithmetic_fuzz():
+    # sums that cancel and come back, products of sums, powers, unary minus,
+    # a symbolic or float k
+    rng = random.Random(1729)
+    for _ in range(400):
+        text = _random_expression(rng)
+        for k in (None, 2.5):
+            try:
+                ref = _typed_terms(_generic_parse(text, k))
+            except ValueError:      # degree > 1 in k
+                with pytest.raises(ValueError):
+                    parse_poly(text, k)
+                continue
+            assert _typed_terms(parse_poly(text, k)) == ref, text
 
 
 def _random_poly(rng):

@@ -14,6 +14,7 @@ from mahler.lpoly import LaurentPoly2, is_tempered, monomial_transform, parse_po
 from mahler.errors import QuadratureError
 from mahler.measure import (
     _BAND,
+    _SECTION_DEPTH,
     _bisect_cells,
     _coeff_table,
     _coeffs_grid,
@@ -21,10 +22,12 @@ from mahler.measure import (
     _crossing_angles,
     _fiber_logplus,
     _fiber_roots,
+    _newton_step,
     _polish_cells,
     _solve_1var,
     _solve_fibers,
     _torus_row_means,
+    _torus_terms,
     _unit_circle_angles,
     _unit_scaled,
     _y_coeff_polys,
@@ -658,6 +661,116 @@ def test_bisected_cuts_near_polished_cuts(poly):
     polished = ~np.isnan(cuts)
     bisected = _bisect_cells(table, a[polished], b[polished], na[polished])
     assert (np.abs(bisected - cuts[polished]) <= 2.8e-8).all()
+
+
+def _bisect_reference(count, a, b, na):
+    """The plain bisection loop, one count call per halving: the reference
+    that ``_bisect_cells`` must reproduce bit for bit."""
+    a, b = a.copy(), b.copy()
+    live = np.arange(len(a))
+    for _ in range(60):
+        if not len(live):
+            break
+        mid = 0.5 * (a[live] + b[live])
+        same = count(mid) == na[live]
+        a[live[same]] = mid[same]
+        b[live[~same]] = mid[~same]
+        live = live[b[live] - a[live] >= 1e-12]
+    return 0.5 * (a + b)
+
+
+def _step_brackets(rng):
+    """Disjoint brackets with a count that steps once inside each, at a
+    random point, a dyadic midpoint of the bracket or next to an end; some
+    brackets are narrower than 1e-12 from the start, some lie near 4e4,
+    where floats are 7e-12 apart, and some are so wide that 60 halvings
+    leave them wider than 1e-12, so that only the cap stops them."""
+    starts = np.sort(rng.uniform(0.0, math.pi, 4))
+    if rng.random() < 0.2:
+        starts = starts + 4e4
+    widths = rng.choice([1e-14, 1e-9, 3e-3, math.pi / 1024], size=4) * rng.uniform(0.5, 1.0, 4)
+    a, b = starts, starts + np.minimum(widths, np.diff(starts, append=starts[-1] + 1.0))
+    if rng.random() < 0.2:
+        b[-1] = a[-1] + rng.choice([4e4, 1e6, 3e6])
+    step = a + (b - a) * rng.choice([rng.random(), 0.5, 0.25, 0.75, 1e-9, 1.0 - 1e-9])
+    na = rng.integers(0, 4, 4)
+    nb = na + rng.choice([-1, 1, 2], size=4)
+
+    def count(thetas):
+        i = np.searchsorted(b, thetas)      # the bracket of each angle
+        return np.where(thetas < step[i], na[i], nb[i])
+
+    return a, b, na, count
+
+
+def test_sectioned_bisection_matches_plain_loop(monkeypatch):
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        a, b, na, count = _step_brackets(rng)
+        asked, counted = [], []
+
+        def reference_count(thetas):
+            asked.extend(thetas.tolist())
+            return count(thetas)
+
+        def sectioned_count(table, thetas):
+            counted.extend(thetas.tolist())
+            return count(thetas)
+
+        monkeypatch.setattr(measure, "_count_outside", sectioned_count)
+        got = _bisect_cells(None, a, b, na)
+        ref = _bisect_reference(reference_count, a, b, na)
+        assert got.tobytes() == ref.tobytes()
+        assert set(asked) <= set(counted)     # the same midpoints, bit for bit
+
+
+def test_bisection_count_calls_pinned(monkeypatch):
+    # each scan cell bisected alone: ceil(60 / k) count calls at most, and
+    # no one-row cubic or quartic solve (one count call per halving made 32
+    # one-row calls for a single bracket)
+    counts, shapes = [], []
+
+    def counting_outside(table, thetas):
+        counts.append(len(thetas))
+        return _count_outside(table, thetas)
+
+    def solving(coeffs):
+        shapes.append(coeffs.shape)
+        return batch_roots(coeffs)
+
+    cells = []
+    for expr in CUBIC_QUARTIC_FIBERS:
+        table = _coeff_table(_y_coeff_polys(parse_poly(expr)))
+        a, b, na, _ = _scan_cells(table)
+        cells += [(table, a[i:i + 1], b[i:i + 1], na[i:i + 1]) for i in range(len(a))]
+    assert len(cells) >= 10      # 19 scan cells
+    monkeypatch.setattr(measure, "_count_outside", counting_outside)
+    monkeypatch.setattr(measure, "batch_roots", solving)
+    for cell in cells:
+        counts.clear()
+        _bisect_cells(*cell)
+        assert 1 <= len(counts) <= -(-60 // _SECTION_DEPTH)
+    assert not [s for s in shapes if s[0] == 1 and s[1] >= 4]
+
+
+def test_fold_free_newton_step_is_the_full_step_at_w_zero():
+    rng = np.random.default_rng(7)
+    F, Ft, Fp, Ftp, Fpp = (rng.normal(size=64) + 1j * rng.normal(size=64) for _ in range(5))
+    Ft[:4] = 0.0     # singular Jacobians too
+    with np.errstate(divide="ignore", invalid="ignore"):
+        free = _newton_step(F, Ft, Fp)
+        full = _newton_step(F, Ft, Fp, Ftp, Fpp, w=np.zeros(64))
+    for u, v in zip(free, full):
+        assert np.array_equal(u, v, equal_nan=True)
+    # and the fold-free terms are the full terms without the second derivatives
+    table = _coeff_table(_y_coeff_polys(family_poly("R", 3)))
+    exps, coeffs = table
+    ext = (exps, np.hstack([coeffs, 1j * exps[:, None] * coeffs]))
+    t, phi = rng.uniform(0.0, math.pi, 16), rng.uniform(-math.pi, math.pi, 16)
+    terms = _torus_terms(ext, t, phi, True)
+    assert len(terms) == 5
+    for u, v in zip(_torus_terms(ext, t, phi, False), terms[:3], strict=True):
+        assert np.array_equal(u, v)
 
 
 def _mp_torus_point(cx, t0, phi0, fold):

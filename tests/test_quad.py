@@ -280,6 +280,61 @@ def test_pieces_rule_ignores_unreached_first_pass_nodes(edges):
     assert len(nans) == 1 and nans[0] > 0
 
 
+def _first_node(lo, hi, level, side):
+    """The abscissa of the node t = 2^-level of (lo, hi) on the left (0) or
+    right (1) side."""
+    _, dists, _ = _level_nodes(level)
+    d = dists[1 if level == 0 else 0] * (0.5 * (hi - lo))
+    return lo + d if side == 0 else hi - d
+
+
+def _flat_right(x):
+    # at tol 1e-3, piece (0, 1) reaches level 3 and piece (1, 2), where f is
+    # constant, stops at level 2; at tol 1e-11, (0, 1) reaches level 4
+    return math.exp(-x * x) * math.cos(3.0 * x) if x < 1.0 else 2.0
+
+
+# NaN at the level-3 nodes of (1, 2), which that piece never reaches
+UNREACHED = {_first_node(1.0, 2.0, 3, side) for side in (0, 1)}
+
+
+@pytest.mark.parametrize("level,side,tol", [(1, 0, 1e-3), (2, 1, 1e-3), (3, 0, 1e-3),
+                                            (4, 1, 1e-11)])
+def test_pieces_rule_non_finite_at_reached_level_raises(level, side, tol):
+    # an interior NaN at a level piece (0, 1) reaches, in the first pass or
+    # after it, raises with the scalar rule's abscissa: the first in the
+    # order of levels, nodes and sides, before a NaN at level 3 on the
+    # other side, and whatever lies at the nodes of levels another piece
+    # never reaches (at tol 1e-11, piece (1, 2) reaches level 3)
+    bad = {_first_node(0.0, 1.0, level, side)}
+    if tol == 1e-3:
+        bad |= UNREACHED | {_first_node(0.0, 1.0, 3, 1 - side)}
+
+    def f(x):
+        return math.nan if x in bad else _flat_right(x)
+
+    with pytest.raises(QuadratureError) as ref:
+        integrate(f, 0.0, 1.0, tol)
+    with pytest.raises(QuadratureError) as exc:
+        _tanh_sinh_pieces(lambda xs: np.array([f(x) for x in xs]), [0.0, 1.0, 2.0], tol)
+    assert exc.value.abscissa == ref.value.abscissa == _first_node(0.0, 1.0, level, side)
+
+
+def test_pieces_rule_non_finite_at_unreached_level_is_ignored():
+    seen = []
+
+    def f(x):
+        return math.nan if x in UNREACHED else _flat_right(x)
+
+    def F(xs):
+        seen.extend(x for x in xs if x in UNREACHED)
+        return np.array([f(x) for x in xs])
+
+    refs = [integrate(f, 0.0, 1.0, 1e-3), integrate(f, 1.0, 2.0, 1e-3)]
+    assert _tanh_sinh_pieces(F, [0.0, 1.0, 2.0], 1e-3) == refs
+    assert sorted(seen) == sorted(UNREACHED)     # in the first pass, with level 3 of (0, 1)
+
+
 def _refuse(xs):
     raise AssertionError("F called on refused input")
 
