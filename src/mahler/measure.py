@@ -27,23 +27,23 @@ the arc ends of the self-reciprocal families) and Gauss-Newton solves
 P = dP/dphi = 0 instead.  A cut is kept only when the iteration converged
 strictly inside its cell and the root count just either side of it is the
 count at the cell's ends; a cell whose crossing sits on the edge t = 0 or pi
-needs no cut.  A call whose cells hold no fold takes the Newton step from
-F, F_t and F_phi alone, since the fold terms would add exactly zero.  The
-few cells left over are bisected on the count, all together, down to a
-width of 1e-12: the midpoints that the next five halvings can take are
-counted in one call, and the halvings are replayed on them.  A crossing
-pair inside one scan cell leaves the count unchanged at both ends and is
-missed.
+needs no cut.  Those edge rules concern only the two cells at the ends of
+the scan, and a call without such a cell skips them.  A call whose cells
+hold no fold takes the Newton step from F, F_t and F_phi alone, since the
+fold terms would add exactly zero.  The few cells left over are bisected on
+the count, all together, down to a width of 1e-12: the midpoints that the
+next five halvings can take are counted in one call, and the halvings are
+replayed on them.  A crossing pair inside one scan cell leaves the count
+unchanged at both ends and is missed.
 
 The pieces between the cuts are integrated together with the
 double-exponential rule ``quad._tanh_sinh_pieces``.  Its first call of the
-fiber kernel ``_fiber_logplus`` takes every node of levels 0-3 of every
+fiber kernel ``_fiber_logplus`` takes every node of levels 0-4 of every
 piece, and each later level one call for the new nodes of the pieces not
 yet converged, so the fibers of each call are solved in one ``batch_roots``
 call per degree, and the rule reduces the values of each call in one
-pass.  ``mahler_jensen(R_3)`` makes 5 ``batch_roots`` calls in
-all: the scan count, the polish's start roots, its probe count, the first
-pass and level 4.
+pass.  ``mahler_jensen(R_3)`` makes 4 ``batch_roots`` calls in all: the
+scan count, the polish's start roots, its probe count and the first pass.
 
 Every fiber solve, of the scan and probe counts, the polish, the quadrature
 levels and the torus rows below, goes through ``_solve_fibers`` to
@@ -275,8 +275,8 @@ def _fiber_roots(coeffs):
     flip, _, roots = _solve_fibers(coeffs)
     if flip.any():
         flipped = roots[flip]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots[flip] = np.where(np.abs(flipped) > 1e-300, 1.0 / flipped, 0.0)
+        roots[flip] = np.divide(1.0, flipped, out=np.zeros_like(flipped),
+                                where=np.abs(flipped) > 1e-300)
     return roots
 
 
@@ -355,28 +355,24 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
     and (F, F_phi) = 0 is solved by Gauss-Newton instead.  A Newton step is
     the Gauss-Newton step of F alone, so both share one loop.  A cell stops
     early when its iterate goes non-finite or leaves the cell's neighbours,
-    when its step stops shrinking, or when it halves its distance to the
-    edge 0 or pi twice in a row.
+    when its step stops shrinking, or, for a cell at an end of the scan
+    (touching lo or hi), when it halves its distance to the edge 0 or pi
+    twice in a row.
 
     Returns the cut of each cell, NaN where the cell is left to the
     bisection, and a mask of the cells whose cut falls on the edge 0 or pi
     of the scan, which need none.  An interior cut is kept when the
     iteration converged strictly inside the cell and the counts at
-    t* -/+ delta are the cell's end counts.  At the edges, where a root
-    touches the circle at t = 0 or pi (|y(t)| is even there), a cell needs
-    no cut when its iteration reaches the edge, converging there or
-    halving its distance to it at each step as at a double solution, the
-    root followed accounts for the count change, and the count at the
-    midpoint is that of the cell's inner end, so no crossing shares the
-    cell's inner half.
+    t* -/+ delta are the cell's end counts.  The edge rules
+    (``_edge_touches``) apply to the cells at the ends of the scan only, so
+    a call without such a cell skips them and the distances to the edges.
     """
     exps, table = coeff_table
     ext = (exps, np.hstack([table, 1j * exps[:, None] * table]))
     n = len(a)
     mid = 0.5 * (a + b)
     width = b - a
-    rows = _coeffs_grid(coeff_table, np.concatenate([mid, [0.0, math.pi]]))
-    roots = _fiber_roots(rows[:n])
+    roots = _fiber_roots(_coeffs_grid(coeff_table, mid))
     with np.errstate(divide="ignore"):
         order = np.argsort(np.abs(np.log(np.abs(roots))), axis=1)
     y0 = roots[np.arange(n), order[:, 0]]
@@ -388,8 +384,10 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
                    & (np.abs(np.abs(y1) - 1.0) <= _MIRROR_REL)))
     w = fold.astype(float)
     any_fold = fold.any()     # else the fold terms are all zero
-    # the end of the scan a cell touches, NaN for inner cells
+    # the end of the scan a cell touches, NaN for inner cells; the edge
+    # rules concern the cells at the ends only
     edge = np.where(a == lo, 0.0, np.where(b == hi, math.pi, np.nan))
+    ends = np.flatnonzero(~np.isnan(edge))
 
     t, phi = mid.copy(), np.angle(y0)
     converged = np.zeros(n, dtype=bool)
@@ -403,23 +401,60 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
                 break
             terms = _torus_terms(ext, t[live], phi[live], any_fold)
             dt, dp = _newton_step(*terms, w=w[live] if any_fold else None)
-            d_old = np.abs(t[live] - edge[live])
+            if len(ends):
+                d_old = np.abs(t[live] - edge[live])
             t[live] += dt
             phi[live] += dp
             step = np.abs(dt)
             done = (step <= 1e-14) & (np.abs(dp) <= 1e-11)
             converged[live[done]] = True
-            # Newton's method halves the distance to a double solution
-            ratio = np.abs(t[live] - edge[live]) / d_old
-            ratios[live] = np.where((ratio > 0.35) & (ratio < 0.65), ratios[live] + 1, 0)
-            lost = ~(np.isfinite(t[live]) & np.isfinite(phi[live])
-                     & (np.abs(t[live] - mid[live]) < 4.0 * width[live])
-                     & (step < last_dt[live]))
+            stop = done | ~(np.isfinite(t[live]) & np.isfinite(phi[live])
+                            & (np.abs(t[live] - mid[live]) < 4.0 * width[live])
+                            & (step < last_dt[live]))
             last_dt[live] = step
-            live = live[~(done | (ratios[live] >= 2) | lost)]
+            if len(ends):
+                # Newton's method halves the distance to a double solution
+                ratio = np.abs(t[live] - edge[live]) / d_old
+                ratios[live] = np.where((ratio > 0.35) & (ratio < 0.65), ratios[live] + 1, 0)
+                stop |= ratios[live] >= 2
+            live = live[~stop]
 
-    halving = ratios >= 2     # nearing the edge, as at a double solution
     inside = converged & (t > a) & (t < b)
+    ti = t[inside]
+    delta = np.minimum(1e-6, 0.5 * np.minimum(ti - a[inside], b[inside] - ti))
+    probe = np.concatenate([ti - delta, ti + delta])
+    if len(ends):
+        touch, inner = _edge_touches(coeff_table, edge[ends], na[ends], nb[ends], t[ends],
+                                     phi[ends], y0[ends], converged[ends],
+                                     ratios[ends] >= 2, fold[ends], lo)
+        ends, inner = ends[touch], inner[touch]
+        probe = np.concatenate([probe, mid[ends]])
+    counts = _count_outside(coeff_table, probe) if len(probe) else probe
+    k = np.count_nonzero(inside)
+    ok = (counts[:k] == na[inside]) & (counts[k:2 * k] == nb[inside])
+    cuts = np.full(n, np.nan)
+    cuts[np.flatnonzero(inside)[ok]] = ti[ok]
+    dropped = np.zeros(n, dtype=bool)
+    if len(ends):
+        dropped[ends[counts[2 * k:] == inner]] = True
+    return cuts, dropped
+
+
+def _edge_touches(coeff_table, edge, na, nb, t, phi, y0, converged, halving, fold, lo):
+    """The edge rules of ``_polish_cells`` for its cells at the ends of the
+    scan, given each cell's edge (0 or pi), end counts and polish state
+    (iterate, start root, whether it converged or was halving its distance
+    to the edge, whether it is a fold).  Returns the mask of the cells whose
+    crossing may sit on the edge, and the count each then needs at its
+    midpoint.
+
+    Where a root touches the circle at t = 0 or pi (|y(t)| is even there),
+    a cell needs no cut when its iteration reaches the edge, converging
+    there or halving its distance to it at each step as at a double
+    solution, the root followed accounts for the count change, and the
+    count at the midpoint is that of the cell's inner end, so no crossing
+    shares the cell's inner half.
+    """
     # the count change an edge touch explains: a touching root counts
     # outside on the cell's inner side only
     inner = np.where(edge == 0.0, nb, na)
@@ -427,10 +462,10 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
     # a real root y = +-1 on the circle at the edge, whose |y(t)| is even:
     # F(edge, 0) or F(edge, pi) vanishes; rows are the edges 0 and pi,
     # columns the roots 1 and -1
-    ends = rows[n:]
-    alternating = (-1.0) ** np.arange(ends.shape[1])
-    at_pm1 = np.stack([ends.sum(axis=1), (ends * alternating).sum(axis=1)], axis=1)
-    real_root = np.abs(at_pm1) <= 1e-13 * np.abs(ends).sum(axis=1)[:, None]
+    rows = _coeffs_grid(coeff_table, np.array([0.0, math.pi]))
+    alternating = (-1.0) ** np.arange(rows.shape[1])
+    at_pm1 = np.stack([rows.sum(axis=1), (rows * alternating).sum(axis=1)], axis=1)
+    real_root = np.abs(at_pm1) <= 1e-13 * np.abs(rows).sum(axis=1)[:, None]
     with np.errstate(invalid="ignore"):     # phi of a lost iterate may be inf
         nearer_minus_one = ~(np.cos(phi) > 0.0)
     real_touch = real_root[np.where(edge == 0.0, 0, 1), nearer_minus_one.astype(int)]
@@ -438,20 +473,9 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
     # pair e^{+-i phi} of which one root leaves the circle as the other
     # enters; or halving towards the edge: a fold, or a root y = +-1 that
     # touches the circle from outside
-    at_edge = ((converged & (np.abs(t - edge) <= 2.0 * lo))
-               | (halving & (fold | (real_touch & (np.abs(y0) > 1.0 + _BAND)))))
-    at_edge &= inner - outer == 1
-    ti = t[inside]
-    delta = np.minimum(1e-6, 0.5 * np.minimum(ti - a[inside], b[inside] - ti))
-    probe = np.concatenate([ti - delta, ti + delta, mid[at_edge]])
-    counts = _count_outside(coeff_table, probe) if len(probe) else probe
-    k = np.count_nonzero(inside)
-    ok = (counts[:k] == na[inside]) & (counts[k:2 * k] == nb[inside])
-    cuts = np.full(n, np.nan)
-    cuts[np.flatnonzero(inside)[ok]] = ti[ok]
-    dropped = np.zeros(n, dtype=bool)
-    dropped[np.flatnonzero(at_edge)[counts[2 * k:] == inner[at_edge]]] = True
-    return cuts, dropped
+    touch = ((converged & (np.abs(t - edge) <= 2.0 * lo))
+             | (halving & (fold | (real_touch & (np.abs(y0) > 1.0 + _BAND)))))
+    return touch & (inner - outer == 1), inner
 
 
 _SECTION_DEPTH = 5   # halvings of every bracket per count call of _bisect_cells

@@ -21,7 +21,7 @@ The rule has two entry points that share the node tables of
   from 0.45-0.73 to 0.80-0.88 ms (one BLAS thread, 2-core x86 machine).
 * ``_tanh_sinh_pieces`` integrates all pieces of a cut interval at once
   with an integrand over arrays of abscissae.  The nodes are nested, so
-  its first call takes every node of levels 0-3 of every piece, and each
+  its first call takes every node of levels 0-4 of every piece, and each
   later level one call for the pieces not yet converged.  The values of a
   call are reduced in one pass over a padded (pieces, levels, nodes, side)
   layout, so the rule's own work is a fixed number of numpy calls per call
@@ -78,7 +78,7 @@ def _de_weight(t):
 
 _T_MAX = 6.11      # beyond this the node distance underflows anyway
 _MAX_LEVEL = 12
-_FIRST_LEVEL = 3   # _tanh_sinh_pieces evaluates levels 0.._FIRST_LEVEL in one call
+_FIRST_LEVEL = 4   # _tanh_sinh_pieces evaluates levels 0.._FIRST_LEVEL in one call
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,7 +224,7 @@ def _tanh_sinh_pieces(F, edges, tol):
     values.
 
     The first call of F takes every node of levels 0.._FIRST_LEVEL of every
-    piece, 97 per piece less those that round onto an endpoint; each later
+    piece, 195 per piece less those that round onto an endpoint; each later
     level calls F once, on the new nodes of the pieces that have not
     converged yet.  Per piece the nodes, the order in which node pairs are
     added, the stopping test, the endpoint rules, the deepest-node cap on
@@ -243,20 +243,15 @@ def _tanh_sinh_pieces(F, edges, tol):
     node taken is the last; where a value is not finite it is found among
     the nodes used instead.
 
-    _FIRST_LEVEL is 3.  Each call of the Jensen engine's F costs a fixed
-    0.1-0.2 ms of root solving whatever its number of nodes, and 177 of the
-    253 pieces of a ``jensen-corpus`` round converge at level 3 or 4 (53 at
-    level 1, 36 of them on arcs where the integrand vanishes).  With the
-    one-pass reduction, the median time of such a round (one process, one
-    BLAS thread, 2-core x86 machine, median of 7 rounds, 3-4 repeats) was,
-    in the order of seed 3, 122-130 ms with a first pass through level 2,
-    116-122 ms through level 3, 110-111 ms through level 4 and 122-125 ms
-    through level 5, whose nodes most pieces never use; in the order of
-    seed 11, 119-122 ms through level 3 and 114-129 ms through level 4.
-    Level 4 is a few per cent faster but changes the engine's pinned
-    counts of root solves (``mahler_jensen(R_3)`` and ``q_measure(6)``
-    would make 4 calls instead of 5 for the same values), so that change
-    is left to one that re-pins them.
+    _FIRST_LEVEL is 4.  Each call of the Jensen engine's F costs a fixed
+    0.1-0.2 ms of root solving whatever its number of nodes, and most pieces
+    of a ``jensen-corpus`` round converge by level 4.  A first pass through
+    level 4 rather than 3 takes a seed-3 round from 175 to 108 calls of F,
+    and this rule's time in it, F included, from 38.7-38.9 to 32.4-32.9 ms
+    (median of 7 rounds in one process, 3 processes, one BLAS thread, 2-core
+    x86 machine), with every value the same.  A first pass through level 2
+    or 5 was slower than one through 3 or 4: level 5's nodes most pieces
+    never use.
 
     Raises ValueError unless the edges are finite and strictly increasing
     and tol > 0 (a NaN tol included).

@@ -289,9 +289,9 @@ def _first_node(lo, hi, level, side):
 
 
 def _flat_right(x):
-    # at tol 1e-3, piece (0, 1) reaches level 3 and piece (1, 2), where f is
-    # constant, stops at level 2; at tol 1e-11, (0, 1) reaches level 4
-    return math.exp(-x * x) * math.cos(3.0 * x) if x < 1.0 else 2.0
+    # at tol 1e-3, piece (0, 1) reaches level 5 and piece (1, 2), where f is
+    # constant, stops at level 2; at tol 1e-11, (0, 1) reaches level 7
+    return 1.0 / (1.0 + 100.0 * (x - 0.5) ** 2) if x < 1.0 else 2.0
 
 
 # NaN at the level-3 nodes of (1, 2), which that piece never reaches
@@ -299,7 +299,8 @@ UNREACHED = {_first_node(1.0, 2.0, 3, side) for side in (0, 1)}
 
 
 @pytest.mark.parametrize("level,side,tol", [(1, 0, 1e-3), (2, 1, 1e-3), (3, 0, 1e-3),
-                                            (4, 1, 1e-11)])
+                                            (_FIRST_LEVEL, 1, 1e-11),
+                                            (_FIRST_LEVEL + 1, 0, 1e-11)])
 def test_pieces_rule_non_finite_at_reached_level_raises(level, side, tol):
     # an interior NaN at a level piece (0, 1) reaches, in the first pass or
     # after it, raises with the scalar rule's abscissa: the first in the
