@@ -62,14 +62,18 @@ lower-accuracy oracle.  It does not use Jensen's formula, the crossing
 scan, the cuts or the tanh-sinh rule: it averages log|P| over trapezoid
 grids of n x n points.  Each row of a grid is summed in closed form from
 the roots of its fiber, since the n y-angles of a row are the n-th roots
-of a fixed unimodular w, so a grid costs one batch of n fiber solves
-(``_solve_fibers``, shared with the Jensen engine) and holds no n x n
-array.  The sums are those of the finite grids, not their limit.
+of a fixed unimodular w, so a grid costs n fiber solves (``_solve_fibers``,
+shared with the Jensen engine) and holds no n x n array.  The rows of
+every grid up to n = 256 are solved in one batch, those of a larger grid
+in batches of at most 4096 rows: ``mahler_torus2(R_3)`` makes 2
+``_solve_fibers`` calls, one for the grids 16 to 256 and one for 512.  The
+sums are those of the finite grids, not their limit.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,6 +138,15 @@ def _unit_scaled(cx):
 _BLOCK_ENTRIES = 4096   # angles times x-exponents per block of _coeffs_grid
 
 
+def _unit_powers(angles):
+    """e^{i angles} for a real array, from its cos and sin, which is faster
+    than the complex exp of i angles and gives the same bits."""
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out
+
+
 def _coeff_table(cx):
     """The x-exponents present in ``cx`` and the matrix of their
     coefficients, one column per power of y."""
@@ -157,7 +170,7 @@ def _coeffs_grid(coeff_table, thetas):
     out = np.empty((len(thetas), table.shape[1]), dtype=complex, order="F")
     block = max(1, _BLOCK_ENTRIES // len(exps))
     for s in range(0, len(thetas), block):
-        powers = np.exp(1j * np.outer(thetas[s:s + block], exps))
+        powers = _unit_powers(np.outer(thetas[s:s + block], exps))
         out[s:s + block] = np.einsum("ij,jk->ik", powers, table)
     return out
 
@@ -315,7 +328,7 @@ def _torus_terms(ext_table, t, phi, fold):
     memory."""
     cc = _coeffs_grid(ext_table, t)
     j = np.arange(cc.shape[1] // 2)
-    yp = np.exp(1j * np.outer(phi, j))
+    yp = _unit_powers(np.outer(phi, j))
     c = cc[:, :len(j)] * yp
     dc = cc[:, len(j):] * yp
     terms = (c.sum(axis=1), dc.sum(axis=1), (c * (1j * j)).sum(axis=1))
@@ -586,17 +599,20 @@ def mahler_jensen(P, tol=1e-10):
     return MeasureResult(value, err / math.pi + 1e-13, "jensen_1d")
 
 
+_TORUS_ROWS = 4096   # rows of the torus grids solved and summed at a time
+
+
 def _torus_row_means(cx):
     """The means of log|P(e^{i tx}, e^{i ty})| over the y-angles ty, one
     per x-angle tx, for the coefficient polynomials ``cx`` of P in y (see
     ``_y_coeff_polys``; clearing the lowest y-power leaves |P| unchanged on
-    the torus): the row means of the trapezoid grid, in the contract of
-    ``integrate_torus2``, which passes ty as the uniform grid
-    ty_l = ty_0 + 2 pi l / n, l = 0..n-1.
+    the torus): the row means of the trapezoid grids, in the contract of
+    ``integrate_torus2``, which passes a list of grids t, each the x-angles
+    and the uniform y-angles ty_l = t_0 + 2 pi l / n, l = 0..n-1.
 
     Each row is summed in closed form from the roots of its fiber
     f = c_d prod_i (y - r_i), solved by ``_solve_fibers``: with
-    w = e^{i n ty_0}, prod_l (z - e^{i ty_l}) = (-1)^n (z^n - w) gives
+    w = e^{i n t_0}, prod_l (z - e^{i ty_l}) = (-1)^n (z^n - w) gives
 
         sum_l log|f(e^{i ty_l})| = n log|c_d| + sum_i log|r_i^n - w|,
 
@@ -612,17 +628,21 @@ def _torus_row_means(cx):
     where a root sits near the circle.  A zero lead (a vanishing fiber)
     counts as 1e-300, and the square under the last log is clamped at
     1e-300 (a grid point on the curve P = 0), so the mean stays finite.
+
+    The rows of all the grids of a call are solved together, each with the
+    n and n t_0 of its own grid, _TORUS_ROWS at a time, so that a call of
+    many small grids costs one fiber solve and the temporaries of a grid of
+    2^16 rows stay those of 4096.
     """
     coeff_table = _coeff_table(cx)
 
-    def g(tx, ty):
-        n = len(ty)
+    def row_means(tx, n, arg_w):
         flip, lead, roots = _solve_fibers(_coeffs_grid(coeff_table, tx))
-        arg_w = np.where(flip, -n * ty[0], n * ty[0])
+        arg_w = np.where(flip, -arg_w, arg_w)
         with np.errstate(divide="ignore"):    # a zero root: log rho = -inf, u = 0
             log_rho = np.log(np.abs(roots))
-        decay = -n * np.abs(log_rho)
-        half_phi = 0.5 * (n * np.angle(roots) - arg_w[:, None])
+        decay = -n[:, None] * np.abs(log_rho)
+        half_phi = 0.5 * (n[:, None] * np.angle(roots) - arg_w[:, None])
         gap = np.expm1(decay)
         terms = gap * gap + 4.0 * np.exp(decay) * np.sin(half_phi) ** 2
         np.log(np.maximum(terms, 1e-300), out=terms)
@@ -630,18 +650,33 @@ def _torus_row_means(cx):
                 + np.maximum(log_rho, 0.0).sum(axis=1)
                 + 0.5 * terms.sum(axis=1) / n)
 
+    def g(grids):
+        sizes = [len(t) for t in grids]
+        tx = np.concatenate(grids)
+        # n as floats, which it becomes in every product anyway, exactly
+        n = np.repeat(np.array(sizes, dtype=float), sizes)
+        arg_w = n * np.repeat([t[0] for t in grids], sizes)
+        means = np.empty(len(tx))
+        for s in range(0, len(tx), _TORUS_ROWS):
+            rows = slice(s, s + _TORUS_ROWS)
+            means[rows] = row_means(tx[rows], n[rows], arg_w[rows])
+        return [means[end - size:end] for end, size in zip(itertools.accumulate(sizes), sizes)]
+
     return g
 
 
 def mahler_torus2(P, tol=1e-5, n_max=1 << 16):
     """Direct torus-average definition; cross-validation oracle only.
 
-    The trapezoid grids go through ``integrate_torus2``, one call of the
-    integrand per grid, which sums each row of the grid in closed form from
-    the roots of its fiber (see ``_torus_row_means``): a grid of n x n
-    points costs n fiber solves, not n^2 evaluations, and holds no n x n
-    array.  That is why n_max can default to 2^16: Q_6, whose singular zero
-    (x, y) = (-1, 1) slows the convergence, meets tol 1e-5 at n = 2^13.
+    The trapezoid grids go through ``integrate_torus2``, whose integrand
+    sums each row of a grid in closed form from the roots of its fiber (see
+    ``_torus_row_means``): a grid of n x n points costs n fiber solves, not
+    n^2 evaluations, and holds no n x n array.  That is why n_max can
+    default to 2^16: Q_6, whose singular zero (x, y) = (-1, 1) slows the
+    convergence, meets tol 1e-5 at n = 2^13.  The grids up to n = 256 are
+    solved in one batch and each larger one in batches of at most 4096 rows,
+    so ``_solve_fibers`` is called 2 times on R_3 at tol 1e-5 (grids up to
+    512) and 5 times on P_3 (up to 4096).
     As in ``mahler_jensen``, P is divided by a power of 2 first and its
     logarithm added back.  Raises ValueError for the zero polynomial or a
     symbolic k, when n_max is not a finite number at least the starting

@@ -352,6 +352,7 @@ def _tanh_sinh_pieces(F, edges, tol):
 # ---------------------------------------------------------------------------
 
 _N_START = 16     # size of the first torus grid
+_N_BATCH = 256    # the first integrand call takes every grid up to this size
 
 
 def integrate_torus2(g, tol=1e-6, n_max=4096):
@@ -363,15 +364,32 @@ def integrate_torus2(g, tol=1e-6, n_max=4096):
     extrapolation step whose order is estimated from the last three sums.
     The grid carries a fixed irrational-ish offset so that lattice points
     dodge symmetric zero sets: at size n, both the x-angles and the
-    y-angles are t_l = (l + 2 - sqrt(2)) 2pi/n, l = 0..n-1.  g is called
-    once per grid as g(t, t) and returns the n row means of the grid: entry
-    k is the mean of the integrand over the y-angles at x-angle t[k].  So g
-    decides how a row is summed, and need not hold the n x n grid.
-    ``QuadResult.evals`` counts the n^2 grid points of every grid.
+    y-angles are t_l = (l + 2 - sqrt(2)) 2pi/n, l = 0..n-1.
+
+    g is called on a list of grids, each given by its array t, and returns
+    one array of n row means per grid: entry k is the mean of the integrand
+    over the y-angles t at x-angle t[k].  So g decides how a row is summed,
+    and need not hold an n x n grid.  The first call takes every grid up to
+    n = 256 (16 to 256, 496 rows, fewer under a smaller n_max) and each
+    later call one grid, while the stopping test below still takes the sums
+    one grid at a time, so the result is that of one call per grid.  A call
+    of the torus measure has a fixed cost of about 65 us whatever its row
+    count, so the 496-row call costs less than the three calls it replaces
+    even for an integrand that stops at n = 64.  Per call of
+    ``mahler_torus2`` (best of 5 x 20 in one process, one BLAS thread,
+    2-core x86 machine), with the first call up to n = 128, 256 or 512
+    against one call per grid: the benchmark's four cases took 4.41, 4.01
+    or 3.80 ms against 4.98, but ``3+x+y`` at tol 1e-6 (stops at 64) 94,
+    114 or 162 us against 137, and ``5+x^2*y+y^3+x`` at tol 1e-10 (stops
+    at 128) 212, 295 or 475 us against 468.
+    ``QuadResult.evals`` counts the n^2 grid points of every grid whose
+    rows were computed, those of the first call past the stopping grid
+    included.
 
     Raises ValueError unless tol > 0 (a NaN tol included) and n_max is a
     finite number at least the first grid size 16, and QuadratureError when
-    the sum of the row means is not finite.
+    the sum of the row means of a grid the stopping test reaches is not
+    finite.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -379,39 +397,45 @@ def integrate_torus2(g, tol=1e-6, n_max=4096):
         raise ValueError(f"n_max ({n_max}) must be a finite number at least the first grid "
                          f"size {_N_START}")
     offset = 0.5857864376269049  # 2 - sqrt(2), fixed for determinism
+    calls = [[]]
+    n = _N_START
+    while n <= n_max:
+        if n > _N_BATCH:
+            calls.append([])
+        calls[-1].append(n)
+        n *= 2
     sums = []
     evals = 0
-    n = _N_START
     value = math.nan
     err = math.inf
-    while n <= n_max:
-        t = (np.arange(n) + offset) * (2.0 * math.pi / n)
-        s = float(np.sum(g(t, t))) / n
-        if not math.isfinite(s):
-            raise QuadratureError("integrand is not finite")
-        evals += n * n
-        sums.append(s)
-        if len(sums) >= 3:
-            d1 = sums[-2] - sums[-3]
-            d2 = sums[-1] - sums[-2]
-            if d2 != 0.0 and abs(d1) > abs(d2):
-                p = math.log2(abs(d1) / abs(d2))
-                p = min(max(p, 0.5), 4.0)
-                extrap = sums[-1] + d2 / (2.0 ** p - 1.0)
-                # integrands that are merely log-singular along curves have an
-                # irregular error expansion; the refinement deltas understate
-                # the remaining error, so claim a multiple of the last delta
-                err = max(abs(extrap - sums[-1]), 3.0 * abs(d2))
-                value = extrap
-            else:
+    for sizes in calls:
+        grids = [(np.arange(n) + offset) * (2.0 * math.pi / n) for n in sizes]
+        evals += sum(n * n for n in sizes)
+        for n, rows in zip(sizes, g(grids)):
+            s = float(np.sum(rows)) / n
+            if not math.isfinite(s):
+                raise QuadratureError("integrand is not finite")
+            sums.append(s)
+            if len(sums) >= 3:
+                d1 = sums[-2] - sums[-3]
+                d2 = sums[-1] - sums[-2]
+                if d2 != 0.0 and abs(d1) > abs(d2):
+                    p = math.log2(abs(d1) / abs(d2))
+                    p = min(max(p, 0.5), 4.0)
+                    extrap = sums[-1] + d2 / (2.0 ** p - 1.0)
+                    # integrands that are merely log-singular along curves have an
+                    # irregular error expansion; the refinement deltas understate
+                    # the remaining error, so claim a multiple of the last delta
+                    err = max(abs(extrap - sums[-1]), 3.0 * abs(d2))
+                    value = extrap
+                else:
+                    value = sums[-1]
+                    err = abs(d2)
+                if err <= tol:
+                    return QuadResult(value, max(err, 1e-16), evals)
+            elif len(sums) == 2:
                 value = sums[-1]
-                err = abs(d2)
-            if err <= tol:
-                return QuadResult(value, max(err, 1e-16), evals)
-        elif len(sums) == 2:
-            value = sums[-1]
-            err = abs(sums[-1] - sums[-2])
-        else:
-            value = s
-        n *= 2
+                err = abs(sums[-1] - sums[-2])
+            else:
+                value = s
     return QuadResult(value, max(err, 1e-16), evals)

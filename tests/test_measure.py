@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from mahler.measure import (
 from mahler.families import family_poly, p_measure, q_measure, r_measure, wt_family_poly
 from mahler.quad import _level_nodes, integrate_torus2
 from mahler.rootfind import batch_roots, poly_roots
-from torus_rows import row_means
+from torus_rows import row_means, torus2_reference
 
 SMYTH = 0.3230659472194505     # m(x+y-1) = L'(chi_-3, -1)
 
@@ -332,8 +333,8 @@ def _torus_grid(n):
 @pytest.mark.parametrize("poly", TORUS_INTEGRAND_POLYS, ids=str)
 def test_torus_integrand_matches_eval_grid(poly):
     t = _torus_grid(64)
-    new = _torus_row_means(_y_coeff_polys(poly))(t, t)
-    ref = _eval_grid_log_abs(poly)(t, t)
+    new = _torus_row_means(_y_coeff_polys(poly))([t])[0]
+    ref = _eval_grid_log_abs(poly)([t])[0]
     assert new.shape == (64,)
     assert np.max(np.abs(new - ref)) < 1e-12
 
@@ -403,8 +404,8 @@ def test_torus_row_sums_match_per_point(poly, n):
     # row passes near the curve P = 0, in either evaluation (P_3 at n = 256:
     # 1.0e-12 against the product, which is itself 6e-13 from eval_grid)
     t = _torus_grid(n)
-    got = _torus_row_means(_y_coeff_polys(poly))(t, t)
-    ref = _per_point_log_abs(poly)(t, t)
+    got = _torus_row_means(_y_coeff_polys(poly))([t])[0]
+    ref = _per_point_log_abs(poly)([t])[0]
     assert got.shape == (n,)
     assert abs(got.sum() - ref.sum()) / n < 1e-13
     assert np.max(np.abs(got - ref)) < 1e-11
@@ -416,8 +417,8 @@ def test_torus_flip_row_is_solved_reversed():
     poly = _flip_row_poly()
     coeffs = _coeffs_grid(_coeff_table(_y_coeff_polys(poly)), t)
     assert np.flatnonzero(_solve_fibers(coeffs)[0]).tolist() == [5]
-    row_means = _torus_row_means(_y_coeff_polys(poly))(t, t)
-    assert abs(row_means[5] - _per_point_log_abs(poly)(t, t)[5]) < 1e-13
+    row_means = _torus_row_means(_y_coeff_polys(poly))([t])[0]
+    assert abs(row_means[5] - _per_point_log_abs(poly)([t])[0][5]) < 1e-13
 
 
 def test_torus_grid_point_on_the_curve_is_finite():
@@ -428,7 +429,7 @@ def test_torus_grid_point_on_the_curve_is_finite():
         warnings.simplefilter("error")
         for n in (16, 1024):
             t = _torus_grid(n)
-            assert np.all(np.isfinite(_torus_row_means(_y_coeff_polys(parse_poly("x-y")))(t, t)))
+            assert np.all(np.isfinite(_torus_row_means(_y_coeff_polys(parse_poly("x-y")))([t])[0]))
         res = mahler_torus2(parse_poly("x-y"), n_max=1024)
     assert math.isfinite(res.value)
 
@@ -440,6 +441,91 @@ def test_torus2_q6_meets_tol():
     res = mahler_torus2(poly, tol=1e-5)
     assert res.err_est <= 1e-5
     assert abs(res.value - mahler_jensen(poly).value) <= res.err_est
+
+
+@pytest.mark.parametrize("poly", ROW_SUM_POLYS, ids=str)
+def test_torus_row_means_batched_and_chunked_match_one_grid(poly, monkeypatch):
+    # the 16368 rows of the grids 16 to 8192 in one call, solved 4096 at a
+    # time across the grid boundaries, give each grid the row means of a
+    # call of its own solved in one piece, bit for bit
+    g = _torus_row_means(_y_coeff_polys(poly))
+    grids = [_torus_grid(16 << k) for k in range(10)]
+    together = g(grids)
+    monkeypatch.setattr(measure, "_TORUS_ROWS", 1 << 20)
+    for t, rows in zip(grids, together, strict=True):
+        assert np.array_equal(rows, g([t])[0])
+
+
+# the torus-oracle cases of the benchmark, inputs that stop at n = 64 and
+# n = 128, and 2+x*y+y^2 at tol 1e-8, which runs every grid to 2^16
+TORUS_RULE_CASES = [
+    (parse_poly("1+x+y"), 1e-6), (parse_poly(A_POLY), 1e-5),
+    (family_poly("P", 3), 1e-5), (family_poly("R", 3), 1e-5),
+    (parse_poly("3+x+y"), 1e-6), (parse_poly("5+x^2*y+y^3+x"), 1e-10),
+    (parse_poly("2+x*y+y^2"), 1e-8),
+]
+
+
+def _torus2_with_rule(poly, tol, rule, monkeypatch):
+    """``mahler_torus2`` through the given 2D rule, and the rule's result."""
+    results = []
+
+    def recording(g, tol, n_max):
+        results.append(rule(g, tol=tol, n_max=n_max))
+        return results[-1]
+
+    monkeypatch.setattr(measure, "integrate_torus2", recording)
+    return mahler_torus2(poly, tol=tol), results[0]
+
+
+@pytest.mark.parametrize("poly, tol", TORUS_RULE_CASES, ids=str)
+def test_torus2_batched_grids_match_one_grid_per_call(poly, tol, monkeypatch):
+    res, quad = _torus2_with_rule(poly, tol, integrate_torus2, monkeypatch)
+    ref, ref_quad = _torus2_with_rule(poly, tol, torus2_reference, monkeypatch)
+    assert res.value.hex() == ref.value.hex()
+    assert res.err_est.hex() == ref.err_est.hex()
+    # evals counts the grids of the first call past the stopping grid
+    batch = sum((16 << k) ** 2 for k in range(5))
+    assert quad.evals == max(ref_quad.evals, batch)
+
+
+@pytest.mark.parametrize("poly, tol, solves, value", [
+    (family_poly("P", 3), 1e-5, 5, 0.9990497110341514),
+    (parse_poly(A_POLY), 1e-5, 4, 0.6884482126038521),
+    (parse_poly("1+x+y"), 1e-6, 3, 0.3230659387985871),
+    (family_poly("R", 3), 1e-5, 2, 1.0115178776043179),
+], ids=["P_3", "A", "1+x+y", "R_3"])
+def test_torus2_solve_fibers_calls_pinned(poly, tol, solves, value, monkeypatch):
+    # one call for the grids 16 to 256 and one per larger grid: P_3 runs to
+    # n = 4096, A to 2048, 1+x+y to 1024 and R_3 to 512 at the benchmark's
+    # tols; one call per grid would make 9, 8, 7 and 6
+    calls = []
+
+    def counting(coeffs):
+        calls.append(len(coeffs))
+        return _solve_fibers(coeffs)
+
+    monkeypatch.setattr(measure, "_solve_fibers", counting)
+    assert mahler_torus2(poly, tol=tol).value == value
+    assert len(calls) == solves
+    assert calls[0] == 496
+
+
+@pytest.mark.parametrize("poly", [
+    family_poly("R", 3),
+    parse_poly("2+y+y^4-3*x+x*y+2*x*y^3-x*y^4-3*x^2-2*x^2*y+2*x^2*y^4"),
+], ids=["R_3", "quartic"])
+def test_torus2_memory_peak_bounded_on_the_largest_grid(poly):
+    # with a tol out of reach every grid to 2^16 runs; its rows are solved
+    # 4096 at a time, so the peak stays a few grid-length arrays (about
+    # 4.7 and 5.7 MB, against 29 and 45 MB solving the grid in one piece)
+    tracemalloc.start()
+    try:
+        mahler_torus2(poly, tol=1e-300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])

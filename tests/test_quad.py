@@ -10,7 +10,7 @@ import pytest
 from mahler.errors import QuadratureError
 from mahler.quad import (_EPS, _FIRST_LEVEL, _MAX_LEVEL, _de_weight, _level_nodes,
                          _tanh_sinh_pieces, integrate, integrate_torus2)
-from torus_rows import row_means
+from torus_rows import row_means, torus2_reference
 
 
 def test_constant():
@@ -136,23 +136,80 @@ def test_torus2_rejects_tol_not_positive(tol):
 
 
 def test_torus2_row_mean_contract():
-    # one call per grid with both angle arrays on the offset grid, n row
-    # means back; evals still counts the n^2 grid points
+    # the first call takes every grid through n = 256, each later call one
+    # grid, every grid on the offset grid with n row means back; evals still
+    # counts the n^2 grid points
     calls = []
 
-    def g(tx, ty):
-        calls.append((tx.copy(), ty.copy()))
-        return np.cos(tx) ** 2
+    def g(grids):
+        # the sums 1/2 + 1/n never meet the tol, and extrapolate to 1/2
+        calls.append([t.copy() for t in grids])
+        return [np.cos(t) ** 2 + 1.0 / len(t) for t in grids]
 
-    r = integrate_torus2(g, tol=1e-300, n_max=64)
-    assert [len(tx) for tx, _ in calls] == [16, 32, 64]
-    for tx, ty in calls:
-        n = len(tx)
-        assert np.array_equal(tx, ty)
-        assert np.allclose(tx, (np.arange(n) + 2.0 - math.sqrt(2.0)) * 2.0 * math.pi / n,
-                           rtol=0.0, atol=1e-15)
-    assert r.evals == 16 ** 2 + 32 ** 2 + 64 ** 2
+    r = integrate_torus2(g, tol=1e-300, n_max=4096)
+    assert [[len(t) for t in grids] for grids in calls] == [
+        [16, 32, 64, 128, 256], [512], [1024], [2048], [4096]]
+    for grids in calls:
+        for t in grids:
+            n = len(t)
+            assert np.allclose(t, (np.arange(n) + 2.0 - math.sqrt(2.0)) * 2.0 * math.pi / n,
+                               rtol=0.0, atol=1e-15)
+    assert r.evals == sum((16 << k) ** 2 for k in range(9))
     assert abs(r.value - 0.5) < 1e-15
+
+
+@pytest.mark.parametrize("n_max", [16, 64, 100, 256, 300])
+def test_torus2_n_max_caps_the_first_call(n_max):
+    calls = []
+
+    def g(grids):
+        calls.append([len(t) for t in grids])
+        return [np.cos(t) ** 2 + 1.0 / len(t) for t in grids]
+
+    r = integrate_torus2(g, tol=1e-300, n_max=n_max)
+    sizes = [16 << k for k in range(5) if 16 << k <= n_max]
+    assert calls == [sizes]
+    assert r.evals == sum(n * n for n in sizes)
+
+
+def _cos2_bad_at(n_bad, drift=0.0):
+    """The row means of cos(tx)^2 + drift / n, whose sums are 1/2 from
+    n = 16 on when drift is 0 (so the rule stops at n = 64) and never meet a
+    tol otherwise, with one NaN row in the grid of size n_bad."""
+    def g(grids):
+        out = [np.cos(t) ** 2 + drift / len(t) for t in grids]
+        for rows in out:
+            if len(rows) == n_bad:
+                rows[3] = math.nan
+        return out
+
+    return g
+
+
+@pytest.mark.parametrize("n_bad", [128, 256])
+def test_torus2_unconsumed_non_finite_grid_does_not_raise(n_bad):
+    # the sums of 16, 32 and 64 meet the tol, so the first call's larger
+    # grids are computed but never summed
+    r = integrate_torus2(_cos2_bad_at(n_bad), tol=1e-12)
+    assert abs(r.value - 0.5) < 1e-15
+    assert r.evals == sum((16 << k) ** 2 for k in range(5))
+    assert torus2_reference(_cos2_bad_at(n_bad), tol=1e-12).evals == 16 ** 2 + 32 ** 2 + 64 ** 2
+
+
+@pytest.mark.parametrize("drift", [0.0, 1.0])
+@pytest.mark.parametrize("n_bad", [16, 32, 64, 128, 256, 512, 1024])
+def test_torus2_consumed_non_finite_grid_raises_as_one_grid_per_call(n_bad, drift):
+    # a non-finite grid raises exactly when the one-grid-per-call rule
+    # reaches it: without drift the rule stops at n = 64
+    outcomes = []
+    for rule in (integrate_torus2, torus2_reference):
+        try:
+            outcomes.append(rule(_cos2_bad_at(n_bad, drift), tol=1e-12, n_max=1024).value)
+        except QuadratureError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    raises = drift != 0.0 or n_bad <= 64
+    assert (outcomes[0] == "integrand is not finite") == raises
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
