@@ -35,11 +35,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .elliptic import _pq_period, period_integral
 from .errors import RegimeBoundaryError
 from .lpoly import monomial_transform, parse_poly
 from .measure import MeasureResult, mahler_jensen
-from .quad import integrate
+from .quad import _tanh_sinh_pieces
 
 __all__ = [
     "R_THRESHOLD",
@@ -225,17 +227,30 @@ def _order_pair(y1, y2):
 # measures
 # ---------------------------------------------------------------------------
 
-def _sum_pieces(pieces, tol):
-    """Sum of the integrals of f over (lo, hi), (f, lo, hi) in ``pieces``."""
+def _branch_integral(F, ranges, tol):
+    """(value, err_est) of the integral of F over the ranges, each a list of
+    cut points, in one call of ``_tanh_sinh_pieces``: each range's pieces
+    between consecutive cuts are summed, then the ranges in order.  Each
+    piece gets tol over its range's number of pieces, and a piece narrower
+    than 1e-15 is left out."""
+    a, b, tols, owner = [], [], [], []
+    for i, cuts in enumerate(ranges):
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if hi - lo < 1e-15:
+                continue
+            a.append(lo)
+            b.append(hi)
+            tols.append(tol / (len(cuts) - 1))
+            owner.append(i)
+    sums = [[0.0, 0.0] for _ in ranges]
+    for i, r in zip(owner, _tanh_sinh_pieces(F, a, b, tols)):
+        sums[i][0] += r.value
+        sums[i][1] += r.err_est
     total = 0.0
     err = 0.0
-    n = max(len(pieces), 1)
-    for f, lo, hi in pieces:
-        if hi - lo < 1e-15:
-            continue
-        r = integrate(f, lo, hi, tol / n)
-        total += r.value
-        err += r.err_est
+    for v, e in sums:
+        total += v
+        err += e
     return total, err
 
 
@@ -251,24 +266,23 @@ def p_measure(k, tol=1e-12):
     them, so no k^2 is formed and huge k does not overflow."""
     k = _positive_k(abs(k))
     c_minus, c_plus = _c_plus_minus(k)
-
-    def inside(theta):
-        # the branch between the kinks, less log k: -q/k^2 = c - ((4c-1)/k)^2
-        ct = math.cos(theta)
-        c = ct * ct
-        a = (4.0 * c - 1.0) / k
-        return math.log(ct + math.sqrt(max(c - a * a, 0.0)))
-
-    def outside(theta):
-        ct = math.cos(theta)
-        return math.log(abs(4.0 * ct * ct - 1.0))
-
     lo = math.acos(math.sqrt(c_plus)) if c_plus < 1.0 else 0.0
     hi = math.acos(math.sqrt(c_minus))
-    pieces = [(inside, lo, hi), (outside, hi, 0.5 * math.pi)]
+
+    def integrand(theta):
+        ct = np.cos(theta)
+        c = ct * ct
+        with np.errstate(divide="ignore", over="ignore"):     # the branch not taken
+            # between the kinks, less log k: -q/k^2 = c - ((4c-1)/k)^2
+            a = (4.0 * c - 1.0) / k
+            inside = np.log(ct + np.sqrt(np.maximum(c - a * a, 0.0)))
+            outside = np.log(np.abs(4.0 * c - 1.0))
+        return np.where((lo < theta) & (theta < hi), inside, outside)
+
+    cuts = [lo, hi, 0.5 * math.pi]
     if c_plus < 1.0:
-        pieces.insert(0, (outside, 0.0, lo))
-    total, err = _sum_pieces(pieces, tol)
+        cuts.insert(0, 0.0)
+    total, err = _branch_integral(integrand, [cuts], tol)
     value = math.log(k) * (2.0 * (hi - lo) / math.pi) + 2.0 * total / math.pi
     return MeasureResult(value, 2.0 * err / math.pi + 1e-14, "closed_form")
 
@@ -282,15 +296,16 @@ def q_measure(subscript, tol=1e-11):
 
 def _r_branch_log(k, sign):
     """log|y| of the root y = (k + sign sqrt(rad)) / (4t) of the reduced R
-    fiber, as a function of phi with t = sin(phi) = |cos theta|; where the
-    radicand is negative, the real-part convention."""
+    fiber, as a function of an array of phi with t = sin(phi) = |cos theta|;
+    where the radicand is negative, the real-part convention."""
 
     def log_branch(phi):
-        t = math.sin(phi)
+        t = np.sin(phi)
         rad = k * k - 16.0 * t * t * (3.0 - 4.0 * t * t)
-        if rad >= 0.0:
-            return math.log(abs(k + sign * math.sqrt(rad)) / (4.0 * t))
-        return 0.5 * math.log(3.0 - 4.0 * t * t)
+        with np.errstate(invalid="ignore"):     # the branch not taken
+            real = np.log(np.abs(k + sign * np.sqrt(rad)) / (4.0 * t))
+            pair = 0.5 * np.log(3.0 - 4.0 * t * t)
+        return np.where(rad >= 0.0, real, pair)
 
     return log_branch
 
@@ -306,16 +321,16 @@ def r_measure(k, tol=1e-12):
     if k >= R_THRESHOLD:
         def integrand(phi):
             # log((k + sqrt(rad))/2) - log k, rad = k^2 - 16t^2(3-4t^2)
-            t = math.sin(phi)
+            t = np.sin(phi)
             x = 4.0 * t / k
-            return math.log(0.5 * (1.0 + math.sqrt(max(1.0 - x * x * (3.0 - 4.0 * t * t), 0.0))))
+            return np.log(0.5 * (1.0 + np.sqrt(np.maximum(1.0 - x * x * (3.0 - 4.0 * t * t),
+                                                          0.0))))
 
-        total, err = _sum_pieces([(integrand, 0.0, 0.5 * math.pi)], tol)
+        total, err = _branch_integral(integrand, [[0.0, 0.5 * math.pi]], tol)
         return MeasureResult(math.log(k) + 2.0 * total / math.pi,
                              2.0 * err / math.pi + 1e-14, "closed_form")
 
     t1, t2 = _t_roots(k)
-    i_plus, i_minus = _r_branch_log(k, 1.0), _r_branch_log(k, -1.0)
     if k < 3.0:
         rr = math.sqrt(9.0 - k * k)
         t_a = math.sqrt((3.0 - rr) / 8.0)
@@ -324,26 +339,21 @@ def r_measure(k, tol=1e-12):
     else:
         rad_zeros = [math.sqrt(3.0 / 8.0)]      # near-degenerate dip at k ~ 3
 
-    def pieces(f, lo, hi):
-        cuts = [math.asin(c) for c in [lo] + [z for z in rad_zeros if lo < z < hi] + [hi]]
-        return [(f, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    def cuts(lo, hi):
+        return [math.asin(c) for c in [lo] + [z for z in rad_zeros if lo < z < hi] + [hi]]
 
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    total = 0.0
-    err = 0.0
     if k < TWO_SQRT2:
-        for f, lo, hi in ((i_plus, 0.0, inv_sqrt2), (i_plus, t2, 1.0),
-                          (i_minus, t1, inv_sqrt2)):
-            v, e = _sum_pieces(pieces(f, lo, hi), tol / 3.0)
-            total += v
-            err += e
+        ranges = ((1.0, 0.0, inv_sqrt2), (1.0, t2, 1.0), (-1.0, t1, inv_sqrt2))
     else:
-        for f, lo, hi in ((i_plus, 0.0, 1.0), (i_minus, t1, t2)):
-            v, e = _sum_pieces(pieces(f, lo, hi), tol / 2.0)
-            total += v
-            err += e
-    return MeasureResult(2.0 * total / math.pi, 2.0 * err / math.pi + 1e-14,
-                         "closed_form")
+        ranges = ((1.0, 0.0, 1.0), (-1.0, t1, t2))
+    # one call per branch; the + ranges come first, so the ranges add up in order
+    (v_plus, e_plus), (v_minus, e_minus) = (
+        _branch_integral(_r_branch_log(k, sign),
+                         [cuts(lo, hi) for s, lo, hi in ranges if s == sign], tol / len(ranges))
+        for sign in (1.0, -1.0))
+    return MeasureResult(2.0 * (v_plus + v_minus) / math.pi,
+                         2.0 * (e_plus + e_minus) / math.pi + 1e-14, "closed_form")
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,7 @@ fiber kernel ``_fiber_logplus`` takes every node of levels 0-4 of every
 piece, and each later level one call for the new nodes of the pieces not
 yet converged, so the fibers of each call are solved in one ``batch_roots``
 call per degree, and the rule reduces the values of each call in one
-pass.  ``mahler_jensen(R_3)`` makes 4 ``batch_roots`` calls in all: the
-scan count, the polish's start roots, its probe count and the first pass.
+pass.
 
 Every fiber solve, of the scan and probe counts, the polish, the quadrature
 levels and the torus rows below, goes through ``_solve_fibers`` to
@@ -65,9 +64,8 @@ the roots of its fiber, since the n y-angles of a row are the n-th roots
 of a fixed unimodular w, so a grid costs n fiber solves (``_solve_fibers``,
 shared with the Jensen engine) and holds no n x n array.  The rows of
 every grid up to n = 256 are solved in one batch, those of a larger grid
-in batches of at most 4096 rows: ``mahler_torus2(R_3)`` makes 2
-``_solve_fibers`` calls, one for the grids 16 to 256 and one for 512.  The
-sums are those of the finite grids, not their limit.
+in batches of at most 4096 rows.  The sums are those of the finite grids,
+not their limit.
 """
 
 from __future__ import annotations
@@ -258,8 +256,8 @@ def _solve_fibers(coeffs):
 
     The rows are taken, and the roots returned, column-major: a reduction
     over each row's few entries then runs along contiguous columns, several
-    times faster than over short C-order rows (55 against 7 us for the
-    maximum over 1025 rows of 2).
+    times faster than over short C-order rows (CHANGES.md, "Batched Jensen
+    engine").
     """
     coeffs = np.asfortranarray(coeffs)
     n, m = coeffs.shape[0], coeffs.shape[1] - 1
@@ -503,10 +501,8 @@ def _bisect_cells(coeff_table, a, b, na):
     that the next k halvings of a live bracket can take, built by the same
     0.5 (a + b) recursion, are counted in one ``_count_outside`` call, and
     the k decisions are then replayed on them, so the brackets are those of
-    one count call per halving, from at most ceil(60 / k) calls.  k = 5
-    took the bisection of a ``jensen-corpus`` round from 96 count calls and
-    7.6-8.0 ms to 21 calls and 3.5-4.0 ms (one process, one BLAS thread,
-    2-core x86 machine).
+    one count call per halving, from at most ceil(60 / k) calls (k = 5:
+    CHANGES.md, "Jensen engine, one numpy pass per stage").
     """
     a, b = a.copy(), b.copy()
     live = np.arange(len(a))
@@ -588,7 +584,8 @@ def mahler_jensen(P, tol=1e-10):
     edges = [0.0] + [t for t in cuts if 1e-12 < t < math.pi - 1e-12] + [math.pi]
 
     sub_tol = tol * math.pi / max(len(edges) - 1, 1)
-    pieces = _tanh_sinh_pieces(lambda t: _fiber_logplus(coeff_table, t), edges, sub_tol)
+    pieces = _tanh_sinh_pieces(lambda t: _fiber_logplus(coeff_table, t),
+                               edges[:-1], edges[1:], sub_tol)
     total = 0.0
     err = 0.0
     for r in pieces:
@@ -674,9 +671,7 @@ def mahler_torus2(P, tol=1e-5, n_max=1 << 16):
     n^2 evaluations, and holds no n x n array.  That is why n_max can
     default to 2^16: Q_6, whose singular zero (x, y) = (-1, 1) slows the
     convergence, meets tol 1e-5 at n = 2^13.  The grids up to n = 256 are
-    solved in one batch and each larger one in batches of at most 4096 rows,
-    so ``_solve_fibers`` is called 2 times on R_3 at tol 1e-5 (grids up to
-    512) and 5 times on P_3 (up to 4096).
+    solved in one batch and each larger one in batches of at most 4096 rows.
     As in ``mahler_jensen``, P is divided by a power of 2 first and its
     logarithm added back.  Raises ValueError for the zero polynomial or a
     symbolic k, when n_max is not a finite number at least the starting

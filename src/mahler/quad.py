@@ -11,29 +11,20 @@ It reports a conservative absolute error estimate; an err_est larger than
 the requested tolerance means the node budget ran out and the value should
 be treated as unreliable.
 
-The rule has two entry points that share the node tables of
-``_level_nodes``, built once per level, and nothing else:
+The rule is written once, as ``_tanh_sinh_pieces``: it integrates many
+pieces at once with an integrand over arrays of abscissae.  The nodes are
+nested, so its first call takes every node of levels 0-4 of every piece,
+and each later level one call for the pieces not yet converged.  The
+values of a call are reduced in one pass over a padded (pieces, levels,
+nodes, side) layout, so the rule's own work is a fixed number of numpy
+calls per call of the integrand, not per level.  The Jensen engine and the
+family measures call it directly; :func:`integrate` is its one-piece case
+for a scalar integrand.
 
-* :func:`integrate` integrates one interval with a scalar integrand, one
-  call per node.  The family measures use it.  They converge within 3-5
-  levels, where per-level numpy work costs as much as the scalar loop: a
-  prototype that moved them onto the array rule took ``p_measure(2.5)``
-  from 0.45-0.73 to 0.80-0.88 ms (one BLAS thread, 2-core x86 machine).
-* ``_tanh_sinh_pieces`` integrates all pieces of a cut interval at once
-  with an integrand over arrays of abscissae.  The nodes are nested, so
-  its first call takes every node of levels 0-4 of every piece, and each
-  later level one call for the pieces not yet converged.  The values of a
-  call are reduced in one pass over a padded (pieces, levels, nodes, side)
-  layout, so the rule's own work is a fixed number of numpy calls per call
-  of the integrand, not per level.  The Jensen engine uses it, because
-  each of its integrand values costs a polynomial root solve, and a batch
-  of them costs little more than one.  Given the same integrand values it
-  returns the same results as ``integrate`` piece by piece.
-
-Both treat the integrand as a black box that is never evaluated closer to
-an endpoint than one ulp.  An inverse-square-root endpoint then caps the
-accuracy near sqrt(machine eps), because the integrand's own endpoint
-subtraction cancels, and the error estimate says so.
+The rule treats the integrand as a black box that is never evaluated
+closer to an endpoint than one ulp.  An inverse-square-root endpoint then
+caps the accuracy near sqrt(machine eps), because the integrand's own
+endpoint subtraction cancels, and the error estimate says so.
 """
 
 from __future__ import annotations
@@ -87,10 +78,9 @@ def _level_nodes(level):
 
     Level 0 has step 1 and the nodes t = 0, 1, ..., 6; level L >= 1 has
     step 2^-L and only its new nodes, the odd multiples of the step up to
-    _T_MAX.  The tables are built with ``_de_weight`` once per level and
-    shared by both tanh-sinh rules.  They are ``array('d')``, filled node by
-    node: all 13 levels take 0.6 MB, against 2.5 MB as lists of floats, and
-    the scalar rule still reads Python floats from them.
+    _T_MAX.  The tables are built with ``_de_weight`` once per level.  They
+    are ``array('d')``, filled node by node, which keeps them several times
+    smaller than lists of floats (CHANGES.md, "Batched Jensen engine").
     """
     h = 0.5 ** level
     j, step = (0, 1) if level == 0 else (1, 2)
@@ -105,7 +95,11 @@ def _level_nodes(level):
 
 
 def integrate(f, a, b, tol=1e-12):
-    """Tanh-sinh quadrature of f over the finite interval (a, b).
+    """Tanh-sinh quadrature of the scalar function f over the finite
+    interval (a, b): the one-piece case of ``_tanh_sinh_pieces``, with f
+    mapped over the abscissae of each call.  So the first call evaluates f
+    at every node of levels 0-4 at once, and each later level at its new
+    nodes; a value at a node of a level the result never reaches is ignored.
 
     f is never evaluated exactly at a or b; nodes whose distance from an
     endpoint underflows are dropped (their weights are far below tolerance
@@ -122,64 +116,10 @@ def integrate(f, a, b, tol=1e-12):
     Raises ValueError unless a and b are finite with a < b and tol > 0 (a
     NaN tol included).
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("endpoints must be finite")
-    if not (a < b):
-        raise ValueError("need a < b")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    evals = 0
-    deepest = [(math.inf, 0.0), (math.inf, 0.0)]   # per side: (d, |f|) at min d
+    def F(xs):
+        return np.array([f(x) for x in xs.tolist()], dtype=float)
 
-    def node_pair(t, dist, w):
-        """Contribution of the node pair at +-t (single node at t=0)."""
-        nonlocal evals
-        d = dist * half
-        out = 0.0
-        if t == 0.0:
-            x = mid
-            evals += 1
-            v = f(x)
-            if not math.isfinite(v):
-                raise QuadratureError("integrand is not finite", x)
-            return w * v
-        for side, (x, endpoint) in enumerate(((a + d, a), (b - d, b))):
-            if x == endpoint:
-                continue   # black-box cannot be evaluated closer than one ulp
-            evals += 1
-            v = f(x)
-            if not math.isfinite(v):
-                if d <= 1e-9 * abs(half):
-                    continue       # integrable endpoint blow-up, weight negligible
-                raise QuadratureError("integrand is not finite", x)
-            if d < deepest[side][0]:
-                deepest[side] = (d, abs(v))
-            out += w * v
-        return out
-
-    for level in range(_MAX_LEVEL + 1):
-        h = 0.5 ** level
-        add = 0.0
-        for node in zip(*_level_nodes(level)):
-            add += node_pair(*node)
-        if level == 0:
-            value = add * h * half
-            err = abs(value) + 1.0
-            continue
-        new_value = 0.5 * value + add * h * half
-        err = abs(new_value - value)
-        value = new_value
-        if err <= max(tol, 4.0 * _EPS * abs(value)) * 0.5:
-            break
-    # if f still shows inverse-sqrt growth at the deepest reachable node, the
-    # unreachable tail caps the accuracy at ~sqrt(eps) regardless of the
-    # refinement level
-    sing_coeff = max((fv * math.sqrt(d) for d, fv in deepest if math.isfinite(d)),
-                     default=0.0)
-    err = max(err, 1e-7 * sing_coeff)
-    return QuadResult(value, max(err, _EPS * abs(value)), evals)
+    return _tanh_sinh_pieces(F, [a], [b], tol)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,20 +158,36 @@ def _block_tables(first, last):
     return sdist, w, real, 0.5 ** np.arange(first, last + 1)
 
 
-def _tanh_sinh_pieces(F, edges, tol):
-    """``integrate`` over every piece (edges[i], edges[i+1]) at once, for a
-    black-box integrand F that maps an array of abscissae to an array of
-    values.
+def _tanh_sinh_pieces(F, a, b, tol):
+    """The tanh-sinh rule on every piece (a[i], b[i]) at once, to the
+    tolerance tol[i] (or one tol for all), for a black-box integrand F that
+    maps an array of abscissae to an array of values.  The pieces need not
+    touch.  Returns one QuadResult per piece.
+
+    Per piece: level 0 takes the center and the node pairs at t = 1..6,
+    level L >= 1 the new node pairs at the odd multiples of h = 2^-L, and
+    the value after level L is half that after level L - 1 plus h times the
+    half-width times the weighted sum of the new nodes, the pairs added by
+    increasing t, each left node before its right one.  The piece converges
+    at the first level L >= 1 whose change from level L - 1 is at most
+    max(tol, 4 eps |value|) / 2, or stops at level _MAX_LEVEL; the change is
+    its error estimate.  A node that rounds onto its endpoint is not taken.
+    A non-finite value within 1e-9 of the half-width from an endpoint counts
+    as an integrable endpoint blow-up and adds nothing; elsewhere it raises
+    QuadratureError with its abscissa, the first in the order of levels,
+    nodes and sides.  Where the values still grow like an inverse square
+    root at the deepest node used on a side, |f| sqrt(d) there times 1e-7
+    bounds the error from below.  ``evals`` counts the center and every
+    node taken on the levels reached.
 
     The first call of F takes every node of levels 0.._FIRST_LEVEL of every
-    piece, 195 per piece less those that round onto an endpoint; each later
-    level calls F once, on the new nodes of the pieces that have not
-    converged yet.  Per piece the nodes, the order in which node pairs are
-    added, the stopping test, the endpoint rules, the deepest-node cap on
-    the error and the evaluation count are those of ``integrate``, so the
-    same values of F give the same results.  A value at a node of a level
-    that its piece never reaches is ignored: it neither raises nor counts
-    in ``evals``.  Returns one QuadResult per piece.
+    piece; each later level calls F once, on the new nodes of the pieces
+    that have not converged yet.  A value at a node of a level that its
+    piece never reaches is ignored: it neither raises nor counts in
+    ``evals``.  _FIRST_LEVEL is 4 because most pieces of the Jensen engine
+    converge by level 4, and each of its calls of F costs a fixed root
+    solve whatever its number of nodes (CHANGES.md, "Jensen engine, first
+    pass through level 4").
 
     The values of one call are reduced in one pass over the padded layout
     (pieces, levels, nodes, side) of ``_block_tables``: the pair sums of
@@ -241,31 +197,26 @@ def _tanh_sinh_pieces(F, edges, tol):
     the pieces.  A level's taken nodes are a prefix of its slots, since
     ``a + d`` rounds monotonically onto ``a`` as d shrinks, so the deepest
     node taken is the last; where a value is not finite it is found among
-    the nodes used instead.
+    the nodes used instead.  The half-width and the center are formed from
+    the halved ends, so that b - a may overflow.
 
-    _FIRST_LEVEL is 4.  Each call of the Jensen engine's F costs a fixed
-    0.1-0.2 ms of root solving whatever its number of nodes, and most pieces
-    of a ``jensen-corpus`` round converge by level 4.  A first pass through
-    level 4 rather than 3 takes a seed-3 round from 175 to 108 calls of F,
-    and this rule's time in it, F included, from 38.7-38.9 to 32.4-32.9 ms
-    (median of 7 rounds in one process, 3 processes, one BLAS thread, 2-core
-    x86 machine), with every value the same.  A first pass through level 2
-    or 5 was slower than one through 3 or 4: level 5's nodes most pieces
-    never use.
-
-    Raises ValueError unless the edges are finite and strictly increasing
-    and tol > 0 (a NaN tol included).
+    Raises ValueError unless every end is finite with a[i] < b[i] and every
+    tol > 0 (a NaN tol included).
     """
-    edges = np.asarray(edges, dtype=float)
-    if not (np.isfinite(edges).all() and (edges[:-1] < edges[1:]).all()):
-        raise ValueError("edges must be finite and strictly increasing")
-    if not tol > 0:
+    ends = np.array([a, b], dtype=float)
+    if not np.isfinite(ends).all():
+        raise ValueError("endpoints must be finite")
+    if not (ends[0] < ends[1]).all():
+        raise ValueError("need a < b")
+    tol = np.asarray(tol, dtype=float)
+    if not (tol > 0).all():
         raise ValueError("tol must be positive")
-    a, b = edges[:-1], edges[1:]
-    n = len(a)
+    n = ends.shape[1]
     if not n:
         return []
-    half = 0.5 * (b - a)
+    tol = np.full(n, tol)
+    halves = 0.5 * ends
+    half = halves[1] - halves[0]
     value = np.zeros(n)
     err = np.zeros(n)
     # per piece, level and side: the nodes taken, and the distance of the
@@ -273,7 +224,7 @@ def _tanh_sinh_pieces(F, edges, tol):
     taken = np.zeros((n, _MAX_LEVEL + 1, 2), dtype=int)
     depth = np.full((n, _MAX_LEVEL + 1, 2), math.inf)
     height = np.zeros((n, _MAX_LEVEL + 1, 2))
-    ends = np.stack([a, b], axis=1)[:, None, None, :]
+    ends = ends.T[:, None, None, :]
 
     live = np.arange(n)
     first, last = 0, _FIRST_LEVEL
@@ -286,7 +237,7 @@ def _tanh_sinh_pieces(F, edges, tol):
         take = (x != e) & real    # black-box cannot be evaluated closer than one ulp
         v = np.zeros(x.shape)
         if first == 0:      # the center of every piece, then the nodes
-            center = 0.5 * (a + b)
+            center = halves[0] + halves[1]
             vals = F(np.concatenate([center, x[take]]))
             if not np.isfinite(vals[:n]).all():
                 raise QuadratureError("integrand is not finite",
@@ -309,7 +260,7 @@ def _tanh_sinh_pieces(F, edges, tol):
             deepest = deepest[:2] + (dd.argmin(axis=2), [0, 1])
             d_min = dd[deepest]
         terms = w * v
-        # the node pairs are added left to right, as in integrate
+        # the node pairs are added left to right
         add = np.cumsum(terms[:, :, :, 0] + terms[:, :, :, 1], axis=2)[:, :, -1]
         inc = add * hs * hl[:, None]
         after = np.empty_like(inc)      # the value after each level
@@ -317,7 +268,7 @@ def _tanh_sinh_pieces(F, edges, tol):
         for i in range(len(hs)):
             prev = after[:, i] = inc[:, i] if first + i == 0 else 0.5 * prev + inc[:, i]
         diffs = np.abs(after - np.concatenate([value[live][:, None], after[:, :-1]], axis=1))
-        done = diffs <= np.maximum(tol, 4.0 * _EPS * np.abs(after)) * 0.5
+        done = diffs <= np.maximum(tol[live, None], 4.0 * _EPS * np.abs(after)) * 0.5
         if first == 0:
             done[:, 0] = False      # level 0 only starts the recurrence
         stop = np.where(done.any(axis=1), done.argmax(axis=1), len(hs) - 1)
@@ -373,15 +324,9 @@ def integrate_torus2(g, tol=1e-6, n_max=4096):
     n = 256 (16 to 256, 496 rows, fewer under a smaller n_max) and each
     later call one grid, while the stopping test below still takes the sums
     one grid at a time, so the result is that of one call per grid.  A call
-    of the torus measure has a fixed cost of about 65 us whatever its row
-    count, so the 496-row call costs less than the three calls it replaces
-    even for an integrand that stops at n = 64.  Per call of
-    ``mahler_torus2`` (best of 5 x 20 in one process, one BLAS thread,
-    2-core x86 machine), with the first call up to n = 128, 256 or 512
-    against one call per grid: the benchmark's four cases took 4.41, 4.01
-    or 3.80 ms against 4.98, but ``3+x+y`` at tol 1e-6 (stops at 64) 94,
-    114 or 162 us against 137, and ``5+x^2*y+y^3+x`` at tol 1e-10 (stops
-    at 128) 212, 295 or 475 us against 468.
+    of the torus measure has a fixed cost whatever its row count, so the
+    first call costs less than the calls it replaces even for an integrand
+    that stops at n = 64 (CHANGES.md, "Torus oracle in fiber batches").
     ``QuadResult.evals`` counts the n^2 grid points of every grid whose
     rows were computed, those of the first call past the stopping grid
     included.

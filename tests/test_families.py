@@ -397,7 +397,8 @@ def test_derivatives_use_no_quadrature_or_root_finder(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a derivative called a quadrature rule or root finder")
 
-    for owner, name in ((quad, "integrate"), (families, "integrate"), (np, "roots")):
+    for owner, name in ((quad, "integrate"), (quad, "_tanh_sinh_pieces"),
+                        (families, "_tanh_sinh_pieces"), (np, "roots")):
         monkeypatch.setattr(owner, name, refuse)
     for k in _accuracy_grid():
         for family, derivative in _DERIVATIVES.items():

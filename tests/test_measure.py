@@ -137,9 +137,10 @@ def test_lead_coefficient_is_solved_once(monkeypatch):
     # m(a_d) = 0 and the cut at fl(2 pi / 3), correctly rounded
     edges = []
 
-    def recording(F, e, tol):
-        edges.append(list(e))
-        return pieces(F, e, tol)
+    def recording(F, a, b, tol):
+        edges.append(list(a) + list(b[-1:]))
+        assert list(a[1:]) == list(b[:-1])      # the pieces touch
+        return pieces(F, a, b, tol)
 
     pieces = measure._tanh_sinh_pieces
     monkeypatch.setattr(measure, "_tanh_sinh_pieces", recording)
