@@ -20,6 +20,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from . import eclf, families, specialfn
 from .errors import ParseError, QuadratureError, RegimeBoundaryError
 from .lpoly import parse_poly
@@ -203,22 +205,22 @@ def _suite_derivatives(report, _k_list, _tol):
 
 
 def _suite_lemmas(report, _k_list, _tol):
-    import numpy as np
     thetas = np.linspace(1e-6, math.pi - 1e-6, 1000)
     thetas = thetas[np.abs(np.cos(thetas)) > 1e-6]
 
+    def moduli(k):      # |y1|, |y2| over the grid, as abs() of a complex
+        return [np.hypot(y.real, y.imag) for y in families.branch_roots("R", k, thetas)]
+
     for k in (3.0, 5.0):
-        worst = max(max(abs(y1.imag), abs(y2.imag))
-                    for t in thetas
-                    for y1, y2 in [families.branch_roots("R", k, float(t))])
+        worst = max(np.abs(y.imag).max() for y in families.branch_roots("R", k, thetas))
         report.add_check(f"R-roots real for k={_fmt(k)}", worst < 1e-10,
                          f"max |Im| {worst:.3e}")
     for k in (families.TWO_SQRT2, 5.0):
-        low = min(abs(families.branch_roots("R", k, float(t))[0]) for t in thetas)
+        low = moduli(k)[0].min()
         report.add_check(f"|y1|>=1 for k={_fmt(k)}", low >= 1.0 - 1e-10,
                          f"min |y1| {low:.15f}")
     for k in (families.R_THRESHOLD, 5.0):
-        high = max(abs(families.branch_roots("R", k, float(t))[1]) for t in thetas)
+        high = moduli(k)[1].max()
         report.add_check(f"|y2|<=1 for k={_fmt(k)}", high <= 1.0 + 1e-10,
                          f"max |y2| {high:.15f}")
     for k in (1.0, 2.0, 3.0):
@@ -323,8 +325,8 @@ def _cmd_sweep(args):
         ks = [args.k_from + i * h for i in range(args.steps)]
     jobs = [(args.family, k, args.tol) for k in ks]
     if args.jobs > 1:
-        # imported here: the pool costs every process that loads the CLI
-        # 1.4-2.1 MB of peak memory, and only this branch uses it
+        # imported here: the pool adds to the peak memory of every process
+        # that loads the CLI, and only this branch uses it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

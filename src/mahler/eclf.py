@@ -387,9 +387,10 @@ _RESOLVE_THRESHOLD = 1e-8   # theta-consistency residual a resolution must meet
 
 def lambda_with_error(data, s, tol=1e-11):
     """Lambda(s) with a crude bound on the truncation tail, at the cutoff
-    theta = 1; tol > 0 sets the truncation length."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    theta = 1; tol sets the truncation length.  Raises ValueError unless tol
+    is a positive finite number."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     N = data.conductor
     M = _truncation_m(N, tol)
     an = _an_list(data.ap, data.bad_ap, M)

@@ -15,9 +15,12 @@ in the parameter:
   c_pm(k) = (8+k^2 +- k sqrt(16+k^2))/32.
 * dp/dk, dq/dk are periods of the cubic -(v+12)(v^2+k^2 v-4k^2) up to its
   positive root: complete for P, from k(1-k) for Q below k = 4.
-* r(k) = m(R_k) integrates the larger/smaller root branch over ranges
-  bounded by the zeros t_1(k) < t_2(k) of 8t^3-8t+k, which is where a branch
-  modulus crosses 1; dr/dk is the (in)complete period of
+* r(k) = m(R_k) is the circle average of log(max(1,|y1|) max(1,|y2|)) over
+  the roots of the reduced fiber, whose lead x + 1/x has measure 0.  Below
+  16/(3 sqrt 3) it kinks only at closed-form points: the zeros
+  t_1(k) < t_2(k) of 8t^3-8t+k, where a real root's modulus crosses 1,
+  t = 1/sqrt 2 below 2 sqrt 2, where the complex pair's does, and the zeros
+  of the radicand.  dr/dk is the (in)complete period of
   c(1-c)(64c^2-48c+k^2).  Each derivative is one or two calls of
   `elliptic.period_integral` on closed-form factor values.
 
@@ -182,75 +185,63 @@ def critical_roots(k):
 
 def branch_roots(family, k, theta):
     """The two y-roots of the reduced quadratic fiber at x = e^{i theta},
-    ordered |y1| >= |y2|.  For Q the parameter is the offset one (polynomial
-    subscript k+2).  Fibers where the leading coefficient vanishes raise."""
-    if not 0.0 < theta < math.pi:
+    ordered |y1| >= |y2|: two Python complex for a float theta, two complex
+    arrays for an array of angles.  For Q the parameter is the offset one
+    (polynomial subscript k+2).  Raises ValueError unless every theta lies in
+    (0, pi), and where the leading coefficient vanishes.
+
+    Each root is (b +- sqrt(disc)) / den, formed part by part as Python's
+    complex arithmetic does, and the moduli are compared by hypot, so an
+    array gives the values of the float calls bit for bit."""
+    th = np.asarray(theta, dtype=float)
+    if not ((0.0 < th) & (th < math.pi)).all():
         raise ValueError("theta must lie in (0, pi)")
-    ct = math.cos(theta)
+    ct = np.cos(th)
     if family == "P":
-        lead = 4.0 * ct * ct - 1.0
-        if abs(lead) < 1e-12:
-            raise ValueError("degenerate fiber: leading coefficient vanishes")
-        c1 = 2.0 * k * ct
-        c0 = lead
+        lead, b = 4.0 * ct * ct - 1.0, -(2.0 * k * ct)
     elif family == "Q":
         lead = 2.0 * ct + 1.0
-        if abs(lead) < 1e-12:
-            raise ValueError("degenerate fiber: leading coefficient vanishes")
-        c1 = 4.0 * ct * ct + (k + 2.0) * 2.0 * ct + 2.0 * (k - 1.0)
-        c0 = lead
+        b = -(4.0 * ct * ct + (k + 2.0) * 2.0 * ct + 2.0 * (k - 1.0))
     elif family == "R":
-        if abs(ct) < 1e-12:
-            raise ValueError("degenerate fiber: leading coefficient vanishes")
         c = ct * ct
-        disc = k * k - 16.0 * c * (3.0 - 4.0 * c)
-        sq = cmath.sqrt(complex(disc, 0.0))
-        y1 = (k + sq) / (4.0 * ct)
-        y2 = (k - sq) / (4.0 * ct)
-        return _order_pair(y1, y2)
+        lead, b, disc, den = ct, k, k * k - 16.0 * c * (3.0 - 4.0 * c), 4.0 * ct
     else:
         raise ValueError("family must be one of P, Q, R")
-    disc = c1 * c1 - 4.0 * lead * c0
-    sq = cmath.sqrt(complex(disc, 0.0))
-    y1 = (-c1 + sq) / (2.0 * lead)
-    y2 = (-c1 - sq) / (2.0 * lead)
-    return _order_pair(y1, y2)
+    if family != "R":      # the constant coefficient equals the lead
+        disc, den = b * b - 4.0 * lead * lead, 2.0 * lead
+    if (np.abs(lead) < 1e-12).any():
+        raise ValueError("degenerate fiber: leading coefficient vanishes")
+    sr, si = np.sqrt(np.maximum(disc, 0.0)), np.sqrt(np.maximum(-disc, 0.0))
+    # 0.0 - si, as in Python's 0.0 - sqrt(disc): +0.0 for real roots, not -0.0
+    y1, y2 = ((b + sr) / den, si / den), ((b - sr) / den, (0.0 - si) / den)
+    swap = np.hypot(*y2) > np.hypot(*y1)
+    return (_complex(*(np.where(swap, u, v) for u, v in zip(y2, y1))),
+            _complex(*(np.where(swap, u, v) for u, v in zip(y1, y2))))
 
 
-def _order_pair(y1, y2):
-    if abs(y2) > abs(y1):
-        y1, y2 = y2, y1
-    return complex(y1), complex(y2)
+def _complex(re, im):
+    """re + i im as a Python complex for 0-d parts, else a complex array."""
+    if np.ndim(re) == 0:
+        return complex(float(re), float(im))
+    y = np.empty(np.shape(re), dtype=complex)
+    y.real, y.imag = re, im
+    return y
 
 
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
 
-def _branch_integral(F, ranges, tol):
-    """(value, err_est) of the integral of F over the ranges, each a list of
-    cut points, in one call of ``_tanh_sinh_pieces``: each range's pieces
-    between consecutive cuts are summed, then the ranges in order.  Each
-    piece gets tol over its range's number of pieces, and a piece narrower
-    than 1e-15 is left out."""
-    a, b, tols, owner = [], [], [], []
-    for i, cuts in enumerate(ranges):
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi - lo < 1e-15:
-                continue
-            a.append(lo)
-            b.append(hi)
-            tols.append(tol / (len(cuts) - 1))
-            owner.append(i)
-    sums = [[0.0, 0.0] for _ in ranges]
-    for i, r in zip(owner, _tanh_sinh_pieces(F, a, b, tols)):
-        sums[i][0] += r.value
-        sums[i][1] += r.err_est
-    total = 0.0
-    err = 0.0
-    for v, e in sums:
-        total += v
-        err += e
+def _branch_integral(F, cuts, tol):
+    """(value, err_est) of the integral of F over (cuts[0], cuts[-1]) in one
+    call of ``_tanh_sinh_pieces``, the pieces between consecutive cuts
+    summed in order.  Each piece gets tol over the number of pieces, and a
+    piece narrower than 1e-15 is left out."""
+    pieces = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo >= 1e-15]
+    total = err = 0.0
+    for r in _tanh_sinh_pieces(F, *zip(*pieces), tol / (len(cuts) - 1)):
+        total += r.value
+        err += r.err_est
     return total, err
 
 
@@ -282,7 +273,7 @@ def p_measure(k, tol=1e-12):
     cuts = [lo, hi, 0.5 * math.pi]
     if c_plus < 1.0:
         cuts.insert(0, 0.0)
-    total, err = _branch_integral(integrand, [cuts], tol)
+    total, err = _branch_integral(integrand, cuts, tol)
     value = math.log(k) * (2.0 * (hi - lo) / math.pi) + 2.0 * total / math.pi
     return MeasureResult(value, 2.0 * err / math.pi + 1e-14, "closed_form")
 
@@ -294,66 +285,49 @@ def q_measure(subscript, tol=1e-11):
     return mahler_jensen(wt_family_poly("Q", float(subscript)), tol=tol)
 
 
-def _r_branch_log(k, sign):
-    """log|y| of the root y = (k + sign sqrt(rad)) / (4t) of the reduced R
-    fiber, as a function of an array of phi with t = sin(phi) = |cos theta|;
-    where the radicand is negative, the real-part convention."""
-
-    def log_branch(phi):
-        t = np.sin(phi)
-        rad = k * k - 16.0 * t * t * (3.0 - 4.0 * t * t)
-        with np.errstate(invalid="ignore"):     # the branch not taken
-            real = np.log(np.abs(k + sign * np.sqrt(rad)) / (4.0 * t))
-            pair = 0.5 * np.log(3.0 - 4.0 * t * t)
-        return np.where(rad >= 0.0, real, pair)
-
-    return log_branch
-
-
 def r_measure(k, tol=1e-12):
-    """m(R_k) from the regime-correct combination of branch integrals
-    (2/pi) int log|branch| dt/sqrt(1-t^2) over the ranges where the branch
-    modulus exceeds 1; cross-checked in tests against the generic engine.
-    The substitution t = sin(phi) absorbs the 1/sqrt(1-t^2) weight exactly,
-    so only bounded log-type integrands reach the quadrature rule."""
+    """m(R_k) = (2/pi) int_0^{pi/2} log(max(1,|y1|) max(1,|y2|)) dphi over
+    the roots y = (k +- sqrt(rad)) / (4t), rad = k^2 - 16t^2(3-4t^2), of the
+    reduced fiber at |cos theta| = t = sin(phi); the substitution absorbs
+    the 1/sqrt(1-t^2) weight, so only bounded log-type integrands reach the
+    quadrature rule.  Where rad < 0 the roots are a conjugate pair with
+    |y|^2 = 3 - 4t^2.  Below 16/(3 sqrt 3) the pieces lie between the kinks
+    of the module docstring; from there on |y2| <= 1, and log k is taken out
+    of |y1|, so huge k does not overflow.  Either way one call of the
+    quadrature rule, whose tol is split evenly over the pieces."""
     k = _positive_k(abs(k))
-
     if k >= R_THRESHOLD:
+        log_k, cuts = math.log(k), []
+
         def integrand(phi):
-            # log((k + sqrt(rad))/2) - log k, rad = k^2 - 16t^2(3-4t^2)
+            # log((k + sqrt(rad))/2) - log k
             t = np.sin(phi)
             x = 4.0 * t / k
             return np.log(0.5 * (1.0 + np.sqrt(np.maximum(1.0 - x * x * (3.0 - 4.0 * t * t),
                                                           0.0))))
-
-        total, err = _branch_integral(integrand, [[0.0, 0.5 * math.pi]], tol)
-        return MeasureResult(math.log(k) + 2.0 * total / math.pi,
-                             2.0 * err / math.pi + 1e-14, "closed_form")
-
-    t1, t2 = _t_roots(k)
-    if k < 3.0:
-        rr = math.sqrt(9.0 - k * k)
-        t_a = math.sqrt((3.0 - rr) / 8.0)
-        t_b = math.sqrt((3.0 + rr) / 8.0)
-        rad_zeros = [t_a, t_b]
     else:
-        rad_zeros = [math.sqrt(3.0 / 8.0)]      # near-degenerate dip at k ~ 3
+        log_k, cuts = 0.0, list(_t_roots(k))
+        if k < 3.0:
+            rr = math.sqrt(9.0 - k * k)
+            cuts += [math.sqrt((3.0 - rr) / 8.0), math.sqrt((3.0 + rr) / 8.0)]
+        else:
+            cuts.append(math.sqrt(3.0 / 8.0))       # near-degenerate dip at k ~ 3
+        if k < TWO_SQRT2:
+            cuts.append(1.0 / math.sqrt(2.0))
 
-    def cuts(lo, hi):
-        return [math.asin(c) for c in [lo] + [z for z in rad_zeros if lo < z < hi] + [hi]]
+        def integrand(phi):
+            t = np.sin(phi)
+            rad = k * k - 16.0 * t * t * (3.0 - 4.0 * t * t)
+            with np.errstate(invalid="ignore"):     # rad < 0: the conjugate pair
+                sq = np.sqrt(rad)
+            y1, y2 = np.abs(k + sq) / (4.0 * t), np.abs(k - sq) / (4.0 * t)
+            real = np.maximum(1.0, y1) * np.maximum(1.0, y2)
+            return np.log(np.where(rad >= 0.0, real, np.maximum(1.0, 3.0 - 4.0 * t * t)))
 
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    if k < TWO_SQRT2:
-        ranges = ((1.0, 0.0, inv_sqrt2), (1.0, t2, 1.0), (-1.0, t1, inv_sqrt2))
-    else:
-        ranges = ((1.0, 0.0, 1.0), (-1.0, t1, t2))
-    # one call per branch; the + ranges come first, so the ranges add up in order
-    (v_plus, e_plus), (v_minus, e_minus) = (
-        _branch_integral(_r_branch_log(k, sign),
-                         [cuts(lo, hi) for s, lo, hi in ranges if s == sign], tol / len(ranges))
-        for sign in (1.0, -1.0))
-    return MeasureResult(2.0 * (v_plus + v_minus) / math.pi,
-                         2.0 * (e_plus + e_minus) / math.pi + 1e-14, "closed_form")
+    cuts = [0.0] + sorted(math.asin(t) for t in cuts) + [0.5 * math.pi]
+    total, err = _branch_integral(integrand, cuts, tol)
+    return MeasureResult(log_k + 2.0 * total / math.pi, 2.0 * err / math.pi + 1e-14,
+                         "closed_form")
 
 
 # ---------------------------------------------------------------------------

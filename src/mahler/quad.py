@@ -98,8 +98,11 @@ def integrate(f, a, b, tol=1e-12):
     """Tanh-sinh quadrature of the scalar function f over the finite
     interval (a, b): the one-piece case of ``_tanh_sinh_pieces``, with f
     mapped over the abscissae of each call.  So the first call evaluates f
-    at every node of levels 0-4 at once, and each later level at its new
-    nodes; a value at a node of a level the result never reaches is ignored.
+    at every node of levels 0-4 at once, 195 nodes unless some round onto
+    an endpoint, and each later level at its new nodes; a value at a node
+    of a level the result never reaches is ignored.  ``QuadResult.evals``
+    counts only the nodes of the levels used, so f can be called more
+    often than it says.
 
     f is never evaluated exactly at a or b; nodes whose distance from an
     endpoint underflows are dropped (their weights are far below tolerance

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mahler
@@ -135,6 +136,21 @@ def test_verify_landen_fails_on_a_nan_form(monkeypatch):
     monkeypatch.setattr(mahler.elliptic, "_pq_period", lambda k: math.nan)
     assert mahler.landen_check(5.0).diff == math.inf
     assert main(["verify", "landen", "--k", "5"]) == 1
+
+
+def test_verify_lemmas_solves_each_grid_in_one_call(monkeypatch):
+    # each grid check takes all its angles in one branch_roots call per k;
+    # the unit-modulus checks take one angle each
+    calls = []
+    branch_roots = mahler.families.branch_roots
+
+    def recording(family, k, theta):
+        calls.append(np.ndim(theta))
+        return branch_roots(family, k, theta)
+
+    monkeypatch.setattr(mahler.families, "branch_roots", recording)
+    assert main(["verify", "lemmas"]) == 0
+    assert calls == [1] * 6 + [0] * 6
 
 
 def test_verify_landen_next_to_k3():

@@ -373,8 +373,8 @@ def test_conductor_must_be_positive_integer(N):
         resolve_bad_data(curve, N=N)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")],
-                         ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
 def test_lambda_refuses_nonpositive_tol(tol):
     data = resolve_bad_data(CURVE_15)
     for fn in (lambda_with_error, lambda_completed):

@@ -362,6 +362,26 @@ def test_tiny_k(k):
                               (q_derivative, math.sqrt(3.0) / 18.0),
                               (r_derivative, math.sqrt(3.0) / 18.0)):
         assert abs(derivative(k) - limit) <= 1e-15 * limit
+    # m(R_k) = m(R_0) + O(k), 30-digit bench/refmath.r_theta at k = 1e-300;
+    # next to phi = 0 the root k/(2t) is huge, and no warning may escape
+    res = r_measure(k, tol=1e-13)
+    assert abs(res.value - 0.388747872041091706851179275291) <= res.err_est
+
+
+def test_r_measure_below_threshold_is_one_rule_call(monkeypatch):
+    # one integrand over one sorted cut list: every piece in one call
+    calls = []
+    pieces = families._tanh_sinh_pieces
+
+    def recording(F, a, b, tol):
+        calls.append(len(a))
+        return pieces(F, a, b, tol)
+
+    monkeypatch.setattr(families, "_tanh_sinh_pieces", recording)
+    for k in (1e-9, 1.0, TWO_SQRT2 - 1e-6, TWO_SQRT2, 2.9, 3.0, 3.05, R_THRESHOLD - 1e-6):
+        calls.clear()
+        r_measure(k)
+        assert len(calls) == 1 and calls[0] >= 3, (k, calls)
 
 
 # 50-digit mpmath zeros of 8t^3 - 8t + k and dr/dk at k = 16/(3 sqrt 3) - dk,
@@ -444,6 +464,28 @@ def test_branch_roots_q_vieta():
     y1, y2 = branch_roots("Q", 4.0, 1.1)
     assert abs(abs(y1 * y2) - 1.0) < 1e-12
     assert abs(y1) >= abs(y2)
+
+
+@pytest.mark.parametrize("family,k", [("P", 5.0), ("Q", 4.0), ("Q", -3.0), ("R", 2.9),
+                                      ("R", R_THRESHOLD)])
+def test_branch_roots_over_an_array_match_float_calls(family, k):
+    # the array path gives the roots of the float calls bit for bit
+    thetas = _theta_grid()
+    thetas = thetas[np.abs(np.cos(thetas) ** 2 - 0.25) > 1e-6]
+    y1, y2 = branch_roots(family, k, thetas)
+    assert y1.shape == y2.shape == thetas.shape and y1.dtype == complex
+    for t, a, b in zip(thetas.tolist(), y1.tolist(), y2.tolist()):
+        s1, s2 = branch_roots(family, k, t)
+        assert type(s1) is complex and type(s2) is complex
+        assert [v.hex() for v in (a.real, a.imag, b.real, b.imag)] == \
+            [v.hex() for v in (s1.real, s1.imag, s2.real, s2.imag)]
+
+
+def test_branch_roots_array_refuses_any_bad_angle():
+    with pytest.raises(ValueError, match="theta"):
+        branch_roots("R", 3.0, np.array([1.0, math.pi]))
+    with pytest.raises(ValueError, match="degenerate"):
+        branch_roots("R", 3.0, np.array([1.0, math.pi / 2]))
 
 
 def _theta_grid(n=1000):

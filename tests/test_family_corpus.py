@@ -1,0 +1,78 @@
+"""The paper's families as a reference corpus for the Jensen engine.
+
+``p_measure`` and ``r_measure`` do not use the engine, so they are its
+references: p(k) for P_k, and for Q_{k+2} at k >= 4 (Theorem 1), and r(k)
+for R_k.  Each family member goes through ``mahler_jensen`` at tol 1e-10
+and 1e-13 in its raw form, in its reduced form (``wt_family_poly``), and for
+P also with x and y swapped; R is symmetric in x and y.  Every value must
+lie within its ``err_est`` plus the reference's ``err_est`` of the
+reference, up to 4 eps |m| of rounding, except for the known misses, each
+listed with the ROADMAP item that owns it.  A case that is mended must
+leave the list, and a new miss fails.
+"""
+
+import sys
+
+import mahler
+from mahler import families
+from mahler.lpoly import monomial_transform
+
+_T = families.R_THRESHOLD
+# label -> k: tiny k, every regime, and each regime boundary from both sides
+KS = {"1e-9": 1e-9, "1e-6": 1e-6, "1e-3": 1e-3, "0.5": 0.5, "2": 2.0,
+      "2sqrt2": families.TWO_SQRT2, "3-1e-6": 3.0 - 1e-6, "3+1e-6": 3.0 + 1e-6,
+      "T-1e-5": _T - 1e-5, "T-1e-6": _T - 1e-6, "T+1e-6": _T + 1e-6,
+      "4": 4.0, "10": 10.0, "1e4": 1e4}
+TOLS = (1e-10, 1e-13)
+
+
+def _misses(owner, forms, ks, tols=TOLS):
+    return {f"{form} k={k} tol={tol:g}": owner for form in forms for k in ks for tol in tols}
+
+
+# case -> the ROADMAP item that owns the miss
+KNOWN_MISSES = {
+    # P_k next to k = 0, where the fiber nearly has a content in x
+    **_misses("1", ["P raw", "P reduced"], ["1e-3"]),
+    **_misses("1", ["P raw", "P reduced"], ["1e-9", "1e-6"], [1e-10]),
+    **_misses("1", ["P swapped"], ["1e-9", "1e-6"]),
+    # R_k just below 16/(3 sqrt 3), where t1 and t2 merge in one scan cell
+    **_misses("1", ["R raw", "R reduced"], ["T-1e-6"]),
+    **_misses("1", ["R raw", "R reduced"], ["T-1e-5"], [1e-10]),
+    **_misses("1", ["R reduced"], ["T-1e-5"], [1e-13]),
+    # Q_6 has a node on the torus
+    **_misses("17", ["Q raw"], ["4"]),
+    **_misses("17", ["Q reduced"], ["4"], [1e-13]),
+}
+
+
+def _cases():
+    """(name, polynomial, reference MeasureResult) of every case."""
+    for label, k in KS.items():
+        p_ref = families.p_measure(k, tol=1e-13)
+        r_ref = families.r_measure(k, tol=1e-13)
+        P = families.family_poly("P", k)
+        forms = [("P raw", P, p_ref), ("P reduced", families.wt_family_poly("P", k), p_ref),
+                 ("P swapped", monomial_transform(P, ((0, 1), (1, 0))), p_ref),
+                 ("R raw", families.family_poly("R", k), r_ref),
+                 ("R reduced", families.wt_family_poly("R", k), r_ref)]
+        if k >= 4.0:
+            forms += [("Q raw", families.family_poly("Q", k + 2.0), p_ref),
+                      ("Q reduced", families.wt_family_poly("Q", k + 2.0), p_ref)]
+        for form, poly, ref in forms:
+            yield f"{form} k={label}", poly, ref
+
+
+def test_family_corpus_within_err_est():
+    misses = {}
+    count = 0
+    for name, poly, ref in _cases():
+        for tol in TOLS:
+            res = mahler.mahler_jensen(poly, tol=tol)
+            count += 1
+            error = abs(res.value - ref.value)
+            bound = res.err_est + ref.err_est + 4.0 * sys.float_info.epsilon * abs(res.value)
+            if not error <= bound:
+                misses[f"{name} tol={tol:g}"] = (error, res.err_est)
+    assert count == 152
+    assert set(misses) == set(KNOWN_MISSES), misses

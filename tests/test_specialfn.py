@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -118,6 +119,29 @@ def test_character_rejects_bad_discriminant():
         dirichlet_char(5)
     with pytest.raises(ValueError):
         dirichlet_char(-5)     # -5 = 3 mod 4 is not a discriminant
+
+
+def test_character_is_odd_real_character_for_every_discriminant():
+    # dirichlet_char builds the Kronecker table without checking it; these
+    # are the properties that make it an odd real character mod |d|
+    for d in range(-200, 0):
+        if d % 4 not in (0, 1):
+            continue
+        chi = dirichlet_char(d)
+        f = chi.modulus
+        v = np.array(chi.values)
+        units = np.array([a for a in range(1, f) if math.gcd(a, f) == 1])
+        assert (np.outer(v[units], v[units]) == v[np.outer(units, units) % f]).all(), d
+        assert chi.is_odd(), d
+        assert sum(chi.values) == 0, d
+
+
+def test_character_table_is_linear_in_modulus():
+    # the table once took time quadratic in |d|, about an hour at this d
+    start = time.perf_counter()
+    chi = dirichlet_char(-100003)
+    assert time.perf_counter() - start < 1.0
+    assert chi.modulus == 100003 and len(chi.values) == 100003
 
 
 def test_dirichlet_l_against_direct_series():
