@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: measure | family | derivative | verify | sweep | lvalue.
-Common flags: --tol (a finite number > 0), --out, --format {text,json,csv};
-sweep also takes --jobs N (worker processes, N >= 1).
+Each takes only the flags it reads: --out and --format {text,json} on all,
+--tol (a finite number > 0) where a tolerance is used, and csv as a format
+and --jobs N (worker processes, N >= 1) on sweep only; a verify suite takes
+--k or --tol only if it reads them.
 Exit codes: 0 all checks pass, 1 a declared check failed, 2 usage error,
 3 numerical failure.  All numeric output is deterministic for fixed inputs;
 sweep rows are computed independently (optionally in parallel) and always
@@ -32,6 +34,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+_DEFAULT_TOL = 1e-10
 
 
 @dataclass
@@ -81,11 +85,8 @@ def _fmt(x):
 def _emit(report, args):
     if args.format == "json":
         text = report.to_json()
-    elif args.format == "csv":
-        text = getattr(report, "csv_text", None)
-        if text is None:
-            raise argparse.ArgumentTypeError("csv output only applies to sweep")
-        text = text.rstrip("\n")
+    elif args.format == "csv":      # sweep only
+        text = report.csv_text.rstrip("\n")
     else:
         text = report.to_text()
     if args.out:
@@ -271,27 +272,33 @@ def _suite_asymptotics(report, _k_list, tol):
                          f"gap {gaps[1]:.3e}")
 
 
+# suite -> (runner, default k list, whether it reads tol); a suite with
+# no default k list reads no --k
 _SUITES = {
-    "theorem1": (_coincidence_suite("Q", 4.0), (4.0, 5.5, 10.0, 33.0)),
+    "theorem1": (_coincidence_suite("Q", 4.0), (4.0, 5.5, 10.0, 33.0), True),
     "theorem2": (_coincidence_suite("R", families.R_THRESHOLD),
-                 (families.R_THRESHOLD + 0.01, 4.0, 10.0)),
-    "landen": (_suite_landen, (1.0, 2.0, 10.0)),
-    "derivatives": (_suite_derivatives, ()),
-    "lemmas": (_suite_lemmas, ()),
-    "conjecture_R4": (_suite_conjecture_r4, ()),
-    "conjecture_Qminus1": (_suite_conjecture_qm1, ()),
-    "asymptotics": (_suite_asymptotics, ()),
+                 (families.R_THRESHOLD + 0.01, 4.0, 10.0), True),
+    "landen": (_suite_landen, (1.0, 2.0, 10.0), False),
+    "derivatives": (_suite_derivatives, (), False),
+    "lemmas": (_suite_lemmas, (), False),
+    "conjecture_R4": (_suite_conjecture_r4, (), True),
+    "conjecture_Qminus1": (_suite_conjecture_qm1, (), True),
+    "asymptotics": (_suite_asymptotics, (), True),
 }
 
 
 def _cmd_verify(args):
     if args.suite not in _SUITES:
         raise argparse.ArgumentTypeError(f"unknown suite {args.suite!r}")
-    runner, default_ks = _SUITES[args.suite]
+    runner, default_ks, reads_tol = _SUITES[args.suite]
+    if args.k is not None and not default_ks:
+        raise argparse.ArgumentTypeError(f"suite {args.suite} takes no --k")
+    if args.tol is not None and not reads_tol:
+        raise argparse.ArgumentTypeError(f"suite {args.suite} takes no --tol")
+    tol = _DEFAULT_TOL if args.tol is None else args.tol
     k_list = _parse_k_list(args.k, default_ks)
-    report = RunReport("verify", {"suite": args.suite, "k": k_list,
-                                  "tol": args.tol})
-    runner(report, k_list, args.tol)
+    report = RunReport("verify", {"suite": args.suite, "k": k_list, "tol": tol})
+    runner(report, k_list, tol)
     return report
 
 
@@ -415,22 +422,25 @@ def _build_parser():
         description="Mahler measures of bivariate Laurent polynomials")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=_positive_tol, default=1e-10)
+    def common(p, formats=("text", "json")):
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
+
+    def tol(p, default=_DEFAULT_TOL):
+        p.add_argument("--tol", type=_positive_tol, default=default)
 
     p = sub.add_parser("measure", help="Mahler measure of an expression")
     p.add_argument("poly")
     p.add_argument("--k", type=_finite, default=None)
     p.add_argument("--torus-check", action="store_true")
+    tol(p)
     common(p)
     p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("family", help="closed-form family measure")
     p.add_argument("family", choices=("P", "Q", "R"))
     p.add_argument("--k", type=_finite, required=True)
+    tol(p)
     common(p)
     p.set_defaults(fn=_cmd_family)
 
@@ -443,6 +453,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="identity verification suites")
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("--k", default=None, help="comma-separated override")
+    tol(p, default=None)     # the suite's default, if it reads one
     common(p)
     p.set_defaults(fn=_cmd_verify)
 
@@ -453,7 +464,8 @@ def _build_parser():
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the rows")
-    common(p)
+    tol(p)
+    common(p, formats=("text", "json", "csv"))
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("lvalue", help="Dirichlet or elliptic-curve L-values")
@@ -482,7 +494,7 @@ def main(argv=None):
     report.wall_time_s = time.perf_counter() - start
     try:
         _emit(report, args)
-    except (argparse.ArgumentTypeError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if report.all_passed() else EXIT_CHECK_FAILED

@@ -387,12 +387,14 @@ _RESOLVE_THRESHOLD = 1e-8   # theta-consistency residual a resolution must meet
 
 def lambda_with_error(data, s, tol=1e-11):
     """Lambda(s) with a crude bound on the truncation tail, at the cutoff
-    theta = 1; tol sets the truncation length.  Raises ValueError unless tol
-    is a positive finite number."""
+    theta = 1; tol sets the truncation length M, which stops at ``_P_MAX``,
+    where the table of a_p ends.  The bound is that of the tail after the M
+    reached, so it exceeds a tol the table cannot reach.  Raises ValueError
+    unless tol is a positive finite number."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     N = data.conductor
-    M = _truncation_m(N, tol)
+    M = min(_truncation_m(N, tol), _P_MAX)
     an = _an_list(data.ap, data.bad_ap, M)
     val = _lambda_theta(N, an, data.root_number, s, _THETA, M)
     # |a_n| <= n; both gamma factors decay like e^{-2 pi n theta' / sqrt N},

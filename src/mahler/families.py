@@ -232,19 +232,6 @@ def _complex(re, im):
 # measures
 # ---------------------------------------------------------------------------
 
-def _branch_integral(F, cuts, tol):
-    """(value, err_est) of the integral of F over (cuts[0], cuts[-1]) in one
-    call of ``_tanh_sinh_pieces``, the pieces between consecutive cuts
-    summed in order.  Each piece gets tol over the number of pieces, and a
-    piece narrower than 1e-15 is left out."""
-    pieces = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo >= 1e-15]
-    total = err = 0.0
-    for r in _tanh_sinh_pieces(F, *zip(*pieces), tol / (len(cuts) - 1)):
-        total += r.value
-        err += r.err_est
-    return total, err
-
-
 def p_measure(k, tol=1e-12):
     """m(P_k) by the closed theta-integral of the dominant root branch:
 
@@ -273,9 +260,9 @@ def p_measure(k, tol=1e-12):
     cuts = [lo, hi, 0.5 * math.pi]
     if c_plus < 1.0:
         cuts.insert(0, 0.0)
-    total, err = _branch_integral(integrand, cuts, tol)
-    value = math.log(k) * (2.0 * (hi - lo) / math.pi) + 2.0 * total / math.pi
-    return MeasureResult(value, 2.0 * err / math.pi + 1e-14, "closed_form")
+    r = _tanh_sinh_pieces(integrand, cuts, tol)
+    value = math.log(k) * (2.0 * (hi - lo) / math.pi) + 2.0 * r.value / math.pi
+    return MeasureResult(value, 2.0 * r.err_est / math.pi + 1e-14, "closed_form")
 
 
 def q_measure(subscript, tol=1e-11):
@@ -325,8 +312,8 @@ def r_measure(k, tol=1e-12):
             return np.log(np.where(rad >= 0.0, real, np.maximum(1.0, 3.0 - 4.0 * t * t)))
 
     cuts = [0.0] + sorted(math.asin(t) for t in cuts) + [0.5 * math.pi]
-    total, err = _branch_integral(integrand, cuts, tol)
-    return MeasureResult(log_k + 2.0 * total / math.pi, 2.0 * err / math.pi + 1e-14,
+    r = _tanh_sinh_pieces(integrand, cuts, tol)
+    return MeasureResult(log_k + 2.0 * r.value / math.pi, 2.0 * r.err_est / math.pi + 1e-14,
                          "closed_form")
 
 

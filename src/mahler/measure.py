@@ -36,13 +36,14 @@ next five halvings can take are counted in one call, and the halvings are
 replayed on them.  A crossing pair inside one scan cell leaves the count
 unchanged at both ends and is missed.
 
-The pieces between the cuts are integrated together with the
-double-exponential rule ``quad._tanh_sinh_pieces``.  Its first call of the
-fiber kernel ``_fiber_logplus`` takes every node of levels 0-4 of every
-piece, and each later level one call for the new nodes of the pieces not
-yet converged, so the fibers of each call are solved in one ``batch_roots``
-call per degree, and the rule reduces the values of each call in one
-pass.
+The cuts, with 0 and pi, go to the double-exponential rule
+``quad._tanh_sinh_pieces`` as one cut list with the total tolerance
+pi tol; the rule splits it over the pieces and returns their sums.  Its
+first call of the fiber kernel ``_fiber_logplus`` takes every node of
+levels 0-4 of every piece, and each later level one call for the new nodes
+of the pieces not yet converged, so the fibers of each call are solved in
+one ``batch_roots`` call per degree, and the rule reduces the values of
+each call in one pass.
 
 Every fiber solve, of the scan and probe counts, the polish, the quadrature
 levels and the torus rows below, goes through ``_solve_fibers`` to
@@ -51,10 +52,11 @@ call.  It solves through degree 4 in closed form
 (Cardano's and Ferrari's formulas for the cubics and quartics, with a Newton
 polish) and takes companion-matrix eigenvalues only for the rows that polish
 rejects.
-Both engines first divide P by the power of 2 that puts its largest
-coefficient modulus in [0.5, 1) (``_unit_scaled``) and add its logarithm
-back, so a fiber coefficient, a sum of terms, neither overflows nor goes
-subnormal.
+Both engines, and ``mahler_1var``, first divide P by the power of 2 that
+puts its largest coefficient modulus in [0.5, 1) (``_unit_y_coeffs``) and
+add its logarithm back, so a fiber coefficient, a sum of terms, neither
+overflows nor goes subnormal, and an integer coefficient beyond float
+range is taken exactly.
 
 The direct two-dimensional torus average is kept as an independent,
 lower-accuracy oracle.  It does not use Jensen's formula, the crossing
@@ -79,7 +81,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import QuadratureError
-from .lpoly import _cyclotomic_split
+from .lpoly import LaurentPoly2, _cyclotomic_split
 from .quad import _tanh_sinh_pieces, integrate_torus2
 from .rootfind import batch_roots, poly_roots
 
@@ -101,36 +103,35 @@ class MeasureResult:
     method: str   # jensen_1d | torus_2d | closed_form
 
 
-def _y_coeff_polys(P):
-    """Coefficient Laurent polynomials (dicts {i: c}) of y^0..y^d after
-    clearing the lowest power of y.
+def _unit_y_coeffs(P):
+    """The coefficient Laurent polynomials (dicts {i: c}) of y^0..y^d of P
+    after clearing the lowest power of y, divided by the power of 2, 2^e,
+    that puts their largest modulus in [0.5, 1), and e log 2, which the
+    measure gains back.
 
-    Every engine takes the coefficients from here, so this is where the
-    zero polynomial and a symbolic k are refused, with ValueError, and a
-    NaN or infinite coefficient, with ``QuadratureError``."""
+    The division keeps a fiber coefficient, a sum of terms, from
+    overflowing or going subnormal where every term is finite, as for P
+    times 1e308 or 2^-1060.  It is exact for a float (``ldexp`` of the real
+    and imaginary parts) and correctly rounded for an int, which may lie
+    beyond float range: an int's e is its bit length, so it is never
+    converted to a float first.  Every engine takes the coefficients from
+    here, so this is where the zero polynomial and a symbolic k are
+    refused, with ValueError, and a NaN or infinite coefficient, with
+    ``QuadratureError``."""
     if P.is_zero():
         raise ValueError("measure of the zero polynomial")
     if P.has_symbolic_k():
         raise ValueError("substitute a numeric k first")
-    if not all(cmath.isfinite(c) for c in P.terms.values()):
+    if not all(isinstance(c, int) or cmath.isfinite(c) for c in P.terms.values()):
         raise QuadratureError("integrand is not finite")
     ycof = P.y_coefficients()
-    jmin = min(ycof)
-    jmax = max(ycof)
-    return [ycof.get(j, {}) for j in range(jmin, jmax + 1)]
-
-
-def _unit_scaled(cx):
-    """The coefficient polynomials ``cx`` divided by the power of 2, 2^e,
-    that puts their largest modulus in [0.5, 1), and e log 2, which the
-    measure gains back.  The division is exact (``ldexp`` of the real and
-    imaginary parts).  It keeps a fiber coefficient, a sum of terms, from
-    overflowing or going subnormal where every term is finite, as for P
-    times 1e308 or 2^-1060."""
-    e = math.frexp(max(abs(c) for cm in cx for c in cm.values()))[1]
-    scaled = [{i: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
-               for i, c in cm.items()} for cm in cx]
-    return scaled, e * math.log(2.0)
+    big = max(abs(c) for c in P.terms.values())
+    e = big.bit_length() if isinstance(big, int) else math.frexp(big)[1]
+    cx = [{i: complex(c / (1 << e)) if isinstance(c, int)
+           else complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+           for i, c in ycof.get(j, {}).items()}
+          for j in range(min(ycof), max(ycof) + 1)]
+    return cx, e * math.log(2.0)
 
 
 _BLOCK_ENTRIES = 4096   # angles times x-exponents per block of _coeffs_grid
@@ -218,16 +219,21 @@ def _solve_1var(coeffs):
 def mahler_1var(coeffs):
     """Logarithmic Mahler measure of a one-variable Laurent polynomial.
 
-    ``coeffs`` maps exponent -> real coefficient.  Jensen: log|lead| plus
-    log+ of the root magnitudes, after the cyclotomic factors are divided
-    out exactly (``_solve_1var``), so products of cyclotomics, repeated
-    factors included, give exactly 0.0; magnitudes within 1e-12 of 1 count
-    as exactly 1.  A NaN or infinite coefficient raises
-    ``QuadratureError``, as in the engines.
+    ``coeffs`` maps exponent -> real coefficient.  The coefficients are
+    taken as the engines take theirs (``_unit_y_coeffs``), so a NaN or
+    infinite one raises ``QuadratureError`` and an int beyond float range
+    is scaled exactly.  The exponents are shifted to start at 0 and divided
+    by their gcd g, which is exact, since m(f(x^g)) = m(f): x^n + 2 costs
+    what x + 2 does.  Then Jensen: log|lead| plus log+ of the root
+    magnitudes, after the cyclotomic factors are divided out exactly
+    (``_solve_1var``), so products of cyclotomics, repeated factors
+    included, give exactly 0.0; magnitudes within 1e-12 of 1 count as
+    exactly 1.
     """
-    if not all(cmath.isfinite(c) for c in coeffs.values()):
-        raise QuadratureError("integrand is not finite")
-    return _solve_1var(coeffs)[0]
+    (c,), log_scale = _unit_y_coeffs(LaurentPoly2({(i, 0): v for i, v in coeffs.items()}))
+    low = min(c)
+    g = math.gcd(*(i - low for i in c)) or 1
+    return log_scale + _solve_1var({(i - low) // g: v for i, v in c.items()})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +566,15 @@ def _crossing_angles(coeff_table):
 def mahler_jensen(P, tol=1e-10):
     """Logarithmic Mahler measure of a real-coefficient Laurent polynomial.
 
-    P is first divided by a power of 2, 2^e (``_unit_scaled``), and
-    e log 2 is added back, so P times 1e308 or 2^-1060 works as P does.
+    P is first divided by a power of 2, 2^e (``_unit_y_coeffs``), and
+    e log 2 is added back, so P times 1e308, 2^-1060 or 10^400 works as P
+    does.
     Raises ValueError for the zero polynomial, a symbolic k, a coefficient
     with a nonzero imaginary part (the fold of the t-integral onto (0, pi)
     holds for real coefficients only; ``mahler_torus2`` takes complex
     ones) or a tol that is not positive (NaN included), and
     QuadratureError for a NaN or infinite coefficient."""
-    cx, log_scale = _unit_scaled(_y_coeff_polys(P))
+    cx, log_scale = _unit_y_coeffs(P)
     if any(c.imag for cm in cx for c in cm.values()):
         raise ValueError("mahler_jensen needs real coefficients")
     if not tol > 0:
@@ -583,17 +590,9 @@ def mahler_jensen(P, tol=1e-10):
     cuts = sorted(set(degen) | set(crossings))
     edges = [0.0] + [t for t in cuts if 1e-12 < t < math.pi - 1e-12] + [math.pi]
 
-    sub_tol = tol * math.pi / max(len(edges) - 1, 1)
-    pieces = _tanh_sinh_pieces(lambda t: _fiber_logplus(coeff_table, t),
-                               edges[:-1], edges[1:], sub_tol)
-    total = 0.0
-    err = 0.0
-    for r in pieces:
-        total += r.value
-        err += r.err_est
-
-    value = log_scale + lead_measure + total / math.pi
-    return MeasureResult(value, err / math.pi + 1e-13, "jensen_1d")
+    r = _tanh_sinh_pieces(lambda t: _fiber_logplus(coeff_table, t), edges, tol * math.pi)
+    value = log_scale + lead_measure + r.value / math.pi
+    return MeasureResult(value, r.err_est / math.pi + 1e-13, "jensen_1d")
 
 
 _TORUS_ROWS = 4096   # rows of the torus grids solved and summed at a time
@@ -602,7 +601,7 @@ _TORUS_ROWS = 4096   # rows of the torus grids solved and summed at a time
 def _torus_row_means(cx):
     """The means of log|P(e^{i tx}, e^{i ty})| over the y-angles ty, one
     per x-angle tx, for the coefficient polynomials ``cx`` of P in y (see
-    ``_y_coeff_polys``; clearing the lowest y-power leaves |P| unchanged on
+    ``_unit_y_coeffs``; clearing the lowest y-power leaves |P| unchanged on
     the torus): the row means of the trapezoid grids, in the contract of
     ``integrate_torus2``, which passes a list of grids t, each the x-angles
     and the uniform y-angles ty_l = t_0 + 2 pi l / n, l = 0..n-1.
@@ -677,6 +676,6 @@ def mahler_torus2(P, tol=1e-5, n_max=1 << 16):
     symbolic k, when n_max is not a finite number at least the starting
     grid size 16, or when tol is not positive (NaN included), and
     QuadratureError for a NaN or infinite coefficient."""
-    cx, log_scale = _unit_scaled(_y_coeff_polys(P))
+    cx, log_scale = _unit_y_coeffs(P)
     r = integrate_torus2(_torus_row_means(cx), tol=tol, n_max=n_max)
     return MeasureResult(log_scale + r.value, r.err_est, "torus_2d")

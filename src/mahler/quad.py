@@ -11,15 +11,16 @@ It reports a conservative absolute error estimate; an err_est larger than
 the requested tolerance means the node budget ran out and the value should
 be treated as unreliable.
 
-The rule is written once, as ``_tanh_sinh_pieces``: it integrates many
-pieces at once with an integrand over arrays of abscissae.  The nodes are
-nested, so its first call takes every node of levels 0-4 of every piece,
-and each later level one call for the pieces not yet converged.  The
-values of a call are reduced in one pass over a padded (pieces, levels,
-nodes, side) layout, so the rule's own work is a fixed number of numpy
-calls per call of the integrand, not per level.  The Jensen engine and the
-family measures call it directly; :func:`integrate` is its one-piece case
-for a scalar integrand.
+The rule is written once, as ``_tanh_sinh_pieces``: one integral, given
+as a cut list and one total tolerance, with an integrand over arrays of
+abscissae.  It splits the tolerance evenly over the pieces between the
+cuts and returns their sums, so that is decided here only.  The nodes are
+nested, so its first call of the integrand takes every node of levels 0-4
+of every piece, and each later level one call for the pieces not yet
+converged.  The values of a call are reduced in one pass over a padded
+(pieces, levels, nodes, side) layout.  The Jensen engine and the family
+measures pass it their cuts; :func:`integrate` is its two-cut case for a
+scalar integrand.
 
 The rule treats the integrand as a black box that is never evaluated
 closer to an endpoint than one ulp.  An inverse-square-root endpoint then
@@ -96,13 +97,12 @@ def _level_nodes(level):
 
 def integrate(f, a, b, tol=1e-12):
     """Tanh-sinh quadrature of the scalar function f over the finite
-    interval (a, b): the one-piece case of ``_tanh_sinh_pieces``, with f
+    interval (a, b): the two-cut case of ``_tanh_sinh_pieces``, with f
     mapped over the abscissae of each call.  So the first call evaluates f
-    at every node of levels 0-4 at once, 195 nodes unless some round onto
-    an endpoint, and each later level at its new nodes; a value at a node
-    of a level the result never reaches is ignored.  ``QuadResult.evals``
-    counts only the nodes of the levels used, so f can be called more
-    often than it says.
+    at every node of levels 0-4 at once, and each later level at its new
+    nodes; a value at a node of a level the result never reaches is
+    ignored.  ``QuadResult.evals`` counts only the nodes of the levels
+    used, so f can be called more often than it says.
 
     f is never evaluated exactly at a or b; nodes whose distance from an
     endpoint underflows are dropped (their weights are far below tolerance
@@ -122,7 +122,7 @@ def integrate(f, a, b, tol=1e-12):
     def F(xs):
         return np.array([f(x) for x in xs.tolist()], dtype=float)
 
-    return _tanh_sinh_pieces(F, [a], [b], tol)[0]
+    return _tanh_sinh_pieces(F, [a, b], tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,11 +161,15 @@ def _block_tables(first, last):
     return sdist, w, real, 0.5 ** np.arange(first, last + 1)
 
 
-def _tanh_sinh_pieces(F, a, b, tol):
-    """The tanh-sinh rule on every piece (a[i], b[i]) at once, to the
-    tolerance tol[i] (or one tol for all), for a black-box integrand F that
-    maps an array of abscissae to an array of values.  The pieces need not
-    touch.  Returns one QuadResult per piece.
+def _tanh_sinh_pieces(F, cuts, tol):
+    """The tanh-sinh rule over (cuts[0], cuts[-1]), cut at every cut, for a
+    black-box integrand F that maps an array of abscissae to an array of
+    values.  The cuts are finite and non-decreasing, the first below the
+    last.  tol is the total tolerance: each of the len(cuts) - 1 pieces
+    between consecutive cuts gets tol / (len(cuts) - 1), and an empty
+    piece, between two equal cuts, is skipped.  Returns one QuadResult:
+    the values, the error estimates and the evaluation counts of the
+    pieces, each added in the order of the pieces.
 
     Per piece: level 0 takes the center and the node pairs at t = 1..6,
     level L >= 1 the new node pairs at the odd multiples of h = 2^-L, and
@@ -174,14 +178,14 @@ def _tanh_sinh_pieces(F, a, b, tol):
     increasing t, each left node before its right one.  The piece converges
     at the first level L >= 1 whose change from level L - 1 is at most
     max(tol, 4 eps |value|) / 2, or stops at level _MAX_LEVEL; the change is
-    its error estimate.  A node that rounds onto its endpoint is not taken.
-    A non-finite value within 1e-9 of the half-width from an endpoint counts
-    as an integrable endpoint blow-up and adds nothing; elsewhere it raises
-    QuadratureError with its abscissa, the first in the order of levels,
-    nodes and sides.  Where the values still grow like an inverse square
-    root at the deepest node used on a side, |f| sqrt(d) there times 1e-7
-    bounds the error from below.  ``evals`` counts the center and every
-    node taken on the levels reached.
+    its error estimate, at least eps |value|.  A node that rounds onto its
+    endpoint is not taken.  A non-finite value within 1e-9 of the
+    half-width from an endpoint counts as an integrable endpoint blow-up
+    and adds nothing; elsewhere it raises QuadratureError with its
+    abscissa, the first in the order of levels, nodes and sides.  Where the
+    values still grow like an inverse square root at the deepest node used
+    on a side, |f| sqrt(d) there times 1e-7 bounds the error from below.
+    ``evals`` counts the center and every node taken on the levels reached.
 
     The first call of F takes every node of levels 0.._FIRST_LEVEL of every
     piece; each later level calls F once, on the new nodes of the pieces
@@ -189,8 +193,7 @@ def _tanh_sinh_pieces(F, a, b, tol):
     piece never reaches is ignored: it neither raises nor counts in
     ``evals``.  _FIRST_LEVEL is 4 because most pieces of the Jensen engine
     converge by level 4, and each of its calls of F costs a fixed root
-    solve whatever its number of nodes (CHANGES.md, "Jensen engine, first
-    pass through level 4").
+    solve whatever its number of nodes.
 
     The values of one call are reduced in one pass over the padded layout
     (pieces, levels, nodes, side) of ``_block_tables``: the pair sums of
@@ -203,21 +206,20 @@ def _tanh_sinh_pieces(F, a, b, tol):
     the nodes used instead.  The half-width and the center are formed from
     the halved ends, so that b - a may overflow.
 
-    Raises ValueError unless every end is finite with a[i] < b[i] and every
-    tol > 0 (a NaN tol included).
+    Raises ValueError unless the cuts are finite and non-decreasing with
+    cuts[0] < cuts[-1], and tol > 0 (a NaN tol included).
     """
-    ends = np.array([a, b], dtype=float)
-    if not np.isfinite(ends).all():
+    cuts = np.asarray(cuts, dtype=float)
+    if not np.isfinite(cuts).all():
         raise ValueError("endpoints must be finite")
-    if not (ends[0] < ends[1]).all():
-        raise ValueError("need a < b")
-    tol = np.asarray(tol, dtype=float)
-    if not (tol > 0).all():
+    if not (len(cuts) > 1 and cuts[0] < cuts[-1] and (cuts[:-1] <= cuts[1:]).all()):
+        raise ValueError("need non-decreasing cuts, the first below the last")
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    tol = tol / (len(cuts) - 1)
+    ends = np.array([cuts[:-1], cuts[1:]])
+    ends = ends[:, ends[0] < ends[1]]      # an empty piece adds nothing
     n = ends.shape[1]
-    if not n:
-        return []
-    tol = np.full(n, tol)
     halves = 0.5 * ends
     half = halves[1] - halves[0]
     value = np.zeros(n)
@@ -271,7 +273,7 @@ def _tanh_sinh_pieces(F, a, b, tol):
         for i in range(len(hs)):
             prev = after[:, i] = inc[:, i] if first + i == 0 else 0.5 * prev + inc[:, i]
         diffs = np.abs(after - np.concatenate([value[live][:, None], after[:, :-1]], axis=1))
-        done = diffs <= np.maximum(tol[live, None], 4.0 * _EPS * np.abs(after)) * 0.5
+        done = diffs <= np.maximum(tol, 4.0 * _EPS * np.abs(after)) * 0.5
         if first == 0:
             done[:, 0] = False      # level 0 only starts the recurrence
         stop = np.where(done.any(axis=1), done.argmax(axis=1), len(hs) - 1)
@@ -297,8 +299,11 @@ def _tanh_sinh_pieces(F, a, b, tol):
     evals = taken.sum(axis=(1, 2)) + 1
     sing = (deep_f * np.sqrt(np.where(np.isfinite(deep_d), deep_d, 0.0))).max(axis=1)
     err = np.maximum(err, 1e-7 * sing)
-    return [QuadResult(float(v), max(float(e), _EPS * abs(float(v))), int(k))
-            for v, e, k in zip(value, err, evals)]
+    total = total_err = 0.0      # the pieces added in order
+    for v, e in zip(value.tolist(), err.tolist()):
+        total += v
+        total_err += max(e, _EPS * abs(v))
+    return QuadResult(total, total_err, int(evals.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,45 @@ def test_jobs_only_on_sweep_and_at_least_one():
                  "--jobs", "0"]) == 2
 
 
+_FORMAT_CSV = (["measure", "1+x+y"], ["family", "P", "--k", "2"],
+               ["derivative", "P", "--k", "2"], ["verify", "landen"], ["lvalue", "chi:-3"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["derivative", "P", "--k", "2", "--tol", "1e-3"],
+    ["lvalue", "chi:-3", "--tol", "1e-3"],
+    *(["verify", suite, "--tol", "1e-3"] for suite in ("landen", "derivatives", "lemmas")),
+    *(["verify", suite, "--k", "1,2"] for suite in ("derivatives", "lemmas", "conjecture_R4",
+                                                  "conjecture_Qminus1", "asymptotics")),
+    *([*cmd, "--format", "csv"] for cmd in _FORMAT_CSV),
+], ids=" ".join)
+def test_flag_the_command_does_not_read_is_usage_error(argv, monkeypatch):
+    # each was accepted and ignored with exit 0, and --format csv computed
+    # the whole report before exiting 2; now each is refused before any
+    # report is started
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command started on a refused flag")
+
+    monkeypatch.setattr(mahler.cli, "RunReport", refuse)
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "theorem2", "--k", "4"],
+                                  ["verify", "conjecture_R4"]], ids=" ".join)
+def test_verify_tol_of_a_suite_that_reads_it_is_taken(argv, tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(argv + ["--tol", "1e-9", "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["inputs"]["tol"] == 1e-9
+
+
+def test_measure_integer_coefficient_beyond_float_range(tmp_path):
+    # exited 3 with "int too large to convert to float"; m = 400 log 10
+    out = tmp_path / "big.json"
+    assert main(["measure", "10^400*y+1", "--format", "json", "--out", str(out)]) == 0
+    (res,) = json.loads(out.read_text())["outputs"]
+    assert abs(res["value"] - 921.034037197618273607) <= res["err_est"] + 1e-12
+
+
 def test_sweep_monotone_towards_log(tmp_path):
     f = tmp_path / "p.csv"
     assert main(["sweep", "P", "--from", "3.2", "--to", "10", "--steps", "8",

@@ -382,6 +382,19 @@ def test_lambda_refuses_nonpositive_tol(tol):
             fn(data, 2.0, tol=tol)
 
 
+@pytest.mark.parametrize("curve", [CURVE_224, CURVE_210], ids=["224", "210"])
+def test_lambda_at_a_tol_beyond_the_table(curve):
+    # at N = 224 a tol below about 1e-91 asked for a_p past the table of
+    # resolve_bad_data and raised ResolutionError; the truncation now stops
+    # where the table does, and the bound of the tail there exceeds tol
+    data = resolve_bad_data(curve)
+    ref = lambda_completed(data, 2.0, tol=1e-80)
+    val, err = lambda_with_error(data, 2.0, tol=1e-300)
+    assert math.isfinite(val) and abs(val - ref) <= 4.0 * np.finfo(float).eps * abs(ref)
+    assert err > 1e-300
+    assert lambda_completed(data, 2.0, tol=1e-300) == val
+
+
 def test_wrong_conductor_rejected():
     with pytest.raises(ResolutionError):
         resolve_bad_data(CURVE_224, N=225)

@@ -30,7 +30,7 @@ from mahler.measure import (
     _coeff_table,
     _coeffs_grid,
     _fiber_roots,
-    _y_coeff_polys,
+    _unit_y_coeffs,
     mahler_jensen,
 )
 
@@ -373,9 +373,9 @@ def test_r_measure_below_threshold_is_one_rule_call(monkeypatch):
     calls = []
     pieces = families._tanh_sinh_pieces
 
-    def recording(F, a, b, tol):
-        calls.append(len(a))
-        return pieces(F, a, b, tol)
+    def recording(F, cuts, tol):
+        calls.append(len(cuts) - 1)
+        return pieces(F, cuts, tol)
 
     monkeypatch.setattr(families, "_tanh_sinh_pieces", recording)
     for k in (1e-9, 1.0, TWO_SQRT2 - 1e-6, TWO_SQRT2, 2.9, 3.0, 3.05, R_THRESHOLD - 1e-6):
@@ -451,7 +451,7 @@ def test_branch_roots_p_vieta():
     # the reduced P fiber degenerates at theta = pi/3 (leading coefficient
     # 4 cos^2 - 1 vanishes); the original fiber does not, and both satisfy
     # |y1 y2| = 1
-    cx = _y_coeff_polys(family_poly("P", 5))
+    cx = _unit_y_coeffs(family_poly("P", 5))[0]
     y1, y2 = _fiber_roots(_coeffs_grid(_coeff_table(cx), np.array([math.pi / 3])))[0]
     assert abs(abs(y1 * y2) - 1.0) < 1e-12
     y1, y2 = branch_roots("P", 5.0, 1.0)

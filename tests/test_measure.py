@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -34,14 +35,14 @@ from mahler.measure import (
     _torus_row_means,
     _torus_terms,
     _unit_circle_angles,
-    _unit_scaled,
-    _y_coeff_polys,
+    _unit_y_coeffs,
+    MeasureResult,
     mahler_1var,
     mahler_jensen,
     mahler_torus2,
 )
 from mahler.families import family_poly, p_measure, q_measure, r_measure, wt_family_poly
-from mahler.quad import _level_nodes, integrate_torus2
+from mahler.quad import _EPS, _level_nodes, integrate_torus2
 from mahler.rootfind import batch_roots, poly_roots
 from torus_rows import row_means, torus2_reference
 
@@ -65,6 +66,14 @@ ALL_FLAGGED = "3-3*y^2+3*x+1*x*y^2-3*x*y^3-2*x^2*y-3*x^2*y^3"
 
 
 SCAN_ENDS = (1e-9, math.pi - 1e-9)
+
+
+def _y_coeff_polys(P):
+    """The coefficient Laurent polynomials of y^0..y^d of P, unscaled, as
+    the kernels below are tested on them (the engines take them from
+    ``_unit_y_coeffs``, divided by a power of 2)."""
+    ycof = P.y_coefficients()
+    return [ycof.get(j, {}) for j in range(min(ycof), max(ycof) + 1)]
 
 
 def _scan_grid(n_scan=1024):
@@ -137,10 +146,9 @@ def test_lead_coefficient_is_solved_once(monkeypatch):
     # m(a_d) = 0 and the cut at fl(2 pi / 3), correctly rounded
     edges = []
 
-    def recording(F, a, b, tol):
-        edges.append(list(a) + list(b[-1:]))
-        assert list(a[1:]) == list(b[:-1])      # the pieces touch
-        return pieces(F, a, b, tol)
+    def recording(F, cuts, tol):
+        edges.append(list(cuts))
+        return pieces(F, cuts, tol)
 
     pieces = measure._tanh_sinh_pieces
     monkeypatch.setattr(measure, "_tanh_sinh_pieces", recording)
@@ -149,6 +157,44 @@ def test_lead_coefficient_is_solved_once(monkeypatch):
         cut = float(2 * mpmath.pi / 3)
     assert edges == [[0.0, cut, 2.636232143305636, math.pi]]
     assert res.value == 0.9990518315218821
+
+
+LOG_10_400 = 921.034037197618273607196581874     # 400 log 10, 30 digits
+
+
+@pytest.mark.parametrize("run", [
+    lambda: mahler_jensen(parse_poly("10^400*y+1")),
+    lambda: mahler_jensen(parse_poly("10^400*y+x+3")),
+    lambda: mahler_torus2(parse_poly("10^400*y+1")),
+    lambda: MeasureResult(mahler_1var({0: 10**400, 1: 1}), 0.0, "jensen_1d"),
+    lambda: MeasureResult(mahler_1var({-3: 1, 5: -(10**400)}), 0.0, "jensen_1d"),
+], ids=["jensen", "jensen-fiber", "torus", "1var", "1var-laurent"])
+def test_integer_coefficient_beyond_float_range(run):
+    # raised OverflowError("int too large to convert to float"): the check
+    # and the scaling converted every int to a float first
+    res = run()
+    assert abs(res.value - LOG_10_400) <= res.err_est + 4.0 * _EPS * LOG_10_400
+
+
+@pytest.mark.parametrize("n", [1, 100, 500, 1000, 2000, 10**5, 10**8])
+@pytest.mark.parametrize("c, value", [(2, math.log(2.0)), (-1, 0.0), (-3, math.log(3.0))],
+                         ids=["plus-2", "minus-1", "minus-3"])
+def test_lacunary_one_variable_polynomial(n, c, value):
+    # x^n + 2 was solved as a dense polynomial of degree n: off by 5.0e-14
+    # to 2.3e-12 at n = 100 to 2000 within a claimed 1e-15, taking up to
+    # 36 s, and x^(10^8) + 1 ran out of memory.  m(f(x^g)) = m(f), exactly
+    expr = f"x^{n}+{c}" if c > 0 else f"x^{n}{c}"
+    start = time.perf_counter()
+    res = mahler_jensen(parse_poly(expr))
+    assert abs(res.value - value) <= res.err_est
+    assert mahler_1var({-n: c, 0: 1}) == mahler_1var({0: c, n: 1}) == res.value
+    assert time.perf_counter() - start < 0.1
+
+
+def test_lacunary_exponents_divide_by_their_gcd():
+    # 2 + x^g + 3 x^(2g) measures as 3 x^2 + x + 2, whose roots lie inside
+    assert mahler_1var({5: 2, 5 + 10**8: 1, 5 + 2 * 10**8: 3}) == mahler_1var({0: 2, 1: 1, 2: 3})
+    assert abs(mahler_1var({0: 2, 1: 1, 2: 3}) - math.log(3.0)) <= 4.0 * _EPS
 
 
 def test_one_variable_measures():
@@ -1380,7 +1426,7 @@ ROUTE_POLYS = ([parse_poly(e) for e in CUBIC_QUARTIC_FIBERS]
 
 @pytest.mark.parametrize("poly", ROUTE_POLYS, ids=str)
 def test_jensen_matches_the_companion_route(poly, monkeypatch):
-    table = _coeff_table(_unit_scaled(_y_coeff_polys(poly))[0])
+    table = _coeff_table(_unit_y_coeffs(poly)[0])
     value, cuts = mahler_jensen(poly).value, _crossing_angles(table)
     monkeypatch.setattr(measure, "batch_roots", _companion_route)
     assert abs(mahler_jensen(poly).value - value) <= 1e-14

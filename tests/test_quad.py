@@ -15,9 +15,10 @@ from torus_rows import row_means, torus2_reference
 
 def _integrate_reference(f, a, b, tol):
     """The tanh-sinh rule one node at a time, level by level, for a scalar
-    f on one interval: the oracle of the array rule ``_tanh_sinh_pieces``,
-    which must give the same value, err_est and evals from the same values
-    of f.  Evaluates f only at the nodes of the levels it reaches."""
+    f on one interval: the oracle of each piece of the array rule
+    ``_tanh_sinh_pieces``, which must give the same value, err_est and
+    evals from the same values of f.  Evaluates f only at the nodes of the
+    levels it reaches."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     evals = 0
@@ -72,9 +73,36 @@ def _integrate_reference(f, a, b, tol):
     return QuadResult(value, max(err, _EPS * abs(value)), evals)
 
 
-def _pieces(F, edges, tol):
-    """``_tanh_sinh_pieces`` on the touching pieces between the edges."""
-    return _tanh_sinh_pieces(F, edges[:-1], edges[1:], tol)
+def _cut_reference(f, cuts, tol):
+    """``_integrate_reference`` on each nonempty piece between the cuts, at
+    tol over the number of pieces: the pieces ``_tanh_sinh_pieces`` sums."""
+    n = len(cuts) - 1
+    return [_integrate_reference(f, lo, hi, tol / n)
+            for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]
+
+
+def _in_order(pieces):
+    """The QuadResult of ``pieces`` added in order, as the rule adds them."""
+    value = err = 0.0
+    for r in pieces:
+        value += r.value
+        err += r.err_est
+    return QuadResult(value, err, sum(r.evals for r in pieces))
+
+
+def _assert_sums(r, f, cuts, tol, refs):
+    """r is the rule's result on the cut list: the pieces of the scalar
+    reference ``refs`` summed, to the rounding of the pieces, and exactly
+    the sum of ``integrate`` on each piece in order."""
+    n = len(cuts) - 1
+    scale = sum(abs(p.value) for p in refs)
+    assert r.evals == sum(p.evals for p in refs), (cuts, tol)
+    assert abs(r.value - math.fsum(p.value for p in refs)) <= (1e-15 + n * _EPS) * scale, \
+        (cuts, tol)
+    assert abs(r.err_est - math.fsum(p.err_est for p in refs)) <= n * (
+        1e-15 + _EPS * max(p.err_est for p in refs)), (cuts, tol)
+    assert r == _in_order([integrate(f, lo, hi, tol / n)
+                           for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]), (cuts, tol)
 
 
 def test_constant():
@@ -347,20 +375,16 @@ def test_pieces_rule_matches_scalar_rule(name):
         calls.append(len(xs))
         return np.array([f(x) for x in xs])
 
-    pieces = _pieces(F, edges, 1e-11)
+    r = _tanh_sinh_pieces(F, edges, 1e-11)
+    pieces = _cut_reference(f, edges, 1e-11)
     assert len(pieces) == len(edges) - 1
-    for r, lo, hi in zip(pieces, edges[:-1], edges[1:]):
-        ref = _integrate_reference(f, lo, hi, 1e-11)
-        assert abs(r.value - ref.value) <= 1e-15 * abs(ref.value)
-        assert abs(r.err_est - ref.err_est) <= 1e-15
-        assert r.evals == ref.evals
-        assert integrate(f, lo, hi, 1e-11) == r          # the one-piece case
-    assert len({r.evals for r in pieces}) > 1        # different levels reached
+    _assert_sums(r, f, edges, 1e-11, pieces)
+    assert len({p.evals for p in pieces}) > 1        # different levels reached
     # one first pass through level _FIRST_LEVEL, then one call per level
     assert calls == _expected_calls(edges, pieces)
     assert len(calls) <= _MAX_LEVEL + 1 - _FIRST_LEVEL
     if name == "inverse_sqrt":
-        assert max(r.err_est for r in pieces) > 1e-8     # deepest-node cap
+        assert r.err_est > 1e-8     # deepest-node cap
 
 
 @pytest.mark.parametrize("edges", [[0.0, 1.0], [0.0, 0.45, 1.0]])
@@ -369,7 +393,7 @@ def test_pieces_rule_interior_nan_raises_with_abscissa(edges):
         return math.nan if 0.4 < x < 0.6 else 1.0
 
     with pytest.raises(QuadratureError) as exc:
-        _pieces(lambda xs: np.array([f(x) for x in xs]), edges, 1e-10)
+        _tanh_sinh_pieces(lambda xs: np.array([f(x) for x in xs]), edges, 1e-10)
     assert 0.4 < exc.value.abscissa < 0.6
     if len(edges) == 2:
         with pytest.raises(QuadratureError) as ref:
@@ -391,7 +415,8 @@ def test_pieces_rule_ignores_unreached_first_pass_nodes(edges):
         used.add(x)
         return 2.0
 
-    refs = [_integrate_reference(f, lo, hi, 1e-3) for lo, hi in zip(edges[:-1], edges[1:])]
+    tol = 1e-3 * (len(edges) - 1)       # 1e-3 a piece
+    refs = _cut_reference(f, edges, tol)
     assert all(r.evals < sum(_node_counts(lo, hi)[:_FIRST_LEVEL + 1])
                for r, lo, hi in zip(refs, edges[:-1], edges[1:]))
     nans = []
@@ -400,7 +425,7 @@ def test_pieces_rule_ignores_unreached_first_pass_nodes(edges):
         nans.append(sum(x not in used for x in xs))
         return np.array([2.0 if x in used else math.nan for x in xs])
 
-    assert _pieces(F, edges, 1e-3) == refs
+    assert _tanh_sinh_pieces(F, edges, tol) == _in_order(refs)
     assert len(nans) == 1 and nans[0] > 0
 
 
@@ -440,8 +465,8 @@ def test_pieces_rule_non_finite_at_reached_level_raises(level, side, tol):
 
     with pytest.raises(QuadratureError) as ref:
         _integrate_reference(f, 0.0, 1.0, tol)
-    with pytest.raises(QuadratureError) as exc:
-        _pieces(lambda xs: np.array([f(x) for x in xs]), [0.0, 1.0, 2.0], tol)
+    with pytest.raises(QuadratureError) as exc:      # tol a piece
+        _tanh_sinh_pieces(lambda xs: np.array([f(x) for x in xs]), [0.0, 1.0, 2.0], 2.0 * tol)
     assert exc.value.abscissa == ref.value.abscissa == _first_node(0.0, 1.0, level, side)
 
 
@@ -455,8 +480,8 @@ def test_pieces_rule_non_finite_at_unreached_level_is_ignored():
         seen.extend(x for x in xs if x in UNREACHED)
         return np.array([f(x) for x in xs])
 
-    refs = [_integrate_reference(f, 0.0, 1.0, 1e-3), _integrate_reference(f, 1.0, 2.0, 1e-3)]
-    assert _pieces(F, [0.0, 1.0, 2.0], 1e-3) == refs
+    refs = _cut_reference(f, [0.0, 1.0, 2.0], 2e-3)     # 1e-3 a piece
+    assert _tanh_sinh_pieces(F, [0.0, 1.0, 2.0], 2e-3) == _in_order(refs)
     assert sorted(seen) == sorted(UNREACHED)     # in the first pass, with level 3 of (0, 1)
 
 
@@ -464,36 +489,42 @@ def _refuse(xs):
     raise AssertionError("F called on refused input")
 
 
-@pytest.mark.parametrize("edges", [[1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0, 3.0],
+@pytest.mark.parametrize("edges", [[1.0, 0.0], [1.0, 1.0], [2.0, 2.0, 2.0], [0.0],
+                                   [0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 0.5],
                                    [0.0, math.nan], [-math.inf, 0.0], [0.0, 1.0, math.inf]])
 def test_pieces_rule_refuses_bad_edges(edges):
     # a descending pair gave negative node distances and a RuntimeWarning
     # from np.sqrt; integrate refuses the same intervals with the same errors
     finite = all(math.isfinite(e) for e in edges)
-    with pytest.raises(ValueError, match="need a < b" if finite else "endpoints must be finite"):
-        _pieces(_refuse, edges, 1e-10)
+    with pytest.raises(ValueError, match="need non-decreasing cuts" if finite
+                       else "endpoints must be finite"):
+        _tanh_sinh_pieces(_refuse, edges, 1e-10)
+    if len(edges) == 2:
+        with pytest.raises(ValueError):
+            integrate(_refuse, *edges, 1e-10)
+
+
+@pytest.mark.parametrize("edges, tol", [([0.0, 1.0, 1.0], 1e-10), ([0.0, 0.0, 1.0], 1e-10),
+                                       ([0.0, 0.5, 0.5, 0.5, 1.0], 1e-10),
+                                       ([0.0, 1.0, 1.0, 1.0, 1.0], 4e-7)])
+def test_pieces_rule_skips_empty_pieces(edges, tol):
+    # two equal cuts make an empty piece, which adds nothing but still
+    # counts in the split of tol (p_measure's hi rounds onto pi/2 at huge k):
+    # (0, 1) takes twice the nodes at tol 1e-7, a quarter of 4e-7, as at
+    # 4e-7 itself
+    def f(x):
+        return math.exp(-x * x) * math.cos(3.0 * x)
+
+    r = _tanh_sinh_pieces(lambda xs: np.array([f(x) for x in xs]), edges, tol)
+    _assert_sums(r, f, edges, tol, _cut_reference(f, edges, tol))
+    if tol == 4e-7:
+        assert r.evals == integrate(f, 0.0, 1.0, 1e-7).evals > integrate(f, 0.0, 1.0, tol).evals
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
 def test_pieces_rule_refuses_bad_tol(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
-        _tanh_sinh_pieces(_refuse, [0.0], [1.0], tol)
-
-
-def test_pieces_rule_takes_overlapping_pieces_with_their_own_tols():
-    # pieces in any order, overlapping or apart, each to its own tol
-    def f(x):
-        return math.exp(-x * x) * math.cos(3.0 * x)
-
-    a, b, tols = [0.0, -1.0, 0.5, 3.0], [1.0, 0.25, 2.0, 3.5], [1e-6, 1e-12, 1e-9, 1e-13]
-    pieces = _tanh_sinh_pieces(lambda xs: np.array([f(x) for x in xs]), a, b, tols)
-    for r, lo, hi, tol in zip(pieces, a, b, tols):
-        ref = _integrate_reference(f, lo, hi, tol)
-        assert abs(r.value - ref.value) <= 1e-15 * abs(ref.value)
-        assert abs(r.err_est - ref.err_est) <= 1e-15
-        assert r.evals == ref.evals
-        assert integrate(f, lo, hi, tol) == r
-    assert len({r.evals for r in pieces}) > 1
+        _tanh_sinh_pieces(_refuse, [0.0, 1.0], tol)
 
 
 @pytest.mark.parametrize("end", [1e308, np.finfo(float).max])
@@ -502,7 +533,7 @@ def test_huge_finite_ends_do_not_overflow(end):
     r = integrate(lambda x: 1e-10, -end, end)
     assert abs(r.value - 2e-10 * end) <= r.err_est <= 1e-15 * r.value
     assert r.evals < 200
-    assert _tanh_sinh_pieces(lambda xs: np.full(len(xs), 1e-10), [-end], [end], 1e-12) == [r]
+    assert _tanh_sinh_pieces(lambda xs: np.full(len(xs), 1e-10), [-end, end], 1e-12) == r
 
 
 def _fuzz_case(rng):
@@ -539,10 +570,5 @@ def test_pieces_rule_matches_scalar_rule_fuzz():
     rng = random.Random(1974)
     for _ in range(200):
         f, F, edges, tol = _fuzz_case(rng)
-        pieces = _pieces(F, edges, tol)
-        for r, lo, hi in zip(pieces, edges[:-1], edges[1:]):
-            ref = _integrate_reference(f, lo, hi, tol)
-            assert r.evals == ref.evals, (edges, tol)
-            assert abs(r.value - ref.value) <= 1e-15 * abs(ref.value), (edges, tol)
-            assert abs(r.err_est - ref.err_est) <= 1e-15, (edges, tol)
-            assert integrate(f, lo, hi, tol) == r, (edges, tol)
+        _assert_sums(_tanh_sinh_pieces(F, edges, tol), f, edges, tol,
+                     _cut_reference(f, edges, tol))
