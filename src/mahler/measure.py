@@ -11,13 +11,14 @@ factors are divided out exactly and add 0; the cofactor's measure comes
 from its roots.  The t-integrand is piecewise analytic: it has kinks where
 a root magnitude crosses 1 and logarithmic spikes where a_d vanishes on the
 circle.  Both kinds of points are located up front.  Spikes come from the
-zeros of a_d on the circle: the angles 2 pi j / n of its cyclotomic factors
-Phi_n, exactly, and the cofactor's roots within 1e-9 of the circle.
+zeros of a_d on the circle, found after its exponents are divided by their
+gcd: those of its cyclotomic factors Phi_n, at exact multiples of pi, and
+the cofactor's roots within 1e-9 of the circle.
 Crossings come from the number of roots outside the circle: the fiber
-coefficients are evaluated at all angles of a uniform scan grid at once (in
-blocks of angles, so memory does not grow with the x-degree times the grid
-size), and the roots outside are counted for the whole grid from the fiber
-roots, solved in one ``batch_roots`` call.  Every cell where the count
+coefficients are evaluated at all angles of a uniform scan grid at once (by
+Horner's rule in e^{it}, so memory does not grow with the x-degree), and
+the roots outside are counted for the whole grid from the fiber roots,
+solved in one ``batch_roots`` call.  Every cell where the count
 changes holds a torus point of the curve P = 0, where the kink sits, and
 all cells are polished together by Newton's method on the two real
 equations Re, Im P(e^{it}, e^{i phi}) = 0, from the cell midpoint and the
@@ -82,7 +83,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .lpoly import LaurentPoly2, _cyclotomic_split
-from .quad import _tanh_sinh_pieces, integrate_torus2
+from .quad import _EPS, _tanh_sinh_pieces, integrate_torus2
 from .rootfind import batch_roots, poly_roots
 
 __all__ = [
@@ -134,9 +135,6 @@ def _unit_y_coeffs(P):
     return cx, e * math.log(2.0)
 
 
-_BLOCK_ENTRIES = 4096   # angles times x-exponents per block of _coeffs_grid
-
-
 def _unit_powers(angles):
     """e^{i angles} for a real array, from its cos and sin, which is faster
     than the complex exp of i angles and gives the same bits."""
@@ -147,31 +145,59 @@ def _unit_powers(angles):
 
 
 def _coeff_table(cx):
-    """The x-exponents present in ``cx`` and the matrix of their
-    coefficients, one column per power of y."""
-    exps = sorted({i for cm in cx for i in cm})
-    row = {e: r for r, e in enumerate(exps)}
+    """The coefficients of ``cx`` laid out for ``_coeffs_grid``, one column
+    per power of y, and the x-exponent of each row.
+
+    The magnitudes m_0 < ... < m_{K-1} of the exponents form one ladder.
+    The first K rows hold the coefficients of x^{m_k}; when an exponent is
+    negative, the next K rows hold those of x^{-m_k}.  A row whose term P
+    lacks is zero."""
+    mags = sorted({abs(i) for cm in cx for i in cm})
+    exps = mags + ([-m for m in mags] if any(i < 0 for cm in cx for i in cm) else [])
+    row = {m: r for r, m in enumerate(mags)}
     table = np.zeros((len(exps), len(cx)), dtype=complex)
     for j, cm in enumerate(cx):
         for i, c in cm.items():
-            table[row[i], j] = complex(c)
+            table[row[abs(i)] + (len(mags) if i < 0 else 0), j] = complex(c)
     return np.array(exps, dtype=float), table
 
 
 def _coeffs_grid(coeff_table, thetas):
     """Fiber coefficients at x = e^{i theta} for an array of angles: entry
-    (n, j) is the coefficient of y^j at x = e^{i thetas[n]}.  The angles go
-    in blocks, so that no temporary exceeds _BLOCK_ENTRIES entries whatever
-    the x-degree; the product uses einsum, not BLAS, whose buffers would add
-    to peak memory.  The rows come column-major, as ``_solve_fibers`` takes
-    them."""
+    (n, j) is the coefficient of y^j at x = e^{i thetas[n]}.
+
+    Horner's rule runs down the ladder of ``_coeff_table`` in w = e^{i theta}
+    for the exponents m_k, and for -m_k as the conjugate of the sum of the
+    conjugate coefficients; each gap g between rungs takes w^g once, from
+    the cos and sin of g theta.  A real coefficient c_k = c_{-k} thus adds
+    a sum to its own conjugate, and its value is exactly real.  The rows
+    come column-major, as ``_solve_fibers`` takes them."""
     exps, table = coeff_table
-    out = np.empty((len(thetas), table.shape[1]), dtype=complex, order="F")
-    block = max(1, _BLOCK_ENTRIES // len(exps))
-    for s in range(0, len(thetas), block):
-        powers = _unit_powers(np.outer(thetas[s:s + block], exps))
-        out[s:s + block] = np.einsum("ij,jk->ik", powers, table)
-    return out
+    columns = table.shape[1]
+    k = len(exps)
+    if exps[-1] < 0:
+        k //= 2
+        table = np.hstack([table[:k], table[k:].conj()])
+    rows = table[:, :, None]
+    mags = exps[:k].tolist()
+    powers = {}
+
+    def power(gap):
+        if gap not in powers:
+            powers[gap] = _unit_powers(thetas if gap == 1 else gap * thetas)
+        return powers[gap]
+
+    # row i is reached by the gap m_i - m_{i-1}, with m_{-1} = 0; a zero
+    # gap multiplies by exactly 1
+    gaps = [hi - lo for hi, lo in zip(mags, [0.0] + mags)]
+    acc = rows[-1] * power(gaps[-1])
+    for i in range(k - 2, -1, -1):
+        acc += rows[i]
+        if gaps[i]:
+            acc *= power(gaps[i])
+    if table.shape[1] > columns:
+        acc = acc[:columns] + acc[columns:].conj()
+    return acc.T
 
 
 # pi to 57 digits, so that float(_PI * 2j / n) is 2 pi j / n correctly rounded
@@ -181,39 +207,49 @@ _PI = Fraction("3.14159265358979323846264338327950288419716939937510582097")
 def _solve_1var(coeffs):
     """Logarithmic Mahler measure of a one-variable Laurent polynomial
     {exponent: c} and the angles in (0, pi) of its zeros on the unit circle,
-    ascending.
+    in no order, generated as they are iterated.
 
-    Its zero ends are trimmed, since a monomial factor changes neither.  A
-    real polynomial is then made an integer one, exactly (every float is
-    a dyadic rational, ``float.as_integer_ratio``), and every cyclotomic
+    The exponents of its nonzero terms are shifted to start at 0 and
+    divided by their gcd g, so that f(x) = x^low h(x^g).  Neither changes
+    the measure, m(h(x^g)) = m(h), so x^n + 2 costs what x + 2 does.  A
+    real h is then made an integer polynomial, exactly (every float is a
+    dyadic rational, ``float.as_integer_ratio``), and every cyclotomic
     factor Phi_n, n <= ``_CYCLO_MAX_ORDER``, is divided out exactly
     (``lpoly._cyclotomic_split``).  The stripped factors are monic with
-    all their roots on the circle, so they add exactly 0 to the measure,
-    and their zeros give the exact angles 2 pi j / n, correctly rounded.
-    The cofactor is solved by ``poly_roots``; its roots within 1e-9 of the
-    circle add their angles (``_unit_circle_angles``)."""
-    if not any(coeffs.values()):
+    all their roots on the circle, so they add exactly 0 to the measure.
+    The cofactor is solved by ``poly_roots``.
+
+    Each zero of h on the circle at angle phi, +-1 included, gives the
+    zeros of f at (phi + 2 pi j) / g, j = 0..g-1, of which those in
+    (0, pi) are kept.  A zero e^{2 pi i j / n} of Phi_n gives its angles
+    as exact multiples of pi, correctly rounded; a root of the cofactor
+    within 1e-9 of the circle gives them from its argument, 1e-12 clear of
+    0 and pi.  They are generated lazily: a large g makes g/2 angles of
+    each zero, and ``mahler_1var`` reads none."""
+    terms = {e: v for e, v in coeffs.items() if v}
+    if not terms:
         raise ValueError("measure of the zero polynomial")
-    c = [complex(coeffs.get(e, 0)) for e in range(min(coeffs), max(coeffs) + 1)]
-    while c[-1] == 0:
-        c.pop()
-    while c[0] == 0:
-        c.pop(0)
-    angles = []
+    low = min(terms)
+    g = math.gcd(*(e - low for e in terms)) or 1
+    c = [complex(terms.get(low + g * i, 0)) for i in range((max(terms) - low) // g + 1)]
+    turns = []    # the zero angles of the stripped factors over 2 pi
     if not any(v.imag for v in c):
         ratios = [v.real.as_integer_ratio() for v in c]
         den = max(q for _, q in ratios)
         orders, cofactor = _cyclotomic_split([p * (den // q) for p, q in ratios])
         c = [p / den for p in cofactor]
-        angles = [float(_PI * Fraction(2 * j, n)) for n in set(orders)
-                  for j in range(1, (n + 1) // 2) if math.gcd(j, n) == 1]
+        turns = [Fraction(j, n) for n in set(orders) for j in range(n) if math.gcd(j, n) == 1]
     roots = poly_roots(c) if len(c) > 1 else []
     total = math.log(abs(c[-1]))
     for r in roots:
         ar = abs(r)
         if abs(ar - 1.0) > _UNIT_CLAMP and ar > 1.0:
             total += math.log(ar)
-    return total, sorted(angles + _unit_circle_angles(roots))
+    phases = [cmath.phase(r) for r in roots if abs(abs(r) - 1.0) <= 1e-9]
+    exact = (float(_PI * 2 * (q + j) / g) for q in turns for j in range(g) if 0 < q + j < g / 2)
+    rounded = (t for phi in phases for t in ((phi + 2.0 * math.pi * j) / g for j in range(g))
+               if 1e-12 <= t <= math.pi - 1e-12)
+    return total, itertools.chain(exact, rounded)
 
 
 def mahler_1var(coeffs):
@@ -222,18 +258,14 @@ def mahler_1var(coeffs):
     ``coeffs`` maps exponent -> real coefficient.  The coefficients are
     taken as the engines take theirs (``_unit_y_coeffs``), so a NaN or
     infinite one raises ``QuadratureError`` and an int beyond float range
-    is scaled exactly.  The exponents are shifted to start at 0 and divided
-    by their gcd g, which is exact, since m(f(x^g)) = m(f): x^n + 2 costs
-    what x + 2 does.  Then Jensen: log|lead| plus log+ of the root
-    magnitudes, after the cyclotomic factors are divided out exactly
-    (``_solve_1var``), so products of cyclotomics, repeated factors
-    included, give exactly 0.0; magnitudes within 1e-12 of 1 count as
-    exactly 1.
+    is scaled exactly.  Then ``_solve_1var``: the exponents are reduced by
+    their gcd, which is exact, and the measure is log|lead| plus log+ of
+    the root magnitudes, after the cyclotomic factors are divided out
+    exactly, so products of cyclotomics, repeated factors included, give
+    exactly 0.0; magnitudes within 1e-12 of 1 count as exactly 1.
     """
     (c,), log_scale = _unit_y_coeffs(LaurentPoly2({(i, 0): v for i, v in coeffs.items()}))
-    low = min(c)
-    g = math.gcd(*(i - low for i in c)) or 1
-    return log_scale + _solve_1var({(i - low) // g: v for i, v in c.items()})[0]
+    return log_scale + _solve_1var(c)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +343,6 @@ def _count_outside(coeff_table, thetas):
     return np.count_nonzero(mags > 1.0 + _BAND, axis=1)
 
 
-def _unit_circle_angles(roots):
-    """Angles in (0, pi) of the roots within 1e-9 of the unit circle,
-    ascending; roots at 1 and -1 give none."""
-    angles = (cmath.phase(r) for r in roots if abs(abs(r) - 1.0) <= 1e-9)
-    return sorted(t for t in angles if t >= 1e-12 and abs(t - math.pi) >= 1e-12)
-
-
 _N_SCAN = 1024       # cells of the crossing scan over (0, pi)
 _POLISH_STEPS = 8    # Newton / Gauss-Newton steps at most
 _MIRROR_REL = 1e-6   # tolerance of the root pair test of a fold
@@ -328,8 +353,7 @@ def _torus_terms(ext_table, t, phi, fold):
     F_t and F_phi, and with F_t phi and F_phi phi when ``fold``.
     ``ext_table`` is the coefficient table with the t-derivatives of its
     columns appended, so that one ``_coeffs_grid`` call gives the c_j and
-    their derivatives.  The sums avoid BLAS, whose buffers would add to peak
-    memory."""
+    their derivatives."""
     cc = _coeffs_grid(ext_table, t)
     j = np.arange(cc.shape[1] // 2)
     yp = _unit_powers(np.outer(phi, j))
@@ -672,10 +696,13 @@ def mahler_torus2(P, tol=1e-5, n_max=1 << 16):
     convergence, meets tol 1e-5 at n = 2^13.  The grids up to n = 256 are
     solved in one batch and each larger one in batches of at most 4096 rows.
     As in ``mahler_jensen``, P is divided by a power of 2 first and its
-    logarithm added back.  Raises ValueError for the zero polynomial or a
-    symbolic k, when n_max is not a finite number at least the starting
-    grid size 16, or when tol is not positive (NaN included), and
-    QuadratureError for a NaN or infinite coefficient."""
+    logarithm added back; err_est is at least the rounding of the sum,
+    4 eps |value|, as that of ``integrate_torus2`` is of its own.  Raises
+    ValueError for the zero polynomial or a symbolic k, when n_max is not a
+    finite number at least the starting grid size 16, or when tol is not
+    positive (NaN included), and QuadratureError for a NaN or infinite
+    coefficient."""
     cx, log_scale = _unit_y_coeffs(P)
     r = integrate_torus2(_torus_row_means(cx), tol=tol, n_max=n_max)
-    return MeasureResult(log_scale + r.value, r.err_est, "torus_2d")
+    value = log_scale + r.value
+    return MeasureResult(value, max(r.err_est, 4.0 * _EPS * abs(value)), "torus_2d")

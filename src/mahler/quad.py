@@ -337,7 +337,8 @@ def integrate_torus2(g, tol=1e-6, n_max=4096):
     that stops at n = 64 (CHANGES.md, "Torus oracle in fiber batches").
     ``QuadResult.evals`` counts the n^2 grid points of every grid whose
     rows were computed, those of the first call past the stopping grid
-    included.
+    included.  ``err_est`` is at least the rounding of the value,
+    4 eps |value|, and at least 1e-16.
 
     Raises ValueError unless tol > 0 (a NaN tol included) and n_max is a
     finite number at least the first grid size 16, and QuadratureError when
@@ -385,10 +386,10 @@ def integrate_torus2(g, tol=1e-6, n_max=4096):
                     value = sums[-1]
                     err = abs(d2)
                 if err <= tol:
-                    return QuadResult(value, max(err, 1e-16), evals)
+                    return QuadResult(value, max(err, 4.0 * _EPS * abs(value), 1e-16), evals)
             elif len(sums) == 2:
                 value = sums[-1]
                 err = abs(sums[-1] - sums[-2])
             else:
                 value = s
-    return QuadResult(value, max(err, 1e-16), evals)
+    return QuadResult(value, max(err, 4.0 * _EPS * abs(value), 1e-16), evals)

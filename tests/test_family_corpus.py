@@ -40,9 +40,6 @@ KNOWN_MISSES = {
     **_misses("1", ["R raw", "R reduced"], ["T-1e-6"]),
     **_misses("1", ["R raw", "R reduced"], ["T-1e-5"], [1e-10]),
     **_misses("1", ["R reduced"], ["T-1e-5"], [1e-13]),
-    # Q_6 has a node on the torus
-    **_misses("17", ["Q raw"], ["4"]),
-    **_misses("17", ["Q reduced"], ["4"], [1e-13]),
 }
 
 

@@ -42,9 +42,6 @@ corpus = _corpus()
 
 # case -> the ROADMAP item that owns the miss
 KNOWN_MISSES = {
-    "jensen[1e-10] Q_6": "17",
-    "jensen[1e-13] Q_6": "17",
-    "q_measure[1e-13] Q_6": "17",
     "jensen[1e-10] narrow-arc": "1",
     "jensen[1e-13] narrow-arc": "1",
 }
