@@ -3,13 +3,12 @@
 Subcommands: measure | family | derivative | verify | sweep | lvalue.
 Each takes only the flags it reads: --out and --format {text,json} on all,
 --tol (a finite number > 0) where a tolerance is used, and csv as a format
-and --jobs N (worker processes, N >= 1) on sweep only; a verify suite takes
---k or --tol only if it reads them.
+on sweep only; a verify suite takes --k or --tol only if it reads them.
 Exit codes: 0 all checks pass, 1 a declared check failed, 2 usage error,
 3 numerical failure.  All numeric output is deterministic for fixed inputs;
-sweep rows are computed independently (optionally in parallel) and always
-emitted in parameter order with 15 significant digits.  The argument parser
-is built once per process and shared by every ``main`` call.
+sweep rows are computed in parameter order, on a grid that ends at --to,
+and emitted with 15 significant digits.  The argument parser is built once
+per process and shared by every ``main`` call.
 """
 
 from __future__ import annotations
@@ -302,58 +301,38 @@ def _cmd_verify(args):
     return report
 
 
-def _sweep_row(job):
-    family, k, tol = job
-    res = _measure_at(family, k, tol)
-    regime = families.regime_tag(family, k)
-    try:
-        deriv = _derivative_at(family, k)
-        note = ""
-    except RegimeBoundaryError:
-        deriv = math.nan
-        note = "boundary k: derivative skipped"
-    return (k, regime, res.value, res.err_est, deriv, note)
-
-
 def _cmd_sweep(args):
     if args.steps < 1:
         raise argparse.ArgumentTypeError("steps must be >= 1")
-    if args.jobs < 1:
-        raise argparse.ArgumentTypeError("jobs must be >= 1")
     if args.k_from <= 0 or args.k_to <= 0:
         raise argparse.ArgumentTypeError("sweep range must be positive")
     report = RunReport("sweep", {
         "family": args.family, "from": args.k_from, "to": args.k_to,
-        "steps": args.steps, "tol": args.tol, "jobs": args.jobs})
-    if args.steps == 1:
-        ks = [args.k_from]
-    else:
+        "steps": args.steps, "tol": args.tol})
+    ks = [args.k_from]
+    if args.steps > 1:
         h = (args.k_to - args.k_from) / (args.steps - 1)
-        ks = [args.k_from + i * h for i in range(args.steps)]
-    jobs = [(args.family, k, args.tol) for k in ks]
-    if args.jobs > 1:
-        # imported here: the pool adds to the peak memory of every process
-        # that loads the CLI, and only this branch uses it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
-    else:
-        rows = [_sweep_row(j) for j in jobs]
+        ks = [args.k_from + i * h for i in range(args.steps - 1)] + [args.k_to]
     lines = ["k,regime,m,err_est,dmdk"]
-    for k, regime, m, err, deriv, note in rows:
-        lines.append(f"{k:.15g},{regime},{m:.15g},{err:.15g},{deriv:.15g}")
-        if note:
-            report.add_check(f"k={_fmt(k)}", True, note)
+    for k in ks:
+        res = _measure_at(args.family, k, args.tol)
+        regime = families.regime_tag(args.family, k)
+        try:
+            deriv = _derivative_at(args.family, k)
+        except RegimeBoundaryError:
+            deriv = math.nan
+            report.add_check(f"k={_fmt(k)}", True, "boundary k: derivative skipped")
+        lines.append(f"{k:.15g},{regime},{res.value:.15g},{res.err_est:.15g},{deriv:.15g}")
     csv_text = "\n".join(lines) + "\n"
-    report.csv_text = csv_text
-    report.add_output("rows", len(rows))
-    if args.out:
+    report.add_output("rows", len(ks))
+    if args.format == "csv":
+        report.csv_text = csv_text       # to --out or stdout, as _emit sends it
+    elif args.out:
         with open(args.out, "w") as fh:
             fh.write(csv_text)
         report.add_output("file", args.out)
         args.out = None          # the report itself goes to stdout
-    elif args.format != "csv":
+    else:
         report.inputs["csv"] = csv_text
     return report
 
@@ -462,8 +441,6 @@ def _build_parser():
     p.add_argument("--from", dest="k_from", type=_finite, required=True)
     p.add_argument("--to", dest="k_to", type=_finite, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the rows")
     tol(p)
     common(p, formats=("text", "json", "csv"))
     p.set_defaults(fn=_cmd_sweep)

@@ -145,21 +145,31 @@ def _unit_powers(angles):
 
 
 def _coeff_table(cx):
-    """The coefficients of ``cx`` laid out for ``_coeffs_grid``, one column
-    per power of y, and the x-exponent of each row.
+    """The coefficients of ``cx`` in w-form for ``_coeffs_grid``: the
+    magnitudes m_0 < ... < m_{K-1} of the x-exponents, one ladder, and a
+    (K, sides, columns) array, one column per power of y.
 
-    The magnitudes m_0 < ... < m_{K-1} of the exponents form one ladder.
-    The first K rows hold the coefficients of x^{m_k}; when an exponent is
-    negative, the next K rows hold those of x^{-m_k}.  A row whose term P
-    lacks is zero."""
+    Side 0 holds the coefficients of x^{m_k}; when an exponent is negative,
+    side 1 holds the conjugates of those of x^{-m_k}, so that their sum is
+    the conjugate of a Horner sum in w = e^{i theta} like that of side 0.
+    An entry whose term P lacks is zero."""
     mags = sorted({abs(i) for cm in cx for i in cm})
-    exps = mags + ([-m for m in mags] if any(i < 0 for cm in cx for i in cm) else [])
+    sides = 2 if any(i < 0 for cm in cx for i in cm) else 1
     row = {m: r for r, m in enumerate(mags)}
-    table = np.zeros((len(exps), len(cx)), dtype=complex)
+    table = np.zeros((len(mags), sides, len(cx)), dtype=complex)
     for j, cm in enumerate(cx):
         for i, c in cm.items():
-            table[row[abs(i)] + (len(mags) if i < 0 else 0), j] = complex(c)
-    return np.array(exps, dtype=float), table
+            c = complex(c)
+            table[row[abs(i)], int(i < 0), j] = c.conjugate() if i < 0 else c
+    return np.array(mags, dtype=float), table
+
+
+def _with_t_derivatives(coeff_table):
+    """``coeff_table`` with the t-derivatives of its columns appended: that
+    of c_m w^m is i m c_m w^m, and in w-form that of the x^{-m} side is
+    i m times its entries too."""
+    mags, table = coeff_table
+    return mags, np.concatenate([table, 1j * mags[:, None, None] * table], axis=2)
 
 
 def _coeffs_grid(coeff_table, thetas):
@@ -167,19 +177,14 @@ def _coeffs_grid(coeff_table, thetas):
     (n, j) is the coefficient of y^j at x = e^{i thetas[n]}.
 
     Horner's rule runs down the ladder of ``_coeff_table`` in w = e^{i theta}
-    for the exponents m_k, and for -m_k as the conjugate of the sum of the
-    conjugate coefficients; each gap g between rungs takes w^g once, from
-    the cos and sin of g theta.  A real coefficient c_k = c_{-k} thus adds
-    a sum to its own conjugate, and its value is exactly real.  The rows
-    come column-major, as ``_solve_fibers`` takes them."""
-    exps, table = coeff_table
-    columns = table.shape[1]
-    k = len(exps)
-    if exps[-1] < 0:
-        k //= 2
-        table = np.hstack([table[:k], table[k:].conj()])
-    rows = table[:, :, None]
-    mags = exps[:k].tolist()
+    on both sides at once, and the x^{-m} side adds as the conjugate of its
+    sum; each gap g between rungs takes w^g once, from the cos and sin of
+    g theta.  A real coefficient c_k = c_{-k} thus adds a sum to its own
+    conjugate, and its value is exactly real.  The rows come column-major,
+    as ``_solve_fibers`` takes them."""
+    mags, table = coeff_table
+    mags = mags.tolist()
+    rows = table[..., None]
     powers = {}
 
     def power(gap):
@@ -187,17 +192,15 @@ def _coeffs_grid(coeff_table, thetas):
             powers[gap] = _unit_powers(thetas if gap == 1 else gap * thetas)
         return powers[gap]
 
-    # row i is reached by the gap m_i - m_{i-1}, with m_{-1} = 0; a zero
+    # rung i is reached by the gap m_i - m_{i-1}, with m_{-1} = 0; a zero
     # gap multiplies by exactly 1
     gaps = [hi - lo for hi, lo in zip(mags, [0.0] + mags)]
     acc = rows[-1] * power(gaps[-1])
-    for i in range(k - 2, -1, -1):
+    for i in range(len(mags) - 2, -1, -1):
         acc += rows[i]
         if gaps[i]:
             acc *= power(gaps[i])
-    if table.shape[1] > columns:
-        acc = acc[:columns] + acc[columns:].conj()
-    return acc.T
+    return (acc[0] + acc[1].conj() if len(acc) == 2 else acc[0]).T
 
 
 # pi to 57 digits, so that float(_PI * 2j / n) is 2 pi j / n correctly rounded
@@ -408,8 +411,7 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
     (``_edge_touches``) apply to the cells at the ends of the scan only, so
     a call without such a cell skips them and the distances to the edges.
     """
-    exps, table = coeff_table
-    ext = (exps, np.hstack([table, 1j * exps[:, None] * table]))
+    ext = _with_t_derivatives(coeff_table)
     n = len(a)
     mid = 0.5 * (a + b)
     width = b - a

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mahler
-from mahler.cli import main
+from mahler.cli import _derivative_at, _measure_at, main
 
 RUN = [sys.executable, "-m", "mahler.cli"]
 # the subprocess imports the same package as this process, also when pytest
@@ -192,38 +192,70 @@ def test_sweep_regime_flip(tmp_path):
     assert len(set(regimes)) == 2           # tag flips across the threshold
 
 
-def test_sweep_single_step_matches_family(tmp_path):
-    f = tmp_path / "one.csv"
-    assert main(["sweep", "P", "--from", "5", "--to", "9", "--steps", "1",
-                 "--out", str(f)]) == 0
-    row = f.read_text().strip().splitlines()[1].split(",")
-    from mahler.families import p_measure
-    assert abs(float(row[2]) - p_measure(5.0, tol=1e-10).value) < 1e-12
+@pytest.mark.parametrize("family,k_from,k_to,steps,boundary", [
+    ("P", "5", "9", "1", None),           # one row, at --from
+    ("P", "2", "4", "3", "3"),            # k = 3: dp/dk is skipped there
+    ("Q", "3.5", "5.5", "3", None),       # 3 < k < 4 into k >= 4
+    ("R", "2.9", "3.3", "5", None),       # across 16/(3 sqrt 3)
+])
+def test_sweep_rows_match_family(family, k_from, k_to, steps, boundary, tmp_path, capsys):
+    # every row is _measure_at, regime_tag and _derivative_at at its k, to
+    # 15 significant digits; a boundary row has a NaN derivative and a note
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", family, "--from", k_from, "--to", k_to, "--steps", steps,
+                 "--format", "json", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    n, lo, hi = int(steps), float(k_from), float(k_to)
+    ks = [lo + i * (hi - lo) / (n - 1) for i in range(n - 1)] + [hi] if n > 1 else [lo]
+    assert len(rows) == n
+    for k, row in zip(ks, rows):
+        res = _measure_at(family, k, 1e-10)
+        at_boundary = boundary is not None and k == float(boundary)
+        deriv = math.nan if at_boundary else _derivative_at(family, k)
+        assert row == [f"{k:.15g}", mahler.regime_tag(family, k), f"{res.value:.15g}",
+                       f"{res.err_est:.15g}", f"{deriv:.15g}"]
+    notes = [{"name": f"k={boundary}", "passed": True,
+              "detail": "boundary k: derivative skipped"}] if boundary else []
+    assert report["checks"] == notes
+    assert {o["name"]: o["value"] for o in report["outputs"]} == {"rows": n, "file": str(out)}
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    f1 = tmp_path / "serial.csv"
-    f2 = tmp_path / "par.csv"
-    args = ["sweep", "Q", "--from", "4.5", "--to", "6.5", "--steps", "3"]
-    assert main(args + ["--out", str(f1)]) == 0
-    assert main(args + ["--jobs", "2", "--out", str(f2)]) == 0
-    assert f1.read_bytes() == f2.read_bytes()
+def test_sweep_grid_ends_at_to(monkeypatch, tmp_path):
+    # k_from + i h ended this grid at 0.9000000000000001
+    ks = []
+
+    def recording(family, k, tol):
+        ks.append(k)
+        return _measure_at(family, k, tol)
+
+    monkeypatch.setattr(mahler.cli, "_measure_at", recording)
+    assert main(["sweep", "P", "--from", "0.3", "--to", "0.9", "--steps", "7",
+                 "--out", str(tmp_path / "rows.csv")]) == 0
+    assert ks[0] == 0.3 and ks[-1] == 0.9 and len(ks) == 7
+    assert ks[:-1] == [0.3 + i * (0.9 - 0.3) / 6 for i in range(6)]
+
+
+def test_sweep_csv_to_out_prints_nothing(tmp_path, capsys):
+    # with --format csv the CSV went to --out and was printed to stdout too
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "R", "--from", "2", "--to", "3", "--steps", "2",
+                 "--format", "csv", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text().startswith("k,regime,m,err_est,dmdk\n")
+    # the text report still goes to stdout, the CSV to --out
+    assert main(["sweep", "R", "--from", "2", "--to", "3", "--steps", "2",
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("command: sweep") and "dmdk" not in printed
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    # only sweep --jobs N > 1 uses the pool, which costs every process that
-    # loads the CLI 1.4-2.1 MB of peak memory
+    # the CLI runs in one process; loading the pool would cost every process
+    # that loads the CLI 1.4-2.1 MB of peak memory
     code = ("import sys, mahler.cli; "
             "sys.exit('concurrent.futures.process' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=ENV).returncode == 0
-
-
-def test_jobs_only_on_sweep_and_at_least_one():
-    # both are refused while parsing or checking the arguments, before any
-    # row is computed or worker started
-    assert main(["lvalue", "chi:-3", "--jobs", "2"]) == 2
-    assert main(["sweep", "P", "--from", "3", "--to", "4", "--steps", "2",
-                 "--jobs", "0"]) == 2
 
 
 _FORMAT_CSV = (["measure", "1+x+y"], ["family", "P", "--k", "2"],
@@ -237,15 +269,20 @@ _FORMAT_CSV = (["measure", "1+x+y"], ["family", "P", "--k", "2"],
     *(["verify", suite, "--k", "1,2"] for suite in ("derivatives", "lemmas", "conjecture_R4",
                                                   "conjecture_Qminus1", "asymptotics")),
     *([*cmd, "--format", "csv"] for cmd in _FORMAT_CSV),
+    # no command reads --jobs: sweep runs its rows in one process
+    ["sweep", "P", "--from", "1", "--to", "2", "--steps", "2", "--jobs", "2"],
+    ["sweep", "P", "--from", "1", "--to", "2", "--steps", "2", "--jobs", "1"],
+    ["lvalue", "chi:-3", "--jobs", "2"],
 ], ids=" ".join)
 def test_flag_the_command_does_not_read_is_usage_error(argv, monkeypatch):
     # each was accepted and ignored with exit 0, and --format csv computed
     # the whole report before exiting 2; now each is refused before any
-    # report is started
+    # report is started or sweep row computed
     def refuse(*args, **kwargs):
         raise AssertionError("a command started on a refused flag")
 
     monkeypatch.setattr(mahler.cli, "RunReport", refuse)
+    monkeypatch.setattr(mahler.cli, "_measure_at", refuse)
     assert main(argv) == 2
 
 

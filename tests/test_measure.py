@@ -35,6 +35,7 @@ from mahler.measure import (
     _torus_row_means,
     _torus_terms,
     _unit_y_coeffs,
+    _with_t_derivatives,
     MeasureResult,
     mahler_1var,
     mahler_jensen,
@@ -442,7 +443,7 @@ def _per_point_log_abs(P):
     the fiber coefficients with the powers of y, the reference for the
     closed-form row sums."""
     coeff_table = _coeff_table(_y_coeff_polys(P))
-    ypowers = np.arange(coeff_table[1].shape[1])
+    ypowers = np.arange(coeff_table[1].shape[-1])
 
     def f(tx, ty):
         vals = np.abs(_coeffs_grid(coeff_table, np.ravel(tx))
@@ -708,10 +709,19 @@ HORNER_COEFFS = {
 def test_coefficients_match_pointwise(name):
     cx = HORNER_COEFFS[name]
     grid = _scan_grid()
-    rows = _coeffs_grid(_coeff_table(cx), grid)
+    table = _coeff_table(cx)
+    rows = _coeffs_grid(table, grid)
     pointwise = np.array([_coeffs_at(cx, cmath.exp(1j * t)) for t in grid])
     assert rows.flags.f_contiguous
     assert np.abs(rows - pointwise).max() < 1e-13
+    # i m times the w-form table on both sides is d/dt of each coefficient,
+    # the x^{-m} side included, whose entries are stored conjugated
+    ext = _coeffs_grid(_with_t_derivatives(table), grid)
+    d_pointwise = np.array([[sum(1j * i * c * cmath.exp(1j * i * t) for i, c in cm.items())
+                             for cm in cx] for t in grid])
+    assert np.array_equal(ext[:, :len(cx)], rows)
+    scale = max(abs(i) for cm in cx for i in cm)
+    assert np.abs(ext[:, len(cx):] - d_pointwise).max() < 1e-13 * scale
 
 
 def test_narrow_arc_scan_memory_bounded():
@@ -1002,9 +1012,7 @@ def test_fold_free_newton_step_is_the_full_step_at_w_zero():
     for u, v in zip(free, full):
         assert np.array_equal(u, v, equal_nan=True)
     # and the fold-free terms are the full terms without the second derivatives
-    table = _coeff_table(_y_coeff_polys(family_poly("R", 3)))
-    exps, coeffs = table
-    ext = (exps, np.hstack([coeffs, 1j * exps[:, None] * coeffs]))
+    ext = _with_t_derivatives(_coeff_table(_y_coeff_polys(family_poly("R", 3))))
     t, phi = rng.uniform(0.0, math.pi, 16), rng.uniform(-math.pi, math.pi, 16)
     terms = _torus_terms(ext, t, phi, True)
     assert len(terms) == 5
@@ -1209,8 +1217,7 @@ def _polish_reference(coeff_table, a, b, na, nb, lo, hi):
     """``_polish_cells`` as it was when every call ran the edge rules on
     every cell, with the rows at t = 0 and pi in its start call: the
     reference whose cuts and dropped mask it must reproduce bit for bit."""
-    exps, table = coeff_table
-    ext = (exps, np.hstack([table, 1j * exps[:, None] * table]))
+    ext = _with_t_derivatives(coeff_table)
     n = len(a)
     mid = 0.5 * (a + b)
     width = b - a
@@ -1429,8 +1436,8 @@ KNOWN_ROOTS = [0.3 * np.exp(0.4j), 0.6, 1.7 * np.exp(2j), 2.5 * np.exp(-1j), 3.0
 
 def _constant_count(rows):
     """``_count_outside`` of fibers that do not depend on x, one per row of
-    ascending coefficients."""
-    return [_count_outside((np.zeros(1), np.array([row], dtype=complex)),
+    ascending coefficients: a one-rung, one-sided table."""
+    return [_count_outside((np.zeros(1), np.array([[row]], dtype=complex)),
                            np.zeros(1))[0] for row in rows]
 
 
