@@ -31,11 +31,11 @@ count at the cell's ends; a cell whose crossing sits on the edge t = 0 or pi
 needs no cut.  Those edge rules concern only the two cells at the ends of
 the scan, and a call without such a cell skips them.  A call whose cells
 hold no fold takes the Newton step from F, F_t and F_phi alone, since the
-fold terms would add exactly zero.  The few cells left over are bisected on
-the count, all together, down to a width of 1e-12: the midpoints that the
-next five halvings can take are counted in one call, and the halvings are
-replayed on them.  A crossing pair inside one scan cell leaves the count
-unchanged at both ends and is missed.
+fold terms would add exactly zero.  The few cells left over are cut by the
+scan's own rule, all together, into 32 equal parts a round, each counted in
+one call, keeping the first part whose count differs from the cell's left
+end, down to a width of 1e-12.  A cell whose count steps by two gets one
+cut; a crossing pair inside one scan cell changes no count and is missed.
 
 The cuts, with 0 and pi, go to the double-exponential rule
 ``quad._tanh_sinh_pieces`` as one cut list with the total tolerance
@@ -277,7 +277,7 @@ def mahler_1var(coeffs):
 
 _BAND = 1e-9   # families have whole arcs with |y| = 1 exactly; counting
                # "outside" with this margin keeps rounding noise from
-               # flickering the count there (a bisected crossing is pinned
+               # flickering the count there (a sectioned crossing is pinned
                # where |y| = 1 + _BAND, a polished one on the circle)
 
 
@@ -403,9 +403,9 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
     (touching lo or hi), when it halves its distance to the edge 0 or pi
     twice in a row.
 
-    Returns the cut of each cell, NaN where the cell is left to the
-    bisection, and a mask of the cells whose cut falls on the edge 0 or pi
-    of the scan, which need none.  An interior cut is kept when the
+    Returns the cut of each cell, NaN where the cell is left to
+    ``_section_cells``, and a mask of the cells whose cut falls on the edge
+    0 or pi of the scan, which need none.  An interior cut is kept when the
     iteration converged strictly inside the cell and the counts at
     t* -/+ delta are the cell's end counts.  The edge rules
     (``_edge_touches``) apply to the cells at the ends of the scan only, so
@@ -521,63 +521,51 @@ def _edge_touches(coeff_table, edge, na, nb, t, phi, y0, converged, halving, fol
     return touch & (inner - outer == 1), inner
 
 
-_SECTION_DEPTH = 5   # halvings of every bracket per count call of _bisect_cells
+def _grid_counts(coeff_table, a, b, n):
+    """The grids a + (b - a) j / n, j = 0..n, over the brackets [a, b], one
+    row each and ending at b exactly, and the outside-circle root count at
+    every point, from one ``_count_outside`` call."""
+    grid = a[:, None] + (b - a)[:, None] * np.arange(n + 1) / n
+    grid[:, -1] = b
+    return grid, _count_outside(coeff_table, grid.ravel()).reshape(grid.shape)
 
 
-def _bisect_cells(coeff_table, a, b, na):
-    """Bisection on the outside-circle root count: the brackets [a, b], on
-    whose ends the count differs (na at a), are halved together until
-    narrower than 1e-12, at most 60 times; returns their midpoints.
-
-    The halvings go _SECTION_DEPTH = k at a time.  The 2^k - 1 midpoints
-    that the next k halvings of a live bracket can take, built by the same
-    0.5 (a + b) recursion, are counted in one ``_count_outside`` call, and
-    the k decisions are then replayed on them, so the brackets are those of
-    one count call per halving, from at most ceil(60 / k) calls (k = 5:
-    CHANGES.md, "Jensen engine, one numpy pass per stage").
-    """
+def _section_cells(coeff_table, a, b, na):
+    """The midpoints of brackets narrower than 1e-12 around the crossing in
+    each bracket [a, b], on whose ends the count differs (na at a).  Each
+    round cuts every live bracket into 32 equal parts (``_grid_counts``)
+    and keeps the first part whose right end counts other than na, for at
+    most 12 rounds, as wide as 60 halvings leave it (32^12 = 2^60)."""
     a, b = a.copy(), b.copy()
     live = np.arange(len(a))
-    halvings = 0
-    while len(live) and halvings < 60:
-        k = min(_SECTION_DEPTH, 60 - halvings)
-        size = 1 << k
-        # row i holds a bracket's dyadic points a = g_0 < ... < g_size = b
-        grid = np.empty((len(live), size + 1))
-        grid[:, 0], grid[:, size] = a[live], b[live]
-        for step in (1 << s for s in range(k, 0, -1)):
-            grid[:, step // 2::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
-        counts = _count_outside(coeff_table, grid[:, 1:-1].ravel()).reshape(len(live), -1)
+    for _ in range(12):
+        if not len(live):
+            break
+        grid, counts = _grid_counts(coeff_table, a[live], b[live], 32)
+        changed = counts[:, 1:] != na[live, None]
+        changed[:, -1] = True     # b, where the count is not na
+        part = changed.argmax(axis=1)
         rows = np.arange(len(live))
-        lo, hi = np.zeros(len(live), dtype=int), np.full(len(live), size)
-        going = np.ones(len(live), dtype=bool)
-        for _ in range(k):
-            mid = (lo + hi) // 2
-            same = counts[rows, mid - 1] == na[live]
-            lo = np.where(going & same, mid, lo)
-            hi = np.where(going & ~same, mid, hi)
-            going &= grid[rows, hi] - grid[rows, lo] >= 1e-12
-        halvings += k
-        a[live], b[live] = grid[rows, lo], grid[rows, hi]
-        live = live[going]
+        a[live], b[live] = grid[rows, part], grid[rows, part + 1]
+        live = live[b[live] - a[live] >= 1e-12]
     return 0.5 * (a + b)
 
 
 def _crossing_angles(coeff_table):
     """Angles in (0, pi) where a fiber root crosses the unit circle.
 
-    The outside-circle root count on a uniform scan grid brackets them:
-    every cell where the count changes holds one.  ``_polish_cells`` puts
-    each cut on the torus point of the curve P = 0 in its cell, or finds
-    that the cell's crossing sits on the edge 0 or pi, where no cut is
-    needed; the cells it cannot settle are bisected by ``_bisect_cells``.
-    A crossing pair inside one scan cell leaves the count unchanged at both
-    ends and is missed.
+    The outside-circle root count on a grid of _N_SCAN equal cells
+    (``_grid_counts``) brackets them: every cell where the count changes
+    holds one.  ``_polish_cells`` puts each cut on the torus point of the
+    curve P = 0 in its cell, or finds that the cell's crossing sits on the
+    edge 0 or pi, where no cut is needed; the cells it cannot settle are
+    cut by the same grid rule, 32 parts a round (``_section_cells``).  A
+    cell whose count steps by two gets one cut, and a crossing pair inside
+    one scan cell leaves the count unchanged at both ends and is missed.
     """
     lo = 1e-9
     hi = math.pi - 1e-9
-    grid = lo + (hi - lo) * np.arange(_N_SCAN + 1) / _N_SCAN
-    counts = _count_outside(coeff_table, grid)
+    (grid,), (counts,) = _grid_counts(coeff_table, np.array([lo]), np.array([hi]), _N_SCAN)
     cells = np.flatnonzero(counts[:-1] != counts[1:])
     if not len(cells):
         return []
@@ -585,8 +573,11 @@ def _crossing_angles(coeff_table):
     cuts, dropped = _polish_cells(coeff_table, a, b, na, nb, lo, hi)
     rest = np.isnan(cuts) & ~dropped
     if rest.any():
-        cuts[rest] = _bisect_cells(coeff_table, a[rest], b[rest], na[rest])
+        cuts[rest] = _section_cells(coeff_table, a[rest], b[rest], na[rest])
     return cuts[~dropped].tolist()
+
+
+_LEAD_ZERO_CUTS = 512   # cuts at the lead's zeros at most: x^1000 + 1 has 500
 
 
 def mahler_jensen(P, tol=1e-10):
@@ -599,7 +590,8 @@ def mahler_jensen(P, tol=1e-10):
     with a nonzero imaginary part (the fold of the t-integral onto (0, pi)
     holds for real coefficients only; ``mahler_torus2`` takes complex
     ones) or a tol that is not positive (NaN included), and
-    QuadratureError for a NaN or infinite coefficient."""
+    QuadratureError for a NaN or infinite coefficient or a lead with more
+    than _LEAD_ZERO_CUTS zeros on the circle in (0, pi)."""
     cx, log_scale = _unit_y_coeffs(P)
     if any(c.imag for cm in cx for c in cm.values()):
         raise ValueError("mahler_jensen needs real coefficients")
@@ -607,9 +599,13 @@ def mahler_jensen(P, tol=1e-10):
         raise ValueError("tol must be positive")
     d = len(cx) - 1
     if d == 0:
-        return MeasureResult(log_scale + mahler_1var(cx[0]), 1e-15, "jensen_1d")
+        return MeasureResult(log_scale + _solve_1var(cx[0])[0], 1e-15, "jensen_1d")
 
     lead_measure, degen = _solve_1var(cx[d])
+    degen = list(itertools.islice(degen, _LEAD_ZERO_CUTS + 1))
+    if len(degen) > _LEAD_ZERO_CUTS:
+        raise QuadratureError(f"the leading coefficient has more than {_LEAD_ZERO_CUTS} "
+                              "zeros on the unit circle in (0, pi), each a cut")
     coeff_table = _coeff_table(cx)
     crossings = _crossing_angles(coeff_table)
 

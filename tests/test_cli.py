@@ -98,6 +98,12 @@ def test_boundary_derivative_exit_code():
     assert r.returncode == 3
 
 
+def test_lead_with_too_many_circle_zeros_exit_code(capsys):
+    # the lead x^(10^8) + 1 has 5*10^7 zeros in (0, pi), one cut each
+    assert main(["measure", "(x^100000000+1)*y+1"]) == 3
+    assert "more than 512 zeros" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("family,k", [("R", "2.8284271247461903"), ("Q", "3.000001")])
 def test_derivative_next_to_a_touching_root_is_a_value(family, k, tmp_path):
     # k = 2 sqrt 2 (R) and 1e-6 above 3 (Q) are no regime boundary of the

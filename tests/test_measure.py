@@ -20,8 +20,6 @@ from mahler.measure import (
     _BAND,
     _MIRROR_REL,
     _POLISH_STEPS,
-    _SECTION_DEPTH,
-    _bisect_cells,
     _coeff_table,
     _coeffs_grid,
     _count_outside,
@@ -30,6 +28,7 @@ from mahler.measure import (
     _fiber_roots,
     _newton_step,
     _polish_cells,
+    _section_cells,
     _solve_1var,
     _solve_fibers,
     _torus_row_means,
@@ -210,6 +209,17 @@ def test_lacunary_lead_reduced_by_its_gcd(n):
     res = mahler_jensen(parse_poly(f"(x^{n}+3)*y+1"))
     assert abs(res.value - math.log(3.0)) <= res.err_est
     assert time.perf_counter() - start < 0.1
+
+
+def test_lead_with_too_many_circle_zeros_is_refused():
+    # the lead x^g + 1 is solved as x + 1, and each of its g/2 zeros in
+    # (0, pi) becomes a cut: g = 200 still runs; g = 10^8 ran without bound
+    res = mahler_jensen(parse_poly("(x^200+1)*y+1"))
+    assert abs(res.value - SMYTH) <= res.err_est
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="more than 512 zeros"):
+        mahler_jensen(parse_poly("(x^100000000+1)*y+1"))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_lacunary_lead_cofactor_zero_angles_map_back():
@@ -900,40 +910,26 @@ def _scan_cells(table, n_scan=1024):
 @pytest.mark.parametrize("poly", [family_poly("P", 3), family_poly("R", 3),
                                   parse_poly(A_POLY), _narrow_arc_poly()]
                          + [parse_poly(e) for e in CUBIC_QUARTIC_FIBERS], ids=str)
-def test_bisected_cuts_near_polished_cuts(poly):
-    # the bisection, run on every scan cell the torus polish settles with an
-    # interior cut, lands where |y| = 1 + 1e-9, within 2.8e-8 of that cut
-    # (20 cells in all; three of these polynomials have none)
+def test_sectioned_cuts_near_polished_cuts(poly):
+    # the section rule, run on every scan cell the torus polish settles
+    # with an interior cut, lands where |y| = 1 + 1e-9, within 2.8e-8 of
+    # that cut (20 cells in all; three of these polynomials have none)
     table = _coeff_table(_y_coeff_polys(poly))
     a, b, na, nb = _scan_cells(table)
     cuts, _ = _polish_cells(table, a, b, na, nb, *SCAN_ENDS)
     polished = ~np.isnan(cuts)
-    bisected = _bisect_cells(table, a[polished], b[polished], na[polished])
-    assert (np.abs(bisected - cuts[polished]) <= 2.8e-8).all()
-
-
-def _bisect_reference(count, a, b, na):
-    """The plain bisection loop, one count call per halving: the reference
-    that ``_bisect_cells`` must reproduce bit for bit."""
-    a, b = a.copy(), b.copy()
-    live = np.arange(len(a))
-    for _ in range(60):
-        if not len(live):
-            break
-        mid = 0.5 * (a[live] + b[live])
-        same = count(mid) == na[live]
-        a[live[same]] = mid[same]
-        b[live[~same]] = mid[~same]
-        live = live[b[live] - a[live] >= 1e-12]
-    return 0.5 * (a + b)
+    sectioned = _section_cells(table, a[polished], b[polished], na[polished])
+    assert (np.abs(sectioned - cuts[polished]) <= 2.8e-8).all()
 
 
 def _step_brackets(rng):
     """Disjoint brackets with a count that steps once inside each, at a
-    random point, a dyadic midpoint of the bracket or next to an end; some
-    brackets are narrower than 1e-12 from the start, some lie near 4e4,
-    where floats are 7e-12 apart, and some are so wide that 60 halvings
-    leave them wider than 1e-12, so that only the cap stops them."""
+    random point, a point of the bracket's grid of 32 parts or next to an
+    end; some brackets are narrower than 1e-12 from the start, some lie
+    near 4e4, where floats are 7e-12 apart, and some are so wide (4e4 to
+    3e6) that their steps lie where floats are further apart than 1e-12 or
+    2^60 cannot narrow them to 1e-12.  Returns the brackets, the counts at
+    their left ends, the steps and the count."""
     starts = np.sort(rng.uniform(0.0, math.pi, 4))
     if rng.random() < 0.2:
         starts = starts + 4e4
@@ -949,34 +945,43 @@ def _step_brackets(rng):
         i = np.searchsorted(b, thetas)      # the bracket of each angle
         return np.where(thetas < step[i], na[i], nb[i])
 
-    return a, b, na, count
+    return a, b, na, step, count
 
 
-def test_sectioned_bisection_matches_plain_loop(monkeypatch):
+def test_section_rule_on_step_counts(monkeypatch):
+    # each result lies within 1e-12 of its step, but for brackets that
+    # reach beyond 1e4, where floats near the step may lie further apart
+    # than 1e-12: those stop after the 12th round, as close as the floats
+    # there and 2^60 narrowings allow
     rng = np.random.default_rng(2024)
+    stopped = 0
     for _ in range(300):
-        a, b, na, count = _step_brackets(rng)
-        asked, counted = [], []
-
-        def reference_count(thetas):
-            asked.extend(thetas.tolist())
-            return count(thetas)
+        a, b, na, step, count = _step_brackets(rng)
+        calls = []
 
         def sectioned_count(table, thetas):
-            counted.extend(thetas.tolist())
+            calls.append(len(thetas))
             return count(thetas)
 
         monkeypatch.setattr(measure, "_count_outside", sectioned_count)
-        got = _bisect_cells(None, a, b, na)
-        ref = _bisect_reference(reference_count, a, b, na)
-        assert got.tobytes() == ref.tobytes()
-        assert set(asked) <= set(counted)     # the same midpoints, bit for bit
+        got = _section_cells(None, a, b, na)
+        off = np.abs(got - step)
+        short = off > 1e-12
+        assert not (short & (b < 1e4)).any()
+        if short.any():
+            stopped += 1
+            assert len(calls) == 12
+            bound = np.maximum(np.spacing(step), (b - a) / 2.0 ** 60)
+            assert (off[short] <= bound[short]).all()
+        assert len(calls) <= 12
+    assert stopped >= 10
 
 
-def test_bisection_count_calls_pinned(monkeypatch):
-    # each scan cell bisected alone: ceil(60 / k) count calls at most, and
-    # no one-row cubic or quartic solve (one count call per halving made 32
-    # one-row calls for a single bracket)
+def test_section_count_calls_pinned(monkeypatch):
+    # each scan cell sectioned alone: at most ceil(log_32(pi / 1024 / 1e-12))
+    # = 7 count calls of 33 angles, and no one-row cubic or quartic solve
+    # (one count call per halving made 32 one-row calls for a single
+    # bracket)
     counts, shapes = [], []
 
     def counting_outside(table, thetas):
@@ -997,8 +1002,9 @@ def test_bisection_count_calls_pinned(monkeypatch):
     monkeypatch.setattr(measure, "batch_roots", solving)
     for cell in cells:
         counts.clear()
-        _bisect_cells(*cell)
-        assert 1 <= len(counts) <= -(-60 // _SECTION_DEPTH)
+        _section_cells(*cell)
+        assert 1 <= len(counts) <= 7
+        assert set(counts) == {33}
     assert not [s for s in shapes if s[0] == 1 and s[1] >= 4]
 
 
@@ -1082,10 +1088,10 @@ def test_polish_settles_folds_and_edges(poly, dropped):
 
 
 # the crossing of the first lies on the scan grid point pi / 2, the end of
-# its cell, so the polish leaves the cell to the bisection; the second (a
+# its cell, so the polish leaves the cell to the section rule; the second (a
 # quartic of CUBIC_QUARTIC_FIBERS) touches the circle at t = 0 with the root
 # y = 1, where the count with its 1e-9 band changed at t ~ 4.4e-5 and the
-# bisection put a cut; references: bench/refs.json (mpmath, 25 digits)
+# section rule put a cut; references: bench/refs.json (mpmath, 25 digits)
 @pytest.mark.parametrize("expr,ref,fallback,edge", [
     ("-1+1*y+2*x-2*x*y+2*x^2*y", 0.8703506533592053068, [False, True], [True, False]),
     (CUBIC_QUARTIC_FIBERS[4], 1.602191419081358131,
@@ -1098,8 +1104,8 @@ def test_fallback_and_edge_touch_values(expr, ref, fallback, edge):
     cuts, dropped = _polish_cells(table, a, b, na, nb, *SCAN_ENDS)
     assert (np.isnan(cuts) & ~dropped).tolist() == fallback
     assert dropped.tolist() == edge
-    # without the edge rule the bisection cuts next to t = 0
-    assert 1e-5 < _bisect_cells(table, a[:1], b[:1], na[:1])[0] < 1e-4
+    # without the edge rule the section rule cuts next to t = 0
+    assert 1e-5 < _section_cells(table, a[:1], b[:1], na[:1])[0] < 1e-4
     res = mahler_jensen(poly)
     assert abs(res.value - ref) <= max(res.err_est, 1e-14)
 
@@ -1160,7 +1166,7 @@ def test_edge_rule_needs_a_touch():
     a, b, na, nb = _scan_cells(table)
     cuts, dropped = _polish_cells(table, a, b, na, nb, *SCAN_ENDS)
     assert not dropped.any()
-    # bisected: the count changes where |y| = 1 + 1e-9, 3.9e-6 past t1
+    # sectioned: the count changes where |y| = 1 + 1e-9, 3.9e-6 past t1
     assert abs(min(measure._crossing_angles(table)) - t1) < 1e-5
     res = mahler_jensen(poly)
     assert abs(res.value - ref) <= res.err_est
@@ -1407,8 +1413,8 @@ COUNT_POLYS = ([family_poly("P", 3)] + [family_poly("R", k) for k in (1, 3, 5)]
 
 @pytest.mark.parametrize("poly", COUNT_POLYS, ids=str)
 def test_count_at_every_probed_angle_matches_scalar(poly, monkeypatch):
-    # the scan grid and, where there are crossings, the polish and bisection
-    # probes next to them; a bisection converges onto an angle where a root
+    # the scan grid and, where there are crossings, the polish and section
+    # probes next to them; the section rule converges onto an angle where a root
     # is within rounding of the band, and either count is right there
     cx = _y_coeff_polys(poly)
     table = _coeff_table(cx)
@@ -1475,7 +1481,7 @@ def test_jensen_batch_call_count(monkeypatch):
     # outside the counts: the polish's start roots, the tanh-sinh first pass
     # through level 4 and one call per later level; the counts, of the scan
     # grid and of the polish's probes, one call each and one root solve
-    # each; no bisection
+    # each; no section round
     calls = {False: 0, True: 0}     # batch_roots calls by whether a count made them
     counts = []
     in_count = []
