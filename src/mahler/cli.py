@@ -409,7 +409,7 @@ def _build_parser():
         p.add_argument("--tol", type=_positive_tol, default=default)
 
     p = sub.add_parser("measure", help="Mahler measure of an expression")
-    p.add_argument("poly")
+    p.add_argument("poly", type=str.strip)     # strips the space of _guard_minus
     p.add_argument("--k", type=_finite, default=None)
     p.add_argument("--torus-check", action="store_true")
     tol(p)
@@ -453,8 +453,27 @@ def _build_parser():
     return parser
 
 
+def _guard_minus(argv):
+    """``argv`` with a space put before each argument of ``measure`` that
+    starts with one minus sign and is no option nor an option's value, such
+    as the expression -1+y: argparse reads any token that starts with - and
+    holds no space as an option, so it would refuse the expression unless
+    ``--`` came before it.  The space keeps argparse from that, wherever
+    the options stand, and ``poly`` strips it again.  ``-h`` stays an
+    option, and a value such as ``--k -0.5`` stays a value."""
+    if argv[:1] != ["measure"]:
+        return argv
+    guarded = argv[:1]
+    for prev, arg in zip(argv, argv[1:]):
+        value = prev[:2] == "--" and "=" not in prev and prev != "--torus-check"
+        minus = arg[:1] == "-" and arg[1:2] not in ("", "-") and arg != "-h"
+        guarded.append(" " + arg if minus and not value else arg)
+    return guarded
+
+
 def main(argv=None):
     parser = _build_parser()
+    argv = _guard_minus(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

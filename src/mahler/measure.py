@@ -34,8 +34,10 @@ hold no fold takes the Newton step from F, F_t and F_phi alone, since the
 fold terms would add exactly zero.  The few cells left over are cut by the
 scan's own rule, all together, into 32 equal parts a round, each counted in
 one call, keeping the first part whose count differs from the cell's left
-end, down to a width of 1e-12.  A cell whose count steps by two gets one
-cut; a crossing pair inside one scan cell changes no count and is missed.
+end, down to a width of 1e-12.  Where the count at the right end of that
+part is not the cell's right count, the rest of the cell is cut again, so a
+cell whose count steps by two gets two cuts; a crossing pair inside one
+scan cell changes no count and is missed.
 
 The cuts, with 0 and pi, go to the double-exponential rule
 ``quad._tanh_sinh_pieces`` as one cut list with the total tolerance
@@ -52,7 +54,10 @@ levels and the torus rows below, goes through ``_solve_fibers`` to
 call.  It solves through degree 4 in closed form
 (Cardano's and Ferrari's formulas for the cubics and quartics, with a Newton
 polish) and takes companion-matrix eigenvalues only for the rows that polish
-rejects.
+rejects.  It also holds the one rule for a leading coefficient that nearly
+vanishes, as a fiber's does next to a zero of a_d: from degree 3 on, such
+a row is solved reversed and its roots inverted, for the fibers and the
+lead's cofactor alike.
 Both engines, and ``mahler_1var``, first divide P by the power of 2 that
 puts its largest coefficient modulus in [0.5, 1) (``_unit_y_coeffs``) and
 add its logarithm back, so a fiber coefficient, a sum of terms, neither
@@ -94,7 +99,6 @@ __all__ = [
 ]
 
 _UNIT_CLAMP = 1e-12        # |root| this close to 1 contributes log+ = 0 exactly
-_FLIP_REL = 1e-8           # relative lead below which the reversed fiber is solved
 
 
 @dataclass(frozen=True)
@@ -282,18 +286,16 @@ _BAND = 1e-9   # families have whole arcs with |y| = 1 exactly; counting
 
 
 def _solve_fibers(coeffs):
-    """The polynomials the fibers in the rows of ``coeffs`` are solved as,
-    with their leading coefficients and roots, solved together by
-    ``batch_roots``; returns ``(flip, lead, roots)``.
+    """The leading coefficients and roots of the fibers in the rows of
+    ``coeffs``, solved together by ``batch_roots``; returns
+    ``(lead, roots)``.
 
-    Where the leading coefficient nearly vanishes (below 1e-8 of the
-    largest, ``flip``) the reversed polynomial is solved instead, which
-    keeps the huge root without feeding an ill-conditioned leading term to
-    the solver.  Zero leading coefficients of the polynomial solved, which
-    only a reversed or a vanishing fiber can have, are trimmed, one
-    ``batch_roots`` call per degree left: ``lead`` is the coefficient left
-    on top (0 for a vanishing fiber), and the roots beyond a row's degree
-    are 0.
+    A fiber whose lead nearly vanishes keeps its huge root and its small
+    ones by the rule of ``batch_roots``.  Zero leading coefficients, which
+    a fiber has where its lead vanishes, are trimmed, one ``batch_roots``
+    call per degree left: ``lead`` is the coefficient left on top (0 for a
+    vanishing fiber), and the roots beyond a row's degree are 0, in place
+    of the roots at infinity, which the measure of the lead accounts for.
 
     The rows are taken, and the roots returned, column-major: a reduction
     over each row's few entries then runs along contiguous columns, several
@@ -302,47 +304,30 @@ def _solve_fibers(coeffs):
     """
     coeffs = np.asfortranarray(coeffs)
     n, m = coeffs.shape[0], coeffs.shape[1] - 1
-    scale = np.abs(coeffs).max(axis=1)
-    flip = np.abs(coeffs[:, -1]) < _FLIP_REL * scale
-    solve = np.where(flip[:, None], coeffs[:, ::-1], coeffs) if flip.any() else coeffs
-    lead = solve[:, -1]
+    lead = coeffs[:, -1]
     groups = {m: slice(None)} if m else {}
     if not lead.all():
-        nonzero = solve != 0
+        nonzero = coeffs != 0
         degree = np.where(nonzero.any(axis=1), m - nonzero[:, ::-1].argmax(axis=1), 0)
-        lead = solve[np.arange(n), degree]
+        lead = coeffs[np.arange(n), degree]
         groups = {deg: degree == deg for deg in range(1, m + 1) if (degree == deg).any()}
     roots = np.zeros((n, m), dtype=complex, order="F")
     for deg, rows in groups.items():
-        roots[rows, :deg] = batch_roots(solve[rows, :deg + 1])
-    return flip, lead, roots
-
-
-def _fiber_roots(coeffs):
-    """Roots of the fibers in the rows of ``coeffs``, column-major (see
-    ``_solve_fibers``).  The roots of a reversed fiber are inverted; a root
-    below 1e-300 gives 0, the root at infinity of a vanishing lead, which
-    the measure of the lead accounts for.  Where a zero leading coefficient
-    was trimmed, the roots it drops are y = 0."""
-    flip, _, roots = _solve_fibers(coeffs)
-    if flip.any():
-        flipped = roots[flip]
-        roots[flip] = np.divide(1.0, flipped, out=np.zeros_like(flipped),
-                                where=np.abs(flipped) > 1e-300)
-    return roots
+        roots[rows, :deg] = batch_roots(coeffs[rows, :deg + 1])
+    return lead, roots
 
 
 def _fiber_logplus(coeff_table, thetas):
     """sum_i log+ |y_i| at x = e^{i theta} for an array of angles, from the
-    fiber roots, solved together by ``_fiber_roots``."""
-    mags = np.abs(_fiber_roots(_coeffs_grid(coeff_table, thetas)))
+    fiber roots, solved together by ``_solve_fibers``."""
+    mags = np.abs(_solve_fibers(_coeffs_grid(coeff_table, thetas))[1])
     return np.log(np.maximum(mags, 1.0)).sum(axis=1)
 
 
 def _count_outside(coeff_table, thetas):
     """Number of fiber roots with |y| > 1 + _BAND at each angle, from the
-    fiber roots, solved together by ``_fiber_roots``."""
-    mags = np.abs(_fiber_roots(_coeffs_grid(coeff_table, thetas)))
+    fiber roots, solved together by ``_solve_fibers``."""
+    mags = np.abs(_solve_fibers(_coeffs_grid(coeff_table, thetas))[1])
     return np.count_nonzero(mags > 1.0 + _BAND, axis=1)
 
 
@@ -415,7 +400,7 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
     n = len(a)
     mid = 0.5 * (a + b)
     width = b - a
-    roots = _fiber_roots(_coeffs_grid(coeff_table, mid))
+    roots = _solve_fibers(_coeffs_grid(coeff_table, mid))[1]
     with np.errstate(divide="ignore"):
         order = np.argsort(np.abs(np.log(np.abs(roots))), axis=1)
     y0 = roots[np.arange(n), order[:, 0]]
@@ -531,12 +516,14 @@ def _grid_counts(coeff_table, a, b, n):
 
 
 def _section_cells(coeff_table, a, b, na):
-    """The midpoints of brackets narrower than 1e-12 around the crossing in
-    each bracket [a, b], on whose ends the count differs (na at a).  Each
+    """The midpoints of brackets narrower than 1e-12 around the first
+    crossing in each bracket [a, b], on whose ends the count differs (na at
+    a), with the right ends of those brackets and the counts there.  Each
     round cuts every live bracket into 32 equal parts (``_grid_counts``)
     and keeps the first part whose right end counts other than na, for at
     most 12 rounds, as wide as 60 halvings leave it (32^12 = 2^60)."""
     a, b = a.copy(), b.copy()
+    nb = np.empty_like(na)
     live = np.arange(len(a))
     for _ in range(12):
         if not len(live):
@@ -547,8 +534,9 @@ def _section_cells(coeff_table, a, b, na):
         part = changed.argmax(axis=1)
         rows = np.arange(len(live))
         a[live], b[live] = grid[rows, part], grid[rows, part + 1]
+        nb[live] = counts[rows, part + 1]
         live = live[b[live] - a[live] >= 1e-12]
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), b, nb
 
 
 def _crossing_angles(coeff_table):
@@ -559,8 +547,11 @@ def _crossing_angles(coeff_table):
     holds one.  ``_polish_cells`` puts each cut on the torus point of the
     curve P = 0 in its cell, or finds that the cell's crossing sits on the
     edge 0 or pi, where no cut is needed; the cells it cannot settle are
-    cut by the same grid rule, 32 parts a round (``_section_cells``).  A
-    cell whose count steps by two gets one cut, and a crossing pair inside
+    cut by the same grid rule, 32 parts a round (``_section_cells``).
+    Where the count at the right end of a sectioned bracket is not the
+    cell's right count, the cell holds another crossing, and the rest of it
+    is sectioned again, up to d cuts a cell for fibers of degree d, so a
+    cell whose count steps by two gets two cuts.  A crossing pair inside
     one scan cell leaves the count unchanged at both ends and is missed.
     """
     lo = 1e-9
@@ -571,10 +562,17 @@ def _crossing_angles(coeff_table):
         return []
     a, b, na, nb = grid[cells], grid[cells + 1], counts[cells], counts[cells + 1]
     cuts, dropped = _polish_cells(coeff_table, a, b, na, nb, lo, hi)
-    rest = np.isnan(cuts) & ~dropped
-    if rest.any():
-        cuts[rest] = _section_cells(coeff_table, a[rest], b[rest], na[rest])
-    return cuts[~dropped].tolist()
+    found = [cuts[~np.isnan(cuts) & ~dropped]]
+    rest = np.flatnonzero(np.isnan(cuts) & ~dropped)
+    start, n_start = a[rest], na[rest]
+    for _ in range(coeff_table[1].shape[-1] - 1):     # d cuts a cell at most
+        if not len(rest):
+            break
+        cut, start, n_start = _section_cells(coeff_table, start, b[rest], n_start)
+        found.append(cut)
+        again = n_start != nb[rest]
+        rest, start, n_start = rest[again], start[again], n_start[again]
+    return np.concatenate(found).tolist()
 
 
 _LEAD_ZERO_CUTS = 512   # cuts at the lead's zeros at most: x^1000 + 1 has 500
@@ -635,8 +633,7 @@ def _torus_row_means(cx):
         sum_l log|f(e^{i ty_l})| = n log|c_d| + sum_i log|r_i^n - w|,
 
     exactly, for every n: the sum of the finite grid, not its limit as
-    n -> infinity (which is Jensen's formula).  A fiber solved reversed
-    takes the conjugate angles, so w becomes conj(w).  With rho = |r|,
+    n -> infinity (which is Jensen's formula).  With rho = |r|,
     u = min(rho^n, rho^-n) and phi = n arg r - arg w, the term is
 
         log|r^n - w| = n log+ rho + log((1 - u)^2 + 4 u sin^2(phi / 2)) / 2,
@@ -655,8 +652,7 @@ def _torus_row_means(cx):
     coeff_table = _coeff_table(cx)
 
     def row_means(tx, n, arg_w):
-        flip, lead, roots = _solve_fibers(_coeffs_grid(coeff_table, tx))
-        arg_w = np.where(flip, -arg_w, arg_w)
+        lead, roots = _solve_fibers(_coeffs_grid(coeff_table, tx))
         with np.errstate(divide="ignore"):    # a zero root: log rho = -inf, u = 0
             log_rho = np.log(np.abs(roots))
         decay = -n[:, None] * np.abs(log_rho)

@@ -10,7 +10,10 @@ LAPACK call for the rows that polish rejects and for degree 5 and up.
 Every generic root solve of the package goes through it: the fibers of the
 Jensen engine, its root counts included, and of the torus oracle, and the
 one-variable measures (the families and periods use their own closed
-forms).
+forms).  So the one rule for a leading coefficient that nearly vanishes
+lives here too: from degree 3 on, such a row is solved reversed and its
+roots inverted (``batch_roots``), for fibers and one-variable polynomials
+alike.
 
 ``aberth_roots``, the simultaneous Aberth-Ehrlich iteration with its Horner
 pass and residual scale, is kept as an independent scalar reference for
@@ -221,15 +224,19 @@ _ACCEPT = 8 * np.finfo(float).eps   # accepted relative residual and Vieta defec
 _GAP = 1e4          # root modulus ratio above which the small roots restart
 
 
-def _newton_rows(a, w):
+def _newton_rows(a, w, vieta=True):
     """Two Newton steps from the roots ``w`` (m, n) of the monic rows
     w^m + a[m-1] w^(m-1) + ... + a[0]; returns the roots and a mask of the
     rows they are accepted for.
 
     A row is accepted when, after the last step, every residual |p(w)| is
-    within 8 ulps of sum_j |a_j| |w|^j, and the roots sum to -a[m-1]
-    within 8 ulps of sum |w| (Vieta), which catches two roots drawn to
-    one.  NaN fails both."""
+    within 8 ulps of sum_j |a_j| |w|^j, and, unless ``vieta`` is false,
+    the roots sum to -a[m-1] within 8 ulps of sum |w| (Vieta), which
+    catches two roots drawn to one.  NaN fails both.  The eigenvalue rows
+    skip the Vieta test: their polish starts from the eigenvalues, each
+    next to its own root, and the sum of the roots of an ill-conditioned
+    row can miss 8 ulps by rounding alone (by 8.7 ulps for the reversed
+    row of 24 - 50y + 35y^2 - 10y^3 + y^4 + 1e-120 y^5)."""
     w = w.copy()
     for _ in range(_NEWTON_STEPS):      # p and p' by Horner's rule, in place
         p = w + a[-1]
@@ -253,7 +260,7 @@ def _newton_rows(a, w):
         scale *= mod
         scale += s
     ok = ((np.abs(p) <= _ACCEPT * scale).all(axis=0)
-          & (np.abs(w.sum(axis=0) + a[-1]) <= _ACCEPT * mod.sum(axis=0)))
+          & ((np.abs(w.sum(axis=0) + a[-1]) <= _ACCEPT * mod.sum(axis=0)) | (not vieta)))
     return w, ok
 
 
@@ -271,18 +278,34 @@ def _low_roots(a, k):
 def _restart_small_roots(a, w):
     """The roots ``w`` (m, n) of the monic rows ``a``, with the roots below
     the widest gap in modulus replaced by those of the truncation that has
-    as many (``_low_roots``)."""
+    as many (``_low_roots``); a row with more than three below it keeps
+    its roots."""
     m = len(a)
     mod = np.abs(w)
     order = np.argsort(-mod, axis=0)
     desc = np.take_along_axis(mod, order, axis=0)
-    small = m - 1 - (desc[:-1] / desc[1:]).argmax(axis=0)
+    # a ratio 0/0, between two zero roots, is no gap
+    small = m - 1 - np.nan_to_num(desc[:-1] / desc[1:], nan=1.0).argmax(axis=0)
     cols = np.arange(w.shape[1])
-    for k in range(1, m):
+    for k in range(1, min(m, 4)):
         sel = small == k
         if sel.any():
             w[order[m - k:, sel], cols[sel]] = _low_roots(a[:, sel], k)
     return w
+
+
+def _restart_spread_rows(a, w, ok, vieta=True):
+    """The rows of the roots ``w`` (m, n) of the monic rows ``a`` that
+    ``ok`` rejects and whose roots spread by more than _GAP in modulus,
+    with their small roots restarted (``_restart_small_roots``) and
+    polished again (``_newton_rows``, with or without its Vieta test);
+    ``w`` and ``ok`` take the rows accepted, in place."""
+    rows = np.flatnonzero(~ok)
+    mod = np.abs(w[:, rows])
+    rows = rows[mod.min(axis=0) * _GAP < mod.max(axis=0)]
+    restarted, good = _newton_rows(a[:, rows], _restart_small_roots(a[:, rows], w[:, rows]), vieta)
+    w[:, rows[good]] = restarted[:, good]
+    ok[rows[good]] = True
 
 
 def _closed_form_roots(a):
@@ -302,11 +325,7 @@ def _closed_form_roots(a):
     for three), and the row is polished again."""
     w, ok = _newton_rows(a, _cubic_rows(*a) if len(a) == 3 else _quartic_rows(*a))
     if not ok.all():
-        mod = np.abs(w[:, ~ok])
-        rows = np.flatnonzero(~ok)[mod.min(axis=0) * _GAP < mod.max(axis=0)]
-        if len(rows):
-            w[:, rows], ok[rows] = _newton_rows(
-                a[:, rows], _restart_small_roots(a[:, rows], w[:, rows]))
+        _restart_spread_rows(a, w, ok)
     return w, ok
 
 
@@ -324,6 +343,7 @@ def _companion_roots(monic):
 
 
 _UNSCALED = 2.0 ** 32   # monic coefficient size up to which a row is not scaled
+_FLIP_REL = 1e-8        # relative lead below which the reversed row is solved
 
 
 def _monic_rows(c):
@@ -366,13 +386,25 @@ def batch_roots(coeffs):
     with a NaN or infinite coefficient gets NaN roots.
 
     Degrees 1 and 2 use closed forms (``_quadratic_batch``).  From degree 3
-    on, zero roots are split off exactly, and the rows are made monic, in a
-    variable scaled by a power of 2 where their size calls for it
-    (``_monic_rows``).  Cubics and quartics are then solved by Cardano's and
+    on, zero roots are split off exactly.  A row whose leading coefficient
+    lies below 1e-8 of its largest one (_FLIP_REL) and below its constant
+    term is solved as the reversed row, and those roots are inverted: the
+    huge roots of a nearly vanishing lead become small ones, which the
+    solver keeps to full relative accuracy, where scaling the row to the
+    size of its huge root would flush its low coefficients to zero and lose
+    its small roots.  The reversed row's lead, the old constant term,
+    exceeds its constant term, the old lead, so it is never reversed back.
+    A root beyond the float range comes out as inf.  The rows are then made
+    monic, in a variable scaled by a power of 2 where their size calls for
+    it (``_monic_rows``).  Cubics and quartics are solved by Cardano's and
     Ferrari's formulas with a Newton polish, vectorised over the rows
     (``_closed_form_roots``).  The rows that polish does not accept, and
     every row of degree 5 and up, take the eigenvalues of their companion
-    matrices (``_companion_roots``).
+    matrices (``_companion_roots``).  The eigenvalues give a root far below
+    the others only to within rounding of the largest, often as 0, so
+    where they spread by more than _GAP in modulus the small ones restart
+    from the low-order truncation, as in ``_closed_form_roots``, and the
+    row keeps its Newton-polished roots when every residual passes.
     """
     c = np.asarray(coeffs, dtype=complex)
     n, m = c.shape[0], c.shape[1] - 1
@@ -398,6 +430,9 @@ def batch_roots(coeffs):
         if not zero.all():
             roots[~zero] = batch_roots(c[~zero])
         return roots
+    flip = np.abs(lead) < np.minimum(_FLIP_REL * np.abs(c).max(axis=1), np.abs(c[:, 0]))
+    if flip.any():
+        c = np.where(flip[:, None], c[:, ::-1], c)
     with np.errstate(all="ignore"):
         a, e = _monic_rows(c)
         if m <= 4:
@@ -406,6 +441,9 @@ def batch_roots(coeffs):
             w, ok = np.empty((m, n), dtype=complex), np.zeros(n, dtype=bool)
         if not ok.all():
             w[:, ~ok] = _companion_roots(a[:, ~ok].T).T
+            _restart_spread_rows(a, w, ok, vieta=False)
         if e is not None:
             w *= np.ldexp(1.0, e)
+        if flip.any():
+            w[:, flip] = 1.0 / w[:, flip]
     return w.T

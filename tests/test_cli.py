@@ -75,6 +75,37 @@ def test_non_finite_k_is_usage_error(argv, capsys):
     assert "k must be a finite number" in capsys.readouterr().err
 
 
+# m(1 + x + y), which the sign changes x -> -x, y -> -y keep
+SMYTH = 0.3230659472194505140936
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "-1-x-y"],
+    ["measure", "-1-x-y", "--tol", "1e-12", "--torus-check"],
+    ["measure", "--tol", "1e-12", "-1-x-y", "--torus-check"],
+    ["measure", "--torus-check", "-1-x-y", "--tol=1e-12"],
+    ["measure", "--", "-1-x-y"],
+    ["measure", "--k", "-1", "-1+k*x+k*y"],
+    ["measure", "-1+k*x+k*y", "--k=-1"],
+], ids=" ".join)
+def test_measure_expression_with_a_leading_minus(argv, capsys):
+    # argparse read -1-x-y as an unknown option and exited 2 with "the
+    # following arguments are required: poly" unless -- came first
+    assert main(argv[:1] + ["--format", "json"] + argv[1:]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs"]["poly"] in argv     # as given, with no space added
+    assert abs(report["outputs"][0]["value"] - SMYTH) <= report["outputs"][0]["err_est"]
+
+
+def test_measure_leading_minus_from_the_shell():
+    r = run_cli("measure", "-1+y-2*x*y+2*x^2+x^2*y")
+    assert r.returncode == 0 and "mahler_jensen" in r.stdout
+    r = run_cli("measure", "-h")
+    assert r.returncode == 0 and r.stdout.startswith("usage: mahler measure")
+    r = run_cli("measure", "-x-y-1", "--bogus")
+    assert r.returncode == 2 and "unrecognized arguments: --bogus" in r.stderr
+
+
 def test_parse_error_exit_code():
     r = run_cli("measure", "x+*y")
     assert r.returncode == 2

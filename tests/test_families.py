@@ -29,7 +29,7 @@ from mahler.lpoly import parse_poly
 from mahler.measure import (
     _coeff_table,
     _coeffs_grid,
-    _fiber_roots,
+    _solve_fibers,
     _unit_y_coeffs,
     mahler_jensen,
 )
@@ -452,7 +452,7 @@ def test_branch_roots_p_vieta():
     # 4 cos^2 - 1 vanishes); the original fiber does not, and both satisfy
     # |y1 y2| = 1
     cx = _unit_y_coeffs(family_poly("P", 5))[0]
-    y1, y2 = _fiber_roots(_coeffs_grid(_coeff_table(cx), np.array([math.pi / 3])))[0]
+    y1, y2 = _solve_fibers(_coeffs_grid(_coeff_table(cx), np.array([math.pi / 3])))[1][0]
     assert abs(abs(y1 * y2) - 1.0) < 1e-12
     y1, y2 = branch_roots("P", 5.0, 1.0)
     assert abs(abs(y1 * y2) - 1.0) < 1e-12

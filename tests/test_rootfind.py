@@ -165,17 +165,22 @@ def test_batch_roots_edge_contract(m, monkeypatch):
 def _mp_roots(row):
     """Roots of the ascending ``row`` by ``mpmath.polyroots`` at 50 digits,
     plus the decades its nonzero coefficients span, so that a root far
-    below the others is resolved too.  Exact zero roots are split off."""
+    below the others is resolved too.  Exact zero roots are split off.  A
+    row whose lead lies below 1e-100 of its largest coefficient has roots
+    beyond 1e100, which the iteration, started near the unit circle, does
+    not reach in its steps: its reversed row is solved and the roots are
+    inverted at the working precision."""
     zeros = next(j for j, c in enumerate(row) if c != 0)
     row = row[zeros:]
     mags = [abs(c) for c in row if c != 0]
     extra = int(math.log10(max(mags) / min(mags))) + 1
     if len(row) == 2:
-        roots = [-complex(row[0]) / complex(row[1])]
-    else:
-        with mpmath.workdps(50 + extra):
-            roots = mpmath.polyroots([mpmath.mpc(complex(c)) for c in reversed(row)],
-                                     maxsteps=500, extraprec=100)
+        return np.array([0j] * zeros + [-complex(row[0]) / complex(row[1])])
+    flip = abs(row[-1]) < 1e-100 * max(mags)
+    with mpmath.workdps(50 + extra):
+        roots = mpmath.polyroots([mpmath.mpc(complex(c)) for c in (row if flip else row[::-1])],
+                                 maxsteps=500, extraprec=100)
+        roots = [1 / r if flip else r for r in roots]
     return np.array([0j] * zeros + [complex(r) for r in roots])
 
 
@@ -194,14 +199,17 @@ def _rel_errors(mine, ref):
 
 def _condition(row, ref):
     """Relative condition number sum_j |c_j| |r|^j / (|r| |p'(r)|) of each
-    root r, at least 1, in the order of ``_rel_errors``."""
+    root r, at least 1, in the order of ``_rel_errors``.  For |r| > 1 both
+    sums are taken divided by r^m, which keeps them finite for a huge r."""
     ref = np.array(sorted(ref, key=abs))
     row = np.asarray(row)[:, None]
     j = np.arange(len(row))[:, None]
+    big = np.abs(ref) > 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = (np.abs(row) * np.abs(ref) ** j).sum(axis=0)
-        slope = np.abs((j[1:] * row[1:] * ref ** (j[1:] - 1)).sum(axis=0))
-        return np.maximum(np.nan_to_num(scale / (np.abs(ref) * slope), nan=1.0), 1.0)
+        powers = np.where(big, 1.0 / ref, ref) ** np.where(big, len(row) - 1 - j, j)
+        scale = (np.abs(row) * np.abs(powers)).sum(axis=0)
+        slope = np.abs((j * row * powers).sum(axis=0))      # |r p'(r)|, so divided
+        return np.maximum(np.nan_to_num(scale / slope, nan=1.0), 1.0)
 
 
 def _assert_accurate(rows, ulps=16):
@@ -298,6 +306,38 @@ def test_closed_form_tiny_and_zero_roots(row, monkeypatch):
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         batch_roots([row])
+    _assert_accurate([row])
+
+
+# (y - 1)(y - 2), (y - 1)(y - 2)(y - 3) and (y - 1)...(y - 4) with a lead
+# far below: the huge root of each takes its size from the lead, and the
+# small ones must survive it (a cubic keeps them down to a lead of about
+# 1e-150 when it is solved as it is)
+NEAR_VANISHING_LEADS = (
+    [[2.0, -3.0, 1.0, lead] for lead in (1e-160, -1e-200, 3e-250, 1e-300)]
+    + [low + [lead] for low in ([-6.0, 11.0, -6.0, 1.0], [24.0, -50.0, 35.0, -10.0, 1.0])
+       for lead in (1e-120, -1e-160, 1e-200, 3e-250, 1e-300)])
+
+
+@pytest.mark.parametrize("row", NEAR_VANISHING_LEADS, ids=str)
+def test_near_vanishing_lead_keeps_every_root(row):
+    # solved reversed, with its roots inverted: every root to the bound of
+    # the closed forms, with no warning
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        batch_roots([row])
+    _assert_accurate([row])
+
+
+@pytest.mark.parametrize("row", [
+    [1e-200, 1.0, -10.0, 35.0, -50.0, 24.0],            # one tiny root
+    [1e-300, 0.0, 1.0, -10.0, 35.0, -50.0, 24.0],       # two, +-1e-150 i
+    [3e-90, 1.0, -5.0, 2.0, 7.0, 1.0, -3.0],
+    [1e-30, 1.0 - 1.0j, 2.0, 0.5j, 1.0, 1.5],
+], ids=str)
+def test_eigenvalue_rows_restart_tiny_roots(row):
+    # the eigenvalues give a tiny root only to within rounding of the
+    # largest, often as 0; it restarts from the low-order truncation
     _assert_accurate([row])
 
 
