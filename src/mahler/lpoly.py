@@ -146,10 +146,6 @@ class LaurentPoly2:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
     def const(cls, c):
         return cls({(0, 0): c})
 

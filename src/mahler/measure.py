@@ -168,14 +168,6 @@ def _coeff_table(cx):
     return np.array(mags, dtype=float), table
 
 
-def _with_t_derivatives(coeff_table):
-    """``coeff_table`` with the t-derivatives of its columns appended: that
-    of c_m w^m is i m c_m w^m, and in w-form that of the x^{-m} side is
-    i m times its entries too."""
-    mags, table = coeff_table
-    return mags, np.concatenate([table, 1j * mags[:, None, None] * table], axis=2)
-
-
 def _coeffs_grid(coeff_table, thetas):
     """Fiber coefficients at x = e^{i theta} for an array of angles: entry
     (n, j) is the coefficient of y^j at x = e^{i thetas[n]}.
@@ -396,7 +388,8 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
     (``_edge_touches``) apply to the cells at the ends of the scan only, so
     a call without such a cell skips them and the distances to the edges.
     """
-    ext = _with_t_derivatives(coeff_table)
+    mags, table = coeff_table
+    ext = mags, np.concatenate([table, 1j * mags[:, None, None] * table], axis=2)
     n = len(a)
     mid = 0.5 * (a + b)
     width = b - a
@@ -452,9 +445,27 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
     delta = np.minimum(1e-6, 0.5 * np.minimum(ti - a[inside], b[inside] - ti))
     probe = np.concatenate([ti - delta, ti + delta])
     if len(ends):
-        touch, inner = _edge_touches(coeff_table, edge[ends], na[ends], nb[ends], t[ends],
-                                     phi[ends], y0[ends], converged[ends],
-                                     ratios[ends] >= 2, fold[ends], lo)
+        # a cell at an end of the scan needs no cut when a root touches the
+        # circle at that edge: the touching root counts outside on the
+        # cell's inner side only
+        at0 = edge[ends] == 0.0
+        inner = np.where(at0, nb[ends], na[ends])
+        outer = np.where(at0, na[ends], nb[ends])
+        # F(edge, 0) or F(edge, pi) vanishes for a real root y = +-1 there;
+        # rows are the edges 0 and pi, columns the roots 1 and -1
+        rows = _coeffs_grid(coeff_table, np.array([0.0, math.pi]))
+        alternating = (-1.0) ** np.arange(rows.shape[1])
+        at_pm1 = np.stack([rows.sum(axis=1), (rows * alternating).sum(axis=1)], axis=1)
+        real_root = np.abs(at_pm1) <= 1e-13 * np.abs(rows).sum(axis=1)[:, None]
+        with np.errstate(invalid="ignore"):     # phi of a lost iterate may be inf
+            nearer_minus_one = ~(np.cos(phi[ends]) > 0.0)
+        real_touch = real_root[np.where(at0, 0, 1), nearer_minus_one.astype(int)]
+        # converged on the edge, or halving towards it: a fold, or a root
+        # y = +-1 that touches the circle from outside
+        touch = ((converged[ends] & (np.abs(t[ends] - edge[ends]) <= 2.0 * lo))
+                 | ((ratios[ends] >= 2)
+                    & (fold[ends] | (real_touch & (np.abs(y0[ends]) > 1.0 + _BAND)))))
+        touch &= inner - outer == 1
         ends, inner = ends[touch], inner[touch]
         probe = np.concatenate([probe, mid[ends]])
     counts = _count_outside(coeff_table, probe) if len(probe) else probe
@@ -466,44 +477,6 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
     if len(ends):
         dropped[ends[counts[2 * k:] == inner]] = True
     return cuts, dropped
-
-
-def _edge_touches(coeff_table, edge, na, nb, t, phi, y0, converged, halving, fold, lo):
-    """The edge rules of ``_polish_cells`` for its cells at the ends of the
-    scan, given each cell's edge (0 or pi), end counts and polish state
-    (iterate, start root, whether it converged or was halving its distance
-    to the edge, whether it is a fold).  Returns the mask of the cells whose
-    crossing may sit on the edge, and the count each then needs at its
-    midpoint.
-
-    Where a root touches the circle at t = 0 or pi (|y(t)| is even there),
-    a cell needs no cut when its iteration reaches the edge, converging
-    there or halving its distance to it at each step as at a double
-    solution, the root followed accounts for the count change, and the
-    count at the midpoint is that of the cell's inner end, so no crossing
-    shares the cell's inner half.
-    """
-    # the count change an edge touch explains: a touching root counts
-    # outside on the cell's inner side only
-    inner = np.where(edge == 0.0, nb, na)
-    outer = np.where(edge == 0.0, na, nb)
-    # a real root y = +-1 on the circle at the edge, whose |y(t)| is even:
-    # F(edge, 0) or F(edge, pi) vanishes; rows are the edges 0 and pi,
-    # columns the roots 1 and -1
-    rows = _coeffs_grid(coeff_table, np.array([0.0, math.pi]))
-    alternating = (-1.0) ** np.arange(rows.shape[1])
-    at_pm1 = np.stack([rows.sum(axis=1), (rows * alternating).sum(axis=1)], axis=1)
-    real_root = np.abs(at_pm1) <= 1e-13 * np.abs(rows).sum(axis=1)[:, None]
-    with np.errstate(invalid="ignore"):     # phi of a lost iterate may be inf
-        nearer_minus_one = ~(np.cos(phi) > 0.0)
-    real_touch = real_root[np.where(edge == 0.0, 0, 1), nearer_minus_one.astype(int)]
-    # converged on the edge, which lies lo beyond the scan: a fold, or a
-    # pair e^{+-i phi} of which one root leaves the circle as the other
-    # enters; or halving towards the edge: a fold, or a root y = +-1 that
-    # touches the circle from outside
-    touch = ((converged & (np.abs(t - edge) <= 2.0 * lo))
-             | (halving & (fold | (real_touch & (np.abs(y0) > 1.0 + _BAND)))))
-    return touch & (inner - outer == 1), inner
 
 
 def _grid_counts(coeff_table, a, b, n):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,28 +70,6 @@ def _de_weight(t):
 _T_MAX = 6.11      # beyond this the node distance underflows anyway
 _MAX_LEVEL = 12
 _FIRST_LEVEL = 4   # _tanh_sinh_pieces evaluates levels 0.._FIRST_LEVEL in one call
-
-
-@functools.lru_cache(maxsize=None)
-def _level_nodes(level):
-    """Nodes of one tanh-sinh level as sequences (t, distance, weight).
-
-    Level 0 has step 1 and the nodes t = 0, 1, ..., 6; level L >= 1 has
-    step 2^-L and only its new nodes, the odd multiples of the step up to
-    _T_MAX.  The tables are built with ``_de_weight`` once per level.  They
-    are ``array('d')``, filled node by node, which keeps them several times
-    smaller than lists of floats (CHANGES.md, "Batched Jensen engine").
-    """
-    h = 0.5 ** level
-    j, step = (0, 1) if level == 0 else (1, 2)
-    ts, dists, ws = array("d"), array("d"), array("d")
-    while j * h <= _T_MAX:
-        dist, w = _de_weight(j * h)
-        ts.append(j * h)
-        dists.append(dist)
-        ws.append(w)
-        j += step
-    return ts, dists, ws
 
 
 def integrate(f, a, b, tol=1e-12):
@@ -143,16 +120,17 @@ def _block_tables(first, last):
     has no deepest node; the padding has distance 0.
     """
     levels = range(first, last + 1)
-    tables = [_level_nodes(level) for level in levels]
-    width = max(len(ts) + (level > 0) for level, (ts, _, _) in zip(levels, tables))
+    steps = [(0.5 ** level, range(int(_T_MAX) + 1) if level == 0
+              else range(1, int(_T_MAX * 2 ** level) + 1, 2)) for level in levels]
+    width = max(len(js) + (level > 0) for level, (_, js) in zip(levels, steps))
     sdist = np.zeros((len(levels), width, 2))
     w = np.full((len(levels), width, 2), -0.0)
     real = np.zeros((len(levels), width, 2), dtype=bool)
-    for i, (level, (_, dists, ws)) in enumerate(zip(levels, tables)):
-        lo = 1 if level else 0
-        slots = slice(lo, lo + len(dists))
-        sdist[i, slots] = np.frombuffer(dists)[:, None] * [1.0, -1.0]
-        w[i, slots] = np.frombuffer(ws)[:, None]
+    for i, (level, (h, js)) in enumerate(zip(levels, steps)):
+        nodes = np.fromiter((v for j in js for v in _de_weight(j * h)), float, 2 * len(js))
+        slots = slice(level > 0, (level > 0) + len(js))
+        sdist[i, slots] = nodes[0::2, None] * [1.0, -1.0]
+        w[i, slots] = nodes[1::2, None]
         real[i, slots] = True
     if first == 0:     # the center
         w[0, 0, 1] = -0.0

@@ -308,27 +308,6 @@ def _restart_spread_rows(a, w, ok, vieta=True):
     ok[rows[good]] = True
 
 
-def _closed_form_roots(a):
-    """Roots of the monic cubics or quartics w^m + a[m-1] w^(m-1) + ... +
-    a[0] (``a`` of shape (m, n), m = 3 or 4) by Cardano's or Ferrari's
-    formula and ``_newton_rows``; returns the (m, n) roots and a mask of
-    the rows they are accepted for.
-
-    The formulas give each root to within a few ulps of the largest root
-    modulus, so a root many orders of magnitude below the others comes out
-    as rounding noise, which a Newton step reduces only by a factor eps,
-    and its row fails; so do the small roots of a quartic with one huge
-    root, which Ferrari's shift by -a3/4 swamps.  Where the roots of such
-    a row spread by more than _GAP in modulus, the small ones restart from
-    the low-order truncation, whose roots are theirs to first order in the
-    modulus ratio (-a0/a1 for one tiny root, a quadratic for two, a cubic
-    for three), and the row is polished again."""
-    w, ok = _newton_rows(a, _cubic_rows(*a) if len(a) == 3 else _quartic_rows(*a))
-    if not ok.all():
-        _restart_spread_rows(a, w, ok)
-    return w, ok
-
-
 def _companion_roots(monic):
     """Roots of the monic rows z^m + monic[:, m-1] z^(m-1) + ... +
     monic[:, 0], as the eigenvalues of their stacked companion matrices in
@@ -436,7 +415,9 @@ def batch_roots(coeffs):
     with np.errstate(all="ignore"):
         a, e = _monic_rows(c)
         if m <= 4:
-            w, ok = _closed_form_roots(a)
+            w, ok = _newton_rows(a, _cubic_rows(*a) if m == 3 else _quartic_rows(*a))
+            if not ok.all():
+                _restart_spread_rows(a, w, ok)
         else:
             w, ok = np.empty((m, n), dtype=complex), np.zeros(n, dtype=bool)
         if not ok.all():

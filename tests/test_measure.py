@@ -33,15 +33,15 @@ from mahler.measure import (
     _torus_row_means,
     _torus_terms,
     _unit_y_coeffs,
-    _with_t_derivatives,
     MeasureResult,
     mahler_1var,
     mahler_jensen,
     mahler_torus2,
 )
 from mahler.families import family_poly, p_measure, q_measure, r_measure, wt_family_poly
-from mahler.quad import _EPS, _level_nodes, integrate_torus2
+from mahler.quad import _EPS, integrate_torus2
 from mahler.rootfind import batch_roots, poly_roots
+from test_quad import level_nodes
 from torus_rows import row_means, torus2_reference
 
 SMYTH = 0.3230659472194505     # m(x+y-1) = L'(chi_-3, -1)
@@ -73,6 +73,13 @@ def _y_coeff_polys(P):
     ``_unit_y_coeffs``, divided by a power of 2)."""
     ycof = P.y_coefficients()
     return [ycof.get(j, {}) for j in range(min(ycof), max(ycof) + 1)]
+
+
+def _ext_table(coeff_table):
+    """The coefficient table with the t-derivatives of its columns appended,
+    as ``_polish_cells`` builds it: that of c_m w^m is i m c_m w^m."""
+    mags, table = coeff_table
+    return mags, np.concatenate([table, 1j * mags[:, None, None] * table], axis=2)
 
 
 def _scan_grid(n_scan=1024):
@@ -736,7 +743,7 @@ def test_coefficients_match_pointwise(name):
     assert np.abs(rows - pointwise).max() < 1e-13
     # i m times the w-form table on both sides is d/dt of each coefficient,
     # the x^{-m} side included, whose entries are stored conjugated
-    ext = _coeffs_grid(_with_t_derivatives(table), grid)
+    ext = _coeffs_grid(_ext_table(table), grid)
     d_pointwise = np.array([[sum(1j * i * c * cmath.exp(1j * i * t) for i, c in cm.items())
                              for cm in cx] for t in grid])
     assert np.array_equal(ext[:, :len(cx)], rows)
@@ -877,7 +884,7 @@ def _nodes_next_to_cuts(edges, levels=4):
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
         for level in range(levels):
-            for dist in _level_nodes(level)[1]:
+            for _, dist, _ in level_nodes(level):
                 xs += [x for x in (lo + dist * half, hi - dist * half) if lo < x < hi]
     return np.array(xs)
 
@@ -1067,7 +1074,7 @@ def test_fold_free_newton_step_is_the_full_step_at_w_zero():
     for u, v in zip(free, full):
         assert np.array_equal(u, v, equal_nan=True)
     # and the fold-free terms are the full terms without the second derivatives
-    ext = _with_t_derivatives(_coeff_table(_y_coeff_polys(family_poly("R", 3))))
+    ext = _ext_table(_coeff_table(_y_coeff_polys(family_poly("R", 3))))
     t, phi = rng.uniform(0.0, math.pi, 16), rng.uniform(-math.pi, math.pi, 16)
     terms = _torus_terms(ext, t, phi, True)
     assert len(terms) == 5
@@ -1272,7 +1279,7 @@ def _polish_reference(coeff_table, a, b, na, nb, lo, hi):
     """``_polish_cells`` as it was when every call ran the edge rules on
     every cell, with the rows at t = 0 and pi in its start call: the
     reference whose cuts and dropped mask it must reproduce bit for bit."""
-    ext = _with_t_derivatives(coeff_table)
+    ext = _ext_table(coeff_table)
     n = len(a)
     mid = 0.5 * (a + b)
     width = b - a

@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 from mahler.errors import QuadratureError
-from mahler.quad import (_EPS, _FIRST_LEVEL, _MAX_LEVEL, QuadResult, _de_weight,
-                         _level_nodes, _tanh_sinh_pieces, integrate, integrate_torus2)
+from mahler.quad import (_EPS, _FIRST_LEVEL, _MAX_LEVEL, QuadResult, _block_tables,
+                         _de_weight, _tanh_sinh_pieces, integrate, integrate_torus2)
 from torus_rows import row_means, torus2_reference
+
+
+def level_nodes(level):
+    """The nodes (t, distance, weight) of one tanh-sinh level, from
+    ``_de_weight``: t = 0, 1, ..., 6 on level 0, and the odd multiples of
+    2^-level up to 6.11 on a later level."""
+    h = 0.5 ** level
+    first, step = (0, 1) if level == 0 else (1, 2)
+    return [(j * h, *_de_weight(j * h)) for j in range(first, int(6.11 / h) + 1, step)]
 
 
 def _integrate_reference(f, a, b, tol):
@@ -53,7 +62,7 @@ def _integrate_reference(f, a, b, tol):
     for level in range(_MAX_LEVEL + 1):
         h = 0.5 ** level
         add = 0.0
-        for node in zip(*_level_nodes(level)):
+        for node in level_nodes(level):
             add += node_pair(*node)
         if level == 0:
             value = add * h * half
@@ -315,14 +324,30 @@ def test_torus2_non_finite_integrand_raises(bad):
         integrate_torus2(row_means(g))
 
 
-def test_level_nodes_match_de_weight():
-    for level in range(13):
-        ts, dists, ws = _level_nodes(level)
-        h = 0.5 ** level
-        first, step = (0, 1) if level == 0 else (1, 2)
-        assert list(ts) == [j * h for j in range(first, int(6.11 / h) + 1, step)]
-        for t, dist, w in zip(ts, dists, ws):
-            assert (dist, w) == _de_weight(t)
+def test_block_tables_match_de_weight():
+    for level in range(_MAX_LEVEL + 1):
+        nodes = level_nodes(level)
+        sdist, w, real, hs = _block_tables(level, level)
+        assert hs.tolist() == [0.5 ** level]
+        assert sdist.shape == (1, len(nodes) + (level > 0), 2)
+        # slot 0 holds level 0's center, on the left side only, and no node
+        if level == 0:
+            assert w[0, 0, 0] == nodes[0][2] and not real[0, 0].any()
+            nodes = nodes[1:]
+        assert sdist[0, 1:, 0].tolist() == [d for _, d, _ in nodes]
+        assert sdist[0, 1:, 1].tolist() == [-d for _, d, _ in nodes]
+        assert w[0, 1:, 0].tolist() == w[0, 1:, 1].tolist() == [w for _, _, w in nodes]
+        assert real[0, 1:].all()
+        assert sdist[0, 0].tolist() == [math.inf, math.inf]
+        assert w[0, 0, 1] == 0.0 and math.copysign(1.0, w[0, 0, 1]) == -1.0
+    # a block of levels is the single levels, padded to the longest
+    sdist, w, real, _ = _block_tables(0, _FIRST_LEVEL)
+    for level in range(_FIRST_LEVEL + 1):
+        one = _block_tables(level, level)
+        cols = one[0].shape[1]
+        assert np.array_equal(sdist[level, :cols], one[0][0])
+        assert np.array_equal(w[level, :cols], one[1][0])
+        assert not real[level, cols:].any() and (w[level, cols:] == 0.0).all()
 
 
 def _log_spike(x):
@@ -348,9 +373,8 @@ def _node_counts(lo, hi):
     half = 0.5 * (hi - lo)
     counts = []
     for level in range(_MAX_LEVEL + 1):
-        ts, dists, _ = _level_nodes(level)
         counts.append(sum((lo + d * half != lo) + (hi - d * half != hi) if t else 1
-                          for t, d in zip(ts, dists)))
+                          for t, d, _ in level_nodes(level)))
     return counts
 
 
@@ -432,8 +456,7 @@ def test_pieces_rule_ignores_unreached_first_pass_nodes(edges):
 def _first_node(lo, hi, level, side):
     """The abscissa of the node t = 2^-level of (lo, hi) on the left (0) or
     right (1) side."""
-    _, dists, _ = _level_nodes(level)
-    d = dists[1 if level == 0 else 0] * (0.5 * (hi - lo))
+    d = level_nodes(level)[1 if level == 0 else 0][1] * (0.5 * (hi - lo))
     return lo + d if side == 0 else hi - d
 
 
