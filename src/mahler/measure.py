@@ -248,7 +248,51 @@ def _solve_1var(coeffs):
     exact = (float(_PI * 2 * (q + j) / g) for q in turns for j in range(g) if 0 < q + j < g / 2)
     rounded = (t for phi in phases for t in ((phi + 2.0 * math.pi * j) / g for j in range(g))
                if 1e-12 <= t <= math.pi - 1e-12)
-    return total, itertools.chain(exact, rounded)
+    return total, itertools.chain(exact, rounded), (c, roots)
+
+
+def _cofactor_error(c, roots):
+    """A bound on the error of log|c_D| + sum_i log+|z_i|, as ``_solve_1var``
+    sums it, from the computed roots z_i of the polynomial ``c`` of degree D
+    (ascending coefficients).
+
+    The disk |z - z_i| <= r_i, with the Braess-Hadeler radius
+    r_i = D (|c(z_i)| + 4 (D + 1) eps sum_j |c_j| |z_i|^j) / |c_D prod_{j != i} (z_i - z_j)|,
+    holds a true root; the second term bounds the rounding of c(z_i) and of
+    the coefficients.  So log+ of that root differs from log+|z_i| by at
+    most r_i / max(1, |z_i| - r_i); a root that the unit clamp counts as
+    on the circle adds its log|z_i| more, and the sum its rounding.  c(z_i)
+    is evaluated as z_i^D times the reversed polynomial at 1/z_i outside the
+    circle, in logarithms, so it does not overflow.  The pairing of roots
+    and disks needs disjoint disks: for a cluster of m close roots the
+    radii grow like eps^(1/m) and the bound is then of the error's size but
+    not proved."""
+    D = len(c) - 1
+    if D < 1:
+        return 0.0
+    c = np.asarray(c, dtype=complex)
+    z = np.asarray(roots, dtype=complex)
+    mod = np.abs(z)
+    out = mod > 1.0
+    w = np.where(out, 1.0 / z, z)
+    aw = np.abs(w)
+    p = np.zeros(D, dtype=complex)
+    scale = np.zeros(D)
+    for k in range(D, -1, -1):
+        coef = np.where(out, c[D - k], c[k])
+        p = p * w + coef
+        scale = scale * aw + np.abs(coef)
+    diff = np.abs(z[:, None] - z)
+    np.fill_diagonal(diff, 1.0)
+    with np.errstate(all="ignore"):
+        log_r = (math.log(D) + np.log(np.abs(p) + 4.0 * (D + 1) * _EPS * scale)
+                 + np.where(out, D * np.log(mod), 0.0)
+                 - math.log(abs(c[-1])) - np.log(diff).sum(axis=1))
+        r = np.exp(log_r)
+        logplus = np.where(out, np.log(mod), 0.0)
+        clamped = np.where(np.abs(mod - 1.0) <= _UNIT_CLAMP, logplus, 0.0)
+        err = (r / np.maximum(1.0, mod - r)).sum() + clamped.sum()
+    return float(err + (D + 2) * _EPS * (abs(math.log(abs(c[-1]))) + logplus.sum()))
 
 
 def mahler_1var(coeffs):
@@ -570,9 +614,12 @@ def mahler_jensen(P, tol=1e-10):
         raise ValueError("tol must be positive")
     d = len(cx) - 1
     if d == 0:
-        return MeasureResult(log_scale + _solve_1var(cx[0])[0], 1e-15, "jensen_1d")
+        value, _, (c, roots) = _solve_1var(cx[0])
+        value += log_scale
+        err = _cofactor_error(c, roots) + 2.0 * _EPS * (abs(log_scale) + abs(value))
+        return MeasureResult(value, err, "jensen_1d")
 
-    lead_measure, degen = _solve_1var(cx[d])
+    lead_measure, degen, _ = _solve_1var(cx[d])
     degen = list(itertools.islice(degen, _LEAD_ZERO_CUTS + 1))
     if len(degen) > _LEAD_ZERO_CUTS:
         raise QuadratureError(f"the leading coefficient has more than {_LEAD_ZERO_CUTS} "

@@ -4,7 +4,7 @@
 references: p(k) for P_k, and for Q_{k+2} at k >= 4 (Theorem 1), and r(k)
 for R_k.  Each family member goes through ``mahler_jensen`` at tol 1e-10
 and 1e-13 in its raw form, in its reduced form (``wt_family_poly``), and for
-P also with x and y swapped; R is symmetric in x and y.  Every value must
+P and Q also with x and y swapped; R is symmetric in x and y.  Every value must
 lie within its ``err_est`` plus the reference's ``err_est`` of the
 reference, up to 4 eps |m| of rounding, except for the known misses, each
 listed with the ROADMAP item that owns it.  A case that is mended must
@@ -40,6 +40,9 @@ KNOWN_MISSES = {
     **_misses("1", ["R raw", "R reduced"], ["T-1e-6"]),
     **_misses("1", ["R raw", "R reduced"], ["T-1e-5"], [1e-10]),
     **_misses("1", ["R reduced"], ["T-1e-5"], [1e-13]),
+    # Q_6 swapped, whose fibers meet the singular torus point (-1, 1) of
+    # every Q_s: off by 4.4e-12 and 4.7e-12
+    **_misses("17", ["Q swapped"], ["4"]),
 }
 
 
@@ -54,8 +57,10 @@ def _cases():
                  ("R raw", families.family_poly("R", k), r_ref),
                  ("R reduced", families.wt_family_poly("R", k), r_ref)]
         if k >= 4.0:
-            forms += [("Q raw", families.family_poly("Q", k + 2.0), p_ref),
-                      ("Q reduced", families.wt_family_poly("Q", k + 2.0), p_ref)]
+            Q = families.family_poly("Q", k + 2.0)
+            forms += [("Q raw", Q, p_ref),
+                      ("Q reduced", families.wt_family_poly("Q", k + 2.0), p_ref),
+                      ("Q swapped", monomial_transform(Q, ((0, 1), (1, 0))), p_ref)]
         for form, poly, ref in forms:
             yield f"{form} k={label}", poly, ref
 
@@ -71,5 +76,5 @@ def test_family_corpus_within_err_est():
             bound = res.err_est + ref.err_est + 4.0 * sys.float_info.epsilon * abs(res.value)
             if not error <= bound:
                 misses[f"{name} tol={tol:g}"] = (error, res.err_est)
-    assert count == 152
+    assert count == 158
     assert set(misses) == set(KNOWN_MISSES), misses

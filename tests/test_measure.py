@@ -197,6 +197,14 @@ def test_lacunary_one_variable_polynomial(n, c, value):
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("n", [20, 100, 300])
+def test_one_variable_err_est_bounds_a_dense_lacunary_product(n):
+    # (x^n + 2)(x + 3) has exponent gcd 1, so it is solved at degree n + 1:
+    # off by 3.1e-15, 3.8e-13 and 8.4e-13, where err_est read 1e-15
+    res = mahler_jensen(parse_poly(f"x^{n + 1}+3*x^{n}+2*x+6"))
+    assert abs(res.value - math.log(6.0)) <= res.err_est <= 1e-8
+
+
 def test_lacunary_exponents_divide_by_their_gcd():
     # 2 + x^g + 3 x^(2g) measures as 3 x^2 + x + 2, whose roots lie inside
     assert mahler_1var({5: 2, 5 + 10**8: 1, 5 + 2 * 10**8: 3}) == mahler_1var({0: 2, 1: 1, 2: 3})
@@ -289,7 +297,7 @@ def test_repeated_cyclotomic_factors_measure_exactly(coeffs, value):
 def test_cyclotomic_lead_gives_correctly_rounded_cuts(coeffs, turns, measure_of):
     # the angles 2 pi j / n of the stripped factors come out correctly
     # rounded, and the cofactor adds its measure
-    value, angles = _solve_1var(coeffs)
+    value, angles, _ = _solve_1var(coeffs)
     with mpmath.workdps(40):
         exact = sorted(float(2 * mpmath.pi * j / n) for j, n in turns)
     assert sorted(angles) == exact
@@ -702,9 +710,10 @@ def _scalar_count_outside(cx, theta):
     return sum(1 for r in _scalar_moduli(cx, theta) if r > 1.0 + _BAND)
 
 
-def _narrow_arc_poly():
-    # y - 1.0001 ((1+x^3)/2)^200: 201 x-exponents, more than one block
-    terms = {(0, 1): 1.0}
+def _narrow_arc_poly(eps=0.0):
+    # y - 1.0001 ((1+x^3)/2)^200 - eps x^2: 201 x-exponents, more than one
+    # block, and with eps their gcd is 1
+    terms = {(0, 1): 1.0, (2, 0): -eps}
     for j in range(201):
         terms[(3 * j, 0)] = -1.0001 * math.comb(200, j) / 2.0 ** 200
     return LaurentPoly2(terms)
@@ -749,6 +758,26 @@ def test_coefficients_match_pointwise(name):
     assert np.array_equal(ext[:, :len(cx)], rows)
     scale = max(abs(i) for cm in cx for i in cm)
     assert np.abs(ext[:, len(cx):] - d_pointwise).max() < 1e-13 * scale
+
+
+# 30-digit mpmath values for _narrow_arc_poly(1e-5), where |y| > 1 on two
+# arcs in (0, pi): (0, 6.985e-4) and the 1.3e-3 wide arc about 2 pi/3.  Each
+# is (1/pi) times the integral of log|y| over its arc, whose ends findroot
+# takes from those of the closed form at eps = 0, (2/3) acos(1.0001^(-1/200))
+# from 0 and from 2 pi/3.
+NARROW_ARC_AT_0 = 1.630406132704181649227447e-8
+NARROW_ARC_AT_2PI_3 = 2.621291603054531732141466e-8
+
+
+def test_narrow_arc_probe_that_no_lattice_reduction_widens():
+    # a known miss, owned by ROADMAP item 1: the arc about 2 pi/3 lies inside
+    # one scan cell, so it gets no cuts and the rule never sees it, and
+    # err_est does not either.  The arc at 0 touches the edge of the scan
+    # and is found.  Once the arc about 2 pi/3 is found, the value must
+    # lie within err_est of the sum of both arcs.
+    res = mahler_jensen(_narrow_arc_poly(1e-5), tol=1e-10)
+    assert abs(res.value - NARROW_ARC_AT_0) <= res.err_est
+    assert abs(res.value - (NARROW_ARC_AT_0 + NARROW_ARC_AT_2PI_3)) > 1e4 * res.err_est
 
 
 def test_narrow_arc_scan_memory_bounded():
