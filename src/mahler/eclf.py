@@ -1,30 +1,18 @@
 """Elliptic-curve L-functions at desk scale.
 
-Every a_p comes from a point count over F_p: at a good prime on the
+Every a_p is a point count over F_p: at a good prime on the
 completed-square model, and at a prime q of the conductor on the reduced
-curve with its singular point counted, a_q = q + 1 - #E~(F_q), which is
--1, 0 or 1 on a model that is minimal at q.  The root number is the sign
-that makes the incomplete-gamma-smoothed series for the completed
-L-function independent of its free cutoff parameter theta; the residual
-of that theta-consistency probe certifies the whole local data, and a
-model that is not minimal at a bad prime fails it.
-
-With Lambda(s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s) = eps Lambda(2-s), the
-smoothed series reads
+curve with its singular point counted, a_q = q + 1 - #E~(F_q).  With
+Lambda(s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s) = eps Lambda(2-s), the
+incomplete-gamma-smoothed series
 
   Lambda(s) = sum_n a_n [ n^{-s} N^{s/2} (2pi)^{-s} Gamma(s, 2 pi n theta/sqrt N)
             + eps n^{s-2} N^{(2-s)/2} (2pi)^{s-2} Gamma(2-s, 2 pi n/(theta sqrt N)) ]
 
-for every theta > 0.  The probe uses s = 1 and s = 2, where the orders s
-and 2 - s are 0, 1 or 2 and the incomplete gammas have closed forms:
-Gamma(1, x) = e^{-x}, Gamma(2, x) = (1+x) e^{-x} and Gamma(0, x) = E_1(x).
-Other orders, which only Lambda(s) at other s needs, use the standard
-series / continued-fraction pair.  The series is linear in a_n and its
-incomplete-gamma weights depend only on (N, s, theta, M).
-
-The derivative at 0 needs no extra machinery: Lambda is entire and Gamma has
-a simple pole at 0, so L(E, 0) = 0 and L'(E, 0) = Lambda(0) = eps Lambda(2) =
-eps N L(E, 2) / (4 pi^2).
+holds for every theta > 0.  The root number eps is the sign that makes it
+independent of theta at s = 1 and 2, where the incomplete gammas have
+closed forms, and that probe's residual certifies the whole local data.
+Since Gamma has a simple pole at 0, L'(E, 0) = Lambda(0) = eps Lambda(2).
 """
 
 from __future__ import annotations
@@ -124,13 +112,9 @@ def _is_prime(n):
 def _legendre_ap(curve, p):
     """p + 1 - #E~(F_p) on the given model at an odd prime p < 2^20, good or
     bad, by summing Legendre symbols of the completed-square cubic
-    (2y + a1 x + a3)^2 = g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 over x mod p.
-    At a bad prime the singular point is one of the counted points.
-
-    With the b's reduced mod p first, g(x) < 5 p^3 (below 5e9 for p <= 1000),
-    so it is evaluated in int64 and reduced once, for p < 2^20; so are the
-    squares x^2.  With z zeros of g and r values of g that are squares (zero
-    included), the symbol sum is (r - z) - (p - r), and a_p is its negative."""
+    g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 over x mod p; the singular point of
+    a bad prime is counted.  g(x) < 5 p^3 with the b's reduced mod p, so
+    int64 holds it."""
     b2, b4, b6, _ = curve.b_invariants()
     x = np.arange(p, dtype=np.int64)
     g = (((4 * x + b2 % p) * x + (2 * b4) % p) * x + b6 % p) % p
@@ -200,12 +184,10 @@ def _local_data(curve, N, p_max):
 
 
 def _an_list(good_ap, bad_ap, M):
-    """Coefficients a_1..a_M (index 0 unused) in one pass over n.  At a
-    prime p the powers follow the Hecke recurrence
-    a_{p^{r+1}} = a_p a_{p^r} - c a_{p^{r-1}}, with c = p at a good prime and
-    c = 0 at a bad one (a_{q^r} = a_q^r, a_q in {-1, 0, 1}); every other a_n
-    is a_{p^e} a_{n/p^e} for its smallest prime p, from a sieve.  Every a_n
-    is an integer far below 2^53, so the products are exact."""
+    """Coefficients a_1..a_M (index 0 unused): at a prime power by the Hecke
+    recurrence a_{p^{r+1}} = a_p a_{p^r} - c a_{p^{r-1}}, c = p at a good
+    prime and 0 at a bad one, and multiplicatively otherwise.  Raises
+    ValueError for a bad a_q outside {-1, 0, 1}."""
     for q, aq in bad_ap.items():
         if aq not in (-1, 0, 1):
             raise ValueError(f"a_{q} = {aq} at a bad prime; need -1, 0 or 1")
@@ -354,13 +336,7 @@ def _upper_gamma_row(s, x):
 
 def _smoothing_weights(N, s, theta, M):
     """Weights (A, B) over n = 1..M of the smoothed series at (s, theta):
-    Lambda_theta(s) = A . a + eps B . a.  They depend on neither the root
-    number nor the a_n, so one build serves both signs.
-
-    A needs Gamma(s, .) and B needs Gamma(2 - s, .); at s = 1 both are e^{-x},
-    and at s = 2 they are (1+x) e^{-x} and E_1, so the probes of
-    ``resolve_bad_data`` and Lambda(2) need no general-order incomplete
-    gamma (see ``_upper_gamma_row``)."""
+    Lambda_theta(s) = A . a + eps B . a, for either root number eps."""
     rtn = math.sqrt(N)
     two_pi = 2.0 * math.pi
     fac1 = N ** (0.5 * s) * two_pi ** (-s)
@@ -411,19 +387,14 @@ def lambda_completed(data, s, tol=1e-11):
 
 def resolve_bad_data(curve, N=None):
     """The a_p, the bad a_q and the root number of ``curve`` at the conductor
-    N (default ``curve.conductor``), an integer >= 1.
+    N (default ``curve.conductor``), an integer >= 1, as CurveLData.
 
-    Every a_p is a point count on the given model (``_local_data``), at each
-    prime up to ``_P_MAX`` and each prime of N; a prime of N that does not
-    divide the discriminant, or the reverse below ``_P_MAX``, raises
-    ``ResolutionError``.  The root number is the sign that makes the
-    smoothed Lambda(s) independent of the cutoff theta, probed at s in
-    {1, 2}, where the incomplete gammas have closed forms, with theta 1 and
-    5/4.  The probe's residual certifies the whole local data; above
-    ``_RESOLVE_THRESHOLD`` it raises ``ResolutionError``.  The model must be
-    minimal at the bad primes, as Cremona's models are: where it is not,
-    the counted a_q is not the local factor of L(E, s), and the certificate
-    fails."""
+    The a_p are point counts on the given model up to ``_P_MAX`` and at the
+    primes of N.  Raises ResolutionError where a prime of N does not divide
+    the discriminant, or the reverse below ``_P_MAX``, or where the
+    theta-consistency residual exceeds ``_RESOLVE_THRESHOLD``, as it does
+    on a model that is not minimal at a bad prime; ValueError for a missing
+    or non-integer conductor."""
     if N is None:
         N = curve.conductor
     if N is None:

@@ -1,17 +1,11 @@
 """Elliptic integrals of cubics and quartics under a square root.
 
 Every period in the package is one call of `period_integral`, Carlson's
-DLMF 19.29.4: the integral of 1/sqrt(f1 f2 f3 f4) over an interval, for
-linear factors f_i (real, or with one complex-conjugate pair; a cubic takes
-1 as f4), is 2 R_F(U12^2, U13^2, U14^2), built from the factor values at the
-two ends.  Complete and incomplete periods are the same formula.  Callers
-pass factor values in closed form, so that no gap between two nearby roots
-is formed by cancellation.
-
-The module also hosts the cubic -(v+12)(v^2+k^2 v-4k^2) behind dp/dk and
-dq/dk: its roots, its period, the Moebius involution that swaps its two
-period intervals, and the Landen-type identity equating a quartic period to
-a cubic one, checked through four substitution forms.
+DLMF 19.29.4, from factor values that the callers give in closed form, so
+no gap between two nearby roots is formed by cancellation.  The module also
+holds the cubic -(v+12)(v^2+k^2 v-4k^2) behind dp/dk and dq/dk, its
+Moebius involution, and the Landen-type identity between a quartic period
+and a cubic one.
 """
 
 from __future__ import annotations
@@ -36,15 +30,10 @@ def carlson_rf(x, y, z):
     """Carlson symmetric integral R_F(x, y, z) of three nonnegative reals, or
     of one nonnegative real and a complex-conjugate pair; at most one zero.
 
-    Duplication iteration: replacing each argument by (arg + lambda)/4 with
-    lambda = sqrt(x y) + sqrt(y z) + sqrt(z x) quarters the spread; a fifth
-    order Taylor expansion at the common limit finishes to ~1e-15 relative.
-    The iteration runs in complex arithmetic with principal square roots,
-    which keeps a conjugate pair conjugate, and returns the real part.  Each
-    new argument is formed as the product x + lambda = (sqrt x + sqrt y)
-    (sqrt x + sqrt z), whose sums of principal roots do not cancel, while
-    the sum x + lambda does for a pair next to the negative real axis (the
-    c-form of `landen_check` just above k = 3 has one).
+    The duplication iteration runs in complex arithmetic, forming each new
+    argument as the product (sqrt x + sqrt y)(sqrt x + sqrt z), which does
+    not cancel next to the negative real axis, and a fifth-order Taylor
+    step at the common limit finishes to about 1e-15 relative.
     """
     x, y, z = complex(x), complex(y), complex(z)
     if any(v.imag == 0 and v.real < 0 for v in (x, y, z)):
@@ -70,16 +59,13 @@ def carlson_rf(x, y, z):
 
 def period_integral(width, lower, upper):
     """int dt / sqrt(f1 f2 f3 f4) over an interval of length ``width``, from
-    the values of the four linear factors at its lower and upper ends: by
-    DLMF 19.29.4 it is 2 R_F(U12^2, U13^2, U14^2), U1j = (X1 Xj Yk Yl +
-    Y1 Yj Xk Xl) / width for {j, k, l} = {2, 3, 4}, with X_i and Y_i the
-    square roots of f_i at the upper and the lower end.  The factors are
-    nonnegative on the interval, or f3, f4 a complex-conjugate pair (up to
-    a positive factor, as R_F is homogeneous); a cubic
-    takes f4 = 1.  A root at an end is a zero value, so complete and
-    incomplete periods are one formula.  The U are scaled to modulus <= 1
-    before squaring (R_F is homogeneous of degree -1/2).  ValueError for a
-    negative real factor value or a width that is not positive."""
+    the values of the four linear factors at its lower and upper ends, by
+    DLMF 19.29.4: 2 R_F(U12^2, U13^2, U14^2), U1j = (X1 Xj Yk Yl +
+    Y1 Yj Xk Xl) / width, X_i and Y_i the square roots of f_i at the upper
+    and lower end.  The factors are nonnegative on the interval, or f3, f4
+    a conjugate pair; a cubic takes f4 = 1, and a root at an end is a zero
+    value.  Raises ValueError for a negative real factor value or a width
+    that is not positive."""
     if not width > 0:
         raise ValueError("the interval width must be positive")
     roots = []
@@ -160,27 +146,18 @@ class LandenResult:
 
 
 def landen_check(k):
-    """Evaluate all four parametrisations of the Landen-type period identity
-    and report the largest pairwise gap relative to the cubic period, or
-    inf if a form is not finite.
+    """The four forms of the Landen-type period identity and their largest
+    pairwise gap relative to the cubic period, inf if a form is not finite:
 
-    chain: c-integral int_0^1 dc/sqrt(c(1-c)(64c^2-48c+k^2))
+        c-integral int_0^1 dc/sqrt(c(1-c)(64c^2-48c+k^2))
         -> t-integral sqrt(2) int_{-1}^1 dt/sqrt((1-t^2)(A+B t^2))
         -> u-integral sqrt(2) int_0^1 du/sqrt(u(1-u)(A+B u))
-        -> v-integral int dv/sqrt(-(v+12)(v^2+k^2v-4k^2)) between -12 (or the
-           lower quadratic root) and the positive root,
+        -> v-integral int dv/sqrt(-(v+12)(v^2+k^2v-4k^2)) (``_pq_period``),
 
-    with A = k^2-24+k sqrt(k^2+16), B = 24-k^2+k sqrt(k^2+16).  For k < 3
-    the radicands change sign inside the intervals; only the regions where
-    they are nonnegative contribute (real-part convention), and the
-    substitutions map those regions onto each other.  Each form is one or
-    two `period_integral` calls on factor values in closed form, so no gap
-    cancels: with s = sqrt(k^2+16), B = 24 + 16k/(s+k), A = 64(k-3)(k+3)/B,
-    and 64c^2-48c+k^2 = 64(c-c_a)(c-c_b) with c_b = (3+sqrt(9-k^2))/8 and
-    c_a = k^2/(64 c_b), a conjugate pair above k = 3.  The t-integral is
-    even and taken over t >= 0 doubled; the v-integral is `_pq_period`.
-    At k = 3 the identity degenerates and RegimeBoundaryError is raised; a
-    k that is not positive and finite (NaN included) raises ValueError."""
+    A = k^2-24+k sqrt(k^2+16), B = 24-k^2+k sqrt(k^2+16).  For k < 3 only
+    the regions where the radicands are nonnegative contribute.  Raises
+    RegimeBoundaryError at k = 3, where the identity degenerates, and
+    ValueError for a k that is not positive and finite."""
     if not 0.0 < k < math.inf:
         raise ValueError("k must be positive and finite")
     if abs(k - 3.0) < 1e-12:

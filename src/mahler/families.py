@@ -1,35 +1,22 @@
-"""The three parametric families and their closed-form integral machinery.
+"""The three parametric families and their closed-form measures and
+derivatives.
 
     P_k = (x^2+x+1) y^2 + k x(x+1) y + x (x^2+x+1)
     Q_s = (x^2+x+1) y^2 + (x^4+s x^3+(2s-4) x^2+s x+1) y + x^2 (x^2+x+1)
     R_k = y^3 - y + x^3 - x + k x y
 
-Substituting x -> x^2, y -> xy (and dividing by x^4) turns P_k into a
-Laurent polynomial quadratic in y with real fiber coefficients; Q and R have
-analogous reductions.  On the reduced forms Jensen's formula collapses the
-torus average to one-dimensional integrals with explicit piecewise structure
-in the parameter:
+Monomial substitutions (``wt_family_poly``) make each fiber quadratic in y
+with real coefficients, and Jensen's formula turns m into a one-dimensional
+integral whose kinks are closed-form in k: c_pm(k) = (8+k^2 +- k
+sqrt(16+k^2))/32 for p(k), and for r(k) below 16/(3 sqrt 3) the zeros
+t_1 < t_2 of 8t^3-8t+k, t = 1/sqrt 2 below 2 sqrt 2, and the zeros of the
+radicand.  dp/dk and dq/dk are periods of -(v+12)(v^2+k^2 v-4k^2), dr/dk
+one of c(1-c)(64c^2-48c+k^2), each from ``elliptic.period_integral``.
 
-* p(k) = m(P_k) has the closed theta-integral of the bracketed root branch,
-  with kinks where cos^2(theta) crosses the critical values
-  c_pm(k) = (8+k^2 +- k sqrt(16+k^2))/32.
-* dp/dk, dq/dk are periods of the cubic -(v+12)(v^2+k^2 v-4k^2) up to its
-  positive root: complete for P, from k(1-k) for Q below k = 4.
-* r(k) = m(R_k) is the circle average of log(max(1,|y1|) max(1,|y2|)) over
-  the roots of the reduced fiber, whose lead x + 1/x has measure 0.  Below
-  16/(3 sqrt 3) it kinks only at closed-form points: the zeros
-  t_1(k) < t_2(k) of 8t^3-8t+k, where a real root's modulus crosses 1,
-  t = 1/sqrt 2 below 2 sqrt 2, where the complex pair's does, and the zeros
-  of the radicand.  dr/dk is the (in)complete period of
-  c(1-c)(64c^2-48c+k^2).  Each derivative is one or two calls of
-  `elliptic.period_integral` on closed-form factor values.
-
-Parameter conventions: P and R are even in k, so negative k maps to |k| at
-the interface.  The Q family is not symmetric; q_measure takes the polynomial
-subscript itself (e.g. -1), while q_derivative takes the offset parameter k
-with subscript k+2, matching the derivative regime splits {0<k<=3, 3<k<4,
-k>=4}.  Derivatives reject parameters within BOUNDARY_GUARD of a boundary
-where the formulas degenerate (k=3 for P and Q, 16/(3 sqrt 3) for R).
+P and R are even in k.  ``q_measure`` takes the subscript s itself, and
+``q_derivative`` the offset k with s = k + 2.  The derivatives raise
+RegimeBoundaryError within BOUNDARY_GUARD of k = 3 (P and Q) and of
+16/(3 sqrt 3) (R).
 """
 
 from __future__ import annotations
@@ -185,14 +172,10 @@ def critical_roots(k):
 
 def branch_roots(family, k, theta):
     """The two y-roots of the reduced quadratic fiber at x = e^{i theta},
-    ordered |y1| >= |y2|: two Python complex for a float theta, two complex
-    arrays for an array of angles.  For Q the parameter is the offset one
-    (polynomial subscript k+2).  Raises ValueError unless every theta lies in
-    (0, pi), and where the leading coefficient vanishes.
-
-    Each root is (b +- sqrt(disc)) / den, formed part by part as Python's
-    complex arithmetic does, and the moduli are compared by hypot, so an
-    array gives the values of the float calls bit for bit."""
+    |y1| >= |y2|: Python complex for a float theta, complex arrays for an
+    array of angles, which match the float calls bit for bit.  For Q the
+    parameter is the offset k (subscript k+2).  Raises ValueError unless
+    every theta lies in (0, pi), and where the leading coefficient vanishes."""
     th = np.asarray(theta, dtype=float)
     if not ((0.0 < th) & (th < math.pi)).all():
         raise ValueError("theta must lie in (0, pi)")
@@ -237,11 +220,9 @@ def p_measure(k, tol=1e-12):
 
         (1/pi) * int_0^pi Re log( k|cos t| + sqrt(-(16c^2-(8+k^2)c+1)) ) dt,
 
-    c = cos^2 t.  Where the radicand is negative the modulus collapses to
-    |4c-1| (both branches sit on the unit circle and only the leading
-    coefficient contributes).  Integrates over (0, pi/2) doubled, split at
-    the square-root kinks c = c_pm; log k is taken out of the branch between
-    them, so no k^2 is formed and huge k does not overflow."""
+    c = cos^2 t, which is log|4c-1| where the radicand is negative.  The
+    rule runs over (0, pi/2), cut at c = c_pm, and log k is taken out of
+    the branch between them, so huge k does not overflow."""
     k = _positive_k(abs(k))
     c_minus, c_plus = _c_plus_minus(k)
     lo = math.acos(math.sqrt(c_plus)) if c_plus < 1.0 else 0.0
@@ -275,13 +256,10 @@ def q_measure(subscript, tol=1e-11):
 def r_measure(k, tol=1e-12):
     """m(R_k) = (2/pi) int_0^{pi/2} log(max(1,|y1|) max(1,|y2|)) dphi over
     the roots y = (k +- sqrt(rad)) / (4t), rad = k^2 - 16t^2(3-4t^2), of the
-    reduced fiber at |cos theta| = t = sin(phi); the substitution absorbs
-    the 1/sqrt(1-t^2) weight, so only bounded log-type integrands reach the
-    quadrature rule.  Where rad < 0 the roots are a conjugate pair with
-    |y|^2 = 3 - 4t^2.  Below 16/(3 sqrt 3) the pieces lie between the kinks
-    of the module docstring; from there on |y2| <= 1, and log k is taken out
-    of |y1|, so huge k does not overflow.  Either way one call of the
-    quadrature rule, whose tol is split evenly over the pieces."""
+    reduced fiber at |cos theta| = t = sin(phi), which absorbs the
+    1/sqrt(1-t^2) weight.  Where rad < 0, |y|^2 = 3 - 4t^2.  The cuts are
+    the kinks of the module docstring; from 16/(3 sqrt 3) on, |y2| <= 1
+    and log k is taken out of |y1|, so huge k does not overflow."""
     k = _positive_k(abs(k))
     if k >= R_THRESHOLD:
         log_k, cuts = math.log(k), []

@@ -1,16 +1,10 @@
 """Sparse bivariate Laurent polynomials with exact coefficients.
 
-A polynomial is a finite map from exponent pairs (i, j) to coefficients.
-Coefficients are Python ints, floats, or :class:`KLinear` values a + b*k
-carrying the free parameter k linearly (all parametric inputs used here are
-degree <= 1 in k).  Everything is immutable by convention: operations return
-new objects and never touch their arguments, so values are safe to share
-between threads.
-
-The module also provides the expression parser (grammar documented in the
-README), monomial substitutions, Newton polygons with their face polynomials,
-and the temperedness test (every face polynomial a product of cyclotomics up
-to sign and a monomial).
+A polynomial maps exponent pairs (i, j) to ints, floats, or :class:`KLinear`
+values a + b*k, linear in the free parameter k.  Values are immutable by
+convention, so they are safe to share between threads.  The module also
+holds the expression parser (grammar in the README), monomial
+substitutions, Newton polygons and the temperedness test.
 """
 
 from __future__ import annotations
@@ -240,11 +234,8 @@ class LaurentPoly2:
         return total
 
     def eval_grid(self, tx, ty):
-        """Vectorised evaluation at x = exp(i*tx), y = exp(i*ty) (numpy arrays),
-        one full-size exponential per monomial.  The reference evaluator:
-        ``mahler_torus2`` sums each row of its grids in closed form from the
-        fiber roots, and the tests compare those sums with the grid sums of
-        log|P| evaluated here."""
+        """Values at x = exp(i*tx), y = exp(i*ty) for numpy arrays: the
+        reference evaluator of the tests, one exponential per monomial."""
         total = np.zeros(np.broadcast(tx, ty).shape, dtype=complex)
         for (i, j), c in self.terms.items():
             total += _c_value(c) * np.exp(1j * (i * tx + j * ty))
@@ -377,9 +368,8 @@ class _Parser:
         return value
 
     def expr(self):
-        # the terms are added into one dict, with the arithmetic and the
-        # order of ``value + rhs`` and ``value - rhs``: a coefficient that
-        # cancels is removed, and comes back at the end
+        # the terms are added into one dict, as ``value + rhs`` would add
+        # them: a coefficient that cancels is removed, and comes back at the end
         terms = dict(self.term().terms)
         while True:
             kind, val, _ = self.peek()

@@ -1,79 +1,31 @@
-"""Generic Mahler-measure computation via Jensen's formula.
+"""Mahler measures of Laurent polynomials: the Jensen engine, the torus
+oracle and the one-variable measure.
 
-For P(x, y) real-coefficient, write P(x, .) = a_d(x) y^d + ... after clearing
-the lowest y-power.  Averaging log|P| over the torus gives
+For P with real coefficients, P(x, y) = a_d(x) y^d + ... after clearing the
+lowest power of y, Jensen's formula and the symmetry t -> -t give
 
-    m(P) = m(a_d) + (1/pi) * integral over (0, pi) of sum_i log+ |y_i(e^{i t})|
+    m(P) = m(a_d) + (1/pi) * integral over (0, pi) of sum_i log+|y_i(e^{it})|
 
-using conjugation symmetry in t, which holds for real coefficients only;
-the leading-coefficient term is a one-variable measure.  Its cyclotomic
-factors are divided out exactly and add 0; the cofactor's measure comes
-from its roots.  The t-integrand is piecewise analytic: it has kinks where
-a root magnitude crosses 1 and logarithmic spikes where a_d vanishes on the
-circle.  Both kinds of points are located up front.  Spikes come from the
-zeros of a_d on the circle, found after its exponents are divided by their
-gcd: those of its cyclotomic factors Phi_n, at exact multiples of pi, and
-the cofactor's roots within 1e-9 of the circle.
-Crossings come from the number of roots outside the circle: the fiber
-coefficients are evaluated at all angles of a uniform scan grid at once (by
-Horner's rule in e^{it}, so memory does not grow with the x-degree), and
-the roots outside are counted for the whole grid from the fiber roots,
-solved in one ``batch_roots`` call.  Every cell where the count
-changes holds a torus point of the curve P = 0, where the kink sits, and
-all cells are polished together by Newton's method on the two real
-equations Re, Im P(e^{it}, e^{i phi}) = 0, from the cell midpoint and the
-argument of the fiber root nearest the circle there.  Where the two nearest
-roots form a pair y, 1/conj(y), the pair meets on the circle (a fold, as at
-the arc ends of the self-reciprocal families) and Gauss-Newton solves
-P = dP/dphi = 0 instead.  A cut is kept only when the iteration converged
-strictly inside its cell and the root count just either side of it is the
-count at the cell's ends; a cell whose crossing sits on the edge t = 0 or pi
-needs no cut.  Those edge rules concern only the two cells at the ends of
-the scan, and a call without such a cell skips them.  A call whose cells
-hold no fold takes the Newton step from F, F_t and F_phi alone, since the
-fold terms would add exactly zero.  The few cells left over are cut by the
-scan's own rule, all together, into 32 equal parts a round, each counted in
-one call, keeping the first part whose count differs from the cell's left
-end, down to a width of 1e-12.  Where the count at the right end of that
-part is not the cell's right count, the rest of the cell is cut again, so a
-cell whose count steps by two gets two cuts; a crossing pair inside one
-scan cell changes no count and is missed.
+over the fiber roots y_i.  m(a_d) is a one-variable measure: its exponents
+are divided by their gcd, its cyclotomic factors are divided out exactly and
+add 0, and its cofactor is solved.  The t-integrand has kinks where a root
+crosses the unit circle and logarithmic spikes at the zeros of a_d on the
+circle; both become cuts of the tanh-sinh rule ``quad._tanh_sinh_pieces``.
+The crossings are bracketed by the outside-circle root count on a scan grid
+of 1024 cells.  Each bracket is polished by Newton's method on
+P(e^{it}, e^{i phi}) = 0, or by Gauss-Newton on P = dP/dphi = 0 at a fold,
+where a root pair y, 1/conj(y) meets on the circle.  A bracket the polish
+cannot settle is cut by the count rule down to 1e-12.  A pair of crossings
+inside one scan cell changes no count and is missed.
 
-The cuts, with 0 and pi, go to the double-exponential rule
-``quad._tanh_sinh_pieces`` as one cut list with the total tolerance
-pi tol; the rule splits it over the pieces and returns their sums.  Its
-first call of the fiber kernel ``_fiber_logplus`` takes every node of
-levels 0-4 of every piece, and each later level one call for the new nodes
-of the pieces not yet converged, so the fibers of each call are solved in
-one ``batch_roots`` call per degree, and the rule reduces the values of
-each call in one pass.
+Every fiber, of the scan, the polish, the quadrature and the torus rows, is
+solved by ``_solve_fibers`` through ``rootfind.batch_roots``, and every
+engine takes its coefficients from ``_unit_y_coeffs``, scaled by a power of
+2 so that no fiber coefficient overflows or goes subnormal.
 
-Every fiber solve, of the scan and probe counts, the polish, the quadrature
-levels and the torus rows below, goes through ``_solve_fibers`` to
-``batch_roots``, as does the lead's cofactor, a one-row ``poly_roots``
-call.  It solves through degree 4 in closed form
-(Cardano's and Ferrari's formulas for the cubics and quartics, with a Newton
-polish) and takes companion-matrix eigenvalues only for the rows that polish
-rejects.  It also holds the one rule for a leading coefficient that nearly
-vanishes, as a fiber's does next to a zero of a_d: from degree 3 on, such
-a row is solved reversed and its roots inverted, for the fibers and the
-lead's cofactor alike.
-Both engines, and ``mahler_1var``, first divide P by the power of 2 that
-puts its largest coefficient modulus in [0.5, 1) (``_unit_y_coeffs``) and
-add its logarithm back, so a fiber coefficient, a sum of terms, neither
-overflows nor goes subnormal, and an integer coefficient beyond float
-range is taken exactly.
-
-The direct two-dimensional torus average is kept as an independent,
-lower-accuracy oracle.  It does not use Jensen's formula, the crossing
-scan, the cuts or the tanh-sinh rule: it averages log|P| over trapezoid
-grids of n x n points.  Each row of a grid is summed in closed form from
-the roots of its fiber, since the n y-angles of a row are the n-th roots
-of a fixed unimodular w, so a grid costs n fiber solves (``_solve_fibers``,
-shared with the Jensen engine) and holds no n x n array.  The rows of
-every grid up to n = 256 are solved in one batch, those of a larger grid
-in batches of at most 4096 rows.  The sums are those of the finite grids,
-not their limit.
+``mahler_torus2`` averages log|P| over n x n trapezoid grids, with no
+Jensen formula, scan or cuts: each grid row is summed in closed form from
+the roots of its fiber, so a grid costs n fiber solves.
 """
 
 from __future__ import annotations
@@ -98,7 +50,7 @@ __all__ = [
     "mahler_1var",
 ]
 
-_UNIT_CLAMP = 1e-12        # |root| this close to 1 contributes log+ = 0 exactly
+_UNIT_CLAMP = 1e-12        # |root| this close to 1 adds log+ = 0: rounding, not a crossing
 
 
 @dataclass(frozen=True)
@@ -109,20 +61,13 @@ class MeasureResult:
 
 
 def _unit_y_coeffs(P):
-    """The coefficient Laurent polynomials (dicts {i: c}) of y^0..y^d of P
-    after clearing the lowest power of y, divided by the power of 2, 2^e,
-    that puts their largest modulus in [0.5, 1), and e log 2, which the
-    measure gains back.
+    """The coefficients {i: c} of y^0..y^d of P, the lowest power of y
+    cleared, divided by the power of 2, 2^e, that puts their largest
+    modulus in [0.5, 1); and e log 2, which the measure adds back.
 
-    The division keeps a fiber coefficient, a sum of terms, from
-    overflowing or going subnormal where every term is finite, as for P
-    times 1e308 or 2^-1060.  It is exact for a float (``ldexp`` of the real
-    and imaginary parts) and correctly rounded for an int, which may lie
-    beyond float range: an int's e is its bit length, so it is never
-    converted to a float first.  Every engine takes the coefficients from
-    here, so this is where the zero polynomial and a symbolic k are
-    refused, with ValueError, and a NaN or infinite coefficient, with
-    ``QuadratureError``."""
+    Exact for a float and correctly rounded for an int, which may lie
+    beyond float range.  Raises ValueError for the zero polynomial or a
+    symbolic k, and QuadratureError for a NaN or infinite coefficient."""
     if P.is_zero():
         raise ValueError("measure of the zero polynomial")
     if P.has_symbolic_k():
@@ -140,8 +85,7 @@ def _unit_y_coeffs(P):
 
 
 def _unit_powers(angles):
-    """e^{i angles} for a real array, from its cos and sin, which is faster
-    than the complex exp of i angles and gives the same bits."""
+    """e^{i angles} for a real array, from its cos and sin."""
     out = np.empty(angles.shape, dtype=complex)
     np.cos(angles, out=out.real)
     np.sin(angles, out=out.imag)
@@ -149,14 +93,10 @@ def _unit_powers(angles):
 
 
 def _coeff_table(cx):
-    """The coefficients of ``cx`` in w-form for ``_coeffs_grid``: the
-    magnitudes m_0 < ... < m_{K-1} of the x-exponents, one ladder, and a
-    (K, sides, columns) array, one column per power of y.
-
-    Side 0 holds the coefficients of x^{m_k}; when an exponent is negative,
-    side 1 holds the conjugates of those of x^{-m_k}, so that their sum is
-    the conjugate of a Horner sum in w = e^{i theta} like that of side 0.
-    An entry whose term P lacks is zero."""
+    """The coefficients ``cx`` for ``_coeffs_grid``: the sorted magnitudes
+    m_k of the x-exponents, and a (K, sides, powers of y) array whose side
+    0 holds the coefficients of x^{m_k} and side 1, present when an exponent
+    is negative, the conjugates of those of x^{-m_k}."""
     mags = sorted({abs(i) for cm in cx for i in cm})
     sides = 2 if any(i < 0 for cm in cx for i in cm) else 1
     row = {m: r for r, m in enumerate(mags)}
@@ -169,15 +109,10 @@ def _coeff_table(cx):
 
 
 def _coeffs_grid(coeff_table, thetas):
-    """Fiber coefficients at x = e^{i theta} for an array of angles: entry
-    (n, j) is the coefficient of y^j at x = e^{i thetas[n]}.
-
-    Horner's rule runs down the ladder of ``_coeff_table`` in w = e^{i theta}
-    on both sides at once, and the x^{-m} side adds as the conjugate of its
-    sum; each gap g between rungs takes w^g once, from the cos and sin of
-    g theta.  A real coefficient c_k = c_{-k} thus adds a sum to its own
-    conjugate, and its value is exactly real.  The rows come column-major,
-    as ``_solve_fibers`` takes them."""
+    """The column-major array whose entry (n, j) is the coefficient of y^j
+    at x = e^{i thetas[n]}, by Horner's rule in w = e^{i theta} on both
+    sides of ``_coeff_table``; side 1 adds as the conjugate of its sum, so
+    a real coefficient c_k = c_{-k} gives an exactly real value."""
     mags, table = coeff_table
     mags = mags.tolist()
     rows = table[..., None]
@@ -188,8 +123,7 @@ def _coeffs_grid(coeff_table, thetas):
             powers[gap] = _unit_powers(thetas if gap == 1 else gap * thetas)
         return powers[gap]
 
-    # rung i is reached by the gap m_i - m_{i-1}, with m_{-1} = 0; a zero
-    # gap multiplies by exactly 1
+    # rung i is reached by the gap m_i - m_{i-1}, with m_{-1} = 0
     gaps = [hi - lo for hi, lo in zip(mags, [0.0] + mags)]
     acc = rows[-1] * power(gaps[-1])
     for i in range(len(mags) - 2, -1, -1):
@@ -204,27 +138,16 @@ _PI = Fraction("3.14159265358979323846264338327950288419716939937510582097")
 
 
 def _solve_1var(coeffs):
-    """Logarithmic Mahler measure of a one-variable Laurent polynomial
-    {exponent: c} and the angles in (0, pi) of its zeros on the unit circle,
-    in no order, generated as they are iterated.
+    """The measure of a one-variable Laurent polynomial {exponent: c}, the
+    angles in (0, pi) of its zeros on the unit circle, as a lazy iterator,
+    and the coefficients and roots of the cofactor it solved.
 
-    The exponents of its nonzero terms are shifted to start at 0 and
-    divided by their gcd g, so that f(x) = x^low h(x^g).  Neither changes
-    the measure, m(h(x^g)) = m(h), so x^n + 2 costs what x + 2 does.  A
-    real h is then made an integer polynomial, exactly (every float is a
-    dyadic rational, ``float.as_integer_ratio``), and every cyclotomic
-    factor Phi_n, n <= ``_CYCLO_MAX_ORDER``, is divided out exactly
-    (``lpoly._cyclotomic_split``).  The stripped factors are monic with
-    all their roots on the circle, so they add exactly 0 to the measure.
-    The cofactor is solved by ``poly_roots``.
-
-    Each zero of h on the circle at angle phi, +-1 included, gives the
-    zeros of f at (phi + 2 pi j) / g, j = 0..g-1, of which those in
-    (0, pi) are kept.  A zero e^{2 pi i j / n} of Phi_n gives its angles
-    as exact multiples of pi, correctly rounded; a root of the cofactor
-    within 1e-9 of the circle gives them from its argument, 1e-12 clear of
-    0 and pi.  They are generated lazily: a large g makes g/2 angles of
-    each zero, and ``mahler_1var`` reads none."""
+    With f(x) = x^low h(x^g), g the gcd of the shifted exponents,
+    m(f) = m(h).  A real h is made an integer polynomial exactly and its
+    cyclotomic factors are divided out exactly; they add 0, and their zero
+    angles are exact multiples of pi, correctly rounded.  The cofactor's
+    roots within 1e-9 of the circle give the other angles.  Raises
+    ValueError for the zero polynomial."""
     terms = {e: v for e, v in coeffs.items() if v}
     if not terms:
         raise ValueError("measure of the zero polynomial")
@@ -252,21 +175,19 @@ def _solve_1var(coeffs):
 
 
 def _cofactor_error(c, roots):
-    """A bound on the error of log|c_D| + sum_i log+|z_i|, as ``_solve_1var``
-    sums it, from the computed roots z_i of the polynomial ``c`` of degree D
-    (ascending coefficients).
+    """A bound on the error of log|c_D| + sum_i log+|z_i| as ``_solve_1var``
+    sums it over the computed roots z_i of ``c`` (ascending, degree D).
 
-    The disk |z - z_i| <= r_i, with the Braess-Hadeler radius
+    A true root lies in |z - z_i| <= r_i, the Braess-Hadeler radius
     r_i = D (|c(z_i)| + 4 (D + 1) eps sum_j |c_j| |z_i|^j) / |c_D prod_{j != i} (z_i - z_j)|,
-    holds a true root; the second term bounds the rounding of c(z_i) and of
-    the coefficients.  So log+ of that root differs from log+|z_i| by at
-    most r_i / max(1, |z_i| - r_i); a root that the unit clamp counts as
-    on the circle adds its log|z_i| more, and the sum its rounding.  c(z_i)
-    is evaluated as z_i^D times the reversed polynomial at 1/z_i outside the
-    circle, in logarithms, so it does not overflow.  The pairing of roots
-    and disks needs disjoint disks: for a cluster of m close roots the
-    radii grow like eps^(1/m) and the bound is then of the error's size but
-    not proved."""
+    the eps term bounding the rounding of c(z_i) and of c.  Its log+ is
+    within r_i / max(1, |z_i| - r_i) of log+|z_i|.  The unit clamp adds
+    the log|z_i| it drops, and the sum its rounding.  c(z_i) is taken from
+    the reversed polynomial outside the circle, in logarithms, so nothing
+    overflows.  Limit: the radii pair with the roots only while the disks
+    are disjoint.  For m clustered roots they grow like eps^(1/m), and the
+    bound is then of the error's size but not proved; an exactly repeated
+    computed root gives inf."""
     D = len(c) - 1
     if D < 1:
         return 0.0
@@ -296,17 +217,12 @@ def _cofactor_error(c, roots):
 
 
 def mahler_1var(coeffs):
-    """Logarithmic Mahler measure of a one-variable Laurent polynomial.
+    """Logarithmic Mahler measure of a one-variable Laurent polynomial,
+    ``coeffs`` mapping exponent -> real coefficient.
 
-    ``coeffs`` maps exponent -> real coefficient.  The coefficients are
-    taken as the engines take theirs (``_unit_y_coeffs``), so a NaN or
-    infinite one raises ``QuadratureError`` and an int beyond float range
-    is scaled exactly.  Then ``_solve_1var``: the exponents are reduced by
-    their gcd, which is exact, and the measure is log|lead| plus log+ of
-    the root magnitudes, after the cyclotomic factors are divided out
-    exactly, so products of cyclotomics, repeated factors included, give
-    exactly 0.0; magnitudes within 1e-12 of 1 count as exactly 1.
-    """
+    A product of cyclotomics gives exactly 0.0, and a root within 1e-12 of
+    the circle counts as on it.  Raises ValueError for the zero polynomial
+    and QuadratureError for a NaN or infinite coefficient."""
     (c,), log_scale = _unit_y_coeffs(LaurentPoly2({(i, 0): v for i, v in coeffs.items()}))
     return log_scale + _solve_1var(c)[0]
 
@@ -315,29 +231,16 @@ def mahler_1var(coeffs):
 # the Jensen engine
 # ---------------------------------------------------------------------------
 
-_BAND = 1e-9   # families have whole arcs with |y| = 1 exactly; counting
-               # "outside" with this margin keeps rounding noise from
-               # flickering the count there (a sectioned crossing is pinned
-               # where |y| = 1 + _BAND, a polished one on the circle)
+_BAND = 1e-9   # "outside" margin: the families have whole arcs with |y| = 1
 
 
 def _solve_fibers(coeffs):
-    """The leading coefficients and roots of the fibers in the rows of
-    ``coeffs``, solved together by ``batch_roots``; returns
-    ``(lead, roots)``.
-
-    A fiber whose lead nearly vanishes keeps its huge root and its small
-    ones by the rule of ``batch_roots``.  Zero leading coefficients, which
-    a fiber has where its lead vanishes, are trimmed, one ``batch_roots``
-    call per degree left: ``lead`` is the coefficient left on top (0 for a
-    vanishing fiber), and the roots beyond a row's degree are 0, in place
-    of the roots at infinity, which the measure of the lead accounts for.
-
-    The rows are taken, and the roots returned, column-major: a reduction
-    over each row's few entries then runs along contiguous columns, several
-    times faster than over short C-order rows (CHANGES.md, "Batched Jensen
-    engine").
-    """
+    """``(lead, roots)`` of the fibers in the rows of ``coeffs`` (ascending
+    in y), one ``batch_roots`` call per degree after zero leading
+    coefficients are trimmed.  ``lead`` is the top nonzero coefficient, 0
+    for a vanishing fiber, and the roots beyond a row's degree are 0.  Rows
+    are taken and roots returned column-major, where reductions over a
+    row's few entries run fastest."""
     coeffs = np.asfortranarray(coeffs)
     n, m = coeffs.shape[0], coeffs.shape[1] - 1
     lead = coeffs[:, -1]
@@ -354,30 +257,26 @@ def _solve_fibers(coeffs):
 
 
 def _fiber_logplus(coeff_table, thetas):
-    """sum_i log+ |y_i| at x = e^{i theta} for an array of angles, from the
-    fiber roots, solved together by ``_solve_fibers``."""
+    """sum_i log+|y_i| of the fiber at each angle of ``thetas``."""
     mags = np.abs(_solve_fibers(_coeffs_grid(coeff_table, thetas))[1])
     return np.log(np.maximum(mags, 1.0)).sum(axis=1)
 
 
 def _count_outside(coeff_table, thetas):
-    """Number of fiber roots with |y| > 1 + _BAND at each angle, from the
-    fiber roots, solved together by ``_solve_fibers``."""
+    """The number of fiber roots with |y| > 1 + _BAND at each angle."""
     mags = np.abs(_solve_fibers(_coeffs_grid(coeff_table, thetas))[1])
     return np.count_nonzero(mags > 1.0 + _BAND, axis=1)
 
 
-_N_SCAN = 1024       # cells of the crossing scan over (0, pi)
-_POLISH_STEPS = 8    # Newton / Gauss-Newton steps at most
-_MIRROR_REL = 1e-6   # tolerance of the root pair test of a fold
+_N_SCAN = 1024       # scan cells over (0, pi): an arc narrower than one may be missed
+_POLISH_STEPS = 8    # polish steps at most; a cell left unsettled is sectioned
+_MIRROR_REL = 1e-6   # root pair test of a fold, far above the roots' rounding
 
 
 def _torus_terms(ext_table, t, phi, fold):
-    """F(t, phi) = sum_j c_j(e^{it}) e^{ij phi} at an array of points, with
-    F_t and F_phi, and with F_t phi and F_phi phi when ``fold``.
-    ``ext_table`` is the coefficient table with the t-derivatives of its
-    columns appended, so that one ``_coeffs_grid`` call gives the c_j and
-    their derivatives."""
+    """F(t, phi) = sum_j c_j(e^{it}) e^{ij phi}, F_t and F_phi at arrays of
+    points, and F_t phi and F_phi phi when ``fold``; ``ext_table`` is the
+    coefficient table with the t-derivatives of its columns appended."""
     cc = _coeffs_grid(ext_table, t)
     j = np.arange(cc.shape[1] // 2)
     yp = _unit_powers(np.outer(phi, j))
@@ -390,10 +289,8 @@ def _torus_terms(ext_table, t, phi, fold):
 
 
 def _newton_step(F, Ft, Fp, Ftp=None, Fpp=None, w=None):
-    """The Gauss-Newton step (dt, dphi) on (F, w F_phi) = 0, by the 2x2
-    normal equations; without F_t phi, F_phi phi and w it is the Newton
-    step on F = 0, the same step as with w = 0, whose terms in w add
-    exactly zero."""
+    """The Gauss-Newton step (dt, dphi) on (F, w F_phi) = 0; without w,
+    the Newton step on F = 0, which is the same as with w = 0."""
     uu = np.abs(Ft) ** 2
     vv = np.abs(Fp) ** 2
     uv = (np.conj(Ft) * Fp).real
@@ -410,28 +307,18 @@ def _newton_step(F, Ft, Fp, Ftp=None, Fpp=None, w=None):
 
 
 def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
-    """The torus point of P = 0 in each scan cell [a, b], by Newton's method
-    on Re, Im F = 0 in (t, phi) from the cell midpoint and the argument of
-    the fiber root nearest the circle there.
+    """The cut of each scan cell [a, b] whose ends count na and nb roots
+    outside, NaN where the cell is left to ``_section_cells``, and the mask
+    of the cells that need no cut.
 
-    Where the two roots nearest the circle at the midpoint form a pair
-    y, 1/conj(y) (both on the circle, or mirrored in it), the crossing is a
-    fold: the pair meets on the circle, the Jacobian of F is singular there,
-    and (F, F_phi) = 0 is solved by Gauss-Newton instead.  A Newton step is
-    the Gauss-Newton step of F alone, so both share one loop.  A cell stops
-    early when its iterate goes non-finite or leaves the cell's neighbours,
-    when its step stops shrinking, or, for a cell at an end of the scan
-    (touching lo or hi), when it halves its distance to the edge 0 or pi
-    twice in a row.
-
-    Returns the cut of each cell, NaN where the cell is left to
-    ``_section_cells``, and a mask of the cells whose cut falls on the edge
-    0 or pi of the scan, which need none.  An interior cut is kept when the
-    iteration converged strictly inside the cell and the counts at
-    t* -/+ delta are the cell's end counts.  The edge rules
-    (``_edge_touches``) apply to the cells at the ends of the scan only, so
-    a call without such a cell skips them and the distances to the edges.
-    """
+    Each cell is polished from its midpoint and the argument of the fiber
+    root nearest the circle there, by Gauss-Newton where that root and the
+    next form a fold.  A cut is kept when the iteration converged inside
+    the cell and the counts just either side of it are na and nb.  A cell
+    at an end of the scan (a == lo or b == hi) needs no cut when a root
+    touches the circle at that edge: the iteration converges on the edge,
+    or halves its distance to it twice in a row, and the count at the
+    midpoint is that of the inner end."""
     mags, table = coeff_table
     ext = mags, np.concatenate([table, 1j * mags[:, None, None] * table], axis=2)
     n = len(a)
@@ -449,8 +336,7 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
                    & (np.abs(np.abs(y1) - 1.0) <= _MIRROR_REL)))
     w = fold.astype(float)
     any_fold = fold.any()     # else the fold terms are all zero
-    # the end of the scan a cell touches, NaN for inner cells; the edge
-    # rules concern the cells at the ends only
+    # the end of the scan a cell touches, NaN for inner cells
     edge = np.where(a == lo, 0.0, np.where(b == hi, math.pi, np.nan))
     ends = np.flatnonzero(~np.isnan(edge))
 
@@ -489,9 +375,7 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
     delta = np.minimum(1e-6, 0.5 * np.minimum(ti - a[inside], b[inside] - ti))
     probe = np.concatenate([ti - delta, ti + delta])
     if len(ends):
-        # a cell at an end of the scan needs no cut when a root touches the
-        # circle at that edge: the touching root counts outside on the
-        # cell's inner side only
+        # a touching root counts outside on the cell's inner side only
         at0 = edge[ends] == 0.0
         inner = np.where(at0, nb[ends], na[ends])
         outer = np.where(at0, na[ends], nb[ends])
@@ -524,21 +408,18 @@ def _polish_cells(coeff_table, a, b, na, nb, lo, hi):
 
 
 def _grid_counts(coeff_table, a, b, n):
-    """The grids a + (b - a) j / n, j = 0..n, over the brackets [a, b], one
-    row each and ending at b exactly, and the outside-circle root count at
-    every point, from one ``_count_outside`` call."""
+    """The grids a + (b - a) j / n, j = 0..n, one row per bracket [a, b]
+    and ending at b exactly, and the outside count at every point."""
     grid = a[:, None] + (b - a)[:, None] * np.arange(n + 1) / n
     grid[:, -1] = b
     return grid, _count_outside(coeff_table, grid.ravel()).reshape(grid.shape)
 
 
 def _section_cells(coeff_table, a, b, na):
-    """The midpoints of brackets narrower than 1e-12 around the first
-    crossing in each bracket [a, b], on whose ends the count differs (na at
-    a), with the right ends of those brackets and the counts there.  Each
-    round cuts every live bracket into 32 equal parts (``_grid_counts``)
-    and keeps the first part whose right end counts other than na, for at
-    most 12 rounds, as wide as 60 halvings leave it (32^12 = 2^60)."""
+    """The midpoint, right end and right count of a bracket narrower than
+    1e-12 around the first crossing in each bracket [a, b], whose left end
+    counts na.  Each round cuts a bracket into 32 parts and keeps the first
+    whose right end counts other than na; 12 rounds make 2^60 halvings."""
     a, b = a.copy(), b.copy()
     nb = np.empty_like(na)
     live = np.arange(len(a))
@@ -557,20 +438,9 @@ def _section_cells(coeff_table, a, b, na):
 
 
 def _crossing_angles(coeff_table):
-    """Angles in (0, pi) where a fiber root crosses the unit circle.
-
-    The outside-circle root count on a grid of _N_SCAN equal cells
-    (``_grid_counts``) brackets them: every cell where the count changes
-    holds one.  ``_polish_cells`` puts each cut on the torus point of the
-    curve P = 0 in its cell, or finds that the cell's crossing sits on the
-    edge 0 or pi, where no cut is needed; the cells it cannot settle are
-    cut by the same grid rule, 32 parts a round (``_section_cells``).
-    Where the count at the right end of a sectioned bracket is not the
-    cell's right count, the cell holds another crossing, and the rest of it
-    is sectioned again, up to d cuts a cell for fibers of degree d, so a
-    cell whose count steps by two gets two cuts.  A crossing pair inside
-    one scan cell leaves the count unchanged at both ends and is missed.
-    """
+    """The angles in (0, pi) where a fiber root crosses the unit circle, as
+    a list: a cut per scan cell whose count changes, and up to d cuts in a
+    cell whose count steps by more than one, for fibers of degree d."""
     lo = 1e-9
     hi = math.pi - 1e-9
     (grid,), (counts,) = _grid_counts(coeff_table, np.array([lo]), np.array([hi]), _N_SCAN)
@@ -596,17 +466,15 @@ _LEAD_ZERO_CUTS = 512   # cuts at the lead's zeros at most: x^1000 + 1 has 500
 
 
 def mahler_jensen(P, tol=1e-10):
-    """Logarithmic Mahler measure of a real-coefficient Laurent polynomial.
+    """Logarithmic Mahler measure of a real-coefficient Laurent polynomial,
+    as a MeasureResult whose err_est is the rule's estimate plus 1e-13, or
+    for a polynomial in x alone the root bound of ``_cofactor_error``.
 
-    P is first divided by a power of 2, 2^e (``_unit_y_coeffs``), and
-    e log 2 is added back, so P times 1e308, 2^-1060 or 10^400 works as P
-    does.
     Raises ValueError for the zero polynomial, a symbolic k, a coefficient
-    with a nonzero imaginary part (the fold of the t-integral onto (0, pi)
-    holds for real coefficients only; ``mahler_torus2`` takes complex
-    ones) or a tol that is not positive (NaN included), and
-    QuadratureError for a NaN or infinite coefficient or a lead with more
-    than _LEAD_ZERO_CUTS zeros on the circle in (0, pi)."""
+    with a nonzero imaginary part (``mahler_torus2`` takes those) or a tol
+    that is not positive, and QuadratureError for a NaN or infinite
+    coefficient or a lead with more than _LEAD_ZERO_CUTS zeros on the
+    circle in (0, pi)."""
     cx, log_scale = _unit_y_coeffs(P)
     if any(c.imag for cm in cx for c in cm.values()):
         raise ValueError("mahler_jensen needs real coefficients")
@@ -635,40 +503,19 @@ def mahler_jensen(P, tol=1e-10):
     return MeasureResult(value, r.err_est / math.pi + 1e-13, "jensen_1d")
 
 
-_TORUS_ROWS = 4096   # rows of the torus grids solved and summed at a time
+_TORUS_ROWS = 4096   # rows solved at a time: bounds the temporaries of a large grid
 
 
 def _torus_row_means(cx):
-    """The means of log|P(e^{i tx}, e^{i ty})| over the y-angles ty, one
-    per x-angle tx, for the coefficient polynomials ``cx`` of P in y (see
-    ``_unit_y_coeffs``; clearing the lowest y-power leaves |P| unchanged on
-    the torus): the row means of the trapezoid grids, in the contract of
-    ``integrate_torus2``, which passes a list of grids t, each the x-angles
-    and the uniform y-angles ty_l = t_0 + 2 pi l / n, l = 0..n-1.
+    """The row-means integrand of ``integrate_torus2`` for the coefficients
+    ``cx`` of P in y.  With w = e^{i n t_0} for a row's y-angles
+    t_0 + 2 pi l / n and f = c_d prod_i (y - r_i), the row sum is exactly
+    n log|c_d| + sum_i log|r_i^n - w|, each term taken as
 
-    Each row is summed in closed form from the roots of its fiber
-    f = c_d prod_i (y - r_i), solved by ``_solve_fibers``: with
-    w = e^{i n t_0}, prod_l (z - e^{i ty_l}) = (-1)^n (z^n - w) gives
+        n log+ rho + log((1 - u)^2 + 4 u sin^2(phi / 2)) / 2,
 
-        sum_l log|f(e^{i ty_l})| = n log|c_d| + sum_i log|r_i^n - w|,
-
-    exactly, for every n: the sum of the finite grid, not its limit as
-    n -> infinity (which is Jensen's formula).  With rho = |r|,
-    u = min(rho^n, rho^-n) and phi = n arg r - arg w, the term is
-
-        log|r^n - w| = n log+ rho + log((1 - u)^2 + 4 u sin^2(phi / 2)) / 2,
-
-    which is log|1 - conj(w) r^n| for rho <= 1 and
-    n log rho + log|1 - w r^-n| beyond: it neither overflows nor cancels
-    where a root sits near the circle.  A zero lead (a vanishing fiber)
-    counts as 1e-300, and the square under the last log is clamped at
-    1e-300 (a grid point on the curve P = 0), so the mean stays finite.
-
-    The rows of all the grids of a call are solved together, each with the
-    n and n t_0 of its own grid, _TORUS_ROWS at a time, so that a call of
-    many small grids costs one fiber solve and the temporaries of a grid of
-    2^16 rows stay those of 4096.
-    """
+    rho = |r|, u = min(rho^n, rho^-n), phi = n arg r - arg w, which neither
+    overflows nor cancels.  A zero lead and the square are clamped at 1e-300."""
     coeff_table = _coeff_table(cx)
 
     def row_means(tx, n, arg_w):
@@ -687,7 +534,7 @@ def _torus_row_means(cx):
     def g(grids):
         sizes = [len(t) for t in grids]
         tx = np.concatenate(grids)
-        # n as floats, which it becomes in every product anyway, exactly
+        # n as floats, exactly
         n = np.repeat(np.array(sizes, dtype=float), sizes)
         arg_w = n * np.repeat([t[0] for t in grids], sizes)
         means = np.empty(len(tx))
@@ -700,22 +547,13 @@ def _torus_row_means(cx):
 
 
 def mahler_torus2(P, tol=1e-5, n_max=1 << 16):
-    """Direct torus-average definition; cross-validation oracle only.
+    """Mahler measure as the torus average of log|P|, an oracle for
+    ``mahler_jensen``; P may have complex coefficients.  err_est is at
+    least 4 eps |value|.
 
-    The trapezoid grids go through ``integrate_torus2``, whose integrand
-    sums each row of a grid in closed form from the roots of its fiber (see
-    ``_torus_row_means``): a grid of n x n points costs n fiber solves, not
-    n^2 evaluations, and holds no n x n array.  That is why n_max can
-    default to 2^16: Q_6, whose singular zero (x, y) = (-1, 1) slows the
-    convergence, meets tol 1e-5 at n = 2^13.  The grids up to n = 256 are
-    solved in one batch and each larger one in batches of at most 4096 rows.
-    As in ``mahler_jensen``, P is divided by a power of 2 first and its
-    logarithm added back; err_est is at least the rounding of the sum,
-    4 eps |value|, as that of ``integrate_torus2`` is of its own.  Raises
-    ValueError for the zero polynomial or a symbolic k, when n_max is not a
-    finite number at least the starting grid size 16, or when tol is not
-    positive (NaN included), and QuadratureError for a NaN or infinite
-    coefficient."""
+    Raises ValueError for the zero polynomial or a symbolic k, a tol that
+    is not positive, or an n_max that is not a finite number at least 16,
+    and QuadratureError for a NaN or infinite coefficient."""
     cx, log_scale = _unit_y_coeffs(P)
     r = integrate_torus2(_torus_row_means(cx), tol=tol, n_max=n_max)
     value = log_scale + r.value

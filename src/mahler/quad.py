@@ -1,31 +1,18 @@
-"""One-dimensional tanh-sinh quadrature on finite intervals with integrable
-endpoint singularities, plus the two-dimensional periodic trapezoid rule
-used as an independent oracle.
+"""Tanh-sinh quadrature on finite intervals with integrable endpoint
+singularities, and the periodic trapezoid rule on the torus as an oracle.
 
-The tanh-sinh (double exponential) rule of Takahasi & Mori ("Double
-exponential formulas for numerical integration", Publ. RIMS 9, 1974)
-substitutes x = tanh((pi/2) sinh t), which pushes the endpoints infinitely
-far away in t, so node weights decay doubly exponentially and integrable
-endpoint singularities (inverse square roots, logarithms) cost nothing.
-It reports a conservative absolute error estimate; an err_est larger than
-the requested tolerance means the node budget ran out and the value should
-be treated as unreliable.
-
-The rule is written once, as ``_tanh_sinh_pieces``: one integral, given
-as a cut list and one total tolerance, with an integrand over arrays of
-abscissae.  It splits the tolerance evenly over the pieces between the
-cuts and returns their sums, so that is decided here only.  The nodes are
-nested, so its first call of the integrand takes every node of levels 0-4
-of every piece, and each later level one call for the pieces not yet
-converged.  The values of a call are reduced in one pass over a padded
-(pieces, levels, nodes, side) layout.  The Jensen engine and the family
-measures pass it their cuts; :func:`integrate` is its two-cut case for a
-scalar integrand.
-
-The rule treats the integrand as a black box that is never evaluated
-closer to an endpoint than one ulp.  An inverse-square-root endpoint then
-caps the accuracy near sqrt(machine eps), because the integrand's own
-endpoint subtraction cancels, and the error estimate says so.
+The tanh-sinh rule of Takahasi & Mori ("Double exponential formulas for
+numerical integration", Publ. RIMS 9, 1974) substitutes
+x = tanh((pi/2) sinh t), so the weights decay doubly exponentially towards
+the endpoints and inverse square roots and logarithms there cost little.
+It is written once, as ``_tanh_sinh_pieces``: one cut list, one total tol,
+and an integrand over arrays of abscissae.  Its levels are nested, so the
+first call of the integrand takes every node of levels 0-4 of every piece
+and each later level one call for the pieces not yet converged, and the
+values of a call are reduced in one pass over a padded layout.  The
+integrand is a black box never evaluated within one ulp of an endpoint, so
+an inverse-square-root endpoint caps the accuracy near sqrt(eps), and the
+error estimate says so.
 """
 
 from __future__ import annotations
@@ -55,7 +42,7 @@ class QuadResult:
 # ---------------------------------------------------------------------------
 
 def _de_weight(t):
-    """Unit-interval tanh-sinh node as (distance from +-1, weight) for t >= 0."""
+    """The tanh-sinh node at t >= 0 as (distance from +-1, weight)."""
     u = 0.5 * math.pi * math.sinh(t)
     # 1 - tanh(u) = 2 / (exp(2u) + 1), computed without cancellation
     try:
@@ -68,33 +55,19 @@ def _de_weight(t):
 
 
 _T_MAX = 6.11      # beyond this the node distance underflows anyway
-_MAX_LEVEL = 12
-_FIRST_LEVEL = 4   # _tanh_sinh_pieces evaluates levels 0.._FIRST_LEVEL in one call
+_MAX_LEVEL = 12    # step 2^-12: a piece that needs more is not converging
+_FIRST_LEVEL = 4   # levels of the first call: most engine pieces converge by 4
 
 
 def integrate(f, a, b, tol=1e-12):
-    """Tanh-sinh quadrature of the scalar function f over the finite
-    interval (a, b): the two-cut case of ``_tanh_sinh_pieces``, with f
-    mapped over the abscissae of each call.  So the first call evaluates f
-    at every node of levels 0-4 at once, and each later level at its new
-    nodes; a value at a node of a level the result never reaches is
-    ignored.  ``QuadResult.evals`` counts only the nodes of the levels
-    used, so f can be called more often than it says.
+    """Tanh-sinh quadrature of the scalar f over the finite interval (a, b),
+    the two-cut case of ``_tanh_sinh_pieces``.
 
-    f is never evaluated exactly at a or b; nodes whose distance from an
-    endpoint underflows are dropped (their weights are far below tolerance
-    by then).  Non-finite values at interior abscissae raise
-    QuadratureError; non-finite values hugging an endpoint are treated as a
-    removable singular endpoint and skipped.
-
-    f is a black box, so an inverse-square-root endpoint limits the result
-    to roughly sqrt(machine eps) absolute accuracy: the integrand's own
-    endpoint subtraction cancels.  When f still grows like an inverse square
-    root at the deepest node reached, the error estimate is raised to that
-    cap.
-
-    Raises ValueError unless a and b are finite with a < b and tol > 0 (a
-    NaN tol included).
+    f may be called at nodes of levels the result never reaches, which
+    ``QuadResult.evals`` does not count.  A non-finite value hugging an
+    endpoint counts as an integrable singularity and is skipped; elsewhere
+    it raises QuadratureError.  Raises ValueError unless a < b are finite
+    and tol > 0.
     """
     def F(xs):
         return np.array([f(x) for x in xs.tolist()], dtype=float)
@@ -104,20 +77,15 @@ def integrate(f, a, b, tol=1e-12):
 
 @functools.lru_cache(maxsize=None)
 def _block_tables(first, last):
-    """Levels first..last of the rule in the padded layout (levels, nodes,
-    side) that ``_tanh_sinh_pieces`` reduces in one pass: the signed unit
-    distances (+dist on the left side, -dist on the right), the weights,
-    the mask of the real nodes and the step 2^-level of each level.
+    """Levels first..last in the padded (levels, nodes, side) layout: the
+    signed unit distances (+ on the left side, - on the right), the
+    weights, the mask of real nodes and the step 2^-level of each level.
 
-    A level's nodes take slots 1, 2, ... by increasing t, as in
-    ``_level_nodes``, and padding up to the longest level follows.  Slot 0
-    holds level 0's center t = 0, whose weight sits on the left side only,
-    and is empty on the other levels.  Neither slot 0 nor the padding is a
-    real node (the center's abscissa is no endpoint plus a distance): an
-    empty place holds the value 0 and the weight -0.0, which adds -0.0 to a
-    pair sum and so leaves every sum as it is.  Slot 0 has distance inf,
-    so that a side with no node taken, whose last taken slot reads as 0,
-    has no deepest node; the padding has distance 0.
+    A level's nodes take slots 1, 2, ... by increasing t, padded to the
+    longest level.  Slot 0 holds level 0's center t = 0, with its weight on
+    the left side only.  Slot 0 and the padding are no real node and hold
+    the weight -0.0, which leaves every sum as it is.  Slot 0 has distance
+    inf, so a side with no node taken has no deepest node.
     """
     levels = range(first, last + 1)
     steps = [(0.5 ** level, range(int(_T_MAX) + 1) if level == 0
@@ -140,52 +108,23 @@ def _block_tables(first, last):
 
 
 def _tanh_sinh_pieces(F, cuts, tol):
-    """The tanh-sinh rule over (cuts[0], cuts[-1]), cut at every cut, for a
-    black-box integrand F that maps an array of abscissae to an array of
-    values.  The cuts are finite and non-decreasing, the first below the
-    last.  tol is the total tolerance: each of the len(cuts) - 1 pieces
-    between consecutive cuts gets tol / (len(cuts) - 1), and an empty
-    piece, between two equal cuts, is skipped.  Returns one QuadResult:
-    the values, the error estimates and the evaluation counts of the
-    pieces, each added in the order of the pieces.
+    """The tanh-sinh rule over (cuts[0], cuts[-1]), cut at every cut, for F
+    mapping an array of abscissae to an array of values; one QuadResult
+    whose value, err_est and evals add those of the pieces in order.
 
-    Per piece: level 0 takes the center and the node pairs at t = 1..6,
-    level L >= 1 the new node pairs at the odd multiples of h = 2^-L, and
-    the value after level L is half that after level L - 1 plus h times the
-    half-width times the weighted sum of the new nodes, the pairs added by
-    increasing t, each left node before its right one.  The piece converges
-    at the first level L >= 1 whose change from level L - 1 is at most
-    max(tol, 4 eps |value|) / 2, or stops at level _MAX_LEVEL; the change is
-    its error estimate, at least eps |value|.  A node that rounds onto its
-    endpoint is not taken.  A non-finite value within 1e-9 of the
-    half-width from an endpoint counts as an integrable endpoint blow-up
-    and adds nothing; elsewhere it raises QuadratureError with its
-    abscissa, the first in the order of levels, nodes and sides.  Where the
-    values still grow like an inverse square root at the deepest node used
-    on a side, |f| sqrt(d) there times 1e-7 bounds the error from below.
-    ``evals`` counts the center and every node taken on the levels reached.
-
-    The first call of F takes every node of levels 0.._FIRST_LEVEL of every
-    piece; each later level calls F once, on the new nodes of the pieces
-    that have not converged yet.  A value at a node of a level that its
-    piece never reaches is ignored: it neither raises nor counts in
-    ``evals``.  _FIRST_LEVEL is 4 because most pieces of the Jensen engine
-    converge by level 4, and each of its calls of F costs a fixed root
-    solve whatever its number of nodes.
-
-    The values of one call are reduced in one pass over the padded layout
-    (pieces, levels, nodes, side) of ``_block_tables``: the pair sums of
-    every level by ``cumsum`` along the nodes, which adds left to right,
-    the node counts and the deepest node of each side; only the recurrence
-    from one level's value to the next runs level by level, on arrays over
-    the pieces.  A level's taken nodes are a prefix of its slots, since
-    ``a + d`` rounds monotonically onto ``a`` as d shrinks, so the deepest
-    node taken is the last; where a value is not finite it is found among
-    the nodes used instead.  The half-width and the center are formed from
-    the halved ends, so that b - a may overflow.
-
-    Raises ValueError unless the cuts are finite and non-decreasing with
-    cuts[0] < cuts[-1], and tol > 0 (a NaN tol included).
+    Each of the len(cuts) - 1 pieces gets tol / (len(cuts) - 1); an empty
+    one is skipped.  Level 0 takes the center and the node pairs at
+    t = 1..6, level L the new pairs at the odd multiples of 2^-L.  A piece
+    converges at the first level L >= 1 whose change is at most
+    max(tol, 4 eps |value|) / 2, or stops at _MAX_LEVEL; the change, at
+    least eps |value|, is its err_est.  Where the values still grow like an
+    inverse square root at the deepest node used, 1e-7 |f| sqrt(d) there
+    bounds err_est from below.  A node that rounds onto its endpoint is not
+    taken.  A non-finite value within 1e-9 of the half-width from an
+    endpoint adds nothing; elsewhere it raises QuadratureError with its
+    abscissa.  ``evals`` counts the center and every node taken on the
+    levels reached.  Raises ValueError unless the cuts are finite and
+    non-decreasing with cuts[0] < cuts[-1], and tol > 0.
     """
     cuts = np.asarray(cuts, dtype=float)
     if not np.isfinite(cuts).all():
@@ -198,12 +137,11 @@ def _tanh_sinh_pieces(F, cuts, tol):
     ends = np.array([cuts[:-1], cuts[1:]])
     ends = ends[:, ends[0] < ends[1]]      # an empty piece adds nothing
     n = ends.shape[1]
-    halves = 0.5 * ends
+    halves = 0.5 * ends     # halved first, so b - a may overflow
     half = halves[1] - halves[0]
     value = np.zeros(n)
     err = np.zeros(n)
-    # per piece, level and side: the nodes taken, and the distance of the
-    # deepest node used with |f| there
+    # per piece, level and side: nodes taken, and the deepest node's distance and |f|
     taken = np.zeros((n, _MAX_LEVEL + 1, 2), dtype=int)
     depth = np.full((n, _MAX_LEVEL + 1, 2), math.inf)
     height = np.zeros((n, _MAX_LEVEL + 1, 2))
@@ -236,7 +174,9 @@ def _tanh_sinh_pieces(F, cuts, tol):
         deepest = at[:, None, None], np.arange(len(hs))[:, None], counts, [0, 1]
         bad = None if np.isfinite(vals).all() else ~np.isfinite(v)
         if bad is None:
-            d_min = np.abs(xd[deepest])      # the last node taken, slot 0 if none
+            # the last node taken, slot 0 if none: a + d rounds onto a
+            # monotonically as d shrinks, so the taken nodes are a prefix
+            d_min = np.abs(xd[deepest])
         else:
             v[bad] = 0.0    # integrable endpoint blow-up, weight negligible
             dd = np.where(take & ~bad, np.abs(xd), math.inf)
@@ -289,39 +229,21 @@ def _tanh_sinh_pieces(F, cuts, tol):
 # ---------------------------------------------------------------------------
 
 _N_START = 16     # size of the first torus grid
-_N_BATCH = 256    # the first integrand call takes every grid up to this size
+_N_BATCH = 256    # grids up to this size share the first call, cheaper than one call each
 
 
 def integrate_torus2(g, tol=1e-6, n_max=4096):
-    """Average of a function of (theta_x, theta_y) over the periodic square
-    [0, 2pi)^2.
+    """The average over [0, 2pi)^2 of an integrand given by its row means,
+    by the trapezoid rule on doubling n x n grids with one Richardson step.
 
-    Uses the tensor trapezoid rule (spectrally accurate for smooth periodic
-    integrands) on a doubling sequence of shifted grids, with one Richardson
-    extrapolation step whose order is estimated from the last three sums.
-    The grid carries a fixed irrational-ish offset so that lattice points
-    dodge symmetric zero sets: at size n, both the x-angles and the
-    y-angles are t_l = (l + 2 - sqrt(2)) 2pi/n, l = 0..n-1.
-
-    g is called on a list of grids, each given by its array t, and returns
-    one array of n row means per grid: entry k is the mean of the integrand
-    over the y-angles t at x-angle t[k].  So g decides how a row is summed,
-    and need not hold an n x n grid.  The first call takes every grid up to
-    n = 256 (16 to 256, 496 rows, fewer under a smaller n_max) and each
-    later call one grid, while the stopping test below still takes the sums
-    one grid at a time, so the result is that of one call per grid.  A call
-    of the torus measure has a fixed cost whatever its row count, so the
-    first call costs less than the calls it replaces even for an integrand
-    that stops at n = 64 (CHANGES.md, "Torus oracle in fiber batches").
-    ``QuadResult.evals`` counts the n^2 grid points of every grid whose
-    rows were computed, those of the first call past the stopping grid
-    included.  ``err_est`` is at least the rounding of the value,
-    4 eps |value|, and at least 1e-16.
-
-    Raises ValueError unless tol > 0 (a NaN tol included) and n_max is a
-    finite number at least the first grid size 16, and QuadratureError when
-    the sum of the row means of a grid the stopping test reaches is not
-    finite.
+    At size n both angles are t_l = (l + 2 - sqrt(2)) 2pi/n, l = 0..n-1,
+    offset so that the grid dodges symmetric zero sets.  g takes a list of
+    grids t and returns, per grid, the mean of the integrand over the
+    y-angles t at each x-angle t[k].  Its first call takes every grid up to
+    n = 256, each later call one grid.  ``evals`` counts the n^2 points of
+    every grid computed, and ``err_est`` is at least 4 eps |value| and
+    1e-16.  Raises ValueError unless tol > 0 and n_max is finite and at
+    least 16, and QuadratureError when a grid's sum is not finite.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")

@@ -1,23 +1,13 @@
 """Polynomial root finding.
 
 Coefficients are ascending (c[0] + c[1] z + ... + c[d] z^d), complex allowed.
-``batch_roots`` is the one solver: it takes many polynomials of one degree
-at once and solves them by closed forms applied to whole arrays through
-degree 2, Cardano's and Ferrari's formulas with a Newton polish for cubics
-and quartics, and the eigenvalues of the stacked companion matrices in one
-LAPACK call for the rows that polish rejects and for degree 5 and up.
-``poly_roots`` solves one polynomial as a one-row ``batch_roots`` call.
-Every generic root solve of the package goes through it: the fibers of the
-Jensen engine, its root counts included, and of the torus oracle, and the
-one-variable measures (the families and periods use their own closed
-forms).  So the one rule for a leading coefficient that nearly vanishes
-lives here too: from degree 3 on, such a row is solved reversed and its
-roots inverted (``batch_roots``), for fibers and one-variable polynomials
-alike.
-
-``aberth_roots``, the simultaneous Aberth-Ehrlich iteration with its Horner
-pass and residual scale, is kept as an independent scalar reference for
-the tests; nothing in the package calls it.
+``batch_roots`` is the package's one generic solver: it takes many
+polynomials of one degree at once, solves them in closed form through
+degree 2, by Cardano's and Ferrari's formulas with a Newton polish for
+cubics and quartics, and by companion-matrix eigenvalues in one LAPACK call
+for the rows that polish rejects and for degree 5 and up.  It also holds
+the one rule for a leading coefficient that nearly vanishes.
+``aberth_roots`` is an independent scalar reference for the tests.
 """
 
 from __future__ import annotations
@@ -41,7 +31,7 @@ def _horner2(coeffs, z):
 
 
 def residual_scale(coeffs, z):
-    """Backward-error scale sum |c_m| |z|^m used in the convergence test."""
+    """The backward-error scale sum |c_m| |z|^m."""
     az = abs(z)
     s = 0.0
     t = 1.0
@@ -52,17 +42,13 @@ def residual_scale(coeffs, z):
 
 
 _ABERTH_TOL = 1e-14       # relative residual at which a root has converged
-_ABERTH_MAX_ITER = 120
+_ABERTH_MAX_ITER = 120    # far beyond the cubic convergence from a fair start
 
 
 def aberth_roots(coeffs):
-    """All complex roots of the polynomial with the given ascending coefficients.
-
-    The leading coefficient must be nonzero.  Zero roots are deflated exactly
-    first.  Remaining roots start on a circle sized from the coefficient
-    magnitudes and move under the Aberth-Ehrlich correction
-    w_i / (1 - w_i * sum_{j != i} 1/(z_i - z_j)), w_i = p(z_i)/p'(z_i).
-    """
+    """All complex roots of the polynomial ``coeffs`` by the Aberth-Ehrlich
+    iteration, zero roots deflated exactly; np.roots takes over a stalled
+    run.  Raises ValueError for a zero leading coefficient."""
     coeffs = [complex(c) for c in coeffs]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
@@ -127,8 +113,8 @@ def aberth_roots(coeffs):
 
 
 def poly_roots(coeffs):
-    """Roots of one polynomial, as a list: a one-row ``batch_roots`` call
-    after the zero leading coefficients are trimmed."""
+    """The roots of one polynomial, as a list, its zero leading
+    coefficients trimmed."""
     c = [complex(v) for v in coeffs]
     while len(c) > 1 and c[-1] == 0:
         c.pop()
@@ -136,9 +122,8 @@ def poly_roots(coeffs):
 
 
 def _quadratic_rows(c0, c1, c2):
-    """Stable roots of c2 z^2 + c1 z + c0 over arrays of coefficients
-    (c2 != 0): q = -(c1 +- sqrt(c1^2 - 4 c2 c0))/2 with the sign that does
-    not cancel, and the roots q/c2 and c0/q."""
+    """The roots q/c2 and c0/q of c2 z^2 + c1 z + c0 (c2 != 0) over arrays,
+    q = -(c1 +- sqrt(c1^2 - 4 c2 c0))/2 with the sign that does not cancel."""
     sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
     q = -0.5 * np.where((np.conj(c1) * sq).real > 0.0, c1 + sq, c1 - sq)
     roots = np.stack([q / c2, c0 / q], axis=1)
@@ -150,15 +135,10 @@ def _quadratic_rows(c0, c1, c2):
 
 
 def _quadratic_batch(c):
-    """``_quadratic_rows`` over the rows of an (n, 3) array of coefficients
-    (c2 != 0 throughout).
-
-    The rows are solved as they are, unless a product overflows or some
-    lead lies below 2**-200, where the squares can underflow, as with
-    coefficients near 1e+-200.  Then each row is scaled by the power of 2
-    that puts its largest modulus in [0.5, 1) and solved again.  The
-    scaling is exact (``ldexp`` of the real and imaginary parts, which
-    keeps signed zeros) and the roots do not depend on it."""
+    """``_quadratic_rows`` over the rows of an (n, 3) array (c2 != 0).  Where
+    a product overflows or a lead lies below 2**-200, each row is scaled
+    exactly by the power of 2 that puts its largest modulus in [0.5, 1),
+    which leaves its roots as they are."""
     if np.abs(c[:, -1]).min() > 2.0 ** -200:
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="raise"):
@@ -177,13 +157,8 @@ _OMEGA_BAR = np.conj(_OMEGA)
 
 def _cubic_rows(a0, a1, a2):
     """Cardano's roots of the monic cubics w^3 + a2 w^2 + a1 w + a0 over
-    arrays of coefficients, as a (3, n) array.
-
-    With w = t - a2/3 the cubic is t^3 + p t + q, whose roots are
-    omega^k u + omega^-k v (k = 0, 1, 2) for u^3 = -q/2 -+ sqrt(q^2/4 +
-    p^3/27) and v = -p/(3u).  Of the two signs u^3 takes the one of larger
-    modulus, which does not cancel.  u = 0 only at a triple root
-    (p = q = 0), whose row comes out NaN."""
+    arrays, as a (3, n) array; u^3 takes the sign that does not cancel, and
+    a triple root comes out NaN."""
     s = a2 / 3.0
     p3 = (a1 - a2 * s) / 3.0
     h = 0.5 * a0 - s * (0.5 * a1 - s * s)     # q/2
@@ -194,15 +169,9 @@ def _cubic_rows(a0, a1, a2):
 
 
 def _quartic_rows(a0, a1, a2, a3):
-    """Ferrari's roots of the monic quartics w^4 + a3 w^3 + a2 w^2 + a1 w +
-    a0 over arrays of coefficients, as a (4, n) array.
-
-    With w = t - a3/4 the quartic is t^4 + p t^2 + q t + r.  For a root y
-    of the resolvent cubic y^3 + p y^2 + (p^2/4 - r) y - q^2/8 and
-    sigma = sqrt(2y) it factors as (t^2 - sigma t + p/2 + y + q/(2 sigma))
-    (t^2 + sigma t + p/2 + y - q/(2 sigma)), whose roots ``_quadratic_rows``
-    gives.  y is the resolvent root of largest modulus, which is 0 only at
-    a quadruple root (p = q = r = 0), whose row comes out NaN."""
+    """Ferrari's roots of the monic quartics w^4 + a3 w^3 + ... + a0 over
+    arrays, as a (4, n) array, from the resolvent cubic's root of largest
+    modulus; a quadruple root comes out NaN."""
     n = len(a0)
     s = 0.25 * a3
     ss = s * s
@@ -219,24 +188,18 @@ def _quartic_rows(a0, a1, a2, a3):
     return t.reshape(2, n, 2).transpose(0, 2, 1).reshape(4, n) - s
 
 
-_NEWTON_STEPS = 2
+_NEWTON_STEPS = 2   # the closed forms start within a few ulps of the largest root
 _ACCEPT = 8 * np.finfo(float).eps   # accepted relative residual and Vieta defect
-_GAP = 1e4          # root modulus ratio above which the small roots restart
+_GAP = 1e4          # modulus ratio beyond which the small roots are rounding noise
 
 
 def _newton_rows(a, w, vieta=True):
     """Two Newton steps from the roots ``w`` (m, n) of the monic rows
-    w^m + a[m-1] w^(m-1) + ... + a[0]; returns the roots and a mask of the
-    rows they are accepted for.
-
-    A row is accepted when, after the last step, every residual |p(w)| is
-    within 8 ulps of sum_j |a_j| |w|^j, and, unless ``vieta`` is false,
-    the roots sum to -a[m-1] within 8 ulps of sum |w| (Vieta), which
-    catches two roots drawn to one.  NaN fails both.  The eigenvalue rows
-    skip the Vieta test: their polish starts from the eigenvalues, each
-    next to its own root, and the sum of the roots of an ill-conditioned
-    row can miss 8 ulps by rounding alone (by 8.7 ulps for the reversed
-    row of 24 - 50y + 35y^2 - 10y^3 + y^4 + 1e-120 y^5)."""
+    w^m + a[m-1] w^(m-1) + ... + a[0]; the roots and a mask of the rows
+    accepted.  A row is accepted when every residual is within _ACCEPT of
+    sum_j |a_j| |w|^j and, with ``vieta``, the roots sum to -a[m-1] within
+    _ACCEPT of sum |w|, which catches two roots drawn to one.  Eigenvalue
+    rows skip the Vieta test, which rounding alone can fail for them."""
     w = w.copy()
     for _ in range(_NEWTON_STEPS):      # p and p' by Horner's rule, in place
         p = w + a[-1]
@@ -265,9 +228,8 @@ def _newton_rows(a, w, vieta=True):
 
 
 def _low_roots(a, k):
-    """Roots of the truncations a[0] + a[1] w + ... + a[k] w^k (k <= 3) of
-    the rows ``a``, as a (k, n) array: to first order the k smallest roots
-    of the rows, where they lie far below the others."""
+    """The roots of the truncations a[0] + ... + a[k] w^k (k <= 3) of the
+    rows ``a``, as a (k, n) array: the k smallest roots to first order."""
     if k == 1:
         return -a[:1] / a[1]
     if k == 2:
@@ -276,10 +238,8 @@ def _low_roots(a, k):
 
 
 def _restart_small_roots(a, w):
-    """The roots ``w`` (m, n) of the monic rows ``a``, with the roots below
-    the widest gap in modulus replaced by those of the truncation that has
-    as many (``_low_roots``); a row with more than three below it keeps
-    its roots."""
+    """``w`` with the roots below the widest modulus gap replaced by those
+    of the truncation with as many, when there are at most three."""
     m = len(a)
     mod = np.abs(w)
     order = np.argsort(-mod, axis=0)
@@ -295,11 +255,9 @@ def _restart_small_roots(a, w):
 
 
 def _restart_spread_rows(a, w, ok, vieta=True):
-    """The rows of the roots ``w`` (m, n) of the monic rows ``a`` that
-    ``ok`` rejects and whose roots spread by more than _GAP in modulus,
-    with their small roots restarted (``_restart_small_roots``) and
-    polished again (``_newton_rows``, with or without its Vieta test);
-    ``w`` and ``ok`` take the rows accepted, in place."""
+    """Restarts the small roots of the rows that ``ok`` rejects and whose
+    roots spread by more than _GAP, and polishes them again; ``w`` and
+    ``ok`` take the rows accepted, in place."""
     rows = np.flatnonzero(~ok)
     mod = np.abs(w[:, rows])
     rows = rows[mod.min(axis=0) * _GAP < mod.max(axis=0)]
@@ -309,11 +267,9 @@ def _restart_spread_rows(a, w, ok, vieta=True):
 
 
 def _companion_roots(monic):
-    """Roots of the monic rows z^m + monic[:, m-1] z^(m-1) + ... +
-    monic[:, 0], as the eigenvalues of their stacked companion matrices in
-    one ``np.linalg.eigvals`` call, which is backward stable (Edelman &
-    Murakami, "Polynomial roots from companion matrix eigenvalues",
-    Math. Comp. 64, 1995)."""
+    """The roots of the monic rows z^m + monic[:, m-1] z^(m-1) + ... as the
+    eigenvalues of their companion matrices, which is backward stable
+    (Edelman & Murakami, Math. Comp. 64, 1995)."""
     n, m = monic.shape
     companion = np.zeros((n, m, m), dtype=complex)
     companion.reshape(n, m * m)[:, m::m + 1] = 1.0      # the subdiagonal
@@ -321,22 +277,16 @@ def _companion_roots(monic):
     return np.linalg.eigvals(companion)
 
 
-_UNSCALED = 2.0 ** 32   # monic coefficient size up to which a row is not scaled
+_UNSCALED = 2.0 ** 32   # monic coefficient size up to which no closed-form power overflows
 _FLIP_REL = 1e-8        # relative lead below which the reversed row is solved
 
 
 def _monic_rows(c):
-    """The rows of ``c`` (n, m + 1), m >= 3, with c0 and c_m nonzero, as
-    monic polynomials in w = z / 2^e: returns the (m, n) array of their
-    lower coefficients and the exponents e (None when every e is 0).
-
-    A row whose largest monic coefficient modulus lies within 2^+-32 is
-    taken as it is: its roots lie below 2^33, so no power in the closed
-    forms overflows.  Any other row takes the 2^e within a factor 2 above
-    its root size bound max_j |c_j / c_m|^(1/(m-j)), which puts every
-    coefficient below 2 in modulus, and is scaled exactly (``ldexp`` of the
-    real and imaginary parts).  Either way a power-of-2 scale of a row
-    changes nothing."""
+    """The rows of ``c`` (n, m + 1), m >= 3, c0 and c_m nonzero, as monic
+    polynomials in w = z / 2^e: the (m, n) lower coefficients and the
+    exponents e (None when all are 0).  A row whose monic coefficients lie
+    within 2^+-32 keeps e = 0; any other takes the 2^e within a factor 2
+    above its root bound max_j |c_j / c_m|^(1/(m-j)), applied exactly."""
     m = c.shape[1] - 1
     a = np.ascontiguousarray((c[:, :m] / c[:, m:]).T)
     size = np.abs(a).max(axis=0)
@@ -357,33 +307,17 @@ def _monic_rows(c):
 
 
 def batch_roots(coeffs):
-    """Roots of n polynomials of one degree m >= 1, solved together.
+    """The (n, m) complex roots of the n rows of ``coeffs``, each m + 1
+    ascending coefficients of degree m >= 1, in no order within a row.
 
-    ``coeffs`` holds n rows of m + 1 ascending coefficients, each row with a
-    nonzero leading coefficient; the result is the (n, m) complex array of
-    their roots, in no particular order within a row.  n may be 0; a row
-    with a NaN or infinite coefficient gets NaN roots.
-
-    Degrees 1 and 2 use closed forms (``_quadratic_batch``).  From degree 3
-    on, zero roots are split off exactly.  A row whose leading coefficient
-    lies below 1e-8 of its largest one (_FLIP_REL) and below its constant
-    term is solved as the reversed row, and those roots are inverted: the
-    huge roots of a nearly vanishing lead become small ones, which the
-    solver keeps to full relative accuracy, where scaling the row to the
-    size of its huge root would flush its low coefficients to zero and lose
-    its small roots.  The reversed row's lead, the old constant term,
-    exceeds its constant term, the old lead, so it is never reversed back.
-    A root beyond the float range comes out as inf.  The rows are then made
-    monic, in a variable scaled by a power of 2 where their size calls for
-    it (``_monic_rows``).  Cubics and quartics are solved by Cardano's and
-    Ferrari's formulas with a Newton polish, vectorised over the rows
-    (``_closed_form_roots``).  The rows that polish does not accept, and
-    every row of degree 5 and up, take the eigenvalues of their companion
-    matrices (``_companion_roots``).  The eigenvalues give a root far below
-    the others only to within rounding of the largest, often as 0, so
-    where they spread by more than _GAP in modulus the small ones restart
-    from the low-order truncation, as in ``_closed_form_roots``, and the
-    row keeps its Newton-polished roots when every residual passes.
+    n may be 0, and a row with a NaN or infinite coefficient gets NaN roots.
+    Zero roots are split off exactly.  From degree 3 on, a row whose lead
+    lies below _FLIP_REL of its largest coefficient and below its constant
+    term is solved reversed and its roots inverted, so its small roots keep
+    their relative accuracy; a root beyond float range comes out inf.
+    Where the roots of a rejected row spread by more than _GAP, its small
+    roots restart from the low-order truncation.  Raises ValueError for a
+    zero leading coefficient.
     """
     c = np.asarray(coeffs, dtype=complex)
     n, m = c.shape[0], c.shape[1] - 1
