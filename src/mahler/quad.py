@@ -55,7 +55,7 @@ def _de_weight(t):
 
 
 _T_MAX = 6.11      # beyond this the node distance underflows anyway
-_MAX_LEVEL = 12    # step 2^-12: a piece that needs more is not converging
+_MAX_LEVEL = 12    # the node budget: a piece unconverged at step 2^-12 reports its last change
 _FIRST_LEVEL = 4   # levels of the first call: most engine pieces converge by 4
 
 

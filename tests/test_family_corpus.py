@@ -4,8 +4,8 @@
 references: p(k) for P_k, and for Q_{k+2} at k >= 4 (Theorem 1), and r(k)
 for R_k.  Each family member goes through ``mahler_jensen`` at tol 1e-10
 and 1e-13 in its raw form, in its reduced form (``wt_family_poly``), and for
-P and Q also with x and y swapped; R is symmetric in x and y.  Every value must
-lie within its ``err_est`` plus the reference's ``err_est`` of the
+P and Q also with x and y swapped; R is symmetric in x and y.  Every value
+must lie within its ``err_est`` plus the reference's ``err_est`` of the
 reference, up to 4 eps |m| of rounding, except for the known misses, each
 listed with the ROADMAP item that owns it.  A case that is mended must
 leave the list, and a new miss fails.
