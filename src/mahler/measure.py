@@ -25,7 +25,9 @@ engine takes its coefficients from ``_unit_y_coeffs``, scaled by a power of
 
 ``mahler_torus2`` averages log|P| over n x n trapezoid grids, with no
 Jensen formula, scan or cuts: each grid row is summed in closed form from
-the roots of its fiber, so a grid costs n fiber solves.
+the roots of its fiber, so a grid costs n fiber solves.  A root whose
+min(|r|^n, |r|^-n) lies below 2^-56 adds n log+|r| alone: the rest of its
+term rounds to exactly 0.0 there, and is below 2^-55 in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -236,23 +238,25 @@ _BAND = 1e-9   # "outside" margin: the families have whole arcs with |y| = 1
 
 def _solve_fibers(coeffs):
     """``(lead, roots)`` of the fibers in the rows of ``coeffs`` (ascending
-    in y), one ``batch_roots`` call per degree after zero leading
-    coefficients are trimmed.  ``lead`` is the top nonzero coefficient, 0
-    for a vanishing fiber, and the roots beyond a row's degree are 0.  Rows
-    are taken and roots returned column-major, where reductions over a
-    row's few entries run fastest."""
+    in y).  With no zero lead this is one ``batch_roots`` call, whose array
+    is returned as it is; otherwise zero leading coefficients are trimmed
+    and each degree takes a call of its own.  ``lead`` is the top nonzero
+    coefficient, 0 for a vanishing fiber, and the roots beyond a row's
+    degree are 0.  Rows are taken and roots returned column-major, where
+    reductions over a row's few entries run fastest."""
     coeffs = np.asfortranarray(coeffs)
     n, m = coeffs.shape[0], coeffs.shape[1] - 1
     lead = coeffs[:, -1]
-    groups = {m: slice(None)} if m else {}
-    if not lead.all():
-        nonzero = coeffs != 0
-        degree = np.where(nonzero.any(axis=1), m - nonzero[:, ::-1].argmax(axis=1), 0)
-        lead = coeffs[np.arange(n), degree]
-        groups = {deg: degree == deg for deg in range(1, m + 1) if (degree == deg).any()}
+    if m and lead.all():
+        return lead, batch_roots(coeffs)
+    nonzero = coeffs != 0
+    degree = np.where(nonzero.any(axis=1), m - nonzero[:, ::-1].argmax(axis=1), 0)
+    lead = coeffs[np.arange(n), degree]
     roots = np.zeros((n, m), dtype=complex, order="F")
-    for deg, rows in groups.items():
-        roots[rows, :deg] = batch_roots(coeffs[rows, :deg + 1])
+    for deg in range(1, m + 1):
+        rows = degree == deg
+        if rows.any():
+            roots[rows, :deg] = batch_roots(coeffs[rows, :deg + 1])
     return lead, roots
 
 
@@ -504,32 +508,46 @@ def mahler_jensen(P, tol=1e-10):
 
 
 _TORUS_ROWS = 4096   # rows solved at a time: bounds the temporaries of a large grid
+_FAR_DECAY = -56.0 * math.log(2.0)   # u = 2^-56: a farther root's term rounds to 0.0
+
+
+def _torus_rows(coeffs, n, arg_w):
+    """The row means of log|P| over grid rows with the fiber coefficients
+    ``coeffs`` (ascending in y), n y-angles t_0 + 2 pi l / n and
+    arg_w = n t_0 each.  With w = e^{i arg_w} and f = c_d prod_i (y - r_i),
+    the row sum is n log|c_d| + sum_i log|r_i^n - w|, each term taken as
+
+        n log+ rho + log((1 - u)^2 + 4 u sin^2(phi / 2)) / 2,
+
+    rho = |r|, u = e^decay, decay = -n |log rho|, phi = n arg r - arg w,
+    which neither overflows nor cancels.  Where decay <= _FAR_DECAY the
+    second part rounds to exactly 0.0 (expm1 to -1.0, 1 + 4 u sin^2 to
+    1.0), so it is set to 0.0 without its transcendentals; in exact
+    arithmetic it lies below 2^-55 in size there, the most a libm whose
+    expm1 is not correctly rounded can differ by.  A zero lead and the
+    square are clamped at 1e-300."""
+    lead, roots = _solve_fibers(coeffs)
+    with np.errstate(divide="ignore"):    # a zero root: log rho = -inf, decay = -inf
+        log_rho = np.log(np.abs(roots))
+    decay = -n[:, None] * np.abs(log_rho)
+    terms = np.zeros_like(decay)
+    near = (decay > _FAR_DECAY).nonzero()
+    half_phi = 0.5 * (n[near[0]] * np.angle(roots[near]) - arg_w[near[0]])
+    near_decay = decay[near]
+    gap = np.expm1(near_decay)
+    near_terms = gap * gap + 4.0 * np.exp(near_decay) * np.sin(half_phi) ** 2
+    terms[near] = np.log(np.maximum(near_terms, 1e-300, out=near_terms), out=near_terms)
+    return (np.log(np.where(lead == 0, 1e-300, np.abs(lead)))
+            + np.maximum(log_rho, 0.0).sum(axis=1)
+            + 0.5 * terms.sum(axis=1) / n)
 
 
 def _torus_row_means(cx):
     """The row-means integrand of ``integrate_torus2`` for the coefficients
-    ``cx`` of P in y.  With w = e^{i n t_0} for a row's y-angles
-    t_0 + 2 pi l / n and f = c_d prod_i (y - r_i), the row sum is exactly
-    n log|c_d| + sum_i log|r_i^n - w|, each term taken as
-
-        n log+ rho + log((1 - u)^2 + 4 u sin^2(phi / 2)) / 2,
-
-    rho = |r|, u = min(rho^n, rho^-n), phi = n arg r - arg w, which neither
-    overflows nor cancels.  A zero lead and the square are clamped at 1e-300."""
+    ``cx`` of P in y: each grid row's mean is taken by ``_torus_rows`` from
+    the roots of its fiber, so a grid of n x n points costs n fiber
+    solves."""
     coeff_table = _coeff_table(cx)
-
-    def row_means(tx, n, arg_w):
-        lead, roots = _solve_fibers(_coeffs_grid(coeff_table, tx))
-        with np.errstate(divide="ignore"):    # a zero root: log rho = -inf, u = 0
-            log_rho = np.log(np.abs(roots))
-        decay = -n[:, None] * np.abs(log_rho)
-        half_phi = 0.5 * (n[:, None] * np.angle(roots) - arg_w[:, None])
-        gap = np.expm1(decay)
-        terms = gap * gap + 4.0 * np.exp(decay) * np.sin(half_phi) ** 2
-        np.log(np.maximum(terms, 1e-300), out=terms)
-        return (np.log(np.where(lead == 0, 1e-300, np.abs(lead)))
-                + np.maximum(log_rho, 0.0).sum(axis=1)
-                + 0.5 * terms.sum(axis=1) / n)
 
     def g(grids):
         sizes = [len(t) for t in grids]
@@ -540,7 +558,7 @@ def _torus_row_means(cx):
         means = np.empty(len(tx))
         for s in range(0, len(tx), _TORUS_ROWS):
             rows = slice(s, s + _TORUS_ROWS)
-            means[rows] = row_means(tx[rows], n[rows], arg_w[rows])
+            means[rows] = _torus_rows(_coeffs_grid(coeff_table, tx[rows]), n[rows], arg_w[rows])
         return [means[end - size:end] for end, size in zip(itertools.accumulate(sizes), sizes)]
 
     return g

@@ -126,7 +126,7 @@ def _quadratic_rows(c0, c1, c2):
     q = -(c1 +- sqrt(c1^2 - 4 c2 c0))/2 with the sign that does not cancel."""
     sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
     q = -0.5 * np.where((np.conj(c1) * sq).real > 0.0, c1 + sq, c1 - sq)
-    roots = np.stack([q / c2, c0 / q], axis=1)
+    roots = np.stack([q / c2, c0 / q]).T    # column-major, as batch_roots returns
     at_zero = c0 == 0      # q == 0 only happens here
     if at_zero.any():
         roots[at_zero, 0] = 0.0
@@ -308,7 +308,8 @@ def _monic_rows(c):
 
 def batch_roots(coeffs):
     """The (n, m) complex roots of the n rows of ``coeffs``, each m + 1
-    ascending coefficients of degree m >= 1, in no order within a row.
+    ascending coefficients of degree m >= 1, in no order within a row, as
+    a column-major array.
 
     n may be 0, and a row with a NaN or infinite coefficient gets NaN roots.
     Zero roots are split off exactly.  From degree 3 on, a row whose lead
@@ -316,8 +317,9 @@ def batch_roots(coeffs):
     term is solved reversed and its roots inverted, so its small roots keep
     their relative accuracy; a root beyond float range comes out inf.
     Where the roots of a rejected row spread by more than _GAP, its small
-    roots restart from the low-order truncation.  Raises ValueError for a
-    zero leading coefficient.
+    roots restart from the low-order truncation, and so do those that the
+    scaling underflows to 0, from the unscaled truncation.  Raises
+    ValueError for a zero leading coefficient.
     """
     c = np.asarray(coeffs, dtype=complex)
     n, m = c.shape[0], c.shape[1] - 1
@@ -328,7 +330,7 @@ def batch_roots(coeffs):
         return np.empty((0, m), dtype=complex)
     if not np.isfinite(c).all():
         finite = np.isfinite(c).all(axis=1)
-        roots = np.full((n, m), np.nan, dtype=complex)
+        roots = np.full((n, m), np.nan, dtype=complex, order="F")
         if finite.any():
             roots[finite] = batch_roots(c[finite])
         return roots
@@ -338,7 +340,7 @@ def batch_roots(coeffs):
         return _quadratic_batch(c)
     zero = c[:, 0] == 0
     if zero.any():
-        roots = np.zeros((n, m), dtype=complex)
+        roots = np.zeros((n, m), dtype=complex, order="F")
         roots[zero, 1:] = batch_roots(c[zero, 1:])
         if not zero.all():
             roots[~zero] = batch_roots(c[~zero])
@@ -359,6 +361,16 @@ def batch_roots(coeffs):
             _restart_spread_rows(a, w, ok, vieta=False)
         if e is not None:
             w *= np.ldexp(1.0, e)
+        # c0 != 0 here, so a monic constant of 0 underflowed: the k lowest
+        # monic coefficients that did leave k roots at 0, which restart
+        # from the row's unscaled truncation of degree k
+        under = np.flatnonzero(a[0] == 0)
+        if len(under):
+            k = (a[:, under] != 0).argmax(axis=0)
+            for deg in np.unique(k):
+                rows = under[k == deg]
+                small = np.argsort(np.abs(w[:, rows]), axis=0)[:deg]
+                w[small, rows] = batch_roots(c[rows, :deg + 1]).T
         if flip.any():
             w[:, flip] = 1.0 / w[:, flip]
     return w.T

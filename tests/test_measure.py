@@ -31,6 +31,7 @@ from mahler.measure import (
     _solve_1var,
     _solve_fibers,
     _torus_row_means,
+    _torus_rows,
     _torus_terms,
     _unit_y_coeffs,
     MeasureResult,
@@ -42,7 +43,7 @@ from mahler.families import family_poly, p_measure, q_measure, r_measure, wt_fam
 from mahler.quad import _EPS, integrate_torus2
 from mahler.rootfind import batch_roots, poly_roots
 from test_quad import level_nodes
-from torus_rows import row_means, torus2_reference
+from torus_rows import row_means, torus2_reference, unmasked_row_means, unmasked_rows
 
 SMYTH = 0.3230659472194505     # m(x+y-1) = L'(chi_-3, -1)
 P4_MEASURE = 1.364073509190009716052902     # m(P_4), 25 digits
@@ -570,6 +571,67 @@ def test_torus_row_means_batched_and_chunked_match_one_grid(poly, monkeypatch):
     monkeypatch.setattr(measure, "_TORUS_ROWS", 1 << 20)
     for t, rows in zip(grids, together, strict=True):
         assert np.array_equal(rows, g([t])[0])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [16 << k for k in range(9)])
+@pytest.mark.parametrize("poly", [family_poly("P", 3), parse_poly(A_POLY), parse_poly("1+x+y"),
+                                  family_poly("R", 3)], ids=["P_3", "A", "1+x+y", "R_3"])
+def test_torus_row_means_match_every_term_evaluated(poly, n):
+    # the terms of the roots with u < 2^-56 are skipped, which is what the
+    # formula rounds them to: every row mean is the same, bit for bit
+    cx = _unit_y_coeffs(poly)[0]
+    t = _torus_grid(n)
+    assert _same_bits(_torus_row_means(cx)([t])[0], unmasked_row_means(cx, t))
+
+
+def _crafted_rows(special, seed=3):
+    """Quadratic fibers with roots near the circle, so that some terms are
+    evaluated, and the rows ``special`` among them, each taken at the grid
+    sizes 16, 1024 and 65536."""
+    rng = np.random.default_rng(seed)
+    roots = (1.0 + rng.uniform(-0.05, 0.05, (12, 2))) * np.exp(1j * rng.uniform(-4, 4, (12, 2)))
+    near = np.array([[r0 * r1, -(r0 + r1), 1.0] for r0, r1 in roots])
+    rows = np.concatenate([near, np.asarray(special, dtype=complex)])
+    rows = np.tile(rows, (3, 1))
+    n = np.repeat([16.0, 1024.0, 65536.0], len(rows) // 3)
+    return rows, n, n * 0.3
+
+
+@pytest.mark.parametrize("special", [
+    [[0.0, 1.0, 2.0], [0.0, 0.0, 1.0]],                  # zero roots
+    [[1.0, 1e200, 1.0], [1e-200, 1.0, 1e-250]],          # |r| >= 1e200 and tiny roots
+    [[1.0, 2.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # vanishing leads
+    [[1j, 2.0 - 1j, 0.5 + 0.5j], [1.0 + 1e-3j, -2.0, 1.0 - 1e-3j]],   # complex
+], ids=["zero root", "huge root", "vanishing lead", "complex"])
+def test_torus_rows_of_crafted_fibers_match_every_term_evaluated(special):
+    rows, n, arg_w = _crafted_rows(special)
+    with np.errstate(divide="ignore"):    # the zero fiber: log 0
+        assert _same_bits(_torus_rows(rows, n, arg_w), unmasked_rows(rows, n, arg_w))
+
+
+def test_torus_row_of_a_nan_root_is_not_finite():
+    rows, n, arg_w = _crafted_rows([[1.0, np.nan, 1.0]])
+    means = _torus_rows(rows, n, arg_w)
+    nan_rows = np.isnan(rows).any(axis=1)
+    assert not np.isfinite(means[nan_rows]).any()
+    assert np.isfinite(means[~nan_rows]).all()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_solve_fibers_is_batch_roots_when_no_lead_vanishes(m):
+    rng = np.random.default_rng(m)
+    rows = rng.standard_normal((200, m + 1)) + 1j * rng.standard_normal((200, m + 1))
+    rows[::9, 0] = 0.0      # zero roots take batch_roots' own split
+    lead, roots = _solve_fibers(rows)
+    assert _same_bits(lead, rows[:, -1])
+    assert _same_bits(roots, batch_roots(rows))
+    table = _coeff_table(_unit_y_coeffs(family_poly("P", 3))[0])
+    grid = _coeffs_grid(table, _torus_grid(4096))
+    assert _same_bits(_solve_fibers(grid)[1], batch_roots(grid))
 
 
 # the torus-oracle cases of the benchmark, inputs that stop at n = 64 and

@@ -341,6 +341,46 @@ def test_eigenvalue_rows_restart_tiny_roots(row):
     _assert_accurate([row])
 
 
+def test_row_small_at_both_ends_keeps_its_tiny_root():
+    # 1 + 1e250 y + 1e250 y^2 + y^3 is not reversed, and its scaling by
+    # 2^830 underflows the constant to 0: the root -1e-250 restarts from
+    # the truncation 1 + 1e250 y
+    roots = sorted(batch_roots([[1.0, 1e250, 1e250, 1.0]])[0], key=abs)
+    for root, ref in zip(roots, [-1e-250, -1.0, -1e250], strict=True):
+        assert abs(root - ref) <= 1e-15 * abs(ref)
+
+
+def _newton_refined(row, z, steps=30):
+    """The root of the ascending ``row`` that Newton's method reaches from
+    ``z`` at 50 digits, where mpmath.polyroots does not converge for the
+    spans of 500 decades below."""
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpc(complex(c)) for c in reversed(row)]
+        z = mpmath.mpc(z)
+        for _ in range(steps):
+            p, dp = mpmath.polyval(coeffs, z, derivative=True)
+            z -= p / dp
+        return complex(z)
+
+
+@pytest.mark.parametrize("row", [
+    [1.0, 1e250, 1e250, 1e-10],                     # reversed as well
+    [2.0 + 1.0j, 3e250, 1e250j, 1.0],
+    [1e-200, 0.0, 1e250, 1e250, 1.0],               # two: +-1e-225 i
+    [1.0, 1e250, 1e250, 1.0, 1.0, 1.0, 1.0],        # the eigenvalue rows
+], ids=str)
+def test_underflowed_monic_constant_restarts_small_roots(row):
+    # every root within 1e-15 relative of the distinct root Newton's
+    # method reaches from it
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        roots = batch_roots([row])[0]
+    refined = [_newton_refined(row, z) for z in roots]
+    assert len({(r.real, r.imag) for r in refined}) == len(row) - 1
+    for z, r in zip(roots, refined):
+        assert abs(z - r) <= 1e-15 * abs(r)
+
+
 @pytest.mark.parametrize("m", [3, 4])
 def test_closed_form_extreme_magnitudes(m):
     # the scalings of the quadratic test: 2^+-600 is exact, 1e+-200 rounds

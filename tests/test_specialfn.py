@@ -5,11 +5,13 @@ import math
 import random
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
+from mahler.families import family_poly
 from mahler.lpoly import parse_poly
-from mahler.measure import mahler_jensen
+from mahler.measure import mahler_jensen, mahler_torus2
 from mahler.specialfn import (
     DirichletChar,
     bloch_wigner,
@@ -166,6 +168,33 @@ def test_l_deriv_matches_smyth_measure():
     engine = mahler_jensen(parse_poly("x+y-1"), tol=1e-12)
     val = l_deriv_minus1(dirichlet_char(-3))
     assert abs(val - engine.value) <= engine.err_est + 1e-11
+
+
+# the L'-value error allowed: 8 eps |L'(chi, -1)|, against 1.3e-16 and
+# 7.0e-16 measured for chi_-3 and chi_-15 (checked below against mpmath)
+L_DERIV_ALLOWANCE = 8.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("expr, d, divisor, engine, tol", [
+    ("1+x+y", -3, 1.0, mahler_jensen, 1e-13),
+    ("P_3", -15, 6.0, mahler_jensen, 1e-13),
+    ("1+x+y", -3, 1.0, mahler_torus2, 1e-8),
+    # not at tol 1e-7 or tighter: the rule exhausts n_max = 2^16 there
+    ("P_3", -15, 6.0, mahler_torus2, 1e-6),
+], ids=["smyth-jensen", "P_3-jensen", "smyth-torus", "P_3-torus"])
+def test_l_value_identities_within_err_est(expr, d, divisor, engine, tol):
+    # Smyth's m(1+x+y) = L'(chi_-3, -1) and m(P_3) = L'(chi_-15, -1) / 6
+    chi = dirichlet_char(d)
+    lval = l_deriv_minus1(chi)
+    with mpmath.workdps(40):
+        ref = (mpmath.mpf(chi.modulus) ** 1.5 * mpmath.dirichlet(2, [chi(j) for j in range(chi.modulus)])
+               / (4 * mpmath.pi))
+        assert abs(lval - ref) <= L_DERIV_ALLOWANCE * abs(lval)
+    m = lval / divisor
+    poly = family_poly("P", 3) if expr == "P_3" else parse_poly(expr)
+    res = engine(poly, tol=tol)
+    eps = np.finfo(float).eps
+    assert abs(res.value - m) <= res.err_est + 4.0 * eps * abs(m) + L_DERIV_ALLOWANCE * abs(m)
 
 
 def test_l_deriv_combination_consistency():

@@ -1,12 +1,14 @@
-"""Grid integrands for the row-mean contract of ``integrate_torus2``, and
-the rule as it was with one integrand call per grid, the reference for the
-batched calls."""
+"""Grid integrands for the row-mean contract of ``integrate_torus2``, the
+rule as it was with one integrand call per grid, the reference for the
+batched calls, and the torus row means with every root's term evaluated,
+the reference for the terms ``measure._torus_rows`` skips."""
 
 import math
 
 import numpy as np
 
 from mahler.errors import QuadratureError
+from mahler.measure import _coeff_table, _coeffs_grid, _solve_fibers
 from mahler.quad import QuadResult
 
 _BLOCK = 1 << 18   # grid points per block of rows
@@ -70,3 +72,26 @@ def torus2_reference(g, tol=1e-6, n_max=4096):
             value = s
         n *= 2
     return QuadResult(value, max(err, 1e-16), evals)
+
+
+def unmasked_rows(coeffs, n, arg_w):
+    """``measure._torus_rows`` with the term
+    log((1 - u)^2 + 4 u sin^2(phi / 2)) / 2 evaluated for every root."""
+    lead, roots = _solve_fibers(coeffs)
+    with np.errstate(divide="ignore"):    # a zero root: log rho = -inf, u = 0
+        log_rho = np.log(np.abs(roots))
+    decay = -n[:, None] * np.abs(log_rho)
+    half_phi = 0.5 * (n[:, None] * np.angle(roots) - arg_w[:, None])
+    gap = np.expm1(decay)
+    terms = gap * gap + 4.0 * np.exp(decay) * np.sin(half_phi) ** 2
+    np.log(np.maximum(terms, 1e-300), out=terms)
+    return (np.log(np.where(lead == 0, 1e-300, np.abs(lead)))
+            + np.maximum(log_rho, 0.0).sum(axis=1)
+            + 0.5 * terms.sum(axis=1) / n)
+
+
+def unmasked_row_means(cx, t):
+    """The row means of the grid of y-angles ``t`` for the coefficients
+    ``cx`` of P in y, by ``unmasked_rows`` in one piece."""
+    n = np.full(len(t), float(len(t)))
+    return unmasked_rows(_coeffs_grid(_coeff_table(cx), t), n, n * t[0])
