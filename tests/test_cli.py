@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import mahler
 from mahler.cli import _derivative_at, _measure_at, main
+from mahler.lpoly import parse_poly
 
 RUN = [sys.executable, "-m", "mahler.cli"]
 # the subprocess imports the same package as this process, also when pytest
@@ -210,6 +212,52 @@ def test_failed_check_exit_code():
     assert "[FAIL]" in r.stdout
 
 
+@pytest.mark.parametrize("suite", ["theorem1", "theorem2", "conjecture_Qminus1",
+                                   "asymptotics"])
+def test_verify_fails_a_side_wrong_by_1e8(suite, monkeypatch):
+    # each suite passed a measure off by 1e-8 while its bound was set by hand
+    # (1e-7, 1e-6 or 1e-3); a row's bound now comes from its sides' estimates
+    def off(res):
+        return dataclasses.replace(res, value=res.value - 1e-8)
+
+    measure_at, q_measure = mahler.cli._measure_at, mahler.families.q_measure
+    monkeypatch.setattr(mahler.cli, "_measure_at", lambda *a: off(measure_at(*a)))
+    monkeypatch.setattr(mahler.families, "q_measure",
+                        lambda *a, **kw: off(q_measure(*a, **kw)))
+    assert main(["verify", suite]) == 1
+
+
+def test_asymptotics_series_constants():
+    # R_k = xy (k + f); verify asymptotics takes m(R_k) = log k - 6/k^4 with
+    # a_n = CT(f^n) first nonzero at a_4 = 24, and bounds the tail by
+    # |a_n| <= 4^n
+    f = parse_poly("y^2*x^-1 - x^-1 + x^2*y^-1 - y^-1")
+    assert mahler.family_poly("R", 5) == (f + 5) * parse_poly("x*y")
+    a, power = [], parse_poly("1")
+    for _ in range(12):
+        power = power * f
+        a.append(power.terms.get((0, 0), 0))
+    assert a == [0, 0, 0, 24, 0, -120, 0, 2520, 0, -25200, 0, 397320]
+    assert all(abs(c) <= 4 ** n for n, c in enumerate(a, 1))
+
+
+@pytest.mark.parametrize("left,right,relation,passed", [
+    ((1.0, 0.0), (1.0 + 4 * 2.0 ** -52, 0.0), "=", True),     # within 8 eps
+    ((1.0, 0.0), (1.0 + 16 * 2.0 ** -52, 0.0), "=", False),
+    ((1.0, 1e-9), (1.0 + 2e-9, 1e-9), "=", True),
+    ((math.inf, math.inf), (1.0, 0.0), "=", False),           # non-finite difference
+    ((math.nan, 0.0), (1.0, 0.0), "!=", False),
+    ((1.0, 0.0), (1.0 + 2e-4, 0.0), "!=", True),
+    ((1.0 - 1e-11, 1e-10), (1.0, 0.0), ">=", True),
+    ((1.0 + 1e-9, 1e-10), (1.0, 0.0), "<=", False),
+], ids=str)
+def test_check_rule(left, right, relation, passed):
+    report = mahler.cli.RunReport("verify", {})
+    mahler.cli._check(report, "row", left, right, relation)
+    assert report.checks[0]["passed"] is passed
+    assert "bound" in report.checks[0]["detail"]
+
+
 def test_sweep_deterministic(tmp_path):
     f1 = tmp_path / "a.csv"
     f2 = tmp_path / "b.csv"
@@ -367,6 +415,8 @@ def test_lvalue_curve(tmp_path):
     values = {o["name"]: o["value"] for o in report["outputs"]}
     assert values["root_number"] == -1
     assert abs(values["L'(E, 0)"] + 3.0 * 1.3640735091900094) < 1e-9
+    errs = {o["name"]: o["err_est"] for o in report["outputs"]}
+    assert 0 < errs["Lambda(2)"] == errs["L'(E, 0)"] < 1e-12
 
 
 def test_report_roundtrip(tmp_path):
